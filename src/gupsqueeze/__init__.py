@@ -7,74 +7,23 @@ with unit handling and the electron preset in physics_config and a CSV
 command-line front end in cli.
 """
 
-from .boson_algebra import (
-    BchTerm,
-    BchVerification,
-    ComplexRational,
-    ExactCoefficient,
-    OperatorPolynomial,
-    TaylorSeries,
-    bch_term,
-    closed_form_taylor,
-    collect_monomial_series,
-    commutator,
-    hamiltonian_polynomial,
-    normal_order,
-    verify_bch_collection,
-)
-from .fock_oracle import (
-    CoherentVector,
-    FockOperator,
-    FockSpace,
-    SlopeEstimate,
-    TruncationAudit,
-    canonical_xp,
-    coherent_vector,
-    deformed_ops,
-    expect,
-    first_order_coefficient,
-    fock_dim_for,
-    hamiltonian,
-    heisenberg_evolve,
-    ladder_ops,
-    oracle_slopes,
-    oracle_variances,
-    truncation_audit,
-    variance_numeric,
-)
 from .analytic import (
-    EvolvedLadder,
-    LadderPolynomial,
-    QuadratureMoments,
-    QuadratureVariances,
-    RegionScan,
+    ConsistencyError,
     SecularValidityError,
     SecularValidityWarning,
     analytic_slopes,
     deformed_variances,
-    evolved_annihilation,
-    evolved_position_momentum,
-    quadrature_moments,
     quadrature_variances,
-    scaled_delta_p,
-    scaled_delta_product,
-    scaled_delta_x,
-    secular_scale,
     squeezing_deltas,
-    squeezing_region_scan,
     uncertainty_product,
-    variance_record,
 )
+from .boson_algebra import verify_bch_collection
+from .fock_oracle import OracleError, oracle_slopes
 from .physics_config import (
     CoherentAmplitude,
+    ConfigError,
     PhysicalParams,
-    Preset,
-    VarianceRecord,
     electron_preset,
-    from_natural,
-    preset_from_document,
-    preset_to_document,
-    to_natural,
 )
 
 __version__ = "0.1.0"

@@ -4,17 +4,13 @@ Everything is a function of dimensionless time tau = omega*t, the strength
 g = hbar*m*omega*beta, and the coherent amplitude alpha = gamma e^{i theta};
 SI prefactors are restored at the boundary when PhysicalParams are supplied.
 
-Two independent layers live here:
-
-* literal closed-form expressions for the evolved annihilation operator, the
-  quadrature and deformed variances, the uncertainty product and its bound,
-  and the squeezing deltas;
-* a small graded polynomial engine (complex coefficients, normal ordered,
-  g^2 truncated) that re-derives coherent-state moments mechanically.
-
-The closed forms are cross-audited against the engine at run time where the
-contract demands it; the truncated-Fock oracle provides the fully independent
-check in the test suite.
+Literal closed-form expressions for the evolved annihilation operator, the
+quadrature and deformed variances, the uncertainty product and its bound, and
+the squeezing deltas.  The evolved operators are also available as
+complex-coefficient polynomials in boson_algebra's graded ring, which
+re-derives the coherent-state moments mechanically.  The closed forms
+cross-audit each other at run time where the contract demands it; the
+truncated-Fock oracle provides the fully independent check in the test suite.
 
 Validity: the first-order corrections contain secular terms linear in tau, so
 results degrade as |g|*tau*(1+gamma^2) grows.  Operations warn above 0.1 and
@@ -27,13 +23,12 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .boson_algebra import (
-    A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, EVOLVED_MONOMIALS, Monomial,
-    collect_monomial_series, monomial_product,
+    A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, MONOMIAL_FORMS, Monomial,
+    OperatorPolynomial, closed_form_value, evolved_series,
 )
 from .physics_config import (
     CoherentAmplitude, PhysicalParams, VarianceRecord, to_natural,
@@ -93,47 +88,18 @@ def _exp(x: float) -> complex:
 # evolved annihilation operator
 
 
-@dataclass(frozen=True)
-class EvolvedLadder:
-    """Coefficients of a(t) over {a, a^dag, a^3, a^dag^3, a^dag a^2,
-    a^dag^2 a}, evaluated at one (tau, g)."""
-
-    tau: float
-    g: float
-    c_a: complex
-    c_adag: complex
-    c_a3: complex
-    c_adag3: complex
-    c_adag_a2: complex
-    c_adag2_a: complex
-
-    def as_dict(self) -> dict[Monomial, complex]:
-        return {
-            A: self.c_a,
-            A_DAG: self.c_adag,
-            A3: self.c_a3,
-            A_DAG3: self.c_adag3,
-            A_DAG_A2: self.c_adag_a2,
-            A_DAG2_A: self.c_adag2_a,
-        }
-
-
 def _ladder_parts(tau: float) -> dict[Monomial, tuple[complex, complex]]:
     """Graded (order g^0, order g^1) coefficients of a(t)."""
-    drift = -1j * tau * _exp(-tau)
-    sine = 1j * math.sin(tau)
-    return {
-        A: (_exp(-tau), drift),
-        A_DAG: (0.0, sine),
-        A3: (0.0, (_exp(-tau) - _exp(-3.0 * tau)) / 6.0),
-        A_DAG3: (0.0, (_exp(-tau) - _exp(3.0 * tau)) / 12.0),
-        A_DAG_A2: (0.0, drift),
-        A_DAG2_A: (0.0, sine),
-    }
+    parts = {mono: (0.0, closed_form_value(form, tau))
+             for mono, form in MONOMIAL_FORMS.items()}
+    parts[A] = (closed_form_value("base", tau), parts[A][1])
+    return parts
 
 
-def evolved_annihilation(tau: float, g: float, strict: bool = True) -> EvolvedLadder:
-    """Closed-form Heisenberg-evolved annihilation operator, first order in g.
+def evolved_annihilation(tau: float, g: float,
+                         strict: bool = True) -> dict[Monomial, complex]:
+    """Closed-form Heisenberg-evolved annihilation operator, first order in g,
+    as its coefficients over {a, a^dag, a^3, a^dag^3, a^dag a^2, a^dag^2 a}.
 
     a(t) = e^{-i tau} a
          + g [ -i tau e^{-i tau} (a + a^dag a^2) + i sin(tau) (a^dag + a^dag^2 a)
@@ -141,110 +107,23 @@ def evolved_annihilation(tau: float, g: float, strict: bool = True) -> EvolvedLa
                + (e^{-i tau} - e^{3 i tau}) a^dag^3 / 12 ]
     """
     _check_validity(tau, g, 0.0, strict)
-    parts = _ladder_parts(tau)
-    value = {mono: c0 + g * c1 for mono, (c0, c1) in parts.items()}
-    return EvolvedLadder(
-        tau=tau, g=g, c_a=value[A], c_adag=value[A_DAG], c_a3=value[A3],
-        c_adag3=value[A_DAG3], c_adag_a2=value[A_DAG_A2], c_adag2_a=value[A_DAG2_A])
+    return {mono: c0 + g * c1 for mono, (c0, c1) in _ladder_parts(tau).items()}
 
 
 def ladder_taylor_check(tau: float, k_max: int = 12) -> float:
     """Max deviation between the six closed-form order-g coefficients and the
     exact collected coefficient series summed through depth k_max."""
-    parts = _ladder_parts(tau)
-    worst = 0.0
-    for mono in EVOLVED_MONOMIALS:
-        series = collect_monomial_series(mono, k_max)
-        worst = max(worst, abs(series.evaluate(tau) - parts[mono][1]))
-    return worst
+    series = evolved_series(k_max)
+    return max(abs(series[mono].evaluate(tau) - c1)
+               for mono, (_, c1) in _ladder_parts(tau).items())
 
 
-# ---------------------------------------------------------------------------
-# graded normal-ordered polynomial engine (float coefficients)
-
-
-class LadderPolynomial:
-    """Normal-ordered polynomial with graded complex coefficients (c0, c1),
-    value c0 + c1*g; multiplication truncates g^2.  The float twin of the
-    exact engine, used to derive coherent-state moments mechanically."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, tuple[complex, complex]] | None = None):
-        self.terms: dict[Monomial, tuple[complex, complex]] = {
-            m: (complex(c0), complex(c1))
-            for m, (c0, c1) in (terms or {}).items()
-            if c0 != 0.0 or c1 != 0.0
-        }
-
-    def __add__(self, other: "LadderPolynomial") -> "LadderPolynomial":
-        terms = dict(self.terms)
-        for m, (q0, q1) in other.terms.items():
-            p0, p1 = terms.get(m, (0.0, 0.0))
-            terms[m] = (p0 + q0, p1 + q1)
-        return LadderPolynomial(terms)
-
-    def __sub__(self, other: "LadderPolynomial") -> "LadderPolynomial":
-        return self + other.scale(-1.0)
-
-    def scale(self, s0: complex, s1: complex = 0.0) -> "LadderPolynomial":
-        """Multiply by the graded scalar s0 + s1*g."""
-        return LadderPolynomial({
-            m: (c0 * s0, c0 * s1 + c1 * s0) for m, (c0, c1) in self.terms.items()})
-
-    def __matmul__(self, other: "LadderPolynomial") -> "LadderPolynomial":
-        terms: dict[Monomial, tuple[complex, complex]] = {}
-        for m1, (p0, p1) in self.terms.items():
-            for m2, (q0, q1) in other.terms.items():
-                c0 = p0 * q0
-                c1 = p0 * q1 + p1 * q0
-                for mono, factor in monomial_product(m1, m2).items():
-                    r0, r1 = terms.get(mono, (0.0, 0.0))
-                    terms[mono] = (r0 + factor * c0, r1 + factor * c1)
-        return LadderPolynomial(terms)
-
-    def adjoint(self) -> "LadderPolynomial":
-        return LadderPolynomial({
-            (n, m): (c0.conjugate(), c1.conjugate())
-            for (m, n), (c0, c1) in self.terms.items()})
-
-    def coefficient(self, mono: Monomial, g: float | None = None):
-        c0, c1 = self.terms.get(mono, (0.0, 0.0))
-        if g is None:
-            return (c0, c1)
-        return c0 + g * c1
-
-    def expectation(self, alpha: complex) -> tuple[complex, complex]:
-        """Graded coherent-state expectation: <a^dag^m a^n> = conj(a)^m a^n."""
-        e0 = 0.0 + 0.0j
-        e1 = 0.0 + 0.0j
-        for (m, n), (c0, c1) in self.terms.items():
-            w = alpha.conjugate() ** m * alpha ** n
-            e0 += c0 * w
-            e1 += c1 * w
-        return e0, e1
-
-    def variance_graded(self, alpha: complex) -> tuple[complex, complex]:
-        """Graded <P^2> - <P>^2 in a coherent state (P assumed Hermitian)."""
-        sq0, sq1 = (self @ self).expectation(alpha)
-        m0, m1 = self.expectation(alpha)
-        return sq0 - m0 * m0, sq1 - 2.0 * m0 * m1
-
-    def max_abs_diff(self, other: "LadderPolynomial") -> float:
-        worst = 0.0
-        for mono in set(self.terms) | set(other.terms):
-            p0, p1 = self.terms.get(mono, (0.0, 0.0))
-            q0, q1 = other.terms.get(mono, (0.0, 0.0))
-            worst = max(worst, abs(p0 - q0), abs(p1 - q1))
-        return worst
-
-
-def evolved_ladder_polynomial(tau: float) -> LadderPolynomial:
+def evolved_ladder_polynomial(tau: float) -> OperatorPolynomial:
     """a(t) as a graded polynomial (coefficients of g supplied symbolically)."""
-    return LadderPolynomial(_ladder_parts(tau))
+    return OperatorPolynomial(_ladder_parts(tau))
 
 
-def quadrature_polynomials(tau: float) -> tuple[LadderPolynomial, LadderPolynomial]:
+def quadrature_polynomials(tau: float) -> tuple[OperatorPolynomial, OperatorPolynomial]:
     """X1 = (a(t) + a(t)^dag)/2 and X2 = (a(t) - a(t)^dag)/2i."""
     a_t = evolved_ladder_polynomial(tau)
     ad_t = a_t.adjoint()
@@ -341,7 +220,7 @@ def quadrature_variances(tau: float, g: float, alpha,
 
 def evolved_position_momentum(
         tau: float, g: float, params: PhysicalParams | None = None,
-        strict: bool = True) -> tuple[LadderPolynomial, LadderPolynomial]:
+        strict: bool = True) -> tuple[OperatorPolynomial, OperatorPolynomial]:
     """Deformed x(t) and p(t) as graded normal-ordered polynomials.
 
     Natural units unless params are given, in which case coefficients carry
@@ -369,12 +248,12 @@ def evolved_position_momentum(
         A_DAG3: 1j * (e(2 * tau) - 2.0 * e(4 * tau) + 3.0 * e(6 * tau)),
     }
     phase = e(-3 * tau) / 12.0
-    x_t = LadderPolynomial({
+    x_t = OperatorPolynomial({
         A: (e(-tau), phase * x_first[A]),
         A_DAG: (e(tau), phase * x_first[A_DAG]),
         **{m: (0.0, phase * x_first[m]) for m in (A3, A_DAG_A2, A_DAG2_A, A_DAG3)},
     })
-    p_t = LadderPolynomial({
+    p_t = OperatorPolynomial({
         A: (-1j * e(-tau), -phase * p_first[A]),
         A_DAG: (1j * e(tau), -phase * p_first[A_DAG]),
         **{m: (0.0, -phase * p_first[m]) for m in (A3, A_DAG_A2, A_DAG2_A, A_DAG3)},
@@ -385,7 +264,7 @@ def evolved_position_momentum(
     return x_t, p_t
 
 
-def coherent_expectation(poly: LadderPolynomial, alpha, g: float) -> complex:
+def coherent_expectation(poly: OperatorPolynomial, alpha, g: float) -> complex:
     """<alpha| P |alpha> with the graded coefficients evaluated at g."""
     amp = _amplitude(alpha)
     e0, e1 = poly.expectation(amp.alpha)

@@ -1,11 +1,12 @@
 """Exact normal-ordered bosonic operator algebra, graded by deformation order.
 
 Operators are finite sums of normal-ordered monomials a^dag^m a^n.  Every
-coefficient is a pair of complex rationals (order g^0 and order g^1 in the
-dimensionless deformation strength g); products discard g^2 and higher, so the
-algebra is the quotient ring over C(rational)[g]/(g^2).  All arithmetic is
-exact: the point of this module is that nested-commutator coefficient tables
-like 121/3 come out as equalities, not float approximations.
+coefficient is a pair (order g^0, order g^1) in the dimensionless deformation
+strength g; products discard g^2 and higher, so the algebra is the quotient
+ring C[g]/(g^2).  The ring is generic in the entry type: with ComplexRational
+entries all arithmetic is exact, so nested-commutator coefficient tables like
+121/3 come out as equalities, not float approximations; with complex entries
+the same ring derives coherent-state moments in floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 #: (dagger_power, annihilation_power); (0, 0) is the identity.
 Monomial = tuple[int, int]
@@ -80,8 +81,8 @@ class ComplexRational:
     def conjugate(self) -> "ComplexRational":
         return ComplexRational(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
 
     def __complex__(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
@@ -93,53 +94,6 @@ class ComplexRational:
 
 
 CR_ZERO = ComplexRational()
-CR_ONE = ComplexRational(Fraction(1))
-CR_I = ComplexRational(Fraction(0), Fraction(1))
-
-
-@dataclass(frozen=True)
-class ExactCoefficient:
-    """Coefficient split by deformation order: value = order0 + order1 * g."""
-
-    order0: ComplexRational = CR_ZERO
-    order1: ComplexRational = CR_ZERO
-
-    @staticmethod
-    def coerce(value) -> "ExactCoefficient":
-        if isinstance(value, ExactCoefficient):
-            return value
-        return ExactCoefficient(ComplexRational.coerce(value))
-
-    def __add__(self, other):
-        other = ExactCoefficient.coerce(other)
-        return ExactCoefficient(self.order0 + other.order0, self.order1 + other.order1)
-
-    def __sub__(self, other):
-        other = ExactCoefficient.coerce(other)
-        return ExactCoefficient(self.order0 - other.order0, self.order1 - other.order1)
-
-    def __neg__(self):
-        return ExactCoefficient(-self.order0, -self.order1)
-
-    def __mul__(self, other):
-        # (p0 + p1 g)(q0 + q1 g) with the g^2 term discarded
-        other = ExactCoefficient.coerce(other)
-        return ExactCoefficient(
-            self.order0 * other.order0,
-            self.order0 * other.order1 + self.order1 * other.order0,
-        )
-
-    __rmul__ = __mul__
-
-    def times_g(self) -> "ExactCoefficient":
-        """Multiply by g, truncating: order1 -> order2 is dropped."""
-        return ExactCoefficient(CR_ZERO, self.order0)
-
-    def conjugate(self) -> "ExactCoefficient":
-        return ExactCoefficient(self.order0.conjugate(), self.order1.conjugate())
-
-    def is_zero(self) -> bool:
-        return self.order0.is_zero() and self.order1.is_zero()
 
 
 def monomial_product(left: Monomial, right: Monomial) -> dict[Monomial, int]:
@@ -160,100 +114,115 @@ def monomial_product(left: Monomial, right: Monomial) -> dict[Monomial, int]:
 
 
 class OperatorPolynomial:
-    """Finite sum of normal-ordered monomials with exact graded coefficients.
+    """Finite sum of normal-ordered monomials with graded coefficients.
 
-    Canonical form: no stored zero coefficients, so dict equality is
+    Each term maps a monomial to a pair (c0, c1) meaning c0 + c1*g; the
+    entries are ComplexRational on the exact route and complex on the float
+    route.  Canonical form: no stored all-zero pair, so dict equality is
     polynomial equality.  Instances are treated as immutable.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, ExactCoefficient] | None = None):
-        self.terms: dict[Monomial, ExactCoefficient] = {
-            mono: coeff for mono, coeff in (terms or {}).items() if not coeff.is_zero()
+    def __init__(self, terms: Mapping[Monomial, tuple] | None = None):
+        self.terms: dict[Monomial, tuple] = {
+            mono: pair for mono, pair in (terms or {}).items() if pair[0] or pair[1]
         }
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff=1, order: int = 0) -> "OperatorPolynomial":
         cr = ComplexRational.coerce(coeff)
-        ec = ExactCoefficient(cr) if order == 0 else ExactCoefficient(CR_ZERO, cr)
-        return cls({mono: ec})
+        return cls({mono: (cr, CR_ZERO) if order == 0 else (CR_ZERO, cr)})
 
-    @classmethod
-    def zero(cls) -> "OperatorPolynomial":
-        return cls()
-
-    def coefficient(self, mono: Monomial) -> ExactCoefficient:
-        return self.terms.get(mono, ExactCoefficient())
+    def coefficient(self, mono: Monomial, g: float | None = None):
+        """The graded pair of ``mono`` ((0, 0) if absent), or its value at g."""
+        c0, c1 = self.terms.get(mono, (0, 0))
+        if g is None:
+            return (c0, c1)
+        return c0 + g * c1
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, ExactCoefficient()) + coeff
+        for mono, (q0, q1) in other.terms.items():
+            prev = terms.get(mono)
+            terms[mono] = (q0, q1) if prev is None else (prev[0] + q0, prev[1] + q1)
         return OperatorPolynomial(terms)
 
     def __sub__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "OperatorPolynomial":
-        return OperatorPolynomial({m: -c for m, c in self.terms.items()})
+        return OperatorPolynomial({m: (-c0, -c1) for m, (c0, c1) in self.terms.items()})
 
-    def __mul__(self, scalar) -> "OperatorPolynomial":
-        coeff = scalar if isinstance(scalar, ExactCoefficient) \
-            else ExactCoefficient.coerce(scalar)
-        return OperatorPolynomial({m: c * coeff for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def times_g(self) -> "OperatorPolynomial":
-        return OperatorPolynomial({m: c.times_g() for m, c in self.terms.items()})
+    def scale(self, s0, s1=0) -> "OperatorPolynomial":
+        """Multiply by the graded scalar s0 + s1*g."""
+        return OperatorPolynomial({
+            m: (c0 * s0, c0 * s1 + c1 * s0) for m, (c0, c1) in self.terms.items()})
 
     def __matmul__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         """Operator product, normal ordered, g-truncated."""
-        terms: dict[Monomial, ExactCoefficient] = {}
-        for mono1, coeff1 in self.terms.items():
-            for mono2, coeff2 in other.terms.items():
-                coeff = coeff1 * coeff2
-                if coeff.is_zero():
+        terms: dict[Monomial, tuple] = {}
+        for mono1, (p0, p1) in self.terms.items():
+            for mono2, (q0, q1) in other.terms.items():
+                c0 = p0 * q0
+                c1 = p0 * q1 + p1 * q0
+                if not (c0 or c1):
                     continue
                 for mono, factor in monomial_product(mono1, mono2).items():
-                    contrib = coeff * factor
                     prev = terms.get(mono)
-                    terms[mono] = contrib if prev is None else prev + contrib
+                    if prev is None:
+                        terms[mono] = (c0 * factor, c1 * factor)
+                    else:
+                        terms[mono] = (prev[0] + c0 * factor, prev[1] + c1 * factor)
         return OperatorPolynomial(terms)
 
     def adjoint(self) -> "OperatorPolynomial":
-        return OperatorPolynomial(
-            {(n, m): c.conjugate() for (m, n), c in self.terms.items()})
+        return OperatorPolynomial({
+            (n, m): (c0.conjugate(), c1.conjugate())
+            for (m, n), (c0, c1) in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorPolynomial):
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "OperatorPolynomial(0)"
         bits = []
         for mono in sorted(self.terms):
-            c = self.terms[mono]
-            bits.append(f"{MONOMIAL_LABELS.get(mono, mono)}: "
-                        f"{c.order0!r} + g*{c.order1!r}")
+            c0, c1 = self.terms[mono]
+            bits.append(f"{MONOMIAL_LABELS.get(mono, mono)}: {c0!r} + g*{c1!r}")
         return "OperatorPolynomial({" + ", ".join(bits) + "})"
 
+    # numeric helpers for complex entries
 
-def normal_order(left: Monomial, right: Monomial) -> OperatorPolynomial:
-    """Normal-ordered expansion of the product of two monomials."""
-    return OperatorPolynomial({
-        mono: ExactCoefficient(ComplexRational(Fraction(c)))
-        for mono, c in monomial_product(left, right).items()
-    })
+    def expectation(self, alpha: complex) -> tuple[complex, complex]:
+        """Graded coherent-state expectation: <a^dag^m a^n> = conj(a)^m a^n."""
+        e0 = 0.0 + 0.0j
+        e1 = 0.0 + 0.0j
+        for (m, n), (c0, c1) in self.terms.items():
+            w = alpha.conjugate() ** m * alpha ** n
+            e0 += c0 * w
+            e1 += c1 * w
+        return e0, e1
+
+    def variance_graded(self, alpha: complex) -> tuple[complex, complex]:
+        """Graded <P^2> - <P>^2 in a coherent state (P assumed Hermitian)."""
+        sq0, sq1 = (self @ self).expectation(alpha)
+        m0, m1 = self.expectation(alpha)
+        return sq0 - m0 * m0, sq1 - 2.0 * m0 * m1
+
+    def max_abs_diff(self, other: "OperatorPolynomial") -> float:
+        worst = 0.0
+        for mono in set(self.terms) | set(other.terms):
+            p0, p1 = self.coefficient(mono)
+            q0, q1 = other.coefficient(mono)
+            worst = max(worst, abs(p0 - q0), abs(p1 - q1))
+        return worst
 
 
 def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
@@ -270,33 +239,10 @@ def hamiltonian_polynomial() -> OperatorPolynomial:
     """
     q = OperatorPolynomial.monomial(A) - OperatorPolynomial.monomial(A_DAG)
     q2 = q @ q
-    quartic = (q2 @ q2).times_g() * ComplexRational(Fraction(1, 12))
+    quartic = (q2 @ q2).scale(0, ComplexRational(Fraction(1, 12)))
     number = OperatorPolynomial.monomial((1, 1))
     half = OperatorPolynomial.monomial(IDENTITY, Fraction(1, 2))
     return number + half + quartic
-
-
-@dataclass(frozen=True)
-class BchTerm:
-    """k-fold nested commutator [H,[H,...,[H, B]...]].
-
-    The scalar factor (i tau)^k / k! multiplying the body is carried
-    implicitly by the index k; the Taylor matcher reinstates it.
-    """
-
-    index: int
-    body: OperatorPolynomial
-
-
-def bch_term(k: int, hamiltonian: OperatorPolynomial,
-             operator: OperatorPolynomial) -> BchTerm:
-    """Single term of the similarity-transform expansion e^{xA} B e^{-xA}."""
-    if k < 0:
-        raise ValueError(f"nesting depth must be >= 0, got {k}")
-    body = operator
-    for _ in range(k):
-        body = commutator(hamiltonian, body)
-    return BchTerm(k, body)
 
 
 def bch_bodies(k_max: int, hamiltonian: OperatorPolynomial,
@@ -335,15 +281,28 @@ class TaylorSeries:
         return total
 
 
+def _order1_series(bodies: Iterable[OperatorPolynomial], mono: Monomial) -> TaylorSeries:
+    return TaylorSeries(tuple(ComplexRational.coerce(body.coefficient(mono)[1])
+                              for body in bodies))
+
+
 def collect_monomial_series(mono: Monomial, k_max: int,
                             hamiltonian: OperatorPolynomial | None = None) -> TaylorSeries:
     """Order-g coefficients of ``mono`` across nested-commutator depths 0..k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     h = hamiltonian if hamiltonian is not None else hamiltonian_polynomial()
-    a = OperatorPolynomial.monomial(A)
-    coeffs = tuple(body.coefficient(mono).order1 for body in bch_bodies(k_max, h, a))
-    return TaylorSeries(coeffs)
+    return _order1_series(bch_bodies(k_max, h, OperatorPolynomial.monomial(A)), mono)
+
+
+def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
+    """Order-g coefficient series of the six evolved monomials, all read off
+    one nested-commutator chain of depth k_max."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    bodies = list(bch_bodies(k_max, hamiltonian_polynomial(),
+                             OperatorPolynomial.monomial(A)))
+    return {mono: _order1_series(bodies, mono) for mono in EVOLVED_MONOMIALS}
 
 
 _FORM_IDS = ("base", "drift", "sine", "a3", "adag3")
@@ -430,20 +389,14 @@ def verify_bch_collection(k_max: int) -> BchVerification:
     A mismatch is reported per monomial (first offending depth), not raised:
     it signals a transcription error in one of the two routes.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    h = hamiltonian_polynomial()
-    a = OperatorPolynomial.monomial(A)
-    bodies = list(bch_bodies(k_max, h, a))
+    series = evolved_series(k_max)
     rows = []
     for mono in EVOLVED_MONOMIALS:
         form_id = MONOMIAL_FORMS[mono]
         expected = closed_form_taylor(form_id, k_max).coefficients
-        first_mismatch = None
-        for k, body in enumerate(bodies):
-            if body.coefficient(mono).order1 != expected[k]:
-                first_mismatch = k
-                break
+        first_mismatch = next(
+            (k for k, (got, want) in enumerate(zip(series[mono].coefficients, expected))
+             if got != want), None)
         verified = k_max if first_mismatch is None else first_mismatch - 1
         rows.append(MonomialVerification(
             monomial=mono, label=MONOMIAL_LABELS[mono], form_id=form_id,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -202,9 +202,8 @@ def polynomial_matrix(poly: OperatorPolynomial, space: FockSpace,
                       g: float = 0.0) -> np.ndarray:
     """Matrix of an exact graded polynomial, coefficients evaluated at g."""
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    for mono, coeff in poly.terms.items():
-        value = complex(coeff.order0) + g * complex(coeff.order1)
-        out += value * monomial_matrix(space, mono)
+    for mono, (c0, c1) in poly.terms.items():
+        out += (complex(c0) + g * complex(c1)) * monomial_matrix(space, mono)
     return out
 
 
@@ -265,50 +264,41 @@ class SlopeEstimate:
     converged: bool
 
 
-def first_order_coefficient(f: Callable[[float], float], beta_step: float,
-                            rel_tol: float = 1e-3) -> SlopeEstimate:
-    """d f / d beta at 0 by central difference, checked at half step.
+def first_order_coefficient(f: Callable[[float], Mapping[str, float]], step: float,
+                            rel_tol: float = 1e-3) -> dict[str, SlopeEstimate]:
+    """d f / d beta at 0 by central difference, checked at half step, for
+    every quantity of the mapping f returns.
 
+    f runs exactly four times (+-step, +-step/2), shared by all quantities.
     The two estimates must agree to rel_tol or the result is flagged as
     non-converged (truncation dimension too small, or the step poorly
     chosen for the scale of f).
     """
-    if beta_step <= 0.0:
-        raise ValueError(f"beta_step must be positive, got {beta_step}")
-    slope = (f(beta_step) - f(-beta_step)) / (2.0 * beta_step)
-    half = beta_step / 2.0
-    slope_refined = (f(half) - f(-half)) / (2.0 * half)
-    denom = max(abs(slope), abs(slope_refined), 1e-300)
-    rel_dev = abs(slope - slope_refined) / denom
-    return SlopeEstimate(slope, slope_refined, rel_dev, rel_dev <= rel_tol)
+    if step <= 0.0:
+        raise ValueError(f"difference step must be positive, got {step}")
+    half = step / 2.0
+    plus, minus = f(step), f(-step)
+    plus_half, minus_half = f(half), f(-half)
+    out = {}
+    for q in plus:
+        slope = (plus[q] - minus[q]) / (2.0 * step)
+        refined = (plus_half[q] - minus_half[q]) / (2.0 * half)
+        denom = max(abs(slope), abs(refined), 1e-300)
+        rel_dev = abs(slope - refined) / denom
+        out[q] = SlopeEstimate(slope, refined, rel_dev, rel_dev <= rel_tol)
+    return out
 
 
 def oracle_slopes(tau: float, amplitude: CoherentAmplitude,
                   space: FockSpace | None = None,
                   g_step: float = DEFAULT_G_STEP,
                   rel_tol: float = 1e-3) -> dict[str, SlopeEstimate]:
-    """dV/dg at g = 0 for all five oracle variances, natural units.
-
-    Shares the four pipeline evaluations (+-step, +-step/2) across the
-    quantities instead of differencing each one separately.
-    """
+    """dV/dg at g = 0 for all five oracle variances, natural units."""
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-
-    def at(beta: float) -> dict[str, float]:
-        return oracle_variances(tau, amplitude, PhysicalParams.natural(beta), space)
-
-    h = g_step
-    plus, minus = at(h), at(-h)
-    plus_half, minus_half = at(h / 2.0), at(-h / 2.0)
-    out = {}
-    for q in ORACLE_QUANTITIES:
-        slope = (plus[q] - minus[q]) / (2.0 * h)
-        refined = (plus_half[q] - minus_half[q]) / h
-        denom = max(abs(slope), abs(refined), 1e-300)
-        rel_dev = abs(slope - refined) / denom
-        out[q] = SlopeEstimate(slope, refined, rel_dev, rel_dev <= rel_tol)
-    return out
+    return first_order_coefficient(
+        lambda g: oracle_variances(tau, amplitude, PhysicalParams.natural(g), space),
+        g_step, rel_tol)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gupsqueeze.analytic import (
-    LadderPolynomial, SecularValidityError, SecularValidityWarning,
+    SecularValidityError, SecularValidityWarning,
     analytic_slopes, coherent_expectation, deformed_variances,
     evolved_annihilation, evolved_ladder_polynomial, evolved_position_momentum,
     ladder_taylor_check, quadrature_moments, quadrature_polynomials,
@@ -16,7 +16,9 @@ from gupsqueeze.analytic import (
     secular_scale, squeezing_deltas, squeezing_region_scan,
     uncertainty_product, variance_record,
 )
-from gupsqueeze.boson_algebra import A, A_DAG
+from gupsqueeze.boson_algebra import (
+    A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, OperatorPolynomial,
+)
 from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
 
 VACUUM = CoherentAmplitude()
@@ -30,16 +32,15 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 def test_evolved_annihilation_undeformed_limit():
     for tau in (0.0, 0.9, 4.2):
         ladder = evolved_annihilation(tau, 0.0)
-        assert ladder.c_a == pytest.approx(cmath.exp(-1j * tau), abs=1e-15)
-        for c in (ladder.c_adag, ladder.c_a3, ladder.c_adag3,
-                  ladder.c_adag_a2, ladder.c_adag2_a):
-            assert c == 0.0
+        assert ladder[A] == pytest.approx(cmath.exp(-1j * tau), abs=1e-15)
+        for mono in (A_DAG, A3, A_DAG3, A_DAG_A2, A_DAG2_A):
+            assert ladder[mono] == 0.0
 
 
 def test_evolved_annihilation_adag3_node_at_pi():
     # (e^{-i pi} - e^{3 i pi})/12 = 0
     ladder = evolved_annihilation(math.pi, 1.0, strict=False)
-    assert abs(ladder.c_adag3) < 1e-15
+    assert abs(ladder[A_DAG3]) < 1e-15
 
 
 def test_closed_forms_match_exact_taylor_resummation():
@@ -51,9 +52,9 @@ def test_closed_forms_match_exact_taylor_resummation():
 
 def test_evolved_ladder_pairs_drift_and_sine_coefficients():
     ladder = evolved_annihilation(1.3, 1e-3)
-    assert ladder.c_adag == ladder.c_adag2_a
-    drift_part = ladder.c_a - cmath.exp(-1j * 1.3)  # cancellation-limited
-    assert drift_part == pytest.approx(ladder.c_adag_a2, abs=1e-15)
+    assert ladder[A_DAG] == ladder[A_DAG2_A]
+    drift_part = ladder[A] - cmath.exp(-1j * 1.3)  # cancellation-limited
+    assert drift_part == pytest.approx(ladder[A_DAG_A2], abs=1e-15)
 
 
 def test_evolved_ladder_matches_evolved_matrix():
@@ -76,7 +77,7 @@ def test_evolved_ladder_matches_evolved_matrix():
         evolved = u.conj().T @ a.matrix @ u
         ladder = evolved_annihilation(tau, g)
         rebuilt = sum(c * monomial_matrix(space, mono)
-                      for mono, c in ladder.as_dict().items())
+                      for mono, c in ladder.items())
         return float(abs((evolved - rebuilt)[:half, :half]).max())
 
     # remainder elements grow with level index, so only the g-scaling is a
@@ -186,8 +187,8 @@ def test_evolved_operators_at_time_zero_are_initial_operators():
     """x(0) = x and p(0) = p + (beta/3) p^3 as polynomials, natural units."""
     params = PhysicalParams.natural(0.0)
     x_t, p_t = evolved_position_momentum(0.0, 0.5, params=params)
-    x0 = LadderPolynomial({A: (SQRT_HALF, 0.0), A_DAG: (SQRT_HALF, 0.0)})
-    p0 = LadderPolynomial({A: (-1j * SQRT_HALF, 0.0), A_DAG: (1j * SQRT_HALF, 0.0)})
+    x0 = OperatorPolynomial({A: (SQRT_HALF, 0.0), A_DAG: (SQRT_HALF, 0.0)})
+    p0 = OperatorPolynomial({A: (-1j * SQRT_HALF, 0.0), A_DAG: (1j * SQRT_HALF, 0.0)})
     p0_cubed = p0 @ p0 @ p0
     expected_p = p0 + p0_cubed.scale(0.0, 1.0 / 3.0)  # + (g/3) p^3
     assert x_t.max_abs_diff(x0) < 1e-15

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gupsqueeze.boson_algebra import (
     A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, IDENTITY,
-    ComplexRational, ExactCoefficient, OperatorPolynomial,
-    bch_term, closed_form_taylor, closed_form_value, collect_monomial_series,
-    commutator, hamiltonian_polynomial, monomial_product, normal_order,
-    verify_bch_collection,
+    ComplexRational, OperatorPolynomial,
+    bch_bodies, closed_form_taylor, closed_form_value, collect_monomial_series,
+    commutator, hamiltonian_polynomial, monomial_product, verify_bch_collection,
 )
 from gupsqueeze.fock_oracle import FockSpace, monomial_matrix, polynomial_matrix
 
@@ -32,9 +32,13 @@ def poly(spec):
             c0, c1 = coeffs
         else:
             c0, c1 = coeffs, 0
-        terms[mono] = ExactCoefficient(ComplexRational.coerce(F(c0)),
-                                       ComplexRational.coerce(F(c1)))
+        terms[mono] = (ComplexRational.coerce(F(c0)), ComplexRational.coerce(F(c1)))
     return OperatorPolynomial(terms)
+
+
+def normal_order(left, right):
+    """Normal-ordered expansion of the product of two monomials."""
+    return OperatorPolynomial.monomial(left) @ OperatorPolynomial.monomial(right)
 
 
 def random_polynomial(rng, max_power=2, n_terms=3, graded=False):
@@ -46,7 +50,7 @@ def random_polynomial(rng, max_power=2, n_terms=3, graded=False):
         c1 = ComplexRational(F(rng.randint(-4, 4), rng.randint(1, 3)),
                              F(rng.randint(-4, 4), rng.randint(1, 3))) \
             if graded else ComplexRational()
-        terms[mono] = ExactCoefficient(c0, c1)
+        terms[mono] = (c0, c1)
     return OperatorPolynomial(terms)
 
 
@@ -162,12 +166,61 @@ def test_no_order_g2_leakage():
 
 
 # ---------------------------------------------------------------------------
+# ring identities on random graded polynomials
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+complex_rationals = st.builds(ComplexRational, rationals, rationals)
+graded_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(complex_rationals, complex_rationals),
+    max_size=3,
+).map(OperatorPolynomial)
+
+
+def as_complex(p):
+    return OperatorPolynomial(
+        {mono: (complex(c0), complex(c1)) for mono, (c0, c1) in p.terms.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_polynomials, graded_polynomials, graded_polynomials)
+def test_product_is_associative(p, q, r):
+    assert (p @ q) @ r == p @ (q @ r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_polynomials, graded_polynomials)
+def test_adjoint_reverses_products(p, q):
+    assert (p @ q).adjoint() == q.adjoint() @ p.adjoint()
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_polynomials, graded_polynomials, graded_polynomials)
+def test_jacobi_identity_graded(p, q, r):
+    total = (commutator(p, commutator(q, r))
+             + commutator(q, commutator(r, p))
+             + commutator(r, commutator(p, q)))
+    assert total.is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_polynomials, graded_polynomials)
+def test_float_product_matches_exact_product(p, q):
+    assert (as_complex(p) @ as_complex(q)).max_abs_diff(as_complex(p @ q)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # nested-commutator terms and their coefficient tables
 
 
 def g1_coefficients(polynomial):
-    return {mono: c.order1 for mono, c in polynomial.terms.items()
-            if not c.order1.is_zero()}
+    return {mono: c1 for mono, (_, c1) in polynomial.terms.items() if c1}
+
+
+def bch_body(k, hamiltonian, operator):
+    """The k-fold nested commutator [H,[H,...,[H, B]...]]."""
+    return list(bch_bodies(k, hamiltonian, operator))[k]
 
 
 # order-g coefficient tables for nesting depths 1..5, exact rationals
@@ -187,8 +240,7 @@ DEPTH_TABLES = {
 
 def test_bch_term_depth_zero_is_a():
     h = hamiltonian_polynomial()
-    term = bch_term(0, h, poly({A: 1}))
-    assert term.body == poly({A: 1})
+    assert bch_body(0, h, poly({A: 1})) == poly({A: 1})
 
 
 @pytest.mark.parametrize("depth", sorted(DEPTH_TABLES))
@@ -196,11 +248,11 @@ def test_bch_term_coefficient_tables(depth):
     """Each nesting depth reproduces its reference coefficient table exactly,
     including the absence of a^dag and a^dag^2 a at even depths."""
     h = hamiltonian_polynomial()
-    term = bch_term(depth, h, poly({A: 1}))
+    body = bch_body(depth, h, poly({A: 1}))
     expected = {mono: ComplexRational(v) for mono, v in DEPTH_TABLES[depth].items()}
-    assert g1_coefficients(term.body) == expected
+    assert g1_coefficients(body) == expected
     # leading order is (-1)^k times a
-    assert term.body.coefficient(A).order0 == ComplexRational(F((-1) ** depth))
+    assert body.coefficient(A)[0] == ComplexRational(F((-1) ** depth))
 
 
 def test_bch_adjoint_shadow():
@@ -208,11 +260,10 @@ def test_bch_adjoint_shadow():
     h = hamiltonian_polynomial()
     a = poly({A: 1})
     adag = poly({A_DAG: 1})
-    for k in range(6):
-        body_a = bch_term(k, h, a).body
-        body_adag = bch_term(k, h, adag).body
+    for k, (body_a, body_adag) in enumerate(zip(bch_bodies(5, h, a),
+                                                 bch_bodies(5, h, adag))):
         sign = ComplexRational(F((-1) ** k))
-        assert body_adag == body_a.adjoint() * sign
+        assert body_adag == body_a.adjoint().scale(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +285,7 @@ def test_collect_adag3_series():
 
 def test_collect_identity_monomial_is_zero():
     series = collect_monomial_series(IDENTITY, 6)
-    assert all(c.is_zero() for c in series.coefficients)
+    assert not any(series.coefficients)
 
 
 def test_closed_form_taylor_base():
@@ -270,9 +321,8 @@ def test_base_series_matches_leading_order_collection():
     h = hamiltonian_polynomial()
     a = poly({A: 1})
     base = closed_form_taylor("base", 8).coefficients
-    for k in range(9):
-        body = bch_term(k, h, a).body
-        assert body.coefficient(A).order0 == base[k]
+    for k, body in enumerate(bch_bodies(8, h, a)):
+        assert body.coefficient(A)[0] == base[k]
 
 
 # ---------------------------------------------------------------------------

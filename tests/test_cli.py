@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from gupsqueeze import analytic
 from gupsqueeze.analytic import variance_record
 from gupsqueeze.cli import main
 from gupsqueeze.physics_config import CoherentAmplitude
@@ -157,9 +158,16 @@ def test_uncertainty_check_undeformed_grid(capsys):
     assert "worst |product - bound| = 0.000e+00" in capsys.readouterr().out
 
 
-def test_uncertainty_check_fault_injection(capsys):
+def test_uncertainty_check_fault_injection(capsys, monkeypatch):
+    real = analytic.uncertainty_product
+
+    def faulty(*args, **kwargs):
+        product, bound = real(*args, **kwargs)
+        return product + 1e-6, bound
+
+    monkeypatch.setattr(analytic, "uncertainty_product", faulty)
     code = main(["uncertainty-check", "--tau-points", "3", "--gamma-points", "2",
-                 "--theta-points", "2", "--g-points", "2", "--inject-fault"])
+                 "--theta-points", "2", "--g-points", "2"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -242,6 +250,27 @@ def test_sweep_si_restoration(tmp_path, capsys):
     nat = variance_record(1.0, 1e-6, CoherentAmplitude())
     assert float(row["var_x_hat"]) == pytest.approx(
         nat.var_x_hat * 2.0 / (3.0 * 0.5), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# bad input
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["oracle-compare", "--g-step", "0", "--tau", "0.5"], None),
+    (["oracle-compare", "--dim", "1"], None),
+    (["sweep", "--tau", "abc"], None),
+    (["sweep"], "tau = 1.0\njobs = two\n"),
+], ids=["g-step-zero", "dim-one", "tau-not-numeric", "config-jobs-not-integer"])
+def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "sweep.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

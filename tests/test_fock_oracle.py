@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gupsqueeze import fock_oracle
 from gupsqueeze.fock_oracle import (
     DEFAULT_G_STEP, ORACLE_QUANTITIES, FockOperator, FockSpace,
     OracleError, canonical_xp, coherent_vector, deformed_ops, eigensystem,
@@ -111,12 +112,13 @@ def test_deformed_momentum_mean_square_slope_matches_vacuum_formula():
 
     space = FockSpace(40)
 
-    def f(beta: float) -> float:
+    def f(beta: float) -> dict[str, float]:
         _, p_hat = deformed_ops(space, NAT(beta))
         vacuum = coherent_vector(0.0j, space)
-        return variance_numeric(vacuum, p_hat) + expect(vacuum, p_hat).real ** 2
+        return {"p_hat_sq": variance_numeric(vacuum, p_hat)
+                + expect(vacuum, p_hat).real ** 2}
 
-    est = first_order_coefficient(f, 1e-4)
+    est = first_order_coefficient(f, 1e-4)["p_hat_sq"]
     expected = quadrature_moments(0.0, 0.0, CoherentAmplitude()).p_hat_sq[1]
     assert est.converged
     assert est.slope == pytest.approx(expected, rel=1e-6)
@@ -293,14 +295,31 @@ def test_all_variances_non_negative_on_grid():
 
 
 def test_first_order_coefficient_recovers_linear_slope():
-    est = first_order_coefficient(lambda b: 3.0 + 7.5 * b, 1e-5)
-    assert est.converged
-    assert est.slope == pytest.approx(7.5, rel=1e-10)
+    est = first_order_coefficient(lambda b: {"f": 3.0 + 7.5 * b, "g": -2.0 * b}, 1e-5)
+    assert est["f"].converged and est["g"].converged
+    assert est["f"].slope == pytest.approx(7.5, rel=1e-10)
+    assert est["g"].slope == pytest.approx(-2.0, rel=1e-10)
 
 
 def test_first_order_coefficient_rejects_bad_step():
-    with pytest.raises(ValueError):
-        first_order_coefficient(lambda b: b, 0.0)
+    for step in (0.0, -1e-6):
+        with pytest.raises(ValueError, match="must be positive"):
+            first_order_coefficient(lambda b: {"f": b}, step)
+
+
+def test_oracle_slopes_runs_four_pipeline_evaluations(monkeypatch):
+    """All five quantities share the +-step and +-step/2 pipeline runs."""
+    betas = []
+    pipeline = fock_oracle.oracle_variances
+
+    def counting(tau, amplitude, params, space=None):
+        betas.append(params.beta)
+        return pipeline(tau, amplitude, params, space)
+
+    monkeypatch.setattr(fock_oracle, "oracle_variances", counting)
+    slopes = oracle_slopes(1.0, CoherentAmplitude(), FockSpace(30), g_step=1e-5)
+    assert betas == [1e-5, -1e-5, 5e-6, -5e-6]
+    assert set(slopes) == set(ORACLE_QUANTITIES)
 
 
 def test_vacuum_quadrature_slopes():
