@@ -6,7 +6,8 @@ SI prefactors are restored at the boundary when PhysicalParams are supplied.
 
 Literal closed-form expressions for the evolved annihilation operator, the
 quadrature and deformed variances, the uncertainty product and its bound, and
-the squeezing deltas.  The evolved operators are also available as
+the squeezing deltas, array-generic: variance_grid evaluates whole records
+over a broadcast grid.  The evolved operators are also available as
 complex-coefficient polynomials in boson_algebra's graded ring, which
 re-derives the coherent-state moments mechanically.  The closed forms
 cross-audit each other at run time where the contract demands it; the
@@ -19,10 +20,10 @@ refuse above 10 unless ``strict=False``.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .boson_algebra import (
     OperatorPolynomial, closed_form_value, evolved_series,
 )
 from .physics_config import (
-    CoherentAmplitude, PhysicalParams, VarianceRecord, to_natural,
+    CoherentAmplitude, ConfigError, PhysicalParams, VarianceRecord, from_natural,
+    to_natural,
 )
 
 SECULAR_WARN = 0.1
@@ -59,10 +61,10 @@ def secular_scale(tau: float, g: float, gamma: float = 0.0) -> float:
     return abs(g) * abs(tau) * (1.0 + gamma * gamma)
 
 
-def _check_validity(tau: float, g: float, gamma: float, strict: bool) -> float:
+def _check_validity(tau: float, g: float, gamma: float, strict: bool) -> None:
     scale = secular_scale(tau, g, gamma)
     if not strict:
-        return scale
+        return
     if scale > SECULAR_REFUSE:
         raise SecularValidityError(
             f"secular scale {scale:.3g} > {SECULAR_REFUSE}; the first-order "
@@ -71,7 +73,6 @@ def _check_validity(tau: float, g: float, gamma: float, strict: bool) -> float:
         warnings.warn(
             f"secular scale {scale:.3g} > {SECULAR_WARN}; first-order accuracy "
             "is degrading", SecularValidityWarning, stacklevel=3)
-    return scale
 
 
 def _amplitude(alpha) -> CoherentAmplitude:
@@ -80,8 +81,8 @@ def _amplitude(alpha) -> CoherentAmplitude:
     return CoherentAmplitude.from_complex(complex(alpha))
 
 
-def _exp(x: float) -> complex:
-    return cmath.exp(1j * x)
+def _exp(x):
+    return np.exp(1j * x)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +174,11 @@ def _product_correction(tau: float, alpha: complex) -> complex:
     return (1.0 - _exp(-2.0 * tau) * a2 + 2.0 * mod2 - _exp(2.0 * tau) * ac2) / 4.0
 
 
-def _p_hat_sq_leading(tau: float, alpha: complex) -> float:
-    """Mean square of the deformed momentum at g = 0, natural units."""
-    a2 = alpha * alpha
-    ac2 = alpha.conjugate() ** 2
-    mod2 = abs(alpha) ** 2
-    value = 0.5 * (1.0 - _exp(-2.0 * tau) * a2 + 2.0 * mod2 - _exp(2.0 * tau) * ac2)
-    return value.real
+def _product_and_bound(tau, g, alpha):
+    """Natural-unit product and bound (1/4)(1 + 2 g <p_hat^2>_0): the mean
+    square is twice the product's correction, so the two agree exactly."""
+    c = _product_correction(tau, alpha).real
+    return 0.25 + g * c, 0.25 * (1.0 + 4.0 * g * c)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def evolved_position_momentum(
     """
     _check_validity(tau, g, 0.0, strict)
     e = _exp
-    s = math.sin(tau)
+    s = np.sin(tau)
     x_first = {
         A: -6.0 * e(2 * tau) * (-1.0 + e(2 * tau) + 2j * tau),
         A_DAG: 12j * e(3 * tau) * (e(tau) * tau + s),
@@ -297,7 +296,7 @@ def _mean_a_first_order(tau: float, alpha: complex) -> complex:
     ac = alpha.conjugate()
     return (
         -1j * tau * _exp(-tau) * (alpha + ac * alpha * alpha)
-        + 1j * math.sin(tau) * (ac + ac * ac * alpha)
+        + 1j * np.sin(tau) * (ac + ac * ac * alpha)
         + (_exp(-tau) - _exp(-3 * tau)) / 6.0 * alpha ** 3
         + (_exp(-tau) - _exp(3 * tau)) / 12.0 * ac ** 3
     )
@@ -311,11 +310,18 @@ def quadrature_moments(tau: float, g: float, alpha,
 
     <X1^2> - <X1>^2 and <X2^2> - <X2>^2 reproduce the quadrature variances
     to float precision; callers relying on that identity get it audited in
-    :func:`deformed_variances`.
+    :func:`variance_grid`.
     """
     amp = _amplitude(alpha)
     _check_validity(tau, g, amp.gamma, strict)
-    a = amp.alpha
+    pairs = _moments(tau, amp.alpha)
+    residual = max(abs(c.imag) for pair in pairs.values() for c in pair)
+    real_pairs = {k: (v[0].real, v[1].real) for k, v in pairs.items()}
+    return QuadratureMoments(residual_imag=residual, **real_pairs)
+
+
+def _moments(tau, a) -> dict[str, tuple]:
+    """The five moments as complex (order g^0, order g^1) pairs; array-generic."""
     ac = a.conjugate()
     a2, a3, a4 = a * a, a ** 3, a ** 4
     ac2, ac3, ac4 = ac * ac, ac ** 3, ac ** 4
@@ -323,7 +329,7 @@ def quadrature_moments(tau: float, g: float, alpha,
     mod4 = mod2 * mod2
     re_a = a.real
     e = _exp
-    s = math.sin(tau)
+    s = np.sin(tau)
 
     # <X1^2>
     x1sq_0 = 0.25 * (1.0 + e(-2 * tau) * a2 + 2.0 * mod2 + e(2 * tau) * ac2)
@@ -386,53 +392,108 @@ def quadrature_moments(tau: float, g: float, alpha,
             + (-5.0 + 4.0 * e(2 * tau) + e(4 * tau) - 12j * tau) * a2
             + (1.0 + 4.0 * e(2 * tau) + e(4 * tau) * (-5.0 + 12j * tau)) * ac2))
 
-    pairs = {
+    return {
         "x1_sq": (x1sq_0, x1sq_1),
         "x1_mean_sq": (x1m_0, x1m_1),
         "x2_sq": (x2sq_0, x2sq_1),
         "x2_mean_sq": (x2m_0, x2m_1),
         "p_hat_sq": (psq_0, psq_1),
     }
-    residual = max(abs(c.imag) for pair in pairs.values() for c in pair)
-    real_pairs = {k: (v[0].real, v[1].real) for k, v in pairs.items()}
-    return QuadratureMoments(residual_imag=residual, **real_pairs)
 
 
 # ---------------------------------------------------------------------------
 # deformed variances, product, bound, deltas
 
 
-def deformed_variances(tau: float, g: float, alpha,
-                       params: PhysicalParams | None = None,
-                       strict: bool = True) -> tuple[float, float]:
-    """Variances of the deformed position and momentum in a coherent state.
+def _largest(*terms) -> np.ndarray:
+    """max(|term|..., 1): the rounding-error scale of a sum of these terms."""
+    return reduce(np.maximum, (np.abs(t) for t in terms), 1.0)
 
-    Computed from the literal closed forms; the momentum result is
-    cross-audited against the independent route via the quadrature moments
-    (2*varX2 plus the quartic-moment correction) to 1e-12 before returning.
+
+@np.errstate(all="ignore")  # non-finite results are reported as a ConfigError
+def variance_grid(tau, gamma, theta, g,
+                  params: PhysicalParams | None = None) -> dict[str, np.ndarray]:
+    """Every VarianceRecord column, by field name, over the broadcast grid;
+    natural units unless params are given.  No secular-validity policy.
+
+    Each closed form runs once.  The momentum variance is audited against the
+    quadrature-moment route and each delta against its variance minus the
+    canonical value, to 1e-12 of the rounding-error scale, in natural units;
+    a ConsistencyError names the first failing point in grid order.  Negative
+    gamma, non-finite values and overflowing records raise ConfigError.
     """
-    amp = _amplitude(alpha)
-    _check_validity(tau, g, amp.gamma, strict)
-    var_x_nat = 0.5 + 2.0 * g * _x1_correction(tau, amp.alpha).real
-    var_p_nat = 0.5 + g * _p_correction(tau, amp.alpha).real
+    tau, gamma, theta, g = grid = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (tau, gamma, theta, g)))
+    alpha = gamma * _exp(theta)
+    var_x = 0.5 + 2.0 * g * _x1_correction(tau, alpha).real
+    var_p = 0.5 + g * _p_correction(tau, alpha).real
+    product, bound = _product_and_bound(tau, g, alpha)
+    d_x = 0.5 * g * scaled_delta_x(tau, theta, gamma)
+    d_p = 0.25 * g * scaled_delta_p(tau, theta, gamma)
+    d_prod = 0.25 * g * scaled_delta_product(tau, theta, gamma)
+    record = VarianceRecord(tau, gamma, theta, g, var_x, var_p, product, bound,
+                            d_x, d_p, d_prod, secular_scale(tau, g, gamma))
+    columns = vars(record if params is None else from_natural(record, params))
 
     # independent route: 2 (<X2^2> - <X2>^2) + (8/3) g (<X2^4> - <X2><X2^3>),
     # the quartic combination evaluated at g=0 via Gaussian moments:
     # <X2^4> - <X2><X2^3> = 3 <X2>^2 sigma^2 + 3 sigma^4 with sigma^2 = 1/4
-    m = quadrature_moments(tau, g, amp, strict=False)
-    mean_sq0 = m.x2_mean_sq[0]
-    quartic = 0.75 * mean_sq0 + 3.0 / 16.0
-    var_p_alt = (2.0 * (m.x2_sq[0] - m.x2_mean_sq[0])
-                 + g * (2.0 * (m.x2_sq[1] - m.x2_mean_sq[1]) + 8.0 / 3.0 * quartic))
-    scale = max(abs(var_p_nat), 1.0)
-    if abs(var_p_alt - var_p_nat) > CROSS_CHECK_TOL * scale:
-        raise ConsistencyError(
-            f"momentum variance routes disagree: {var_p_nat!r} vs {var_p_alt!r}")
+    m = _moments(tau, alpha)
+    (x2_sq0, x2_sq1), (x2_mean_sq0, x2_mean_sq1) = (
+        (c0.real, c1.real) for c0, c1 in (m["x2_sq"], m["x2_mean_sq"]))
+    quartic = 0.75 * x2_mean_sq0 + 3.0 / 16.0
+    var_p_alt = (2.0 * (x2_sq0 - x2_mean_sq0)
+                 + g * (2.0 * (x2_sq1 - x2_mean_sq1) + 8.0 / 3.0 * quartic))
 
-    if params is None:
-        return var_x_nat, var_p_nat
-    _, f = to_natural(params)
-    return var_x_nat * f.x_var, var_p_nat * f.p_var
+    def point(i: int) -> tuple[float, ...]:
+        return tuple(float(v.flat[i]) for v in grid)
+
+    finite = np.isfinite([*columns.values(), var_p_alt]).all(axis=0)
+    bad = np.flatnonzero((gamma < 0.0) | ~finite)
+    if bad.size:
+        raise ConfigError(f"(tau, gamma, theta, g) = {point(bad[0])}: need gamma >= 0, "
+                          "finite values and a record within the float range")
+
+    # Rounding-error scales: first-order terms reach |g| (1 + |tau|)(1 + gamma^2),
+    # the quadrature moments carry one more factor 1 + gamma^2, and a phase such
+    # as e^{i k tau} or cos(2 tau - 2 theta) is off by eps max(|tau|, |theta|).
+    terms = secular_scale(1.0 + np.abs(tau), g, gamma)
+    phase = _largest(tau, theta)
+    audits = (
+        ("momentum variance", var_p, var_p_alt, _largest(
+            var_p, 2.0 * g * x2_sq1, 2.0 * g * x2_mean_sq1,
+            (1.0 + gamma * gamma) * (1.0 + terms))),
+        ("delta_x", d_x, var_x - 0.5, _largest(d_x, var_x - 0.5, terms)),
+        ("delta_p", d_p, var_p - 0.5, _largest(d_p, var_p - 0.5, terms)),
+        ("delta_product", d_prod, product - 0.25,
+         _largest(d_prod, product - 0.25, terms)),
+    )
+    failed = [~(np.abs(a - b) <= CROSS_CHECK_TOL * phase * scale)
+              for _, a, b, scale in audits]
+    bad = np.flatnonzero(reduce(np.logical_or, failed))
+    if bad.size:
+        name, a, b, _ = next(audit for audit, f in zip(audits, failed) if f.flat[bad[0]])
+        raise ConsistencyError(
+            f"{name} routes disagree at (tau, gamma, theta, g) = {point(bad[0])}: "
+            f"{a.flat[bad[0]]!r} vs {b.flat[bad[0]]!r}")
+    return columns
+
+
+def _record_at(tau: float, g: float, amp: CoherentAmplitude,
+               params: PhysicalParams | None) -> VarianceRecord:
+    """One point as shape-(1,) arrays: bit for bit what any grid gives."""
+    grid = variance_grid([tau], [amp.gamma], [amp.theta], [g], params)
+    return VarianceRecord(**{name: float(col[0]) for name, col in grid.items()})
+
+
+def deformed_variances(tau: float, g: float, alpha,
+                       params: PhysicalParams | None = None,
+                       strict: bool = True) -> tuple[float, float]:
+    """Deformed position and momentum variances (see :func:`variance_grid`)."""
+    amp = _amplitude(alpha)
+    _check_validity(tau, g, amp.gamma, strict)
+    record = _record_at(tau, g, amp, params)
+    return record.var_x_hat, record.var_p_hat
 
 
 def uncertainty_product(tau: float, g: float, alpha,
@@ -446,8 +507,7 @@ def uncertainty_product(tau: float, g: float, alpha,
     """
     amp = _amplitude(alpha)
     _check_validity(tau, g, amp.gamma, strict)
-    product_nat = 0.25 + g * _product_correction(tau, amp.alpha).real
-    bound_nat = 0.25 * (1.0 + 2.0 * g * _p_hat_sq_leading(tau, amp.alpha))
+    product_nat, bound_nat = _product_and_bound(tau, g, amp.alpha)
     if params is None:
         return product_nat, bound_nat
     _, f = to_natural(params)
@@ -491,31 +551,11 @@ def squeezing_deltas(tau: float, g: float, alpha,
                      params: PhysicalParams | None = None,
                      strict: bool = True) -> tuple[float, float, float]:
     """Deviations of the deformed variances and product from their canonical
-    values.  Each delta is audited against (variance - canonical constant)
-    within 1e-12 in natural units before any unit restoration."""
+    values, each audited against its variance (see :func:`variance_grid`)."""
     amp = _amplitude(alpha)
     _check_validity(tau, g, amp.gamma, strict)
-    delta_x_nat = 0.5 * g * float(scaled_delta_x(tau, amp.theta, amp.gamma))
-    delta_p_nat = 0.25 * g * float(scaled_delta_p(tau, amp.theta, amp.gamma))
-    delta_prod_nat = 0.25 * g * float(scaled_delta_product(tau, amp.theta, amp.gamma))
-
-    var_x_nat, var_p_nat = deformed_variances(tau, g, amp, strict=False)
-    prod_nat, _ = uncertainty_product(tau, g, amp, strict=False)
-    checks = (
-        (delta_x_nat, var_x_nat - 0.5),
-        (delta_p_nat, var_p_nat - 0.5),
-        (delta_prod_nat, prod_nat - 0.25),
-    )
-    for direct, via_variance in checks:
-        scale = max(abs(direct), abs(via_variance), 1.0)
-        if abs(direct - via_variance) > CROSS_CHECK_TOL * scale:
-            raise ConsistencyError(
-                f"delta routes disagree: {direct!r} vs {via_variance!r}")
-
-    if params is None:
-        return delta_x_nat, delta_p_nat, delta_prod_nat
-    _, f = to_natural(params)
-    return delta_x_nat * f.x_var, delta_p_nat * f.p_var, delta_prod_nat * f.product
+    record = _record_at(tau, g, amp, params)
+    return record.delta_x, record.delta_p, record.delta_product
 
 
 @dataclass(frozen=True)
@@ -573,11 +613,5 @@ def variance_record(tau: float, g: float, alpha,
                     strict: bool = True) -> VarianceRecord:
     """One grid point's worth of variances, product, bound, and deltas."""
     amp = _amplitude(alpha)
-    scale = _check_validity(tau, g, amp.gamma, strict)
-    var_x, var_p = deformed_variances(tau, g, amp, params=params, strict=False)
-    product, bound = uncertainty_product(tau, g, amp, params=params, strict=False)
-    d_x, d_p, d_prod = squeezing_deltas(tau, g, amp, params=params, strict=False)
-    return VarianceRecord(
-        tau=tau, gamma=amp.gamma, theta=amp.theta, g=g,
-        var_x_hat=var_x, var_p_hat=var_p, product=product, gup_bound=bound,
-        delta_x=d_x, delta_p=d_p, delta_product=d_prod, secular=scale)
+    _check_validity(tau, g, amp.gamma, strict)
+    return _record_at(tau, g, amp, params)

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +21,6 @@ from . import analytic, fock_oracle, physics_config
 from .boson_algebra import verify_bch_collection
 from .fock_oracle import ORACLE_QUANTITIES, FockSpace
 from .physics_config import CoherentAmplitude, ConfigError, PhysicalParams
-
-JOBS_ENV_VAR = "GUPSQUEEZE_JOBS"
 
 SWEEP_COLUMNS = (
     "tau", "gamma", "theta", "g",
@@ -68,17 +64,6 @@ def _input_error(message) -> int:
     return 2
 
 
-def _default_jobs() -> int:
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env is None:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        raise SystemExit(f"error: {JOBS_ENV_VAR}={env!r} is not an integer")
-    return max(jobs, 1)
-
-
 # ---------------------------------------------------------------------------
 # verify-bch
 
@@ -100,15 +85,12 @@ def cmd_verify_bch(args) -> int:
 
 
 def _figure_surface(which: int, gamma: float, args, out_path: str) -> bool:
-    tau = np.linspace(0.0, args.tau_max, args.tau_points)
-    theta = np.linspace(0.0, 2.0 * math.pi, args.theta_points)
-    tt, hh = np.meshgrid(tau, theta, indexing="ij")
+    tt, hh = np.meshgrid(np.linspace(0.0, args.tau_max, args.tau_points),
+                         np.linspace(0.0, 2.0 * math.pi, args.theta_points), indexing="ij")
     fn = analytic.scaled_delta_x if which == 1 else analytic.scaled_delta_p
     surface = fn(tt, hh, gamma)
-    rows = []
-    for i in range(args.tau_points):
-        for j in range(args.theta_points):
-            rows.append((_fmt(tau[i]), _fmt(theta[j]), _fmt(surface[i, j])))
+    rows = [tuple(map(_fmt, row)) for row in zip(
+        tt.ravel().tolist(), hh.ravel().tolist(), surface.ravel().tolist())]
     _write_rows(out_path, ("tau", "theta", "delta_scaled"), rows)
     return bool((surface < 0.0).any())
 
@@ -143,14 +125,15 @@ def cmd_figure(args) -> int:
     _, factors = physics_config.to_natural(params)
     var_x0 = factors.x_var / 2.0
     var_p0 = factors.p_var / 2.0
-    rows = []
-    for tau in np.linspace(0.0, args.tau_max, args.tau_points):
-        var_x, var_p = analytic.deformed_variances(
-            float(tau), g, amp, params=params, strict=False)
-        product, _ = analytic.uncertainty_product(
-            float(tau), g, amp, params=params, strict=False)
-        rows.append(tuple(_fmt(v) for v in (
-            tau, var_x, var_x0, var_p, var_p0, product, var_x0 * var_p0)))
+    try:
+        grid = analytic.variance_grid(np.linspace(0.0, args.tau_max, args.tau_points),
+                                      amp.gamma, amp.theta, g, params)
+    except ConfigError as exc:
+        return _input_error(exc)
+    rows = [tuple(map(_fmt, (tau, var_x, var_x0, var_p, var_p0, product,
+                             var_x0 * var_p0)))
+            for tau, var_x, var_p, product in zip(*(grid[name].tolist() for name in (
+                "tau", "var_x_hat", "var_p_hat", "product")))]
     _write_rows(args.out, FIGURE3_COLUMNS, rows)
     print(f"figure 3 ({preset.name} preset, g={g:.6e}): wrote {args.out}")
     return 0
@@ -216,22 +199,18 @@ def cmd_uncertainty_check(args) -> int:
     else:
         gs = np.logspace(math.log10(args.g_min), math.log10(args.g_max),
                          args.g_points)
-    worst = 0.0
-    worst_point = None
-    for tau in taus:
-        for gamma in gammas:
-            for theta in thetas:
-                amp = CoherentAmplitude(gamma=float(gamma), theta=float(theta))
-                for g in gs:
-                    product, bound = analytic.uncertainty_product(
-                        float(tau), float(g), amp, strict=False)
-                    err = abs(product - bound) / max(1.0, abs(product))
-                    if err > worst or worst_point is None:
-                        worst = err
-                        worst_point = (float(tau), float(gamma), float(theta), float(g))
-    n_points = len(taus) * len(gammas) * len(thetas) * len(gs)
+    axes = np.meshgrid(taus, gammas, thetas, gs, indexing="ij")
+    try:
+        grid = analytic.variance_grid(*axes)
+    except ConfigError as exc:
+        return _input_error(exc)
+    product = grid["product"]
+    err = np.abs(product - grid["gup_bound"]) / np.maximum(1.0, np.abs(product))
+    i = int(np.argmax(err))  # the first worst point in grid order
+    worst = float(err.flat[i])
+    worst_point = tuple(float(v.flat[i]) for v in axes)
     ok = worst <= args.tol
-    print(f"uncertainty-check: {n_points} points, worst |product - bound| "
+    print(f"uncertainty-check: {err.size} points, worst |product - bound| "
           f"= {worst:.3e} at {worst_point} ({'PASS' if ok else 'FAIL'} at {args.tol:g})")
     return 0 if ok else 1
 
@@ -272,100 +251,71 @@ def _parse_axis(fields: dict[str, str], axis: str) -> list[float] | None:
     return None
 
 
-def _sweep_cell(cell) -> tuple:
-    tau, gamma, theta, g, params_fields = cell
-    params = PhysicalParams(*params_fields) if params_fields is not None else None
-    record = analytic.variance_record(
-        tau, g, CoherentAmplitude(gamma=gamma, theta=theta),
-        params=params, strict=False)
-    if record.secular > analytic.SECULAR_REFUSE:
-        validity = "invalid"
-    elif record.secular > analytic.SECULAR_WARN:
-        validity = "warn"
-    else:
-        validity = "ok"
-    return (record.tau, record.gamma, record.theta, record.g,
-            record.var_x_hat, record.var_p_hat, record.product,
-            record.gup_bound, record.delta_x, record.delta_p,
-            record.delta_product, validity)
-
-
-def cmd_sweep(args) -> int:
+def _sweep_inputs(args) -> tuple[dict[str, list[float]], PhysicalParams | None, str]:
+    """Axes, optional SI parameters and output path; ConfigError on bad input."""
     fields: dict[str, str] = {}
     if args.config is not None:
         try:
             fields = physics_config.parse_flat_document(
                 Path(args.config).read_text())
         except OSError as exc:
-            raise SystemExit(f"error: cannot read config: {exc}")
+            raise ConfigError(f"cannot read config: {exc}")
     known = set(_SWEEP_SCALAR_KEYS)
     for axis in _SWEEP_AXES:
         known.update({axis, f"{axis}_min", f"{axis}_max", f"{axis}_points"})
     unknown = sorted(set(fields) - known)
     if unknown:
-        raise SystemExit(f"error: invalid config keys: {', '.join(unknown)}")
+        raise ConfigError(f"invalid config keys: {', '.join(unknown)}")
 
     # flags win over config values
     axes: dict[str, list[float]] = {}
     for axis in _SWEEP_AXES:
         override = getattr(args, axis)
         if override is not None:
-            try:
-                axes[axis] = _parse_axis({axis: override}, axis)
-            except ConfigError as exc:
-                return _input_error(exc)
+            # argparse strips "--" out of "--tau=--" and hands over []
+            axes[axis] = _parse_axis({axis: override or ""}, axis)
         else:
-            try:
-                parsed = _parse_axis(fields, axis)
-            except ConfigError as exc:
-                raise SystemExit(f"error: {exc}")
+            parsed = _parse_axis(fields, axis)
             axes[axis] = parsed if parsed is not None else _SWEEP_DEFAULTS[axis]
         if not axes[axis]:
-            raise SystemExit(f"error: empty {axis} axis")
+            raise ConfigError(f"empty {axis} axis")
 
-    params_fields = None
+    params = None
     si_keys = [k for k in ("hbar", "mass", "omega") if k in fields]
     if si_keys:
         if len(si_keys) != 3:
-            raise SystemExit("error: SI restoration needs all of hbar, mass, omega")
+            raise ConfigError("SI restoration needs all of hbar, mass, omega")
         try:
-            params_fields = (float(fields["mass"]), float(fields["omega"]),
-                             float(fields["hbar"]), 0.0)
-        except ValueError as exc:
-            raise SystemExit(f"error: non-numeric SI parameter: {exc}")
+            params = PhysicalParams(float(fields["mass"]), float(fields["omega"]),
+                                    float(fields["hbar"]), 0.0)
+        except ValueError as exc:  # ConfigError included
+            raise ConfigError(f"SI parameters: {exc}")
 
-    out = args.out if args.out is not None else fields.get("out", "-")
-    if args.jobs is not None:
-        jobs = args.jobs
-    elif "jobs" in fields:
+    # jobs is accepted for compatibility and selects nothing
+    if args.jobs is None and "jobs" in fields:
         try:
-            jobs = int(fields["jobs"])
+            int(fields["jobs"])
         except ValueError:
-            return _input_error(f"jobs: not an integer: {fields['jobs']!r}")
-    else:
-        jobs = _default_jobs()
-    jobs = max(jobs, 1)
+            raise ConfigError(f"jobs: not an integer: {fields['jobs']!r}")
+    return axes, params, args.out if args.out is not None else fields.get("out", "-")
 
-    cells = [
-        (tau, gamma, theta, g, params_fields)
-        for tau in axes["tau"]
-        for gamma in axes["gamma"]
-        for theta in axes["theta"]
-        for g in axes["g"]
-    ]
-    if jobs == 1:
-        results = map(_sweep_cell, cells)
-    else:
-        executor = ProcessPoolExecutor(max_workers=jobs)
-        chunk = max(1, len(cells) // (8 * jobs))
-        results = executor.map(_sweep_cell, cells, chunksize=chunk)
 
-    rows = [tuple(_fmt(v) for v in rec[:-1]) + (rec[-1],) for rec in results]
-    if jobs > 1:
-        executor.shutdown()
+def cmd_sweep(args) -> int:
+    try:
+        axes, params, out = _sweep_inputs(args)
+        grid = analytic.variance_grid(
+            *np.meshgrid(*(axes[axis] for axis in _SWEEP_AXES), indexing="ij"),
+            params=params)
+    except ConfigError as exc:
+        return _input_error(exc)
+    secular = grid["secular"].ravel()
+    validity = np.where(secular > analytic.SECULAR_REFUSE, "invalid",
+                        np.where(secular > analytic.SECULAR_WARN, "warn", "ok"))
+    rows = list(zip(*(map(_fmt, grid[name].ravel().tolist())
+                      for name in SWEEP_COLUMNS[:-1]), validity.tolist()))
     _write_rows(out, SWEEP_COLUMNS, rows)
     if out != "-":
-        print(f"sweep: wrote {len(rows)} rows to {out} (jobs={jobs})")
+        print(f"sweep: wrote {len(rows)} rows to {out}")
     return 0
 
 
@@ -459,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{axis}", default=None,
                        help=f"comma list overriding the config {axis} axis")
     p.add_argument("--jobs", type=int, default=None,
-                   help=f"parallel workers (default: ${JOBS_ENV_VAR} or 1)")
+                   help="accepted for compatibility; has no effect (the grid "
+                        "is evaluated in one vectorised pass)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

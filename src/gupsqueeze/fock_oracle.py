@@ -158,16 +158,28 @@ def heisenberg_evolve(op: FockOperator, h: FockOperator, t: float,
 
 def coherent_vector(alpha: complex | CoherentAmplitude,
                     space: FockSpace) -> CoherentVector:
-    """First dim coefficients of exp(-|a|^2/2) a^n/sqrt(n!), renormalized."""
+    """First dim coefficients of exp(-|a|^2/2) a^n/sqrt(n!), renormalized.
+
+    The recursion runs on the coefficients times 2**shift (log space in base
+    2), so nothing underflows; powers of two scale exactly, so in range this
+    is the plain recursion bit for bit.  OracleError if no norm is kept."""
     amp = alpha if isinstance(alpha, CoherentAmplitude) \
         else CoherentAmplitude.from_complex(alpha)
     a = amp.alpha
+    half_mod2 = 0.5 * abs(a) ** 2
+    shift = max(0, math.ceil(half_mod2 / math.log(2.0)) - 1000)  # start >= 2**-1000
     comps = np.empty(space.dim, dtype=complex)
-    comps[0] = math.exp(-0.5 * abs(a) ** 2)
+    comps[0] = math.exp(shift * math.log(2.0) - half_mod2)
     for n in range(1, space.dim):
         comps[n] = comps[n - 1] * a / math.sqrt(n)
+        if abs(comps[n]) > 2.0 ** 400:  # keep the peak in range too
+            comps[:n + 1] /= 2.0 ** 400
+            shift -= 400
     norm_sq = float(np.vdot(comps, comps).real)
-    loss = max(0.0, 1.0 - norm_sq)
+    loss = max(0.0, 1.0 - math.ldexp(norm_sq, -2 * shift))
+    if not loss < 1.0:
+        raise OracleError(f"coherent state |alpha| = {amp.gamma:g} keeps no norm "
+                          f"in Fock dimension {space.dim}")
     return CoherentVector(amp, comps / math.sqrt(norm_sq), loss)
 
 

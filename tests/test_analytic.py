@@ -6,20 +6,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gupsqueeze import analytic
 from gupsqueeze.analytic import (
-    SecularValidityError, SecularValidityWarning,
+    ConsistencyError, SecularValidityError, SecularValidityWarning,
     analytic_slopes, coherent_expectation, deformed_variances,
     evolved_annihilation, evolved_ladder_polynomial, evolved_position_momentum,
     ladder_taylor_check, quadrature_moments, quadrature_polynomials,
     quadrature_variances, scaled_delta_p, scaled_delta_product, scaled_delta_x,
     secular_scale, squeezing_deltas, squeezing_region_scan,
-    uncertainty_product, variance_record,
+    uncertainty_product, variance_grid, variance_record,
 )
 from gupsqueeze.boson_algebra import (
     A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, OperatorPolynomial,
 )
-from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
+from gupsqueeze.physics_config import (
+    CoherentAmplitude, ConfigError, PhysicalParams, VarianceRecord,
+)
 
 VACUUM = CoherentAmplitude()
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -470,3 +474,119 @@ def test_variance_record_si_units():
         nat.var_x_hat * params.hbar / (params.mass * params.omega), rel=1e-14)
     assert rec.product == pytest.approx(
         nat.product * params.hbar ** 2, rel=1e-14)
+
+
+def test_variance_record_rejects_non_finite_input():
+    for tau, g in ((math.nan, 1e-4), (1.0, math.inf)):
+        with pytest.raises(ConfigError, match="finite"):
+            variance_record(tau, g, CoherentAmplitude(gamma=1.0), strict=False)
+
+
+# ---------------------------------------------------------------------------
+# the record kernel and its cross-audits
+
+
+# the momentum audit sums terms of ~236 to |var_p| = 0.63 here, so its two
+# routes differ by cancellation error of order 1e-12
+PROBE_POINT = (10.105263157894736, 3.0, 0.6666666666666666, 5.0)
+ORDINARY_POINT = (1.3, 1.0, 0.4, 0.05)
+RECORD_FIELDS = list(VarianceRecord.__dataclass_fields__)
+
+
+def test_variance_grid_broadcasts_and_keeps_grid_order():
+    tau = np.linspace(0.0, 3.0, 4)
+    grid = variance_grid(tau[:, None], 1.0, 0.3, np.array([1e-4, 1e-3]))
+    assert list(grid) == RECORD_FIELDS
+    assert all(col.shape == (4, 2) for col in grid.values())
+    rec = variance_record(tau[2], 1e-3, CoherentAmplitude(gamma=1.0, theta=0.3))
+    assert grid["var_p_hat"][2, 1] == rec.var_p_hat
+
+
+def test_momentum_audit_scales_with_the_summed_magnitude(monkeypatch):
+    """Noise of 3e-12 on var_p is rounding level against terms of ~236."""
+    real = analytic._p_correction
+    g = PROBE_POINT[3]
+    monkeypatch.setattr(analytic, "_p_correction",
+                        lambda tau, alpha: real(tau, alpha) + 3e-12 / g)
+    grid = variance_grid(*PROBE_POINT)
+    assert grid["secular"] > analytic.SECULAR_REFUSE
+
+
+def test_momentum_audit_catches_a_relative_perturbation(monkeypatch):
+    real = analytic._p_correction
+    monkeypatch.setattr(analytic, "_p_correction",
+                        lambda tau, alpha: real(tau, alpha) * (1.0 + 1e-9))
+    with pytest.raises(ConsistencyError, match="momentum variance routes disagree "
+                                               r"at \(tau, gamma, theta, g\) = \(1\.3, "):
+        variance_grid(*ORDINARY_POINT)
+
+
+def test_audit_names_the_first_failing_point_in_grid_order(monkeypatch):
+    real = analytic.scaled_delta_x
+    monkeypatch.setattr(analytic, "scaled_delta_x",
+                        lambda tau, theta, gamma: real(tau, theta, gamma) * (1.0 + 1e-6))
+    first = r"delta_x routes disagree at .* = \(0\.5, 0\.0, 0\.0, 0\.01\)"
+    with pytest.raises(ConsistencyError, match=first):
+        variance_grid(np.array([0.0, 0.5, 1.0]), 0.0, 0.0, 0.01)
+
+
+def test_variance_grid_rejects_bad_points_by_name():
+    with pytest.raises(ConfigError, match=r"\(1\.0, -1\.0, 0\.0, 0\.001\)"):
+        variance_grid([0.5, 1.0], [0.0, -1.0], 0.0, 1e-3)
+    with pytest.raises(ConfigError, match="float range"):
+        variance_grid(1.0, 1e200, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# property tests
+
+taus = st.floats(-50.0, 50.0)
+gammas = st.floats(0.0, 10.0)
+thetas = st.floats(-10.0, 10.0)
+gs = st.floats(-1.0, 1.0)
+units = st.one_of(st.none(), st.builds(
+    PhysicalParams, mass=st.floats(0.1, 10.0), omega=st.floats(0.1, 10.0),
+    hbar=st.floats(0.1, 10.0)))
+
+
+def _with_point(values, value, position):
+    """values with value inserted at position (wrapped), and its index."""
+    index = position % (len(values) + 1)
+    return values[:index] + [value] + values[index:], index
+
+
+@settings(max_examples=150, deadline=None)
+@given(point=st.tuples(taus, gammas, thetas, gs),
+       axes=st.tuples(*(st.lists(s, max_size=3) for s in (taus, gammas, thetas, gs))),
+       positions=st.tuples(*[st.integers(0, 3)] * 4), params=units)
+def test_record_equals_grid_bit_for_bit(point, axes, positions, params):
+    axes, index = zip(*(_with_point(*args) for args in zip(axes, point, positions)))
+    grid = variance_grid(*np.meshgrid(*axes, indexing="ij"), params=params)
+    tau, gamma, theta, g = point
+    rec = variance_record(tau, g, CoherentAmplitude(gamma=gamma, theta=theta),
+                          params=params, strict=False)
+    want = np.array([getattr(rec, name) for name in RECORD_FIELDS])
+    got = np.array([grid[name][index] for name in RECORD_FIELDS])
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=taus, gamma=gammas, theta=thetas, g=gs)
+def test_quadrature_corrections_are_antisymmetric(tau, gamma, theta, g):
+    q = quadrature_variances(tau, g, CoherentAmplitude(gamma=gamma, theta=theta),
+                             strict=False)
+    # one bracket, negated: equal up to the rounding of the two sums
+    ulp = math.ulp(max(abs(q.var_x1), abs(q.var_x2)))
+    assert abs((q.var_x1 - 0.25) + (q.var_x2 - 0.25)) <= 2.0 * ulp
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(taus, gammas, thetas, gs), min_size=1, max_size=20))
+def test_product_equals_bound_on_random_points(points):
+    grid = variance_grid(*np.array(points).T)
+    product, bound = grid["product"], grid["gup_bound"]
+    assert (np.abs(product - bound) <= 1e-12 * np.maximum(1.0, np.abs(product))).all()
+    for tau, gamma, theta, g in points:
+        product, bound = uncertainty_product(
+            tau, g, CoherentAmplitude(gamma=gamma, theta=theta), strict=False)
+        assert abs(product - bound) <= 1e-12 * max(1.0, abs(product))

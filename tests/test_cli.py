@@ -1,9 +1,13 @@
 """CLI behavior: exit codes, CSV schemas, determinism, config handling."""
 
+import contextlib
 import csv
+import io
 import math
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gupsqueeze import analytic
 from gupsqueeze.analytic import variance_record
@@ -159,13 +163,13 @@ def test_uncertainty_check_undeformed_grid(capsys):
 
 
 def test_uncertainty_check_fault_injection(capsys, monkeypatch):
-    real = analytic.uncertainty_product
+    real = analytic.variance_grid
 
     def faulty(*args, **kwargs):
-        product, bound = real(*args, **kwargs)
-        return product + 1e-6, bound
+        grid = real(*args, **kwargs)
+        return {**grid, "product": grid["product"] + 1e-6}
 
-    monkeypatch.setattr(analytic, "uncertainty_product", faulty)
+    monkeypatch.setattr(analytic, "variance_grid", faulty)
     code = main(["uncertainty-check", "--tau-points", "3", "--gamma-points", "2",
                  "--theta-points", "2", "--g-points", "2"])
     assert code == 1
@@ -208,14 +212,6 @@ def test_sweep_determinism_across_parallelism(tmp_path, capsys):
     assert len(rows) == 5 * 3 * 3 * 2
 
 
-def test_sweep_jobs_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GUPSQUEEZE_JOBS", "2")
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--tau", "0.5,1.0", "--gamma", "0.5",
-                 "--theta", "0", "--g", "1e-6", "--out", str(out)]) == 0
-    assert "jobs=2" in capsys.readouterr().out
-
-
 def test_sweep_flags_validity_column(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     # secular scale: 0.5 * 25 * 2 = 25 > 10 -> invalid; 0.05*25*2 = 2.5 -> warn
@@ -225,18 +221,15 @@ def test_sweep_flags_validity_column(tmp_path, capsys):
     assert [r[-1] for r in rows] == ["ok", "warn", "invalid"]
 
 
-def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
-    config = tmp_path / "sweep.cfg"
-    config.write_text("tau = 1.0\nbananas = 3\n")
-    with pytest.raises(SystemExit, match="invalid config keys: bananas"):
-        main(["sweep", "--config", str(config)])
-
-
-def test_sweep_rejects_conflicting_axis_spec(tmp_path, capsys):
-    config = tmp_path / "sweep.cfg"
-    config.write_text("tau = 1.0\ntau_min = 0\ntau_max = 1\ntau_points = 3\n")
-    with pytest.raises(SystemExit, match="not both"):
-        main(["sweep", "--config", str(config)])
+def test_sweep_at_the_audit_probe_writes_one_invalid_row(tmp_path, capsys):
+    # secular scale ~505; the momentum audit there sums terms of ~236
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--tau", "10.105263157894736", "--gamma", "3.0",
+                 "--theta", "0.6666666666666666", "--g", "5.0",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1
+    assert rows[0][-1] == "invalid"
 
 
 def test_sweep_si_restoration(tmp_path, capsys):
@@ -256,21 +249,74 @@ def test_sweep_si_restoration(tmp_path, capsys):
 # bad input
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["oracle-compare", "--g-step", "0", "--tau", "0.5"], None),
-    (["oracle-compare", "--dim", "1"], None),
-    (["sweep", "--tau", "abc"], None),
-    (["sweep"], "tau = 1.0\njobs = two\n"),
-], ids=["g-step-zero", "dim-one", "tau-not-numeric", "config-jobs-not-integer"])
-def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv, config):
+@pytest.mark.parametrize("argv, config, message", [
+    (["oracle-compare", "--g-step", "0", "--tau", "0.5"], None, "--g-step"),
+    (["oracle-compare", "--dim", "1"], None, "--dim"),
+    (["sweep", "--tau", "abc"], None, "non-numeric"),
+    (["sweep"], "tau = 1.0\njobs = two\n", "jobs"),
+    (["sweep"], "tau = 1.0\nbananas = 3\n", "invalid config keys: bananas"),
+    (["sweep"], "tau = 1.0\ntau_min = 0\ntau_max = 1\ntau_points = 3\n", "not both"),
+    (["sweep"], "tau_min = 0\ntau_max = 1\n", "need all of"),
+    (["sweep"], "tau_min = 0\ntau_max = x\ntau_points = 3\n", "tau"),
+    (["sweep"], "tau_min = 0\ntau_max = 1\ntau_points = 1\n", ">= 2"),
+    (["sweep"], "tau = ,\n", "empty tau axis"),
+    (["sweep", "--theta=--"], None, "empty theta axis"),
+    (["sweep"], "tau = 1.0\nhbar = 1\nmass = 1\n", "needs all of"),
+    (["sweep"], "tau = 1.0\nhbar = x\nmass = 1\nomega = 1\n", "SI parameters"),
+    (["sweep"], "tau = 1.0\nhbar = -1\nmass = 1\nomega = 1\n", "hbar"),
+    (["sweep"], "tau 1.0\n", "expected 'key = value'"),
+    (["sweep", "--config", "/nonexistent-dir/sweep.cfg"], None, "cannot read config"),
+    (["sweep", "--tau", "1", "--gamma=-1"], None, "gamma >= 0"),
+    (["sweep", "--tau", "1", "--gamma=nan"], None, "finite"),
+    (["sweep", "--tau", "1", "--theta", "inf"], None, "finite"),
+    (["sweep", "--tau", "nan"], None, "finite"),
+    (["sweep", "--tau", "1", "--g", "inf"], None, "finite"),
+    (["sweep", "--tau", "1", "--gamma", "1e200", "--g", "1"], None, "float range"),
+    (["uncertainty-check", "--gamma-max=-1"], None, "gamma >= 0"),
+    (["figure", "--id", "3", "--tau-max", "nan"], None, "finite"),
+], ids=["g-step-zero", "dim-one", "tau-not-numeric", "config-jobs-not-integer",
+        "config-unknown-key", "config-list-and-triple", "config-partial-triple",
+        "config-triple-not-numeric", "config-one-point", "config-empty-axis",
+        "theta-double-dash",
+        "config-partial-si", "config-si-not-numeric", "config-negative-hbar",
+        "config-malformed-line", "config-unreadable", "gamma-negative",
+        "gamma-nan", "theta-inf", "tau-nan", "g-inf", "record-overflows",
+        "uncertainty-check-gamma-negative", "figure-3-tau-max-nan"])
+def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv, config,
+                                                 message):
     if config is not None:
         path = tmp_path / "sweep.cfg"
         path.write_text(config)
         argv = argv + ["--config", str(path)]
-    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    if argv[0] != "uncertainty-check":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+numbers = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+axis_strings = st.one_of(
+    st.text(alphabet="0123456789.,-+eE_ nainf", max_size=12),
+    st.lists(numbers, min_size=1, max_size=3).map(",".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes=st.tuples(*[axis_strings] * 4))
+def test_sweep_axis_fuzz_exits_0_or_2(axes):
+    argv = ["sweep", "--out", os.devnull]
+    argv += [f"--{name}={value}"
+             for name, value in zip(("tau", "gamma", "theta", "g"), axes)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,30 @@ def test_coherent_state_is_ladder_eigenvector():
     assert state.truncation_loss < 1e-15
 
 
+def test_coherent_state_at_large_amplitude_keeps_its_norm():
+    # exp(-|alpha|^2/2) = e^-800 underflows; the coefficients must not
+    amp = CoherentAmplitude(gamma=40.0, theta=0.3)
+    space = FockSpace(fock_dim_for(amp))
+    c = coherent_vector(amp, space).components
+    assert np.isfinite(c).all()
+    assert np.vdot(c, c).real == pytest.approx(1.0, abs=1e-12)
+    assert coherent_vector(amp, space).truncation_loss < 1e-12
+    # ladder eigenvector row by row: sqrt(n+1) c_{n+1} = alpha c_n
+    n = np.arange(1, space.dim)
+    assert np.abs(np.sqrt(n) * c[1:] - amp.alpha * c[:-1]).max() < 1e-12
+    # Poisson weights at the peak, n = |alpha|^2
+    peak = 1600
+    log_weight = -1600.0 + peak * math.log(1600.0) - math.lgamma(peak + 1)
+    assert abs(c[peak]) ** 2 == pytest.approx(math.exp(log_weight), rel=1e-9)
+
+
+def test_coherent_state_without_norm_in_the_space_raises():
+    with pytest.raises(OracleError, match="keeps no norm"):
+        coherent_vector(CoherentAmplitude(gamma=40.0), FockSpace(10))
+    with pytest.raises(OracleError, match="keeps no norm"):
+        coherent_vector(CoherentAmplitude(gamma=10.0), FockSpace(5))
+
+
 def test_canonical_xp_ground_state_variance():
     params = PhysicalParams(mass=2.0, omega=3.0, hbar=1.5, beta=0.0)
     space = FockSpace(30)
