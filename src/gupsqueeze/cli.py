@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analytic, fock_oracle, physics_config
 from .boson_algebra import verify_bch_collection
-from .fock_oracle import ORACLE_QUANTITIES, FockSpace
+from .fock_oracle import ORACLE_QUANTITIES, FockSpace, OracleError
 from .physics_config import CoherentAmplitude, ConfigError, PhysicalParams
 
 SWEEP_COLUMNS = (
@@ -27,6 +27,11 @@ SWEEP_COLUMNS = (
     "var_x_hat", "var_p_hat", "product", "gup_bound",
     "delta_x", "delta_p", "delta_product", "validity",
 )
+
+# Largest Fock dimension oracle-compare accepts, given or heuristic: its
+# truncation audit doubles it, and at 2 x 2048 each dense complex matrix
+# already takes 268 MB.
+_MAX_FOCK_DIM = 2048
 
 FIGURE3_COLUMNS = (
     "tau", "var_x_deformed", "var_x_canonical", "var_p_deformed",
@@ -85,10 +90,15 @@ def cmd_verify_bch(args) -> int:
 
 
 def _figure_surface(which: int, gamma: float, args, out_path: str) -> bool:
-    tt, hh = np.meshgrid(np.linspace(0.0, args.tau_max, args.tau_points),
-                         np.linspace(0.0, 2.0 * math.pi, args.theta_points), indexing="ij")
     fn = analytic.scaled_delta_x if which == 1 else analytic.scaled_delta_p
-    surface = fn(tt, hh, gamma)
+    with np.errstate(all="ignore"):  # non-finite cells are reported below
+        tt, hh = np.meshgrid(np.linspace(0.0, args.tau_max, args.tau_points),
+                             np.linspace(0.0, 2.0 * math.pi, args.theta_points),
+                             indexing="ij")
+        surface = fn(tt, hh, gamma)
+    if gamma < 0.0 or not np.isfinite(surface).all():
+        raise ConfigError(f"figure {which} needs gamma >= 0 and finite cells; got "
+                          f"gamma={gamma:g}, --tau-max={args.tau_max:g}")
     rows = [tuple(map(_fmt, row)) for row in zip(
         tt.ravel().tolist(), hh.ravel().tolist(), surface.ravel().tolist())]
     _write_rows(out_path, ("tau", "theta", "delta_scaled"), rows)
@@ -106,7 +116,10 @@ def cmd_figure(args) -> int:
         explicit = args.gamma is not None
         for gamma in gammas:
             out = args.out if explicit else _figure_with_suffix(args.out, gamma)
-            has_negative = _figure_surface(args.id, gamma, args, out)
+            try:
+                has_negative = _figure_surface(args.id, gamma, args, out)
+            except ConfigError as exc:
+                return _input_error(exc)
             print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
                   f"negative cells: {'yes' if has_negative else 'no'}")
         return 0
@@ -144,43 +157,62 @@ def cmd_figure(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    amplitude = CoherentAmplitude(gamma=args.gamma, theta=args.theta)
-    dim = args.dim if args.dim is not None else fock_oracle.fock_dim_for(amplitude)
+    if not all(map(math.isfinite, (*args.tau, args.tol))):
+        return _input_error(f"--tau and --tol must be finite, got {args.tau} "
+                            f"and {args.tol}")
+    if not 0.0 < args.g_step < math.inf:
+        return _input_error(f"--g-step must be positive and finite, got {args.g_step}")
+    try:
+        amplitude = CoherentAmplitude(gamma=args.gamma, theta=args.theta)
+    except ConfigError as exc:
+        return _input_error(exc)
+    dim = args.dim
+    if dim is None:
+        try:
+            dim = fock_oracle.fock_dim_for(amplitude)
+        except OverflowError:  # gamma^2 beyond the float range
+            dim = math.inf
+    if dim > _MAX_FOCK_DIM:
+        return _input_error(f"Fock dimension {dim} is above {_MAX_FOCK_DIM} "
+                            f"(the truncation audit doubles it)")
     try:
         space = FockSpace(dim)
     except ValueError as exc:
         return _input_error(f"--dim: {exc}")
-    audit = fock_oracle.truncation_audit(
-        space, amplitude, g=args.g_step, tau_max=max(args.tau))
-    if not audit.passed:
-        print(f"truncation audit FAILED at dim={dim}: max relative deviation "
-              f"{audit.max_rel_deviation:.3e} (vs dim={audit.dim_doubled}); "
-              f"increase --dim", file=sys.stderr)
-        return 2
+    try:
+        # non-finite values fail the unitarity gate, the audit or the slope check
+        with np.errstate(all="ignore"):
+            audit = fock_oracle.truncation_audit(
+                space, amplitude, g=args.g_step, tau_max=max(args.tau))
+            if not audit.passed:
+                print(f"truncation audit FAILED at dim={dim}: max relative deviation "
+                      f"{audit.max_rel_deviation:.3e} (vs dim={audit.dim_doubled}); "
+                      f"increase --dim", file=sys.stderr)
+                return 2
+            slopes_o = fock_oracle.oracle_slopes(
+                args.tau, amplitude, space, g_step=args.g_step)
+    except OracleError as exc:
+        return _input_error(f"oracle: {exc}")
 
     rows = []
+    rels = []
     all_ok = True
-    worst = 0.0
-    for tau in args.tau:
+    for i, tau in enumerate(args.tau):
         slopes_a = analytic.analytic_slopes(tau, amplitude)
-        try:
-            slopes_o = fock_oracle.oracle_slopes(
-                tau, amplitude, space, g_step=args.g_step)
-        except ValueError as exc:
-            return _input_error(f"--g-step: {exc}")
         for q in ORACLE_QUANTITIES:
             est = slopes_o[q]
-            if not est.converged:
+            if not est.converged[i]:
                 print(f"non-convergent finite difference for {q} at tau={tau}",
                       file=sys.stderr)
                 all_ok = False
-            rel = abs(slopes_a[q] - est.slope) / max(
-                abs(slopes_a[q]), abs(est.slope), 1e-300)
-            worst = max(worst, rel)
+            slope = est.slope[i]
+            rel = abs(slopes_a[q] - slope) / max(abs(slopes_a[q]), abs(slope), 1e-300)
+            rels.append(rel)
             all_ok = all_ok and rel < args.tol
-            rows.append((_fmt(tau), q, _fmt(slopes_a[q]), _fmt(est.slope), _fmt(rel)))
+            rows.append((_fmt(tau), q, _fmt(slopes_a[q]), _fmt(slope), _fmt(rel)))
     _write_rows(args.out, ("tau", "quantity", "analytic_slope", "oracle_slope",
                            "rel_err"), rows)
+    worst = np.max(rels)  # NaN propagates
     print(f"oracle-compare: worst relative slope error {worst:.3e} "
           f"({'PASS' if all_ok else 'FAIL'} at {args.tol:g})")
     return 0 if all_ok else 1

@@ -2,10 +2,10 @@
 
 Everything here is exact finite-beta linear algebra on the space spanned by
 number states |0> .. |N-1>: build the deformed Hamiltonian as a dense matrix,
-evolve operators with the exact unitary from its eigendecomposition, and take
-coherent-state variances.  First-order formulas elsewhere in the package are
-validated against this module by central differencing in beta; nothing in
-this module knows about the order-g expansion.
+evolve the coherent state with the exact unitary from its eigendecomposition,
+and take variances in the evolved state.  First-order formulas elsewhere in
+the package are validated against this module by central differencing in
+beta; nothing in this module knows about the order-g expansion.
 
 Truncation caveat: the last rows of a truncated ladder algebra are necessarily
 wrong, so operator identities are only asserted on the leading half of the
@@ -15,7 +15,7 @@ basis, and states are kept far from the truncation edge (see fock_dim_for).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -56,9 +56,6 @@ class FockOperator:
         if self.matrix.shape != (n, n):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match dim {n}")
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.space, self.matrix.conj().T)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         scale = max(np.abs(self.matrix).max(), 1.0)
@@ -133,7 +130,7 @@ def eigensystem(op: FockOperator) -> HermitianEigensystem:
     eigenvalues, eigenvectors = np.linalg.eigh(op.matrix)
     eig = HermitianEigensystem(eigenvalues, eigenvectors)
     scale = max(float(np.abs(op.matrix).max()), 1.0)
-    if eig.reconstruction_error(op.matrix) > RECONSTRUCTION_TOL * scale:
+    if not eig.reconstruction_error(op.matrix) <= RECONSTRUCTION_TOL * scale:
         raise OracleError("eigendecomposition failed the reconstruction audit")
     return eig
 
@@ -144,14 +141,15 @@ def evolution_operator(eig: HermitianEigensystem, t: float,
     v = eig.eigenvectors
     u = (v * np.exp(-1j * eig.eigenvalues * t / hbar)) @ v.conj().T
     defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise OracleError(f"evolution operator lost unitarity: defect {defect:.2e}")
     return u
 
 
 def heisenberg_evolve(op: FockOperator, h: FockOperator, t: float,
                       hbar: float = 1.0) -> FockOperator:
-    """O(t) = U^dag O U with U = exp(-i H t / hbar)."""
+    """O(t) = U^dag O U with U = exp(-i H t / hbar): the Heisenberg picture,
+    kept as the reference the Schrodinger-picture oracle is tested against."""
     u = evolution_operator(eigensystem(h), t, hbar)
     return FockOperator(op.space, u.conj().T @ op.matrix @ u)
 
@@ -229,46 +227,44 @@ def fock_dim_for(amplitude: CoherentAmplitude, floor: int = 30) -> int:
     return math.ceil(gamma * gamma + 10.0 * gamma + floor)
 
 
-def oracle_variances(tau: float, amplitude: CoherentAmplitude,
-                     params: PhysicalParams,
-                     space: FockSpace | None = None) -> dict[str, float]:
-    """All five variances at one time, exact in beta on the truncated space.
+def oracle_variances(tau, amplitude: CoherentAmplitude, params: PhysicalParams,
+                     space: FockSpace | None = None) -> dict[str, float | np.ndarray]:
+    """All five variances, exact in beta on the truncated space, at every tau.
 
-    Returns var_x1, var_x2 (quadratures of the evolved annihilation
-    operator), var_x_hat, var_p_hat (deformed observables), and their
-    product.  tau is the dimensionless time omega * t.
+    tau is the dimensionless time omega * t, a float or a sequence; each
+    value comes back shaped like tau.  Returns var_x1, var_x2 (quadratures
+    of the evolved annihilation operator), var_x_hat, var_p_hat (deformed
+    observables) and their product.  Schrodinger picture: H is diagonalised
+    once per call, and the variance of O(t) in |psi> is taken as the
+    variance of the fixed O in U|psi>, one matvec per operator and tau.
     """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    t = tau / params.omega
-    a, _ = ladder_ops(space)
+    a, adag = ladder_ops(space)
     x_hat, p_hat = deformed_ops(space, params)
-    h = hamiltonian(space, params)
-    u = evolution_operator(eigensystem(h), t, params.hbar)
-
-    def evolve(op: FockOperator) -> FockOperator:
-        return FockOperator(space, u.conj().T @ op.matrix @ u)
-
-    a_t = evolve(a)
-    x1 = FockOperator(space, 0.5 * (a_t.matrix + a_t.matrix.conj().T))
-    x2 = FockOperator(space, (a_t.matrix - a_t.matrix.conj().T) / 2j)
-    state = coherent_vector(amplitude, space)
-    var_x1 = variance_numeric(state, x1)
-    var_x2 = variance_numeric(state, x2)
-    var_x_hat = variance_numeric(state, evolve(x_hat))
-    var_p_hat = variance_numeric(state, evolve(p_hat))
-    return {
-        "var_x1": var_x1,
-        "var_x2": var_x2,
-        "var_x_hat": var_x_hat,
-        "var_p_hat": var_p_hat,
-        "product": var_x_hat * var_p_hat,
+    ops = {
+        "var_x1": FockOperator(space, 0.5 * (a.matrix + adag.matrix)),
+        "var_x2": FockOperator(space, (a.matrix - adag.matrix) / 2j),
+        "var_x_hat": x_hat,
+        "var_p_hat": p_hat,
     }
+    eig = eigensystem(hamiltonian(space, params))
+    state = coherent_vector(amplitude, space)
+    taus = np.asarray(tau, dtype=float)
+    out = {q: np.empty(taus.shape) for q in ops}
+    for i, t in np.ndenumerate(taus):
+        u = evolution_operator(eig, t / params.omega, params.hbar)
+        evolved = replace(state, components=u @ state.components)  # U|psi>
+        for q, op in ops.items():
+            out[q][i] = variance_numeric(evolved, op)
+    out["product"] = out["var_x_hat"] * out["var_p_hat"]
+    return {q: v[()] for q, v in out.items()}  # [()] unwraps a scalar tau
 
 
 @dataclass(frozen=True)
 class SlopeEstimate:
-    """Central-difference derivative with a half-step refinement check."""
+    """Central-difference derivative with a half-step refinement check;
+    each field is shaped like the differenced values."""
 
     slope: float
     slope_refined: float
@@ -295,17 +291,18 @@ def first_order_coefficient(f: Callable[[float], Mapping[str, float]], step: flo
     for q in plus:
         slope = (plus[q] - minus[q]) / (2.0 * step)
         refined = (plus_half[q] - minus_half[q]) / (2.0 * half)
-        denom = max(abs(slope), abs(refined), 1e-300)
+        denom = np.maximum(np.maximum(abs(slope), abs(refined)), 1e-300)
         rel_dev = abs(slope - refined) / denom
         out[q] = SlopeEstimate(slope, refined, rel_dev, rel_dev <= rel_tol)
     return out
 
 
-def oracle_slopes(tau: float, amplitude: CoherentAmplitude,
+def oracle_slopes(tau, amplitude: CoherentAmplitude,
                   space: FockSpace | None = None,
                   g_step: float = DEFAULT_G_STEP,
                   rel_tol: float = 1e-3) -> dict[str, SlopeEstimate]:
-    """dV/dg at g = 0 for all five oracle variances, natural units."""
+    """dV/dg at g = 0 for all five oracle variances, natural units; tau is a
+    float or a sequence, as in oracle_variances."""
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
     return first_order_coefficient(
@@ -333,8 +330,6 @@ def truncation_audit(space: FockSpace, amplitude: CoherentAmplitude,
     small = oracle_variances(tau_max, amplitude, params, space)
     big_space = FockSpace(2 * space.dim)
     big = oracle_variances(tau_max, amplitude, params, big_space)
-    worst = 0.0
-    for q in ORACLE_QUANTITIES:
-        denom = max(abs(big[q]), 1e-300)
-        worst = max(worst, abs(small[q] - big[q]) / denom)
+    worst = float(np.max([abs(small[q] - big[q]) / max(abs(big[q]), 1e-300)
+                          for q in ORACLE_QUANTITIES]))  # NaN propagates
     return TruncationAudit(space.dim, big_space.dim, worst, worst < tol)

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +275,22 @@ def test_sweep_si_restoration(tmp_path, capsys):
     (["sweep", "--tau", "1", "--gamma", "1e200", "--g", "1"], None, "float range"),
     (["uncertainty-check", "--gamma-max=-1"], None, "gamma >= 0"),
     (["figure", "--id", "3", "--tau-max", "nan"], None, "finite"),
+    (["oracle-compare", "--gamma=-1"], None, "gamma must be >= 0"),
+    (["oracle-compare", "--gamma", "nan"], None, "gamma must be >= 0"),
+    (["oracle-compare", "--theta", "inf"], None, "theta must be finite"),
+    (["oracle-compare", "--g-step", "nan"], None, "--g-step"),
+    (["oracle-compare", "--g-step", "inf"], None, "--g-step"),
+    (["oracle-compare", "--tau", "nan"], None, "--tau"),
+    (["oracle-compare", "--tau", "0.5", "inf"], None, "--tau"),
+    (["oracle-compare", "--tol", "nan"], None, "--tol"),
+    (["oracle-compare", "--gamma", "100"], None, "Fock dimension 11030 is above 2048"),
+    (["oracle-compare", "--gamma", "1e200"], None, "Fock dimension inf is above 2048"),
+    (["oracle-compare", "--dim", "2049"], None, "Fock dimension 2049 is above 2048"),
+    (["oracle-compare", "--tau", "1e308"], None, "unitarity"),
+    (["figure", "--id", "1", "--gamma", "nan"], None, "gamma=nan"),
+    (["figure", "--id", "2", "--gamma=-1"], None, "gamma=-1"),
+    (["figure", "--id", "1", "--gamma", "1", "--tau-max", "nan"], None, "--tau-max=nan"),
+    (["figure", "--id", "2", "--tau-max", "inf"], None, "--tau-max=inf"),
 ], ids=["g-step-zero", "dim-one", "tau-not-numeric", "config-jobs-not-integer",
         "config-unknown-key", "config-list-and-triple", "config-partial-triple",
         "config-triple-not-numeric", "config-one-point", "config-empty-axis",
@@ -281,7 +298,14 @@ def test_sweep_si_restoration(tmp_path, capsys):
         "config-partial-si", "config-si-not-numeric", "config-negative-hbar",
         "config-malformed-line", "config-unreadable", "gamma-negative",
         "gamma-nan", "theta-inf", "tau-nan", "g-inf", "record-overflows",
-        "uncertainty-check-gamma-negative", "figure-3-tau-max-nan"])
+        "uncertainty-check-gamma-negative", "figure-3-tau-max-nan",
+        "oracle-gamma-negative", "oracle-gamma-nan", "oracle-theta-inf",
+        "oracle-g-step-nan", "oracle-g-step-inf", "oracle-tau-nan", "oracle-tau-inf",
+        "oracle-tol-nan", "oracle-heuristic-dim-too-large",
+        "oracle-heuristic-dim-overflows", "oracle-dim-too-large",
+        "oracle-time-beyond-float-range", "figure-1-gamma-nan",
+        "figure-2-gamma-negative", "figure-1-tau-max-nan",
+        "figure-2-default-gammas-tau-max-inf"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv, config,
                                                  message):
     if config is not None:
@@ -295,7 +319,14 @@ def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv, config,
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert message in err
-    assert not (tmp_path / "out.csv").exists()
+    assert not list(tmp_path.glob("out*.csv"))  # figures 1-2 suffix their files
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 numbers = st.floats(allow_nan=True, allow_infinity=True).map(repr)
@@ -310,13 +341,49 @@ def test_sweep_axis_fuzz_exits_0_or_2(axes):
     argv = ["sweep", "--out", os.devnull]
     argv += [f"--{name}={value}"
              for name, value in zip(("tau", "gamma", "theta", "g"), axes)]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
+    code, err = run_quietly(argv)
     assert code in (0, 2)
     if code == 2:
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(fig=st.sampled_from(["1", "2"]), gamma=st.one_of(st.none(), numbers),
+       tau_max=numbers)
+def test_figure_argv_fuzz_exits_0_or_2(fig, gamma, tau_max):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["figure", "--id", fig, f"--tau-max={tau_max}", "--tau-points", "3",
+                "--theta-points", "2", "--out", os.path.join(tmp, "out.csv")]
+        if gamma is not None:
+            argv.append(f"--gamma={gamma}")
+        code, err = run_quietly(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not os.listdir(tmp)
+
+
+def usual_or_any(low, high):
+    return st.one_of(st.floats(low, high).map(repr), numbers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=(st.floats(0.0, 2.0) | st.floats(max_value=2.0) | st.just(math.nan)).map(repr),
+       theta=numbers, g_step=usual_or_any(1e-7, 1e-3), tol=usual_or_any(1e-4, 1e-2),
+       taus=st.one_of(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3),
+                      st.lists(st.floats(min_value=0.0) | st.just(math.nan),
+                               min_size=1, max_size=3)).map(lambda t: [*map(repr, t)]))
+def test_oracle_compare_argv_fuzz_exits_0_1_or_2(gamma, theta, g_step, tol, taus):
+    # gamma <= 2 keeps the heuristic Fock dimension at 54 or below; taus are
+    # not negative because argparse reads '-1e-05' as an option
+    code, err = run_quietly(["oracle-compare", f"--gamma={gamma}", f"--theta={theta}",
+                             f"--g-step={g_step}", f"--tol={tol}", "--tau", *taus,
+                             "--out", os.devnull])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith(("error: ", "truncation audit FAILED"))
+        assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gupsqueeze import fock_oracle
+from gupsqueeze.analytic import analytic_slopes
 from gupsqueeze.fock_oracle import (
     DEFAULT_G_STEP, ORACLE_QUANTITIES, FockOperator, FockSpace,
     OracleError, canonical_xp, coherent_vector, deformed_ops, eigensystem,
@@ -228,6 +230,21 @@ def test_evolution_operator_unitarity():
         np.testing.assert_allclose(u.conj().T @ u, np.eye(space.dim), atol=1e-10)
 
 
+def test_evolution_operator_fails_on_non_finite_time():
+    eig = eigensystem(hamiltonian(FockSpace(10), NAT(1e-3)))
+    for t in (math.nan, math.inf):
+        with pytest.raises(OracleError, match="unitarity"), \
+                np.errstate(invalid="ignore"):
+            evolution_operator(eig, t)
+
+
+def test_eigensystem_reconstruction_gate_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(fock_oracle.HermitianEigensystem, "reconstruction_error",
+                        lambda self, matrix: math.nan)
+    with pytest.raises(OracleError, match="reconstruction"):
+        eigensystem(hamiltonian(FockSpace(10), NAT()))
+
+
 def test_eigensystem_rejects_non_hermitian():
     space = FockSpace(5)
     a, _ = ladder_ops(space)
@@ -306,6 +323,60 @@ def test_variance_matches_first_order_formula_at_small_g():
     assert r2_full / r2_half == pytest.approx(4.0, rel=1e-2)
 
 
+def heisenberg_variances(tau, amplitude, params, space):
+    """Reference route: evolve a, x_hat and p_hat (U^dag O U), keep the state."""
+    a, _ = ladder_ops(space)
+    x_hat, p_hat = deformed_ops(space, params)
+    h = hamiltonian(space, params)
+    state = coherent_vector(amplitude, space)
+    t = tau / params.omega
+
+    def variance(matrix):
+        return variance_numeric(state, FockOperator(space, matrix))
+
+    def evolved(op):
+        return heisenberg_evolve(op, h, t, params.hbar).matrix
+
+    a_t = evolved(a)
+    out = {
+        "var_x1": variance(0.5 * (a_t + a_t.conj().T)),
+        "var_x2": variance((a_t - a_t.conj().T) / 2j),
+        "var_x_hat": variance(evolved(x_hat)),
+        "var_p_hat": variance(evolved(p_hat)),
+    }
+    out["product"] = out["var_x_hat"] * out["var_p_hat"]
+    return out
+
+
+@pytest.mark.parametrize("dim, gamma, params", [
+    (20, 0.0, NAT(1e-3)),
+    (30, 1.0, NAT(0.0)),
+    (30, 1.0, NAT(-1e-6)),
+    (40, 1.5, NAT(1e-6)),
+    (40, 0.7, PhysicalParams(mass=1.3, omega=0.7, hbar=2.0, beta=1e-3)),
+])
+def test_schrodinger_variances_match_heisenberg_reference(dim, gamma, params):
+    amp = CoherentAmplitude(gamma=gamma, theta=0.6)
+    space = FockSpace(dim)
+    taus = [0.0, 0.5, 2.0, 7.0]
+    batch = oracle_variances(taus, amp, params, space)
+    for i, tau in enumerate(taus):
+        ref = heisenberg_variances(tau, amp, params, space)
+        for q in ORACLE_QUANTITIES:
+            assert abs(batch[q][i] - ref[q]) <= 1e-12 * max(1.0, abs(ref[q])), (q, tau)
+
+
+def test_oracle_variances_shaped_like_tau():
+    amp = CoherentAmplitude(gamma=1.0)
+    taus = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    batch = oracle_variances(taus, amp, NAT(1e-4), FockSpace(30))
+    single = oracle_variances(4.0, amp, NAT(1e-4), FockSpace(30))
+    for q in ORACLE_QUANTITIES:
+        assert batch[q].shape == taus.shape
+        assert np.ndim(single[q]) == 0
+        assert batch[q][1, 1] == single[q]
+
+
 def test_all_variances_non_negative_on_grid():
     amp = CoherentAmplitude(gamma=1.0, theta=0.5)
     for tau in (0.1, 2.0, 6.0):
@@ -346,6 +417,30 @@ def test_oracle_slopes_runs_four_pipeline_evaluations(monkeypatch):
     assert set(slopes) == set(ORACLE_QUANTITIES)
 
 
+def test_batched_slopes_equal_single_tau_bit_for_bit():
+    amp = CoherentAmplitude(gamma=1.0, theta=0.4)
+    batch = oracle_slopes([0.5, 2.0], amp)
+    for i, tau in enumerate((0.5, 2.0)):
+        single = oracle_slopes(tau, amp)
+        for q in ORACLE_QUANTITIES:
+            for field in ("slope", "slope_refined", "rel_deviation", "converged"):
+                assert getattr(batch[q], field)[i] == getattr(single[q], field), q
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.floats(0.0, 3.0), theta=st.floats(0.0, 2.0 * math.pi),
+       tau=st.floats(0.0, 4.0))
+def test_analytic_and_oracle_slopes_agree_on_random_points(gamma, theta, tau):
+    # every slope vanishes at tau = 0, hence the absolute floor
+    amp = CoherentAmplitude(gamma=gamma, theta=theta)
+    analytic = analytic_slopes(tau, amp)
+    oracle = oracle_slopes(tau, amp)
+    for q in ORACLE_QUANTITIES:
+        a, o = analytic[q], oracle[q].slope
+        floor = 1e-7 * (1.0 + gamma ** 2) ** 2
+        assert abs(a - o) <= 1e-3 * max(abs(a), abs(o)) + floor, q
+
+
 def test_vacuum_quadrature_slopes():
     # (dX1^2)/dg = sin^2(tau)/2 at alpha=0 -> 1/2 at tau=pi/2; X2 mirrors it
     amp = CoherentAmplitude()
@@ -383,6 +478,19 @@ def test_truncation_audit_designed_failure():
     audit = truncation_audit(FockSpace(8), amp, g=1e-6, tau_max=2.0)
     assert not audit.passed
     assert audit.max_rel_deviation > 1e-3
+
+
+def test_truncation_audit_fails_on_nan(monkeypatch):
+    pipeline = fock_oracle.oracle_variances
+
+    def nan_at_doubled_dim(tau, amplitude, params, space=None):
+        values = pipeline(tau, amplitude, params, space)
+        return {q: math.nan for q in values} if space.dim == 40 else values
+
+    monkeypatch.setattr(fock_oracle, "oracle_variances", nan_at_doubled_dim)
+    audit = truncation_audit(FockSpace(20), CoherentAmplitude(), g=1e-6, tau_max=2.0)
+    assert not audit.passed
+    assert math.isnan(audit.max_rel_deviation)
 
 
 def test_fock_dim_heuristic():
