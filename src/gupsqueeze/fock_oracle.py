@@ -1,9 +1,10 @@
 """Truncated Fock-space numerics: the independent ground truth.
 
 Everything here is exact finite-beta linear algebra on the space spanned by
-number states |0> .. |N-1>: build the deformed Hamiltonian as a dense matrix,
-evolve the coherent state with the exact unitary from its eigendecomposition,
-and take variances in the evolved state.  First-order formulas elsewhere in
+number states |0> .. |N-1>: build the deformed Hamiltonian from its bands as
+a real symmetric matrix, diagonalise its even and odd number-state blocks,
+evolve the coherent state with the exact unitary from that eigensystem, and
+take variances in the evolved state.  First-order formulas elsewhere in
 the package are validated against this module by central differencing in
 beta; nothing in this module knows about the order-g expansion.
 
@@ -15,10 +16,11 @@ basis, and states are kept far from the truncation edge (see fock_dim_for).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .boson_algebra import Monomial, OperatorPolynomial
 from .physics_config import CoherentAmplitude, PhysicalParams
@@ -82,6 +84,67 @@ class HermitianEigensystem:
         return float(np.abs(rebuilt - matrix).max())
 
 
+# Number states of each parity: H couples n only to n, n +- 2, n +- 4.
+PARITY = (slice(0, None, 2), slice(1, None, 2))
+
+
+@dataclass(frozen=True, eq=False)
+class ParityEigensystem:
+    """Real eigensystems of the even (|0>, |2>, ..) and odd (|1>, |3>, ..)
+    blocks of a real symmetric operator that keeps number parity."""
+
+    blocks: tuple[HermitianEigensystem, HermitianEigensystem]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The whole spectrum, ascending."""
+        return np.sort(np.concatenate([b.eigenvalues for b in self.blocks]))
+
+
+# Operators are built from their bands: bands[BANDS + k, r] = M[r, r + k].
+# H and p_hat reach offsets +-4.
+BANDS = 4
+
+
+def _ladder(bands: np.ndarray, sign: float) -> np.ndarray:
+    """Bands of (a^dag + sign a) M from the bands of M, O(n) work.
+
+    a^dag M takes row r from sqrt(r) M[r-1] (offset k+1 becomes k), a M
+    takes it from sqrt(r+1) M[r+1] (offset k-1 becomes k); rows beyond the
+    truncation edge drop out exactly as in the product of truncated
+    matrices.  The outermost bands of M must be zero."""
+    root = np.sqrt(np.arange(1, bands.shape[1]))
+    out = np.zeros_like(bands)
+    out[:-1, 1:] = root * bands[1:, :-1]
+    out[1:, :-1] += sign * root * bands[:-1, 1:]
+    return out
+
+
+def _quadrature_bands(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of a + a^dag and a^dag - a (x is their first, p i times the
+    second, each times its length scale)."""
+    identity = np.zeros((2 * BANDS + 1, space.dim))
+    identity[BANDS] = 1.0
+    return _ladder(identity, 1.0), _ladder(identity, -1.0)
+
+
+def _matrix(bands: np.ndarray, dtype=float) -> np.ndarray:
+    """The dense matrix with these bands."""
+    n = bands.shape[1]
+    out = np.zeros((n, n), dtype=dtype)
+    flat = out.reshape(-1)
+    for k in range(-min(BANDS, n - 1), min(BANDS, n - 1) + 1):
+        start = k if k >= 0 else -k * n  # entry (0, k) or (-k, 0)
+        flat[start::n + 1][:n - abs(k)] = bands[BANDS + k, max(0, -k):n - max(0, k)]
+    return out
+
+
+def _lengths(params: PhysicalParams) -> tuple[float, float]:
+    """x = lx (a + a^dag), p = i lp (a^dag - a)."""
+    return (math.sqrt(params.hbar / (2.0 * params.mass * params.omega)),
+            math.sqrt(params.hbar * params.mass * params.omega / 2.0))
+
+
 def ladder_ops(space: FockSpace) -> tuple[FockOperator, FockOperator]:
     """Annihilation and creation matrices: a|n> = sqrt(n)|n-1>."""
     a = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1).astype(complex)
@@ -91,12 +154,20 @@ def ladder_ops(space: FockSpace) -> tuple[FockOperator, FockOperator]:
 def canonical_xp(space: FockSpace,
                  params: PhysicalParams) -> tuple[FockOperator, FockOperator]:
     """x = sqrt(hbar/2m w)(a + a^dag), p = i sqrt(hbar m w/2)(a^dag - a)."""
-    a, adag = ladder_ops(space)
-    lx = math.sqrt(params.hbar / (2.0 * params.mass * params.omega))
-    lp = math.sqrt(params.hbar * params.mass * params.omega / 2.0)
-    x = FockOperator(space, lx * (a.matrix + adag.matrix))
-    p = FockOperator(space, 1j * lp * (adag.matrix - a.matrix))
-    return x, p
+    s, q = _quadrature_bands(space)
+    lx, lp = _lengths(params)
+    return (FockOperator(space, _matrix(lx * s, complex)),
+            FockOperator(space, _matrix(1j * lp * q, complex)))
+
+
+def _deformed_bands(s: np.ndarray, q: np.ndarray,
+                    params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of x_hat = x (real) and p_hat = p + (beta/3) p^3 from the
+    quadrature bands s, q, where p^3 = -i lp^3 q^3: purely imaginary, at
+    offsets +-1, +-3."""
+    lx, lp = _lengths(params)
+    q3 = _ladder(_ladder(q, -1.0), -1.0)
+    return lx * s, 1j * (lp * q - (params.beta / 3.0) * lp ** 3 * q3)
 
 
 def deformed_ops(space: FockSpace,
@@ -106,44 +177,94 @@ def deformed_ops(space: FockSpace,
     Satisfies [x_hat, p_hat] = i hbar (1 + beta p^2) exactly in the truncated
     space away from the edge.
     """
-    x, p = canonical_xp(space, params)
-    p3 = p.matrix @ p.matrix @ p.matrix
-    p_hat = FockOperator(space, p.matrix + (params.beta / 3.0) * p3)
-    return x, p_hat
+    x_hat, p_hat = _deformed_bands(*_quadrature_bands(space), params)
+    return (FockOperator(space, _matrix(x_hat, complex)),
+            FockOperator(space, _matrix(p_hat, complex)))
 
 
 def hamiltonian(space: FockSpace, params: PhysicalParams) -> FockOperator:
-    """H = p^2/2m + m w^2 x^2 / 2 + beta p^4 / 3m."""
-    x, p = canonical_xp(space, params)
-    p2 = p.matrix @ p.matrix
+    """H = p^2/2m + m w^2 x^2 / 2 + beta p^4 / 3m: real symmetric, at
+    offsets 0, +-2, +-4, built from its bands."""
+    s, q = _quadrature_bands(space)
+    lx, lp = _lengths(params)
+    p2 = -lp ** 2 * _ladder(q, -1.0)
+    p4 = -lp ** 2 * _ladder(_ladder(p2, -1.0), -1.0)
     h = (p2 / (2.0 * params.mass)
-         + 0.5 * params.mass * params.omega ** 2 * (x.matrix @ x.matrix)
-         + (params.beta / (3.0 * params.mass)) * (p2 @ p2))
-    h = 0.5 * (h + h.conj().T)  # scrub rounding asymmetry
-    return FockOperator(space, h)
+         + 0.5 * params.mass * params.omega ** 2 * lx ** 2 * _ladder(s, 1.0)
+         + (params.beta / (3.0 * params.mass)) * p4)
+    n = space.dim
+    for k in range(1, min(BANDS, n - 1) + 1):  # scrub rounding asymmetry
+        upper, lower = h[BANDS + k, :n - k], h[BANDS - k, k:]
+        upper[:] = lower[:] = 0.5 * (upper + lower)
+    return FockOperator(space, _matrix(h))
 
 
-def eigensystem(op: FockOperator) -> HermitianEigensystem:
-    """Eigendecomposition of a Hermitian operator, with reconstruction audit."""
+def eigensystem(op: FockOperator) -> ParityEigensystem:
+    """Eigendecomposition of a real symmetric operator that keeps number
+    parity, as H does: one float64 eigh per parity block, each audited for
+    orthonormal eigenvectors (the unitarity gate) and for reconstruction."""
     if not op.is_hermitian(tol=1e-10):
         raise OracleError("eigendecomposition requested for non-Hermitian matrix")
-    eigenvalues, eigenvectors = np.linalg.eigh(op.matrix)
-    eig = HermitianEigensystem(eigenvalues, eigenvectors)
-    scale = max(float(np.abs(op.matrix).max()), 1.0)
-    if not eig.reconstruction_error(op.matrix) <= RECONSTRUCTION_TOL * scale:
-        raise OracleError("eigendecomposition failed the reconstruction audit")
-    return eig
+    matrix = op.matrix
+    if np.iscomplexobj(matrix):
+        if np.any(matrix.imag):
+            raise OracleError("eigendecomposition requested for a matrix with "
+                              "an imaginary part")
+        matrix = matrix.real
+    even, odd = PARITY
+    if np.any(matrix[even, odd]) or np.any(matrix[odd, even]):
+        raise OracleError("eigendecomposition requested for a matrix that "
+                          "couples even and odd number states")
+    scale = max(float(matrix.max()), float(-matrix.min()), 1.0)
+    blocks = []
+    for rows in PARITY:
+        block = matrix[rows, rows]
+        eig = HermitianEigensystem(*np.linalg.eigh(block))
+        v = eig.eigenvectors
+        defect = np.abs(v.T @ v - np.eye(v.shape[1])).max()
+        if not defect <= UNITARITY_TOL:
+            raise OracleError(f"eigenvectors lost unitarity: defect {defect:.2e}")
+        if not eig.reconstruction_error(block) <= RECONSTRUCTION_TOL * scale:
+            raise OracleError("eigendecomposition failed the reconstruction audit")
+        blocks.append(eig)
+    return ParityEigensystem(tuple(blocks))
 
 
-def evolution_operator(eig: HermitianEigensystem, t: float,
-                       hbar: float = 1.0) -> np.ndarray:
-    """U = exp(-i H t / hbar) from the eigensystem; unitarity is verified."""
-    v = eig.eigenvectors
-    u = (v * np.exp(-1j * eig.eigenvalues * t / hbar)) @ v.conj().T
-    defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+def evolve(eig: ParityEigensystem, vectors: np.ndarray, t: float,
+           hbar: float = 1.0) -> np.ndarray:
+    """exp(-i H t / hbar) applied to a vector or to the columns of a matrix:
+    V (e^{-iEt/hbar} (V^T vectors)) per parity block, O(n^2) per vector.
+
+    The eigenvectors are audited once in eigensystem; here OracleError is
+    raised if t is not finite or an evolved column's norm moves by more
+    than UNITARITY_TOL."""
+    if not math.isfinite(t):
+        raise OracleError(f"evolution operator lost unitarity: time {t} is not finite")
+    vectors = np.asarray(vectors)
+    out = np.empty(vectors.shape, dtype=complex)
+    for rows, block in zip(PARITY, eig.blocks):
+        v = block.eigenvectors
+        phase = np.exp(-1j * block.eigenvalues * t / hbar)
+        coeff = _real_matmul(v.T, vectors[rows])
+        out[rows] = _real_matmul(v, (phase * coeff.T).T)  # phase per row
+    before = np.linalg.norm(vectors, axis=0)
+    defect = np.max(np.abs(np.linalg.norm(out, axis=0) - before)
+                    / np.maximum(before, 1e-300))  # NaN propagates
     if not defect <= UNITARITY_TOL:
         raise OracleError(f"evolution operator lost unitarity: defect {defect:.2e}")
-    return u
+    return out
+
+
+def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for real m and complex z: two real products, since NumPy
+    multiplies mixed real and complex operands without BLAS."""
+    return m @ z.real + 1j * (m @ z.imag)
+
+
+def evolution_operator(eig: ParityEigensystem, t: float,
+                       hbar: float = 1.0) -> np.ndarray:
+    """U = exp(-i H t / hbar) as a dense matrix: evolve on the identity."""
+    return evolve(eig, np.eye(eig.eigenvalues.size), t, hbar)
 
 
 def heisenberg_evolve(op: FockOperator, h: FockOperator, t: float,
@@ -164,7 +285,12 @@ def coherent_vector(alpha: complex | CoherentAmplitude,
     amp = alpha if isinstance(alpha, CoherentAmplitude) \
         else CoherentAmplitude.from_complex(alpha)
     a = amp.alpha
-    half_mod2 = 0.5 * abs(a) ** 2
+    no_norm = OracleError(f"coherent state |alpha| = {amp.gamma:g} keeps no norm "
+                          f"in Fock dimension {space.dim}")
+    mod = abs(a)
+    if _keeps_no_norm(mod * mod, space.dim):  # mod * mod overflows to inf, ** raises
+        raise no_norm
+    half_mod2 = 0.5 * mod ** 2
     shift = max(0, math.ceil(half_mod2 / math.log(2.0)) - 1000)  # start >= 2**-1000
     comps = np.empty(space.dim, dtype=complex)
     comps[0] = math.exp(shift * math.log(2.0) - half_mod2)
@@ -174,11 +300,23 @@ def coherent_vector(alpha: complex | CoherentAmplitude,
             comps[:n + 1] /= 2.0 ** 400
             shift -= 400
     norm_sq = float(np.vdot(comps, comps).real)
-    loss = max(0.0, 1.0 - math.ldexp(norm_sq, -2 * shift))
-    if not loss < 1.0:
-        raise OracleError(f"coherent state |alpha| = {amp.gamma:g} keeps no norm "
-                          f"in Fock dimension {space.dim}")
-    return CoherentVector(amp, comps / math.sqrt(norm_sq), loss)
+    loss = 1.0 - math.ldexp(norm_sq, -2 * shift)
+    if not loss < 1.0:  # NaN too
+        raise no_norm
+    return CoherentVector(amp, comps / math.sqrt(norm_sq), max(0.0, loss))
+
+
+def _keeps_no_norm(mod2: float, dim: int) -> bool:
+    """True when the Poisson(|alpha|^2) weight of n < dim is below e^-50,
+    so 1 - weight rounds to 1: for |alpha|^2 > dim - 1 the weights rise up
+    to n = dim - 1 and their sum is at most dim times the last.  Decided
+    before the recursion, whose exponent split loses its precision (and
+    0.5|alpha|^2 its finiteness) at such amplitudes."""
+    last = dim - 1
+    if not mod2 < math.inf:
+        return True
+    return mod2 > last and (math.log(dim) - mod2 + last * math.log(mod2)
+                            - math.lgamma(dim)) < -50.0
 
 
 def expect(state: CoherentVector, op: FockOperator) -> complex:
@@ -190,10 +328,23 @@ def expect(state: CoherentVector, op: FockOperator) -> complex:
 
 def variance_numeric(state: CoherentVector, op: FockOperator) -> float:
     """<O^2> - <O>^2 for Hermitian O."""
-    vec = op.matrix @ state.components
-    mean = float(np.vdot(state.components, vec).real)
-    second = float(np.vdot(vec, vec).real)  # <O^dag O> = <O^2> for Hermitian O
+    return float(_variance(state.components, op.matrix @ state.components))
+
+
+def _variance(psi: np.ndarray, o_psi: np.ndarray) -> np.ndarray:
+    """<O^2> - <O>^2 for Hermitian O from |psi> and O|psi>, for each O whose
+    O|psi> is a row of o_psi."""
+    mean = (o_psi @ psi.conj()).real
+    second = (o_psi.conj() * o_psi).real.sum(axis=-1)  # <O^dag O> = <O^2>
     return second - mean * mean
+
+
+def _apply(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v from the bands of M (or of a stack of M), O(n) per M:
+    (M v)[r] = sum_k M[r, r+k] v[r+k]."""
+    padded = np.zeros(v.shape[0] + 2 * BANDS, dtype=complex)
+    padded[BANDS:-BANDS] = v
+    return (bands * sliding_window_view(padded, v.shape[0])).sum(axis=-2)
 
 
 def monomial_matrix(space: FockSpace, mono: Monomial) -> np.ndarray:
@@ -235,28 +386,24 @@ def oracle_variances(tau, amplitude: CoherentAmplitude, params: PhysicalParams,
     value comes back shaped like tau.  Returns var_x1, var_x2 (quadratures
     of the evolved annihilation operator), var_x_hat, var_p_hat (deformed
     observables) and their product.  Schrodinger picture: H is diagonalised
-    once per call, and the variance of O(t) in |psi> is taken as the
-    variance of the fixed O in U|psi>, one matvec per operator and tau.
+    once per call (two real parity blocks), and the variance of O(t) in
+    |psi> is taken as the variance of the fixed, banded O in U|psi>: O(n^2)
+    work per tau, O(n) per operator.
     """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    a, adag = ladder_ops(space)
-    x_hat, p_hat = deformed_ops(space, params)
-    ops = {
-        "var_x1": FockOperator(space, 0.5 * (a.matrix + adag.matrix)),
-        "var_x2": FockOperator(space, (a.matrix - adag.matrix) / 2j),
-        "var_x_hat": x_hat,
-        "var_p_hat": p_hat,
-    }
+    s, q = _quadrature_bands(space)
+    x_hat, p_hat = _deformed_bands(s, q, params)
+    # bands of X1 = (a + a^dag)/2, X2 = (a - a^dag)/2i, x_hat, p_hat
+    bands = np.stack([0.5 * s, 0.5j * q, x_hat, p_hat])
     eig = eigensystem(hamiltonian(space, params))
-    state = coherent_vector(amplitude, space)
+    psi = coherent_vector(amplitude, space).components
     taus = np.asarray(tau, dtype=float)
-    out = {q: np.empty(taus.shape) for q in ops}
+    values = np.empty(taus.shape + (len(bands),))
     for i, t in np.ndenumerate(taus):
-        u = evolution_operator(eig, t / params.omega, params.hbar)
-        evolved = replace(state, components=u @ state.components)  # U|psi>
-        for q, op in ops.items():
-            out[q][i] = variance_numeric(evolved, op)
+        psi_t = evolve(eig, psi, t / params.omega, params.hbar)  # U|psi>
+        values[i] = _variance(psi_t, _apply(bands, psi_t))
+    out = dict(zip(ORACLE_QUANTITIES, np.moveaxis(values, -1, 0)))
     out["product"] = out["var_x_hat"] * out["var_p_hat"]
     return {q: v[()] for q, v in out.items()}  # [()] unwraps a scalar tau
 

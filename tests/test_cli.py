@@ -287,6 +287,7 @@ def test_sweep_si_restoration(tmp_path, capsys):
     (["oracle-compare", "--gamma", "1e200"], None, "Fock dimension inf is above 2048"),
     (["oracle-compare", "--dim", "2049"], None, "Fock dimension 2049 is above 2048"),
     (["oracle-compare", "--tau", "1e308"], None, "unitarity"),
+    (["oracle-compare", "--dim", "20", "--gamma", "1e200"], None, "keeps no norm"),
     (["figure", "--id", "1", "--gamma", "nan"], None, "gamma=nan"),
     (["figure", "--id", "2", "--gamma=-1"], None, "gamma=-1"),
     (["figure", "--id", "1", "--gamma", "1", "--tau-max", "nan"], None, "--tau-max=nan"),
@@ -303,7 +304,8 @@ def test_sweep_si_restoration(tmp_path, capsys):
         "oracle-g-step-nan", "oracle-g-step-inf", "oracle-tau-nan", "oracle-tau-inf",
         "oracle-tol-nan", "oracle-heuristic-dim-too-large",
         "oracle-heuristic-dim-overflows", "oracle-dim-too-large",
-        "oracle-time-beyond-float-range", "figure-1-gamma-nan",
+        "oracle-time-beyond-float-range", "oracle-amplitude-beyond-float-range",
+        "figure-1-gamma-nan",
         "figure-2-gamma-negative", "figure-1-tau-max-nan",
         "figure-2-default-gammas-tau-max-inf"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv, config,

@@ -12,7 +12,7 @@ from gupsqueeze.analytic import analytic_slopes
 from gupsqueeze.fock_oracle import (
     DEFAULT_G_STEP, ORACLE_QUANTITIES, FockOperator, FockSpace,
     OracleError, canonical_xp, coherent_vector, deformed_ops, eigensystem,
-    evolution_operator, expect, first_order_coefficient, fock_dim_for,
+    evolve, expect, first_order_coefficient, fock_dim_for,
     hamiltonian, heisenberg_evolve, ladder_ops, oracle_slopes,
     oracle_variances, truncation_audit, variance_numeric,
 )
@@ -77,6 +77,14 @@ def test_coherent_state_without_norm_in_the_space_raises():
         coherent_vector(CoherentAmplitude(gamma=40.0), FockSpace(10))
     with pytest.raises(OracleError, match="keeps no norm"):
         coherent_vector(CoherentAmplitude(gamma=10.0), FockSpace(5))
+
+
+@pytest.mark.parametrize("gamma", [1e15, 1e129, 1e150, 1e200])
+def test_coherent_state_beyond_the_float_range_raises(gamma):
+    # 0.5|alpha|^2 overflows at 1e200; below that the exponent split of the
+    # recursion lost its precision (OverflowError, NaN or a wrong vector)
+    with pytest.raises(OracleError, match="keeps no norm"):
+        coherent_vector(CoherentAmplitude(gamma=gamma), FockSpace(20))
 
 
 def test_canonical_xp_ground_state_variance():
@@ -148,6 +156,35 @@ def test_deformed_momentum_mean_square_slope_matches_vacuum_formula():
     expected = quadrature_moments(0.0, 0.0, CoherentAmplitude()).p_hat_sq[1]
     assert est.converged
     assert est.slope == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 24])
+@pytest.mark.parametrize("params", [
+    NAT(1e-3), PhysicalParams(mass=1.3, omega=0.7, hbar=2.0, beta=-2e-3)])
+def test_banded_operators_equal_truncated_matrix_products(dim, params):
+    # x, p, H and p_hat are built from their bands; they must equal the
+    # products of the truncated ladder matrices, truncation edge included
+    space = FockSpace(dim)
+    a, adag = (op.matrix for op in ladder_ops(space))
+    x = math.sqrt(params.hbar / (2.0 * params.mass * params.omega)) * (a + adag)
+    p = 1j * math.sqrt(params.hbar * params.mass * params.omega / 2.0) * (adag - a)
+    x_op, p_op = canonical_xp(space, params)
+    np.testing.assert_array_equal(x_op.matrix, x)
+    np.testing.assert_array_equal(p_op.matrix, p)
+    p2 = p @ p
+    dense_h = (p2 / (2.0 * params.mass)
+               + 0.5 * params.mass * params.omega ** 2 * (x @ x)
+               + params.beta / (3.0 * params.mass) * (p2 @ p2))
+    h = hamiltonian(space, params).matrix
+    assert h.dtype == np.float64
+    np.testing.assert_array_equal(h, h.T)
+    np.testing.assert_allclose(h, dense_h, rtol=0, atol=1e-13 * np.abs(dense_h).max())
+    x_hat, p_hat = deformed_ops(space, params)
+    dense_p_hat = p + params.beta / 3.0 * (p2 @ p)
+    assert not p_hat.matrix.real.any()
+    np.testing.assert_allclose(p_hat.matrix, dense_p_hat, rtol=0,
+                               atol=1e-13 * np.abs(dense_p_hat).max())
+    np.testing.assert_array_equal(x_hat.matrix, x)
 
 
 def test_hamiltonian_spectrum_undeformed():
@@ -226,16 +263,37 @@ def test_evolution_operator_unitarity():
     space = FockSpace(50)
     eig = eigensystem(hamiltonian(space, NAT(5e-4)))
     for t in (0.1, 1.0, 10.0, 50.0):
-        u = evolution_operator(eig, t)
+        u = evolve(eig, np.eye(space.dim), t)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(space.dim), atol=1e-10)
 
 
 def test_evolution_operator_fails_on_non_finite_time():
-    eig = eigensystem(hamiltonian(FockSpace(10), NAT(1e-3)))
+    space = FockSpace(10)
+    eig = eigensystem(hamiltonian(space, NAT(1e-3)))
     for t in (math.nan, math.inf):
-        with pytest.raises(OracleError, match="unitarity"), \
-                np.errstate(invalid="ignore"):
-            evolution_operator(eig, t)
+        for vectors in (np.eye(space.dim), coherent_vector(0.5, space).components):
+            with pytest.raises(OracleError, match="unitarity"):
+                evolve(eig, vectors, t)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_oracle_variances_fail_on_non_finite_time(tau):
+    with pytest.raises(OracleError, match="unitarity"):
+        oracle_variances([1.0, tau], CoherentAmplitude(gamma=1.0), NAT(1e-4),
+                         FockSpace(20))
+
+
+def test_eigensystem_orthonormality_gate(monkeypatch):
+    # eigenvectors 1e-8 too long: the unitarity gate now lives in eigensystem
+    eigh = np.linalg.eigh
+
+    def stretched(matrix):
+        values, vectors = eigh(matrix)
+        return values, vectors * (1.0 + 1e-8)
+
+    monkeypatch.setattr(fock_oracle.np.linalg, "eigh", stretched)
+    with pytest.raises(OracleError, match="unitarity"):
+        eigensystem(hamiltonian(FockSpace(20), NAT(1e-3)))
 
 
 def test_eigensystem_reconstruction_gate_fails_on_nan(monkeypatch):
@@ -250,6 +308,38 @@ def test_eigensystem_rejects_non_hermitian():
     a, _ = ladder_ops(space)
     with pytest.raises(OracleError, match="non-Hermitian"):
         eigensystem(a)
+
+
+def test_eigensystem_rejects_complex_and_parity_mixing_matrices():
+    space = FockSpace(6)
+    h = hamiltonian(space, NAT(1e-3)).matrix
+    complex_h = h.astype(complex)
+    complex_h[0, 2] += 1e-3j
+    complex_h[2, 0] -= 1e-3j  # still Hermitian
+    with pytest.raises(OracleError, match="imaginary part"):
+        eigensystem(FockOperator(space, complex_h))
+    x, _ = canonical_xp(space, NAT())
+    mixed = h + x.matrix.real  # real symmetric, couples n and n +- 1
+    with pytest.raises(OracleError, match="even and odd"):
+        eigensystem(FockOperator(space, mixed))
+
+
+@pytest.mark.parametrize("dim", [41, 230])
+@pytest.mark.parametrize("params", [
+    NAT(1e-3), PhysicalParams(mass=1.3, omega=0.7, hbar=2.0, beta=2e-4)])
+def test_parity_split_matches_plain_eigh(dim, params):
+    space = FockSpace(dim)
+    h = hamiltonian(space, params).matrix
+    eig = eigensystem(FockOperator(space, h))
+    values, vectors = np.linalg.eigh(h.astype(complex))
+    scale = max(np.abs(h).max(), 1.0)
+    assert np.abs(eig.eigenvalues - values).max() <= 1e-12 * scale
+    psi = coherent_vector(CoherentAmplitude(gamma=math.sqrt(dim) / 3.0, theta=0.4),
+                          space).components
+    for t in (0.3, 2.0, 7.5):
+        ref = vectors @ (np.exp(-1j * values * t / params.hbar)
+                         * (vectors.conj().T @ psi))
+        assert np.abs(evolve(eig, psi, t, params.hbar) - ref).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +467,21 @@ def test_oracle_variances_shaped_like_tau():
         assert batch[q][1, 1] == single[q]
 
 
+@pytest.mark.parametrize("n_taus", [1, 8])
+def test_oracle_variances_make_two_half_size_real_eigensolves(monkeypatch, n_taus):
+    solves = []
+    eigh = np.linalg.eigh
+
+    def recording(matrix):
+        solves.append((matrix.shape, matrix.dtype))
+        return eigh(matrix)
+
+    monkeypatch.setattr(fock_oracle.np.linalg, "eigh", recording)
+    oracle_variances(np.linspace(0.5, 4.0, n_taus), CoherentAmplitude(gamma=10.0),
+                     NAT(1e-6), FockSpace(230))
+    assert solves == [((115, 115), np.float64)] * 2
+
+
 def test_all_variances_non_negative_on_grid():
     amp = CoherentAmplitude(gamma=1.0, theta=0.5)
     for tau in (0.1, 2.0, 6.0):
@@ -439,6 +544,19 @@ def test_analytic_and_oracle_slopes_agree_on_random_points(gamma, theta, tau):
         a, o = analytic[q], oracle[q].slope
         floor = 1e-7 * (1.0 + gamma ** 2) ** 2
         assert abs(a - o) <= 1e-3 * max(abs(a), abs(o)) + floor, q
+
+
+def test_analytic_and_oracle_slopes_agree_at_large_amplitude():
+    amp = CoherentAmplitude(gamma=20.0, theta=0.9)
+    assert fock_dim_for(amp) == 630
+    taus = [0.5, 1.9, 3.2]
+    oracle = oracle_slopes(taus, amp)
+    for i, tau in enumerate(taus):
+        analytic = analytic_slopes(tau, amp)
+        for q in ORACLE_QUANTITIES:
+            a, o = analytic[q], oracle[q].slope[i]
+            assert oracle[q].converged[i], (q, tau)
+            assert abs(a - o) < 1e-3 * max(abs(a), abs(o)), (q, tau)
 
 
 def test_vacuum_quadrature_slopes():
