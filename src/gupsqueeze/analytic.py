@@ -354,6 +354,39 @@ def _moments(tau, a) -> dict[str, tuple]:
                         + 2.0 * ac * (6j * tau + ac * (3.0 * a + 6j * tau * a + ac))
                         + 12.0 * re_a))
 
+    # deformed momentum mean square
+    psq_0 = 0.5 * (1.0 - e(-2 * tau) * a2 + 2.0 * mod2 - e(2 * tau) * ac2)
+    psq_1 = e(-4 * tau) / 24.0 * (
+        6.0 * e(2 * tau) + 6.0 * e(6 * tau)
+        - 3.0 * e(2 * tau) * (3.0 + 4.0 * e(2 * tau) + e(4 * tau) - 12j * tau) * a2
+        + 2.0 * (3.0 - 2.0 * e(2 * tau) + e(4 * tau)) * a4
+        + 12.0 * e(2 * tau) * (1.0 + e(4 * tau)) * mod4
+        + 16.0 * e(2 * tau) * mod2 * (3.0 * e(2 * tau) - a2)
+        + (-3.0 * e(2 * tau) - 12.0 * e(4 * tau) - e(6 * tau) * (9.0 + 36j * tau)) * ac2
+        - 16.0 * e(6 * tau) * mod2 * ac2
+        + 2.0 * e(4 * tau) * (1.0 - 2.0 * e(2 * tau) + 3.0 * e(4 * tau)) * ac4
+        - 2.0 * e(2 * tau) * mod2 * (
+            -12.0 * (e(2 * tau) - 1.0) ** 2
+            + (-5.0 + 4.0 * e(2 * tau) + e(4 * tau) - 12j * tau) * a2
+            + (1.0 + 4.0 * e(2 * tau) + e(4 * tau) * (-5.0 + 12j * tau)) * ac2))
+
+    return {
+        "x1_sq": (x1sq_0, x1sq_1),
+        "x1_mean_sq": (x1m_0, x1m_1),
+        **_x2_moments(tau, a),
+        "p_hat_sq": (psq_0, psq_1),
+    }
+
+
+def _x2_moments(tau, a) -> dict[str, tuple]:
+    """<X2^2> and <X2>^2 alone, the two moments the momentum audit reads."""
+    ac = a.conjugate()
+    a2, a4 = a * a, a ** 4
+    ac2, ac4 = ac * ac, ac ** 4
+    mod2 = (a * ac).real
+    mod4 = mod2 * mod2
+    e = _exp
+
     # <X2^2>
     x2sq_0 = 0.25 * (1.0 - e(-2 * tau) * a2 + 2.0 * mod2 - e(2 * tau) * ac2)
     x2sq_1 = e(-4 * tau) / 48.0 * (
@@ -376,29 +409,7 @@ def _moments(tau, a) -> dict[str, tuple]:
     x2m_0 = w0 * w0
     x2m_1 = 2.0 * w0 * w1
 
-    # deformed momentum mean square
-    psq_0 = 0.5 * (1.0 - e(-2 * tau) * a2 + 2.0 * mod2 - e(2 * tau) * ac2)
-    psq_1 = e(-4 * tau) / 24.0 * (
-        6.0 * e(2 * tau) + 6.0 * e(6 * tau)
-        - 3.0 * e(2 * tau) * (3.0 + 4.0 * e(2 * tau) + e(4 * tau) - 12j * tau) * a2
-        + 2.0 * (3.0 - 2.0 * e(2 * tau) + e(4 * tau)) * a4
-        + 12.0 * e(2 * tau) * (1.0 + e(4 * tau)) * mod4
-        + 16.0 * e(2 * tau) * mod2 * (3.0 * e(2 * tau) - a2)
-        + (-3.0 * e(2 * tau) - 12.0 * e(4 * tau) - e(6 * tau) * (9.0 + 36j * tau)) * ac2
-        - 16.0 * e(6 * tau) * mod2 * ac2
-        + 2.0 * e(4 * tau) * (1.0 - 2.0 * e(2 * tau) + 3.0 * e(4 * tau)) * ac4
-        - 2.0 * e(2 * tau) * mod2 * (
-            -12.0 * (e(2 * tau) - 1.0) ** 2
-            + (-5.0 + 4.0 * e(2 * tau) + e(4 * tau) - 12j * tau) * a2
-            + (1.0 + 4.0 * e(2 * tau) + e(4 * tau) * (-5.0 + 12j * tau)) * ac2))
-
-    return {
-        "x1_sq": (x1sq_0, x1sq_1),
-        "x1_mean_sq": (x1m_0, x1m_1),
-        "x2_sq": (x2sq_0, x2sq_1),
-        "x2_mean_sq": (x2m_0, x2m_1),
-        "p_hat_sq": (psq_0, psq_1),
-    }
+    return {"x2_sq": (x2sq_0, x2sq_1), "x2_mean_sq": (x2m_0, x2m_1)}
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +449,7 @@ def variance_grid(tau, gamma, theta, g,
     # independent route: 2 (<X2^2> - <X2>^2) + (8/3) g (<X2^4> - <X2><X2^3>),
     # the quartic combination evaluated at g=0 via Gaussian moments:
     # <X2^4> - <X2><X2^3> = 3 <X2>^2 sigma^2 + 3 sigma^4 with sigma^2 = 1/4
-    m = _moments(tau, alpha)
+    m = _x2_moments(tau, alpha)
     (x2_sq0, x2_sq1), (x2_mean_sq0, x2_mean_sq1) = (
         (c0.real, c1.real) for c0, c1 in (m["x2_sq"], m["x2_mean_sq"]))
     quartic = 0.75 * x2_mean_sq0 + 3.0 / 16.0

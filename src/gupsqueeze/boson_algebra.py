@@ -3,10 +3,13 @@
 Operators are finite sums of normal-ordered monomials a^dag^m a^n.  Every
 coefficient is a pair (order g^0, order g^1) in the dimensionless deformation
 strength g; products discard g^2 and higher, so the algebra is the quotient
-ring C[g]/(g^2).  The ring is generic in the entry type: with ComplexRational
-entries all arithmetic is exact, so nested-commutator coefficient tables like
-121/3 come out as equalities, not float approximations; with complex entries
-the same ring derives coherent-state moments in floating point.
+ring C[g]/(g^2).  The ring is generic in the entry type.  The exact route
+grades the Hamiltonian in g_hat = g/12, where every entry is a Python int, so
+the nested-commutator chain is integer arithmetic and its coefficient tables
+(121/3 is 484 in g_hat) come out as equalities, not float approximations;
+``Fraction`` appears only in the Taylor series read off the chain.  With
+complex entries the same ring derives coherent-state moments in floating
+point.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 #: (dagger_power, annihilation_power); (0, 0) is the identity.
 Monomial = tuple[int, int]
@@ -41,61 +44,6 @@ MONOMIAL_LABELS: dict[Monomial, str] = {
 }
 
 
-@dataclass(frozen=True)
-class ComplexRational:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def coerce(value) -> "ComplexRational":
-        if isinstance(value, ComplexRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return ComplexRational(Fraction(value))
-        raise TypeError(f"cannot coerce {value!r} to ComplexRational")
-
-    def __add__(self, other):
-        other = ComplexRational.coerce(other)
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = ComplexRational.coerce(other)
-        return ComplexRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = ComplexRational.coerce(other)
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def __complex__(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
-CR_ZERO = ComplexRational()
-
-
 def monomial_product(left: Monomial, right: Monomial) -> dict[Monomial, int]:
     """Integer expansion of (a^dag^m1 a^n1)(a^dag^m2 a^n2) in normal order.
 
@@ -117,9 +65,9 @@ class OperatorPolynomial:
     """Finite sum of normal-ordered monomials with graded coefficients.
 
     Each term maps a monomial to a pair (c0, c1) meaning c0 + c1*g; the
-    entries are ComplexRational on the exact route and complex on the float
-    route.  Canonical form: no stored all-zero pair, so dict equality is
-    polynomial equality.  Instances are treated as immutable.
+    entries are ints on the exact route and complex on the float route.
+    Canonical form: no stored all-zero pair, so dict equality is polynomial
+    equality.  Instances are treated as immutable.
     """
 
     __slots__ = ("terms",)
@@ -130,9 +78,9 @@ class OperatorPolynomial:
         }
 
     @classmethod
-    def monomial(cls, mono: Monomial, coeff=1, order: int = 0) -> "OperatorPolynomial":
-        cr = ComplexRational.coerce(coeff)
-        return cls({mono: (cr, CR_ZERO) if order == 0 else (CR_ZERO, cr)})
+    def monomial(cls, mono: Monomial) -> "OperatorPolynomial":
+        """The bare monomial, with int entries (1, 0)."""
+        return cls({mono: (1, 0)})
 
     def coefficient(self, mono: Monomial, g: float | None = None):
         """The graded pair of ``mono`` ((0, 0) if absent), or its value at g."""
@@ -230,19 +178,23 @@ def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomi
     return (p @ q) - (q @ p)
 
 
+#: g / g_hat: the exact chain is graded in g_hat = g/12, where it has int entries.
+G_HAT_SCALE = 12
+
+
 def hamiltonian_polynomial() -> OperatorPolynomial:
-    """Deformed oscillator Hamiltonian divided by hbar*omega.
+    """Deformed oscillator Hamiltonian over hbar*omega, less its zero-point 1/2,
+    graded in g_hat = g/12.
 
     H/(hbar omega) = a^dag a + 1/2 + (g/12)(a - a^dag)^4 with g = hbar m omega
-    beta, so every nested-commutator coefficient below is a dimensionless
-    rational.
+    beta.  The central 1/2 drops out of every commutator, so this returns
+    a^dag a + g_hat (a - a^dag)^4: every entry, and every nested-commutator
+    coefficient built from it, is an int, and an order-1 coefficient is
+    G_HAT_SCALE times its value in g.
     """
     q = OperatorPolynomial.monomial(A) - OperatorPolynomial.monomial(A_DAG)
     q2 = q @ q
-    quartic = (q2 @ q2).scale(0, ComplexRational(Fraction(1, 12)))
-    number = OperatorPolynomial.monomial((1, 1))
-    half = OperatorPolynomial.monomial(IDENTITY, Fraction(1, 2))
-    return number + half + quartic
+    return OperatorPolynomial.monomial((1, 1)) + (q2 @ q2).scale(0, 1)
 
 
 def bch_bodies(k_max: int, hamiltonian: OperatorPolynomial,
@@ -257,9 +209,9 @@ def bch_bodies(k_max: int, hamiltonian: OperatorPolynomial,
 
 @dataclass(frozen=True)
 class TaylorSeries:
-    """Coefficients c_k of a series sum_k c_k (i tau)^k / k!."""
+    """Exact rational coefficients c_k of a series sum_k c_k (i tau)^k / k!."""
 
-    coefficients: tuple[ComplexRational, ...]
+    coefficients: tuple[Fraction, ...]
 
     def __len__(self):
         return len(self.coefficients)
@@ -281,27 +233,27 @@ class TaylorSeries:
         return total
 
 
-def _order1_series(bodies: Iterable[OperatorPolynomial], mono: Monomial) -> TaylorSeries:
-    return TaylorSeries(tuple(ComplexRational.coerce(body.coefficient(mono)[1])
+def _chain(k_max: int) -> list[OperatorPolynomial]:
+    """Bodies 0..k_max of the nested-commutator chain on a, int entries in g_hat."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    return list(bch_bodies(k_max, hamiltonian_polynomial(), OperatorPolynomial.monomial(A)))
+
+
+def _order1_series(bodies: list[OperatorPolynomial], mono: Monomial) -> TaylorSeries:
+    return TaylorSeries(tuple(Fraction(body.coefficient(mono)[1], G_HAT_SCALE)
                               for body in bodies))
 
 
-def collect_monomial_series(mono: Monomial, k_max: int,
-                            hamiltonian: OperatorPolynomial | None = None) -> TaylorSeries:
+def collect_monomial_series(mono: Monomial, k_max: int) -> TaylorSeries:
     """Order-g coefficients of ``mono`` across nested-commutator depths 0..k_max."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    h = hamiltonian if hamiltonian is not None else hamiltonian_polynomial()
-    return _order1_series(bch_bodies(k_max, h, OperatorPolynomial.monomial(A)), mono)
+    return _order1_series(_chain(k_max), mono)
 
 
 def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
     """Order-g coefficient series of the six evolved monomials, all read off
     one nested-commutator chain of depth k_max."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    bodies = list(bch_bodies(k_max, hamiltonian_polynomial(),
-                             OperatorPolynomial.monomial(A)))
+    bodies = _chain(k_max)
     return {mono: _order1_series(bodies, mono) for mono in EVOLVED_MONOMIALS}
 
 
@@ -330,7 +282,7 @@ def closed_form_taylor(form_id: str, k_max: int) -> TaylorSeries:
     if form_id not in rules:
         raise ValueError(f"unknown form {form_id!r}; expected one of {_FORM_IDS}")
     rule = rules[form_id]
-    return TaylorSeries(tuple(ComplexRational(rule(k)) for k in range(k_max + 1)))
+    return TaylorSeries(tuple(rule(k) for k in range(k_max + 1)))
 
 
 def closed_form_value(form_id: str, tau: float) -> complex:

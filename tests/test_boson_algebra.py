@@ -2,6 +2,7 @@
 nested-commutator coefficient tables, and their closed-form resummations."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gupsqueeze.boson_algebra import (
-    A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, IDENTITY,
-    ComplexRational, OperatorPolynomial,
+    A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, G_HAT_SCALE, IDENTITY,
+    OperatorPolynomial,
     bch_bodies, closed_form_taylor, closed_form_value, collect_monomial_series,
     commutator, hamiltonian_polynomial, monomial_product, verify_bch_collection,
 )
@@ -19,8 +20,49 @@ from gupsqueeze.fock_oracle import FockSpace, monomial_matrix, polynomial_matrix
 F = Fraction
 
 
-def cr(re, im=0):
-    return ComplexRational(F(re), F(im))
+@dataclass(frozen=True)
+class GaussianRational:
+    """Exact complex rational, so the ring identities below run on exact
+    complex entries; the package's exact route is real and integer."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if isinstance(other, int):  # monomial_product's integer factors
+            return GaussianRational(self.re * other, self.im * other)
+        return GaussianRational(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+
+    def conjugate(self):
+        return GaussianRational(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+
+def gaussian(p):
+    """``p`` with every entry an exact GaussianRational."""
+    return OperatorPolynomial({mono: (GaussianRational(F(c0)), GaussianRational(F(c1)))
+                               for mono, (c0, c1) in p.terms.items()})
+
+
+def in_g(p):
+    """Entries of an int polynomial graded in g_hat = g/12, read in g."""
+    return OperatorPolynomial({mono: (F(c0), F(c1, G_HAT_SCALE))
+                               for mono, (c0, c1) in p.terms.items()})
 
 
 def poly(spec):
@@ -32,7 +74,7 @@ def poly(spec):
             c0, c1 = coeffs
         else:
             c0, c1 = coeffs, 0
-        terms[mono] = (ComplexRational.coerce(F(c0)), ComplexRational.coerce(F(c1)))
+        terms[mono] = (F(c0), F(c1))
     return OperatorPolynomial(terms)
 
 
@@ -45,11 +87,11 @@ def random_polynomial(rng, max_power=2, n_terms=3, graded=False):
     terms = {}
     for _ in range(n_terms):
         mono = (rng.randint(0, max_power), rng.randint(0, max_power))
-        c0 = ComplexRational(F(rng.randint(-4, 4), rng.randint(1, 3)),
-                             F(rng.randint(-4, 4), rng.randint(1, 3)))
-        c1 = ComplexRational(F(rng.randint(-4, 4), rng.randint(1, 3)),
-                             F(rng.randint(-4, 4), rng.randint(1, 3))) \
-            if graded else ComplexRational()
+        c0 = GaussianRational(F(rng.randint(-4, 4), rng.randint(1, 3)),
+                              F(rng.randint(-4, 4), rng.randint(1, 3)))
+        c1 = GaussianRational(F(rng.randint(-4, 4), rng.randint(1, 3)),
+                              F(rng.randint(-4, 4), rng.randint(1, 3))) \
+            if graded else GaussianRational()
         terms[mono] = (c0, c1)
     return OperatorPolynomial(terms)
 
@@ -126,7 +168,7 @@ def test_commutator_hamiltonian_with_a():
         A_DAG_A2: (0, -1),
         A_DAG2_A: (0, 1),
     })
-    assert commutator(h, a) == expected
+    assert in_g(commutator(h, a)) == expected
 
 
 def test_commutator_self_is_zero():
@@ -170,7 +212,7 @@ def test_no_order_g2_leakage():
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-complex_rationals = st.builds(ComplexRational, rationals, rationals)
+complex_rationals = st.builds(GaussianRational, rationals, rationals)
 graded_polynomials = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
     st.tuples(complex_rationals, complex_rationals),
@@ -248,11 +290,10 @@ def test_bch_term_coefficient_tables(depth):
     """Each nesting depth reproduces its reference coefficient table exactly,
     including the absence of a^dag and a^dag^2 a at even depths."""
     h = hamiltonian_polynomial()
-    body = bch_body(depth, h, poly({A: 1}))
-    expected = {mono: ComplexRational(v) for mono, v in DEPTH_TABLES[depth].items()}
-    assert g1_coefficients(body) == expected
+    body = in_g(bch_body(depth, h, poly({A: 1})))
+    assert g1_coefficients(body) == DEPTH_TABLES[depth]
     # leading order is (-1)^k times a
-    assert body.coefficient(A)[0] == ComplexRational(F((-1) ** depth))
+    assert body.coefficient(A)[0] == F((-1) ** depth)
 
 
 def test_bch_adjoint_shadow():
@@ -262,8 +303,7 @@ def test_bch_adjoint_shadow():
     adag = poly({A_DAG: 1})
     for k, (body_a, body_adag) in enumerate(zip(bch_bodies(5, h, a),
                                                  bch_bodies(5, h, adag))):
-        sign = ComplexRational(F((-1) ** k))
-        assert body_adag == body_a.adjoint().scale(sign)
+        assert body_adag == body_a.adjoint().scale((-1) ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +313,14 @@ def test_bch_adjoint_shadow():
 def test_collect_a3_series():
     series = collect_monomial_series(A3, 5)
     expected = (F(0), F(1, 3), F(-4, 3), F(13, 3), F(-40, 3), F(121, 3))
-    assert tuple(c.re for c in series.coefficients) == expected
-    assert all(c.im == 0 for c in series.coefficients)
+    assert series.coefficients == expected
+    assert all(type(c) is Fraction for c in series.coefficients)
 
 
 def test_collect_adag3_series():
     series = collect_monomial_series(A_DAG3, 5)
     expected = (F(0), F(-1, 3), F(-2, 3), F(-7, 3), F(-20, 3), F(-61, 3))
-    assert tuple(c.re for c in series.coefficients) == expected
+    assert series.coefficients == expected
 
 
 def test_collect_identity_monomial_is_zero():
@@ -290,13 +330,13 @@ def test_collect_identity_monomial_is_zero():
 
 def test_closed_form_taylor_base():
     series = closed_form_taylor("base", 3)
-    assert tuple(c.re for c in series.coefficients) == (F(1), F(-1), F(1), F(-1))
+    assert series.coefficients == (F(1), F(-1), F(1), F(-1))
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_closed_form_a3_adag3_general_term(k):
-    a3_k = closed_form_taylor("a3", k).coefficients[k].re
-    adag3_k = closed_form_taylor("adag3", k).coefficients[k].re
+    a3_k = closed_form_taylor("a3", k).coefficients[k]
+    adag3_k = closed_form_taylor("adag3", k).coefficients[k]
     assert a3_k == F(-((-1) ** k) * (3 ** k - 1), 6)
     assert adag3_k == F(-(3 ** k - (-1) ** k), 12)
 
@@ -340,6 +380,16 @@ def test_verify_bch_collection_passes_order_12():
     assert verify_bch_collection(12).all_passed
 
 
+def test_verify_bch_collection_passes_past_64_bit_coefficients():
+    """Depth 60 carries coefficients past the int64 range (97 bits)."""
+    h = hamiltonian_polynomial()
+    bodies = list(bch_bodies(60, h, OperatorPolynomial.monomial(A)))
+    widest = max(abs(c).bit_length() for body in bodies
+                 for pair in body.terms.values() for c in pair)
+    assert widest > 64
+    assert verify_bch_collection(60).all_passed
+
+
 def test_verify_bch_collection_trivial_order():
     assert verify_bch_collection(1).all_passed
 
@@ -358,20 +408,44 @@ def test_hamiltonian_polynomial_is_hermitian():
     assert h == h.adjoint()
 
 
+# H/(hbar w) = N + 1/2 + (g/12)(a - a^dag)^4, normal ordered, graded in g
+TRUE_HAMILTONIAN = {
+    (1, 1): (1, 1),
+    IDENTITY: (F(1, 2), F(1, 4)),
+    (0, 4): (0, F(1, 12)),
+    (4, 0): (0, F(1, 12)),
+    (1, 3): (0, F(-1, 3)),
+    (3, 1): (0, F(-1, 3)),
+    (2, 2): (0, F(1, 2)),
+    (0, 2): (0, F(-1, 2)),
+    (2, 0): (0, F(-1, 2)),
+}
+
+
 def test_hamiltonian_quartic_expansion():
-    # (a - a^dag)^4 normal ordered, then scaled by g/12 and shifted by N + 1/2
-    expected = poly({
-        (1, 1): (1, 1),
-        IDENTITY: (F(1, 2), F(1, 4)),
-        (0, 4): (0, F(1, 12)),
-        (4, 0): (0, F(1, 12)),
-        (1, 3): (0, F(-1, 3)),
-        (3, 1): (0, F(-1, 3)),
-        (2, 2): (0, F(1, 2)),
-        (0, 2): (0, F(-1, 2)),
-        (2, 0): (0, F(-1, 2)),
-    })
-    assert hamiltonian_polynomial() == expected
+    # (a - a^dag)^4 normal ordered, then scaled by g/12 and shifted by N + 1/2;
+    # the package's polynomial leaves out the central 1/2 and is graded in g/12
+    half = poly({IDENTITY: F(1, 2)})
+    assert in_g(hamiltonian_polynomial()) + half == poly(TRUE_HAMILTONIAN)
+
+
+def test_exact_chain_entries_are_ints():
+    """The exact route never leaves Python ints: the Hamiltonian and every
+    body of the chain through depth 35."""
+    h = hamiltonian_polynomial()
+    bodies = [h, *bch_bodies(35, h, OperatorPolynomial.monomial(A))]
+    assert all(type(c) is int for body in bodies
+               for pair in body.terms.values() for c in pair)
+
+
+def test_int_chain_equals_gaussian_rational_chain_on_true_hamiltonian():
+    """Dropping the central 1/2 and grading in g/12 leave the chain intact:
+    order 0 equal, order 1 equal after division by 12, through depth 10."""
+    int_bodies = bch_bodies(10, hamiltonian_polynomial(), OperatorPolynomial.monomial(A))
+    exact_bodies = bch_bodies(10, gaussian(poly(TRUE_HAMILTONIAN)),
+                              gaussian(poly({A: 1})))
+    for int_body, exact_body in zip(int_bodies, exact_bodies, strict=True):
+        assert gaussian(in_g(int_body)) == exact_body
 
 
 def test_hamiltonian_matrix_matches_fock_build():
@@ -383,7 +457,8 @@ def test_hamiltonian_matrix_matches_fock_build():
     g = 1e-3
     space = FockSpace(24)
     dense = fock_hamiltonian(space, PhysicalParams.natural(g)).matrix
-    symbolic = polynomial_matrix(hamiltonian_polynomial(), space, g=g)
+    symbolic = (polynomial_matrix(hamiltonian_polynomial(), space, g=g / G_HAT_SCALE)
+                + 0.5 * np.eye(space.dim))
     half = space.dim // 2
     np.testing.assert_allclose(symbolic[:half, :half], dense[:half, :half],
                                atol=1e-12)
