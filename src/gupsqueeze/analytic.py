@@ -33,7 +33,6 @@ from .boson_algebra import (
 )
 from .physics_config import (
     CoherentAmplitude, ConfigError, PhysicalParams, VarianceRecord, from_natural,
-    to_natural,
 )
 
 SECULAR_WARN = 0.1
@@ -89,8 +88,8 @@ def _exp(x):
 # evolved annihilation operator
 
 
-def _ladder_parts(tau: float) -> dict[Monomial, tuple[complex, complex]]:
-    """Graded (order g^0, order g^1) coefficients of a(t)."""
+def _ladder_parts(tau) -> dict[Monomial, tuple]:
+    """Graded (order g^0, order g^1) coefficients of a(t); array-generic."""
     parts = {mono: (0.0, closed_form_value(form, tau))
              for mono, form in MONOMIAL_FORMS.items()}
     parts[A] = (closed_form_value("base", tau), parts[A][1])
@@ -291,17 +290,6 @@ class QuadratureMoments:
         return c0 + g * c1
 
 
-def _mean_a_first_order(tau: float, alpha: complex) -> complex:
-    """Order-g part of <a(t)> in a coherent state."""
-    ac = alpha.conjugate()
-    return (
-        -1j * tau * _exp(-tau) * (alpha + ac * alpha * alpha)
-        + 1j * np.sin(tau) * (ac + ac * ac * alpha)
-        + (_exp(-tau) - _exp(-3 * tau)) / 6.0 * alpha ** 3
-        + (_exp(-tau) - _exp(3 * tau)) / 12.0 * ac ** 3
-    )
-
-
 def quadrature_moments(tau: float, g: float, alpha,
                        strict: bool = True) -> QuadratureMoments:
     """The five coherent-state moments behind the variance formulas:
@@ -402,9 +390,10 @@ def _x2_moments(tau, a) -> dict[str, tuple]:
             + 4.0 * e(2 * tau) * (6.0 + a2)
             + (1.0 + 4.0 * e(2 * tau) + e(4 * tau) * (12j * tau - 5.0)) * ac2))
 
-    # <X2>^2 as the square of the graded mean
+    # <X2>^2 as the square of the graded mean; the order-g part of <a(t)> sums
+    # conj(a)^m a^n over a(t)'s monomials, with the forms verify-bch checks
     w0 = (a * e(-tau) - ac * e(tau)) / 2j
-    m1 = _mean_a_first_order(tau, a)
+    m1 = sum(c1 * ac ** m * a ** n for (m, n), (_, c1) in _ladder_parts(tau).items())
     w1 = (m1 - m1.conjugate()) / 2j
     x2m_0 = w0 * w0
     x2m_1 = 2.0 * w0 * w1
@@ -514,15 +503,13 @@ def uncertainty_product(tau: float, g: float, alpha,
 
     The bound is (1/4)(1 + 2 beta <p_hat^2>) truncated to first order, with
     the mean square taken at g = 0; it coincides with the product exactly at
-    this order (minimum uncertainty survives the deformation).
+    this order (minimum uncertainty survives the deformation).  Both come from
+    the record kernel (see :func:`variance_grid`), SI scaling included.
     """
     amp = _amplitude(alpha)
     _check_validity(tau, g, amp.gamma, strict)
-    product_nat, bound_nat = _product_and_bound(tau, g, amp.alpha)
-    if params is None:
-        return product_nat, bound_nat
-    _, f = to_natural(params)
-    return product_nat * f.product, bound_nat * f.product
+    record = _record_at(tau, g, amp, params)
+    return record.product, record.gup_bound
 
 
 def scaled_delta_x(tau, theta, gamma):

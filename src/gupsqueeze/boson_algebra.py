@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
+import numpy as np
+
 #: (dagger_power, annihilation_power); (0, 0) is the identity.
 Monomial = tuple[int, int]
 
@@ -285,19 +287,19 @@ def closed_form_taylor(form_id: str, k_max: int) -> TaylorSeries:
     return TaylorSeries(tuple(rule(k) for k in range(k_max + 1)))
 
 
-def closed_form_value(form_id: str, tau: float) -> complex:
-    """Numeric value of a closed form at real tau."""
-    e = lambda x: complex(math.cos(x), math.sin(x))
-    forms: dict[str, complex] = {
-        "base": e(-tau),
-        "drift": -1j * tau * e(-tau),
-        "sine": 1j * math.sin(tau),
-        "a3": (e(-tau) - e(-3 * tau)) / 6.0,
-        "adag3": (e(-tau) - e(3 * tau)) / 12.0,
+def closed_form_value(form_id: str, tau):
+    """Numeric value of a closed form at real tau; array-generic."""
+    e = lambda k: np.exp(1j * k * tau)
+    forms: dict[str, Callable[[], object]] = {
+        "base": lambda: e(-1),
+        "drift": lambda: -1j * tau * e(-1),
+        "sine": lambda: 1j * np.sin(tau),
+        "a3": lambda: (e(-1) - e(-3)) / 6.0,
+        "adag3": lambda: (e(-1) - e(3)) / 12.0,
     }
     if form_id not in forms:
         raise ValueError(f"unknown form {form_id!r}; expected one of {_FORM_IDS}")
-    return forms[form_id]
+    return forms[form_id]()
 
 
 #: Closed form resumming each evolved monomial's order-g coefficient series.

@@ -1,16 +1,16 @@
 """Command-line interface: verification suites, figure-data reproduction,
 parameter sweeps, and oracle comparisons.
 
-Every command writes CSV with a header row and full-precision scientific
-notation (17 significant digits), and returns exit code 0 only if every
-assertion it makes passed.  Figures are rendered elsewhere; this tool only
-produces their data surfaces.
+Every command hands its header and rows of raw values to one writer,
+``_write_rows``, which alone owns the CSV format: a header row, then each float
+in full-precision scientific notation (17 significant digits) and each string
+as is.  A command returns exit code 0 only if every assertion it makes passed.
+Figures are rendered elsewhere; this tool only produces their data surfaces.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -29,18 +29,14 @@ SWEEP_COLUMNS = (
 )
 
 # Largest Fock dimension oracle-compare accepts, given or heuristic: its
-# truncation audit doubles it, and at 2 x 2048 each dense complex matrix
-# already takes 268 MB.
+# truncation audit doubles it, and at 2 x 2048 the real float64 Hamiltonian
+# alone takes 134 MB.
 _MAX_FOCK_DIM = 2048
 
 FIGURE3_COLUMNS = (
     "tau", "var_x_deformed", "var_x_canonical", "var_p_deformed",
     "var_p_canonical", "product_deformed", "product_canonical",
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
 
 
 def _open_csv(path: str):
@@ -53,11 +49,18 @@ def _open_csv(path: str):
 
 
 def _write_rows(path: str, header, rows) -> None:
+    """Write the header, then each row (a tuple of floats and strings) with
+    one format for the whole table: %.16e for a float field, a string field
+    as is, taken from the first row."""
+    rows = iter(rows)
+    first = next(rows, None)
     stream, owned = _open_csv(path)
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        stream.write(",".join(header) + "\n")
+        if first is not None:
+            fmt = ",".join("%s" if isinstance(v, str) else "%.16e" for v in first) + "\n"
+            stream.write(fmt % first)
+            stream.writelines(map(fmt.__mod__, rows))
     finally:
         if owned:
             stream.close()
@@ -90,19 +93,19 @@ def cmd_verify_bch(args) -> int:
 
 
 def _figure_surface(which: int, gamma: float, args, out_path: str) -> bool:
-    fn = analytic.scaled_delta_x if which == 1 else analytic.scaled_delta_p
     with np.errstate(all="ignore"):  # non-finite cells are reported below
-        tt, hh = np.meshgrid(np.linspace(0.0, args.tau_max, args.tau_points),
-                             np.linspace(0.0, 2.0 * math.pi, args.theta_points),
-                             indexing="ij")
-        surface = fn(tt, hh, gamma)
+        scan = analytic.squeezing_region_scan(
+            gamma, (0.0, args.tau_max), (0.0, 2.0 * math.pi),
+            (args.tau_points, args.theta_points))
+    surface = scan.delta_x if which == 1 else scan.delta_p
     if gamma < 0.0 or not np.isfinite(surface).all():
         raise ConfigError(f"figure {which} needs gamma >= 0 and finite cells; got "
                           f"gamma={gamma:g}, --tau-max={args.tau_max:g}")
-    rows = [tuple(map(_fmt, row)) for row in zip(
-        tt.ravel().tolist(), hh.ravel().tolist(), surface.ravel().tolist())]
+    thetas = scan.theta.tolist()
+    rows = ((tau, theta, cell) for tau, cells in zip(scan.tau.tolist(), surface.tolist())
+            for theta, cell in zip(thetas, cells))
     _write_rows(out_path, ("tau", "theta", "delta_scaled"), rows)
-    return bool((surface < 0.0).any())
+    return scan.any_negative_x if which == 1 else scan.any_negative_p
 
 
 def _figure_with_suffix(path: str, gamma: float) -> str:
@@ -143,8 +146,7 @@ def cmd_figure(args) -> int:
                                       amp.gamma, amp.theta, g, params)
     except ConfigError as exc:
         return _input_error(exc)
-    rows = [tuple(map(_fmt, (tau, var_x, var_x0, var_p, var_p0, product,
-                             var_x0 * var_p0)))
+    rows = [(tau, var_x, var_x0, var_p, var_p0, product, var_x0 * var_p0)
             for tau, var_x, var_p, product in zip(*(grid[name].tolist() for name in (
                 "tau", "var_x_hat", "var_p_hat", "product")))]
     _write_rows(args.out, FIGURE3_COLUMNS, rows)
@@ -209,7 +211,7 @@ def cmd_oracle_compare(args) -> int:
             rel = abs(slopes_a[q] - slope) / max(abs(slopes_a[q]), abs(slope), 1e-300)
             rels.append(rel)
             all_ok = all_ok and rel < args.tol
-            rows.append((_fmt(tau), q, _fmt(slopes_a[q]), _fmt(slope), _fmt(rel)))
+            rows.append((tau, q, slopes_a[q], slope, rel))
     _write_rows(args.out, ("tau", "quantity", "analytic_slope", "oracle_slope",
                            "rel_err"), rows)
     worst = np.max(rels)  # NaN propagates
@@ -343,11 +345,10 @@ def cmd_sweep(args) -> int:
     secular = grid["secular"].ravel()
     validity = np.where(secular > analytic.SECULAR_REFUSE, "invalid",
                         np.where(secular > analytic.SECULAR_WARN, "warn", "ok"))
-    rows = list(zip(*(map(_fmt, grid[name].ravel().tolist())
-                      for name in SWEEP_COLUMNS[:-1]), validity.tolist()))
-    _write_rows(out, SWEEP_COLUMNS, rows)
+    _write_rows(out, SWEEP_COLUMNS, zip(
+        *(grid[name].ravel().tolist() for name in SWEEP_COLUMNS[:-1]), validity.tolist()))
     if out != "-":
-        print(f"sweep: wrote {len(rows)} rows to {out}")
+        print(f"sweep: wrote {validity.size} rows to {out}")
     return 0
 
 

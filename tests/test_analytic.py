@@ -477,9 +477,10 @@ def test_variance_record_si_units():
 
 
 def test_variance_record_rejects_non_finite_input():
-    for tau, g in ((math.nan, 1e-4), (1.0, math.inf)):
-        with pytest.raises(ConfigError, match="finite"):
-            variance_record(tau, g, CoherentAmplitude(gamma=1.0), strict=False)
+    for fn in (variance_record, uncertainty_product):
+        for tau, g in ((math.nan, 1e-4), (1.0, math.inf)):
+            with pytest.raises(ConfigError, match="finite"):
+                fn(tau, g, CoherentAmplitude(gamma=1.0), strict=False)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,19 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gupsqueeze import analytic
 from gupsqueeze.analytic import variance_record
-from gupsqueeze.cli import main
-from gupsqueeze.physics_config import CoherentAmplitude
+from gupsqueeze.cli import FIGURE3_COLUMNS, SWEEP_COLUMNS, main
+from gupsqueeze.fock_oracle import (
+    ORACLE_QUANTITIES, FockSpace, fock_dim_for, oracle_slopes,
+)
+from gupsqueeze.physics_config import (
+    CoherentAmplitude, PhysicalParams, electron_preset, to_natural,
+)
 
 
 def read_csv(path):
@@ -244,6 +250,96 @@ def test_sweep_si_restoration(tmp_path, capsys):
     nat = variance_record(1.0, 1e-6, CoherentAmplitude())
     assert float(row["var_x_hat"]) == pytest.approx(
         nat.var_x_hat * 2.0 / (3.0 * 0.5), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the CSV format: every command's bytes, rebuilt from library values
+
+
+def expected_csv(header, rows) -> str:
+    """The format every table is written in: csv.writer with "\\n" line ends,
+    each float as f"{x:.16e}" and each string as is."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.16e}" if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return buf.getvalue()
+
+
+def written(out, capsys) -> str:
+    return capsys.readouterr().out if out == "-" else open(out, newline="").read()
+
+
+# -0.0 and a subnormal on every axis but gamma
+WRITER_AXES = {"tau": [-0.0, 5e-324, 2.5], "gamma": [0.0, 1.5],
+               "theta": [-0.0, 5e-324, 1.0], "g": [-0.0, 5e-324, 1e-3, 0.5]}
+
+
+@pytest.mark.parametrize("si", [False, True])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sweep_bytes_follow_the_format(tmp_path, capsys, si, to_file):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("".join(f"{axis} = {', '.join(map(repr, values))}\n"
+                              for axis, values in WRITER_AXES.items())
+                      + ("hbar = 2.0\nmass = 3.0\nomega = 0.5\n" if si else ""))
+    out = str(tmp_path / "sweep.csv") if to_file else "-"
+    assert main(["sweep", "--config", str(config), "--out", out]) == 0
+    grid = analytic.variance_grid(
+        *np.meshgrid(*WRITER_AXES.values(), indexing="ij"),
+        params=PhysicalParams(3.0, 0.5, 2.0, 0.0) if si else None)
+    columns = [grid[name].ravel().tolist() for name in SWEEP_COLUMNS[:-1]]
+    validity = ["invalid" if s > 10.0 else "warn" if s > 0.1 else "ok"
+                for s in grid["secular"].ravel().tolist()]
+    if to_file:
+        capsys.readouterr()  # the "wrote N rows" line
+    assert written(out, capsys) == expected_csv(SWEEP_COLUMNS, zip(*columns, validity))
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_figure_surface_bytes_follow_the_format(tmp_path, capsys, which):
+    out = tmp_path / "fig.csv"
+    assert main(["figure", "--id", str(which), "--gamma", "1.5", "--tau-max", "3.0",
+                 "--tau-points", "4", "--theta-points", "3", "--out", str(out)]) == 0
+    tt, hh = np.meshgrid(np.linspace(0.0, 3.0, 4), np.linspace(0.0, 2.0 * math.pi, 3),
+                         indexing="ij")
+    fn = analytic.scaled_delta_x if which == 1 else analytic.scaled_delta_p
+    rows = zip(tt.ravel().tolist(), hh.ravel().tolist(), fn(tt, hh, 1.5).ravel().tolist())
+    assert written(out, capsys) == expected_csv(("tau", "theta", "delta_scaled"), rows)
+
+
+@pytest.mark.parametrize("tau_max", [5e-324, 2.0])
+def test_figure_3_bytes_follow_the_format(capsys, tau_max):
+    assert main(["figure", "--id", "3", "--tau-max", repr(tau_max), "--tau-points", "3",
+                 "--out", "-"]) == 0
+    preset = electron_preset()
+    params, amp = preset.params, preset.amplitude
+    _, factors = to_natural(params)
+    var_x0, var_p0 = factors.x_var / 2.0, factors.p_var / 2.0
+    grid = analytic.variance_grid(np.linspace(0.0, tau_max, 3), amp.gamma, amp.theta,
+                                  params.g, params)
+    rows = [(tau, var_x, var_x0, var_p, var_p0, product, var_x0 * var_p0)
+            for tau, var_x, var_p, product in zip(*(grid[name].tolist() for name in (
+                "tau", "var_x_hat", "var_p_hat", "product")))]
+    text = capsys.readouterr().out
+    assert text.startswith(expected_csv(FIGURE3_COLUMNS, rows))
+    assert text.count("\n") == len(rows) + 2  # table, then the "wrote" line
+
+
+def test_oracle_compare_bytes_follow_the_format(capsys):
+    taus = [0.5, 1.25]
+    assert main(["oracle-compare", "--gamma", "0.5", "--theta", "0.3",
+                 "--tau", *map(repr, taus), "--out", "-"]) == 0
+    amp = CoherentAmplitude(gamma=0.5, theta=0.3)
+    slopes_o = oracle_slopes(taus, amp, FockSpace(fock_dim_for(amp)))
+    rows = []
+    for i, tau in enumerate(taus):
+        slopes_a = analytic.analytic_slopes(tau, amp)
+        for q in ORACLE_QUANTITIES:
+            a, o = slopes_a[q], slopes_o[q].slope[i]
+            rows.append((tau, q, a, o, abs(a - o) / max(abs(a), abs(o), 1e-300)))
+    header = ("tau", "quantity", "analytic_slope", "oracle_slope", "rel_err")
+    assert capsys.readouterr().out.startswith(expected_csv(header, rows))
 
 
 # ---------------------------------------------------------------------------
