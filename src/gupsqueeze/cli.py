@@ -28,9 +28,10 @@ SWEEP_COLUMNS = (
     "delta_x", "delta_p", "delta_product", "validity",
 )
 
-# Largest Fock dimension oracle-compare accepts, given or heuristic: its
-# truncation audit doubles it, and at 2 x 2048 the real float64 Hamiltonian
-# alone takes 134 MB.
+# Largest Fock dimension oracle-compare accepts, given or heuristic.  Its
+# slopes need no dense matrix, but the heuristic dimension grows as gamma^2
+# and the truncation audit doubles it, so the cap is what bounds one
+# command's arrays and time for any --gamma or --dim.
 _MAX_FOCK_DIM = 2048
 
 FIGURE3_COLUMNS = (
@@ -92,7 +93,8 @@ def cmd_verify_bch(args) -> int:
 # figure
 
 
-def _figure_surface(which: int, gamma: float, args, out_path: str) -> bool:
+def _figure_surface(which: int, gamma: float, args) -> tuple[analytic.RegionScan, np.ndarray]:
+    """Figure 1 or 2's scan and surface; ConfigError unless every cell is finite."""
     with np.errstate(all="ignore"):  # non-finite cells are reported below
         scan = analytic.squeezing_region_scan(
             gamma, (0.0, args.tau_max), (0.0, 2.0 * math.pi),
@@ -101,11 +103,7 @@ def _figure_surface(which: int, gamma: float, args, out_path: str) -> bool:
     if gamma < 0.0 or not np.isfinite(surface).all():
         raise ConfigError(f"figure {which} needs gamma >= 0 and finite cells; got "
                           f"gamma={gamma:g}, --tau-max={args.tau_max:g}")
-    thetas = scan.theta.tolist()
-    rows = ((tau, theta, cell) for tau, cells in zip(scan.tau.tolist(), surface.tolist())
-            for theta, cell in zip(thetas, cells))
-    _write_rows(out_path, ("tau", "theta", "delta_scaled"), rows)
-    return scan.any_negative_x if which == 1 else scan.any_negative_p
+    return scan, surface
 
 
 def _figure_with_suffix(path: str, gamma: float) -> str:
@@ -115,16 +113,20 @@ def _figure_with_suffix(path: str, gamma: float) -> str:
 
 def cmd_figure(args) -> int:
     if args.id in (1, 2):
-        gammas = [args.gamma] if args.gamma is not None else [1.0, 10.0]
         explicit = args.gamma is not None
-        for gamma in gammas:
+        gammas = [args.gamma] if explicit else [1.0, 10.0]
+        try:  # every surface is checked before any file is written
+            surfaces = [_figure_surface(args.id, gamma, args) for gamma in gammas]
+        except ConfigError as exc:
+            return _input_error(exc)
+        for gamma, (scan, surface) in zip(gammas, surfaces):
             out = args.out if explicit else _figure_with_suffix(args.out, gamma)
-            try:
-                has_negative = _figure_surface(args.id, gamma, args, out)
-            except ConfigError as exc:
-                return _input_error(exc)
+            thetas = scan.theta.tolist()
+            _write_rows(out, ("tau", "theta", "delta_scaled"), (
+                (tau, theta, cell) for tau, cells in zip(scan.tau.tolist(), surface.tolist())
+                for theta, cell in zip(thetas, cells)))
             print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
-                  f"negative cells: {'yes' if has_negative else 'no'}")
+                  f"negative cells: {'yes' if (surface < 0.0).any() else 'no'}")
         return 0
 
     # figure 3: electron preset temporal curves, SI units
@@ -162,7 +164,7 @@ def cmd_oracle_compare(args) -> int:
     if not all(map(math.isfinite, (*args.tau, args.tol))):
         return _input_error(f"--tau and --tol must be finite, got {args.tau} "
                             f"and {args.tol}")
-    if not 0.0 < args.g_step < math.inf:
+    if args.g_step is not None and not 0.0 < args.g_step < math.inf:
         return _input_error(f"--g-step must be positive and finite, got {args.g_step}")
     try:
         amplitude = CoherentAmplitude(gamma=args.gamma, theta=args.theta)
@@ -184,37 +186,27 @@ def cmd_oracle_compare(args) -> int:
     try:
         # non-finite values fail the unitarity gate, the audit or the slope check
         with np.errstate(all="ignore"):
-            audit = fock_oracle.truncation_audit(
-                space, amplitude, g=args.g_step, tau_max=max(args.tau))
-            if not audit.passed:
-                print(f"truncation audit FAILED at dim={dim}: max relative deviation "
-                      f"{audit.max_rel_deviation:.3e} (vs dim={audit.dim_doubled}); "
-                      f"increase --dim", file=sys.stderr)
-                return 2
-            slopes_o = fock_oracle.oracle_slopes(
-                args.tau, amplitude, space, g_step=args.g_step)
+            audit = fock_oracle.truncation_audit(space, amplitude, args.tau)
     except OracleError as exc:
         return _input_error(f"oracle: {exc}")
+    if not audit.passed:
+        print(f"truncation audit FAILED at dim={dim}: max relative deviation "
+              f"{audit.max_rel_deviation:.3e} (vs dim={audit.dim_doubled}); "
+              f"increase --dim", file=sys.stderr)
+        return 2
 
     rows = []
-    rels = []
-    all_ok = True
     for i, tau in enumerate(args.tau):
         slopes_a = analytic.analytic_slopes(tau, amplitude)
+        # a slope that is 0 comes out as rounding noise on both routes
+        floor = 1e-12 * fock_oracle.slope_scale(tau, amplitude.gamma)
         for q in ORACLE_QUANTITIES:
-            est = slopes_o[q]
-            if not est.converged[i]:
-                print(f"non-convergent finite difference for {q} at tau={tau}",
-                      file=sys.stderr)
-                all_ok = False
-            slope = est.slope[i]
-            rel = abs(slopes_a[q] - slope) / max(abs(slopes_a[q]), abs(slope), 1e-300)
-            rels.append(rel)
-            all_ok = all_ok and rel < args.tol
-            rows.append((tau, q, slopes_a[q], slope, rel))
+            a, o = slopes_a[q], audit.slopes[q][i]
+            rows.append((tau, q, a, o, abs(a - o) / max(abs(a), abs(o), floor)))
     _write_rows(args.out, ("tau", "quantity", "analytic_slope", "oracle_slope",
                            "rel_err"), rows)
-    worst = np.max(rels)  # NaN propagates
+    worst = np.max([row[-1] for row in rows])  # NaN propagates
+    all_ok = worst < args.tol
     print(f"oracle-compare: worst relative slope error {worst:.3e} "
           f"({'PASS' if all_ok else 'FAIL'} at {args.tol:g})")
     return 0 if all_ok else 1
@@ -410,12 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("oracle-compare", help="analytic first-order slopes "
-                       "vs truncated-Fock central differences")
+                       "vs truncated-Fock linear response")
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--tau", type=float, nargs="+", default=[0.5, 1.0, 2.0, 4.0])
-    p.add_argument("--g-step", type=float, default=fock_oracle.DEFAULT_G_STEP,
-                   help="central-difference step in g")
+    p.add_argument("--g-step", type=float, default=None,
+                   help="accepted for compatibility (must be positive and "
+                        "finite); has no effect: the slopes are exact at g = 0")
     p.add_argument("--dim", type=int, default=None,
                    help="Fock dimension (default: heuristic)")
     p.add_argument("--tol", type=float, default=1e-3)

@@ -1,12 +1,12 @@
 """Truncated Fock-space numerics: the independent ground truth.
 
-Everything here is exact finite-beta linear algebra on the space spanned by
-number states |0> .. |N-1>: build the deformed Hamiltonian from its bands as
-a real symmetric matrix, diagonalise its even and odd number-state blocks,
-evolve the coherent state with the exact unitary from that eigensystem, and
-take variances in the evolved state.  First-order formulas elsewhere in
-the package are validated against this module by central differencing in
-beta; nothing in this module knows about the order-g expansion.
+Everything here is linear algebra on the space spanned by number states
+|0> .. |N-1>.  Exact in beta: build the deformed Hamiltonian from its bands
+as a real symmetric matrix, diagonalise its even and odd number-state blocks,
+evolve the coherent state with the exact unitary, and take variances in the
+evolved state.  First-order formulas elsewhere in the package are validated
+against oracle_slopes, the exact beta-derivatives by linear response at
+beta = 0; nothing in this module knows about the order-g expansion.
 
 Truncation caveat: the last rows of a truncated ladder algebra are necessarily
 wrong, so operator identities are only asserted on the leading half of the
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -28,7 +26,6 @@ from .physics_config import CoherentAmplitude, PhysicalParams
 UNITARITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 AUDIT_TOL = 1e-6
-DEFAULT_G_STEP = 1e-6
 
 ORACLE_QUANTITIES = ("var_x1", "var_x2", "var_x_hat", "var_p_hat", "product")
 
@@ -182,16 +179,23 @@ def deformed_ops(space: FockSpace,
             FockOperator(space, _matrix(p_hat, complex)))
 
 
-def hamiltonian(space: FockSpace, params: PhysicalParams) -> FockOperator:
-    """H = p^2/2m + m w^2 x^2 / 2 + beta p^4 / 3m: real symmetric, at
-    offsets 0, +-2, +-4, built from its bands."""
+def _oscillator_bands(space: FockSpace,
+                      params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of H0 = p^2/2m + m w^2 x^2 / 2 (diagonal up to rounding) and p^4."""
     s, q = _quadrature_bands(space)
     lx, lp = _lengths(params)
     p2 = -lp ** 2 * _ladder(q, -1.0)
     p4 = -lp ** 2 * _ladder(_ladder(p2, -1.0), -1.0)
-    h = (p2 / (2.0 * params.mass)
-         + 0.5 * params.mass * params.omega ** 2 * lx ** 2 * _ladder(s, 1.0)
-         + (params.beta / (3.0 * params.mass)) * p4)
+    h0 = (p2 / (2.0 * params.mass)
+          + 0.5 * params.mass * params.omega ** 2 * lx ** 2 * _ladder(s, 1.0))
+    return h0, p4
+
+
+def hamiltonian(space: FockSpace, params: PhysicalParams) -> FockOperator:
+    """H = p^2/2m + m w^2 x^2 / 2 + beta p^4 / 3m: real symmetric, at
+    offsets 0, +-2, +-4, built from its bands."""
+    h0, p4 = _oscillator_bands(space, params)
+    h = h0 + (params.beta / (3.0 * params.mass)) * p4
     n = space.dim
     for k in range(1, min(BANDS, n - 1) + 1):  # scrub rounding asymmetry
         upper, lower = h[BANDS + k, :n - k], h[BANDS - k, k:]
@@ -372,7 +376,7 @@ def fock_dim_for(amplitude: CoherentAmplitude, floor: int = 30) -> int:
     """Dimension heuristic |alpha|^2 + 10|alpha| + floor.
 
     Poisson tail of the coherent state plus headroom for quartic level
-    mixing; truncation_audit doubles it when this is not enough.
+    mixing; where this is not enough, truncation_audit fails.
     """
     gamma = amplitude.gamma
     return math.ceil(gamma * gamma + 10.0 * gamma + floor)
@@ -408,75 +412,73 @@ def oracle_variances(tau, amplitude: CoherentAmplitude, params: PhysicalParams,
     return {q: v[()] for q, v in out.items()}  # [()] unwraps a scalar tau
 
 
-@dataclass(frozen=True)
-class SlopeEstimate:
-    """Central-difference derivative with a half-step refinement check;
-    each field is shaped like the differenced values."""
-
-    slope: float
-    slope_refined: float
-    rel_deviation: float
-    converged: bool
-
-
-def first_order_coefficient(f: Callable[[float], Mapping[str, float]], step: float,
-                            rel_tol: float = 1e-3) -> dict[str, SlopeEstimate]:
-    """d f / d beta at 0 by central difference, checked at half step, for
-    every quantity of the mapping f returns.
-
-    f runs exactly four times (+-step, +-step/2), shared by all quantities.
-    The two estimates must agree to rel_tol or the result is flagged as
-    non-converged (truncation dimension too small, or the step poorly
-    chosen for the scale of f).
-    """
-    if step <= 0.0:
-        raise ValueError(f"difference step must be positive, got {step}")
-    half = step / 2.0
-    plus, minus = f(step), f(-step)
-    plus_half, minus_half = f(half), f(-half)
-    out = {}
-    for q in plus:
-        slope = (plus[q] - minus[q]) / (2.0 * step)
-        refined = (plus_half[q] - minus_half[q]) / (2.0 * half)
-        denom = np.maximum(np.maximum(abs(slope), abs(refined)), 1e-300)
-        rel_dev = abs(slope - refined) / denom
-        out[q] = SlopeEstimate(slope, refined, rel_dev, rel_dev <= rel_tol)
-    return out
+def slope_scale(tau, gamma: float):
+    """(1 + gamma^2)^2 (1 + |tau|): the size first-order slopes reach, natural
+    units; the scale of their rounding error where a slope passes through 0."""
+    return (1.0 + gamma * gamma) ** 2 * (1.0 + np.abs(tau))
 
 
 def oracle_slopes(tau, amplitude: CoherentAmplitude,
-                  space: FockSpace | None = None,
-                  g_step: float = DEFAULT_G_STEP,
-                  rel_tol: float = 1e-3) -> dict[str, SlopeEstimate]:
-    """dV/dg at g = 0 for all five oracle variances, natural units; tau is a
-    float or a sequence, as in oracle_variances."""
+                  space: FockSpace | None = None) -> dict[str, float | np.ndarray]:
+    """d/dbeta at beta = 0 of all five oracle variances, natural units, shaped
+    like tau, by linear response: no eigensolve, O(n) work per tau.
+
+    H0 is diagonal (energies E), so Duhamel's formula gives d(U psi)/dbeta =
+    -i e^{-iEt} (W psi) exactly: W has the bands of V = p^4/3m times
+    F(D, t) = int_0^t e^{-iDs} ds, D = E[r+k] - E[r].  Each variance slope is
+    2Re<O psi, d(O psi)> - 2<O> d<O>; d p_hat/dbeta = p^3/3 adds to d(O psi).
+    """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    return first_order_coefficient(
-        lambda g: oracle_variances(tau, amplitude, PhysicalParams.natural(g), space),
-        g_step, rel_tol)
+    params = PhysicalParams.natural(0.0)
+    s, q = _quadrature_bands(space)
+    bands = np.stack([0.5 * s, 0.5j * q, *_deformed_bands(s, q, params)])
+    d_bands = np.zeros_like(bands)
+    d_bands[3] = -1j * _lengths(params)[1] ** 3 / 3.0 * _ladder(_ladder(q, -1.0), -1.0)
+    h0, p4 = _oscillator_bands(space, params)
+    energies = h0[BANDS]
+    gaps = sliding_window_view(np.pad(energies, BANDS), space.dim) - energies
+    v_bands = p4 / (3.0 * params.mass)  # zero wherever a gap runs off the space
+    psi = coherent_vector(amplitude, space).components
+    taus = np.asarray(tau, dtype=float)
+    values = np.empty(taus.shape + (len(ORACLE_QUANTITIES),))
+    for i, t in np.ndenumerate(taus):
+        phase = np.exp(-1j * energies * t)
+        if not np.isfinite(phase).all():  # NaN t too
+            raise OracleError(f"evolution operator lost unitarity: time {t} "
+                              "is beyond the float range")
+        psi_t = phase * psi
+        # F(D, t) = t e^{-iDt/2} sinc(Dt/2pi), stable as D t -> 0
+        f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
+        chi = -1j * phase * _apply(v_bands * f, psi)
+        o_psi, o_chi = _apply(bands, psi_t), _apply(bands, chi)
+        d_o_psi = o_chi + _apply(d_bands, psi_t)
+        mean = (o_psi @ psi_t.conj()).real
+        d_mean = ((o_chi + d_o_psi) @ psi_t.conj()).real  # 2Re<psi, O chi> + <O'>
+        slopes = 2.0 * (o_psi.conj() * d_o_psi).real.sum(axis=-1) - 2.0 * mean * d_mean
+        var = _variance(psi_t, o_psi)
+        values[i] = [*slopes, var[2] * slopes[3] + var[3] * slopes[2]]
+    return {q: v[()] for q, v in zip(ORACLE_QUANTITIES, np.moveaxis(values, -1, 0))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncationAudit:
     dim: int
     dim_doubled: int
     max_rel_deviation: float
     passed: bool
+    slopes: dict[str, float | np.ndarray]  # oracle_slopes at dim
 
 
-def truncation_audit(space: FockSpace, amplitude: CoherentAmplitude,
-                     g: float, tau_max: float,
+def truncation_audit(space: FockSpace, amplitude: CoherentAmplitude, tau,
                      tol: float = AUDIT_TOL) -> TruncationAudit:
-    """Re-run the variance pipeline at dim and 2*dim and compare.
-
-    The late-time point is the worst case (quartic mixing spreads support),
-    so agreement there certifies the dimension for the whole tau range.
-    """
-    params = PhysicalParams.natural(g)
-    small = oracle_variances(tau_max, amplitude, params, space)
+    """oracle_slopes at dim and at 2*dim, compared at every tau, each relative
+    to the larger of its doubled-dimension value and slope_scale.  The slopes
+    at dim come back with the verdict, so a caller evaluates them once."""
+    small = oracle_slopes(tau, amplitude, space)
     big_space = FockSpace(2 * space.dim)
-    big = oracle_variances(tau_max, amplitude, params, big_space)
-    worst = float(np.max([abs(small[q] - big[q]) / max(abs(big[q]), 1e-300)
+    big = oracle_slopes(tau, amplitude, big_space)
+    scale = slope_scale(tau, amplitude.gamma)
+    worst = float(np.max([np.abs(small[q] - big[q]) / np.maximum(np.abs(big[q]), scale)
                           for q in ORACLE_QUANTITIES]))  # NaN propagates
-    return TruncationAudit(space.dim, big_space.dim, worst, worst < tol)
+    return TruncationAudit(space.dim, big_space.dim, worst, worst < tol, small)

@@ -9,9 +9,9 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gupsqueeze import analytic
+from gupsqueeze import analytic, fock_oracle
 from gupsqueeze.analytic import variance_record
 from gupsqueeze.cli import FIGURE3_COLUMNS, SWEEP_COLUMNS, main
 from gupsqueeze.fock_oracle import (
@@ -141,6 +141,32 @@ def test_oracle_compare_displaced_passes(tmp_path, capsys):
     code = main(["oracle-compare", "--gamma", "1", "--theta", theta,
                  "--tau", "0.5", "2.0", "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("gamma, theta", [(0.5, 0.0), (1.0, 1.1)])
+def test_oracle_compare_passes_where_slopes_vanish(tmp_path, gamma, theta):
+    # at tau = 0 the var_x slopes are 0 and the closed forms give rounding noise
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle-compare", "--gamma", repr(gamma), "--theta", repr(theta),
+                 "--tau", "0", "-0.0", "5e-324", "1", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 4 * 5
+    assert max(float(r[4]) for r in rows) < 1e-3
+
+
+def test_oracle_compare_fails_on_a_slope_off_by_1e_6(tmp_path, monkeypatch):
+    slopes = fock_oracle.oracle_slopes
+
+    def perturbed(tau, amplitude, space=None):
+        return {q: v * (1.0 + 1e-6) for q, v in slopes(tau, amplitude, space).items()}
+
+    argv = ["oracle-compare", "--gamma", "1", "--theta", "1.1", "--tau", "0", "1",
+            "--tol", "1e-7", "--out", str(tmp_path / "oracle.csv")]
+    monkeypatch.setattr(fock_oracle, "oracle_slopes", perturbed)
+    assert main(argv) == 1
+    _, rows = read_csv(tmp_path / "oracle.csv")
+    at_one = [float(r[4]) for r in rows if float(r[0]) == 1.0]
+    assert min(at_one) == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_oracle_compare_truncation_failure(tmp_path, capsys):
@@ -335,9 +361,10 @@ def test_oracle_compare_bytes_follow_the_format(capsys):
     rows = []
     for i, tau in enumerate(taus):
         slopes_a = analytic.analytic_slopes(tau, amp)
+        floor = 1e-12 * (1.0 + 0.5 ** 2) ** 2 * (1.0 + tau)
         for q in ORACLE_QUANTITIES:
-            a, o = slopes_a[q], slopes_o[q].slope[i]
-            rows.append((tau, q, a, o, abs(a - o) / max(abs(a), abs(o), 1e-300)))
+            a, o = slopes_a[q], slopes_o[q][i]
+            rows.append((tau, q, a, o, abs(a - o) / max(abs(a), abs(o), floor)))
     header = ("tau", "quantity", "analytic_slope", "oracle_slope", "rel_err")
     assert capsys.readouterr().out.startswith(expected_csv(header, rows))
 
@@ -449,6 +476,7 @@ def test_sweep_axis_fuzz_exits_0_or_2(axes):
 @settings(max_examples=100, deadline=None)
 @given(fig=st.sampled_from(["1", "2"]), gamma=st.one_of(st.none(), numbers),
        tau_max=numbers)
+@example(fig="1", gamma=None, tau_max="2.2975366850929185e+306")  # gamma 1 finite, 10 not
 def test_figure_argv_fuzz_exits_0_or_2(fig, gamma, tau_max):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["figure", "--id", fig, f"--tau-max={tau_max}", "--tau-points", "3",

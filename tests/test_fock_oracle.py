@@ -1,5 +1,5 @@
 """Truncated Fock-space oracle tests: operator construction, evolution,
-coherent-state variances, finite differencing, truncation audits."""
+coherent-state variances, linear-response slopes, truncation audits."""
 
 import math
 
@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from gupsqueeze import fock_oracle
 from gupsqueeze.analytic import analytic_slopes
+from gupsqueeze.cli import main
 from gupsqueeze.fock_oracle import (
-    DEFAULT_G_STEP, ORACLE_QUANTITIES, FockOperator, FockSpace,
+    ORACLE_QUANTITIES, FockOperator, FockSpace,
     OracleError, canonical_xp, coherent_vector, deformed_ops, eigensystem,
-    evolve, expect, first_order_coefficient, fock_dim_for,
+    evolve, expect, fock_dim_for,
     hamiltonian, heisenberg_evolve, ladder_ops, oracle_slopes,
-    oracle_variances, truncation_audit, variance_numeric,
+    oracle_variances, slope_scale, truncation_audit, variance_numeric,
 )
 from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
 
@@ -145,17 +146,16 @@ def test_deformed_momentum_mean_square_slope_matches_vacuum_formula():
     from gupsqueeze.analytic import quadrature_moments
 
     space = FockSpace(40)
+    vacuum = coherent_vector(0.0j, space)
 
-    def f(beta: float) -> dict[str, float]:
+    def p_hat_sq(beta: float) -> float:
         _, p_hat = deformed_ops(space, NAT(beta))
-        vacuum = coherent_vector(0.0j, space)
-        return {"p_hat_sq": variance_numeric(vacuum, p_hat)
-                + expect(vacuum, p_hat).real ** 2}
+        return variance_numeric(vacuum, p_hat) + expect(vacuum, p_hat).real ** 2
 
-    est = first_order_coefficient(f, 1e-4)["p_hat_sq"]
+    step = 1e-4
+    slope = (p_hat_sq(step) - p_hat_sq(-step)) / (2.0 * step)
     expected = quadrature_moments(0.0, 0.0, CoherentAmplitude()).p_hat_sq[1]
-    assert est.converged
-    assert est.slope == pytest.approx(expected, rel=1e-6)
+    assert slope == pytest.approx(expected, rel=1e-6)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 24])
@@ -491,35 +491,26 @@ def test_all_variances_non_negative_on_grid():
 
 
 # ---------------------------------------------------------------------------
-# finite differencing
+# linear-response slopes
 
 
-def test_first_order_coefficient_recovers_linear_slope():
-    est = first_order_coefficient(lambda b: {"f": 3.0 + 7.5 * b, "g": -2.0 * b}, 1e-5)
-    assert est["f"].converged and est["g"].converged
-    assert est["f"].slope == pytest.approx(7.5, rel=1e-10)
-    assert est["g"].slope == pytest.approx(-2.0, rel=1e-10)
+def agree(a, o, tau, gamma, rel=1e-8):
+    """|a - o| within rel of the larger slope, plus the rounding floor
+    1e-12 slope_scale: a zero slope comes out as rounding noise."""
+    return abs(a - o) <= rel * max(abs(a), abs(o)) + 1e-12 * slope_scale(tau, gamma)
 
 
-def test_first_order_coefficient_rejects_bad_step():
-    for step in (0.0, -1e-6):
-        with pytest.raises(ValueError, match="must be positive"):
-            first_order_coefficient(lambda b: {"f": b}, step)
+def test_oracle_slopes_never_calls_eigensystem(monkeypatch, tmp_path):
+    def refuse(op):
+        raise AssertionError("eigensystem called")
 
-
-def test_oracle_slopes_runs_four_pipeline_evaluations(monkeypatch):
-    """All five quantities share the +-step and +-step/2 pipeline runs."""
-    betas = []
-    pipeline = fock_oracle.oracle_variances
-
-    def counting(tau, amplitude, params, space=None):
-        betas.append(params.beta)
-        return pipeline(tau, amplitude, params, space)
-
-    monkeypatch.setattr(fock_oracle, "oracle_variances", counting)
-    slopes = oracle_slopes(1.0, CoherentAmplitude(), FockSpace(30), g_step=1e-5)
-    assert betas == [1e-5, -1e-5, 5e-6, -5e-6]
+    monkeypatch.setattr(fock_oracle, "eigensystem", refuse)
+    amp = CoherentAmplitude(gamma=1.0, theta=0.4)
+    slopes = oracle_slopes([0.5, 2.0], amp)
     assert set(slopes) == set(ORACLE_QUANTITIES)
+    assert truncation_audit(FockSpace(41), amp, [0.5, 2.0]).passed
+    assert main(["oracle-compare", "--gamma", "1", "--theta", "0.4",
+                 "--out", str(tmp_path / "oracle.csv")]) == 0
 
 
 def test_batched_slopes_equal_single_tau_bit_for_bit():
@@ -528,50 +519,58 @@ def test_batched_slopes_equal_single_tau_bit_for_bit():
     for i, tau in enumerate((0.5, 2.0)):
         single = oracle_slopes(tau, amp)
         for q in ORACLE_QUANTITIES:
-            for field in ("slope", "slope_refined", "rel_deviation", "converged"):
-                assert getattr(batch[q], field)[i] == getattr(single[q], field), q
+            assert batch[q].shape == (2,) and np.shape(single[q]) == ()
+            assert batch[q][i] == single[q], q
 
 
 @settings(max_examples=100, deadline=None)
 @given(gamma=st.floats(0.0, 3.0), theta=st.floats(0.0, 2.0 * math.pi),
        tau=st.floats(0.0, 4.0))
 def test_analytic_and_oracle_slopes_agree_on_random_points(gamma, theta, tau):
-    # every slope vanishes at tau = 0, hence the absolute floor
     amp = CoherentAmplitude(gamma=gamma, theta=theta)
     analytic = analytic_slopes(tau, amp)
     oracle = oracle_slopes(tau, amp)
     for q in ORACLE_QUANTITIES:
-        a, o = analytic[q], oracle[q].slope
-        floor = 1e-7 * (1.0 + gamma ** 2) ** 2
-        assert abs(a - o) <= 1e-3 * max(abs(a), abs(o)) + floor, q
+        assert agree(analytic[q], oracle[q], tau, gamma), q
 
 
 def test_analytic_and_oracle_slopes_agree_at_large_amplitude():
-    amp = CoherentAmplitude(gamma=20.0, theta=0.9)
-    assert fock_dim_for(amp) == 630
     taus = [0.5, 1.9, 3.2]
-    oracle = oracle_slopes(taus, amp)
-    for i, tau in enumerate(taus):
-        analytic = analytic_slopes(tau, amp)
-        for q in ORACLE_QUANTITIES:
-            a, o = analytic[q], oracle[q].slope[i]
-            assert oracle[q].converged[i], (q, tau)
-            assert abs(a - o) < 1e-3 * max(abs(a), abs(o)), (q, tau)
+    for gamma, dim in ((10.0, 230), (20.0, 630)):
+        amp = CoherentAmplitude(gamma=gamma, theta=0.9)
+        assert fock_dim_for(amp) == dim
+        oracle = oracle_slopes(taus, amp)
+        for i, tau in enumerate(taus):
+            analytic = analytic_slopes(tau, amp)
+            for q in ORACLE_QUANTITIES:
+                assert agree(analytic[q], oracle[q][i], tau, gamma), (gamma, q, tau)
 
 
 def test_vacuum_quadrature_slopes():
     # (dX1^2)/dg = sin^2(tau)/2 at alpha=0 -> 1/2 at tau=pi/2; X2 mirrors it
-    amp = CoherentAmplitude()
-    slopes = oracle_slopes(math.pi / 2.0, amp)
-    assert slopes["var_x1"].converged
-    assert slopes["var_x1"].slope == pytest.approx(0.5, rel=1e-3)
-    assert slopes["var_x2"].slope == pytest.approx(-0.5, rel=1e-3)
+    slopes = oracle_slopes(math.pi / 2.0, CoherentAmplitude())
+    assert slopes["var_x1"] == pytest.approx(0.5, rel=1e-12)
+    assert slopes["var_x2"] == pytest.approx(-0.5, rel=1e-12)
 
 
 def test_oracle_slope_pipeline_converges_for_displaced_state():
-    amp = CoherentAmplitude(gamma=1.0, theta=math.pi / 4.0)
-    slopes = oracle_slopes(1.0, amp, g_step=DEFAULT_G_STEP)
-    assert all(slopes[q].converged for q in ORACLE_QUANTITIES)
+    """Central differences of the finite-beta oracle converge to the
+    linear-response slopes at O(h^2): each halving of h quarters the gap."""
+    amp = CoherentAmplitude(gamma=1.0, theta=0.4)
+    space = FockSpace(fock_dim_for(amp))
+    taus = [0.5, 2.0, 4.0]
+    slopes = oracle_slopes(taus, amp, space)
+
+    def worst_gap(h: float) -> float:
+        plus = oracle_variances(taus, amp, NAT(h), space)
+        minus = oracle_variances(taus, amp, NAT(-h), space)
+        return max(np.max(np.abs((plus[q] - minus[q]) / (2.0 * h) - slopes[q])
+                          / np.abs(slopes[q])) for q in ORACLE_QUANTITIES)
+
+    gaps = [worst_gap(h) for h in (1e-3, 5e-4, 2.5e-4)]
+    assert gaps[0] < 1e-3
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert coarse / fine == pytest.approx(4.0, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -579,34 +578,37 @@ def test_oracle_slope_pipeline_converges_for_displaced_state():
 
 
 def test_truncation_audit_vacuum_passes_small_dim():
-    audit = truncation_audit(FockSpace(20), CoherentAmplitude(), g=1e-6, tau_max=6.0)
+    audit = truncation_audit(FockSpace(20), CoherentAmplitude(), [0.5, 6.0])
     assert audit.passed
 
 
 def test_truncation_audit_heuristic_dim_passes_for_displaced_state():
     amp = CoherentAmplitude(gamma=2.0, theta=0.3)
     space = FockSpace(fock_dim_for(amp))
-    audit = truncation_audit(space, amp, g=1e-6, tau_max=6.0)
+    taus = [0.0, 1.0, 6.0]
+    audit = truncation_audit(space, amp, taus)
     assert audit.passed
+    for q, slope in oracle_slopes(taus, amp, space).items():
+        np.testing.assert_array_equal(audit.slopes[q], slope)
 
 
 def test_truncation_audit_designed_failure():
     # |alpha|^2 = 4 > dim/4 = 2: state pressed against the truncation edge
     amp = CoherentAmplitude(gamma=2.0, theta=0.0)
-    audit = truncation_audit(FockSpace(8), amp, g=1e-6, tau_max=2.0)
+    audit = truncation_audit(FockSpace(8), amp, 2.0)
     assert not audit.passed
     assert audit.max_rel_deviation > 1e-3
 
 
 def test_truncation_audit_fails_on_nan(monkeypatch):
-    pipeline = fock_oracle.oracle_variances
+    slopes = fock_oracle.oracle_slopes
 
-    def nan_at_doubled_dim(tau, amplitude, params, space=None):
-        values = pipeline(tau, amplitude, params, space)
+    def nan_at_doubled_dim(tau, amplitude, space=None):
+        values = slopes(tau, amplitude, space)
         return {q: math.nan for q in values} if space.dim == 40 else values
 
-    monkeypatch.setattr(fock_oracle, "oracle_variances", nan_at_doubled_dim)
-    audit = truncation_audit(FockSpace(20), CoherentAmplitude(), g=1e-6, tau_max=2.0)
+    monkeypatch.setattr(fock_oracle, "oracle_slopes", nan_at_doubled_dim)
+    audit = truncation_audit(FockSpace(20), CoherentAmplitude(), 2.0)
     assert not audit.passed
     assert math.isnan(audit.max_rel_deviation)
 
