@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -80,8 +80,9 @@ def _amplitude(alpha) -> CoherentAmplitude:
     return CoherentAmplitude.from_complex(complex(alpha))
 
 
-def _exp(x):
-    return np.exp(1j * x)
+def _phase_table(tau):
+    """k -> exp(i k tau), each distinct multiple k evaluated once per table."""
+    return cache(lambda k: np.exp(1j * (k * tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +137,10 @@ def quadrature_polynomials(tau: float) -> tuple[OperatorPolynomial, OperatorPoly
 # first-order brackets (literal closed forms)
 
 
-def _x1_correction(tau: float, alpha: complex) -> complex:
-    """Order-g coefficient of the X1 variance; exactly real for all inputs."""
+def _x1_correction(tau: float, alpha: complex, e) -> complex:
+    """Order-g coefficient of the X1 variance; exactly real for all inputs.
+    ``e`` is tau's phase table (see :func:`_phase_table`), as for the other
+    brackets and moments."""
     a2 = alpha * alpha
     ac = alpha.conjugate()
     ac2 = ac * ac
@@ -145,13 +148,13 @@ def _x1_correction(tau: float, alpha: complex) -> complex:
     mod2 = (alpha * ac).real
     bracket = (
         (-2.0 + 3.0 * a2 - 4j * tau * a2 + ac2 - 8.0 * alpha * re_a)
-        + 4.0 * _exp(2.0 * tau) * (1.0 + 2.0 * mod2)
-        + _exp(4.0 * tau) * (-2.0 + a2 - 4.0 * mod2 + 4j * tau * ac2 - ac2)
+        + 4.0 * e(2) * (1.0 + 2.0 * mod2)
+        + e(4) * (-2.0 + a2 - 4.0 * mod2 + 4j * tau * ac2 - ac2)
     )
-    return _exp(-2.0 * tau) * bracket / 16.0
+    return e(-2) * bracket / 16.0
 
 
-def _p_correction(tau: float, alpha: complex) -> complex:
+def _p_correction(tau: float, alpha: complex, e) -> complex:
     """Order-g coefficient of the deformed momentum variance, natural units."""
     a2 = alpha * alpha
     ac = alpha.conjugate()
@@ -159,24 +162,24 @@ def _p_correction(tau: float, alpha: complex) -> complex:
     re_a = alpha.real
     bracket = (
         2.0 - 7.0 * a2 + 4j * tau * a2 - ac2 + 8.0 * alpha * re_a
-        + _exp(4.0 * tau) * (2.0 - 5.0 * a2 - 3.0 * ac2 - 4j * tau * ac2
-                             + 8.0 * alpha * re_a)
+        + e(4) * (2.0 - 5.0 * a2 - 3.0 * ac2 - 4j * tau * ac2
+                  + 8.0 * alpha * re_a)
     )
-    return _exp(-2.0 * tau) * bracket / 8.0
+    return e(-2) * bracket / 8.0
 
 
-def _product_correction(tau: float, alpha: complex) -> complex:
+def _product_correction(tau: float, alpha: complex, e) -> complex:
     """Order-g coefficient of the uncertainty product, natural units."""
     a2 = alpha * alpha
     ac2 = alpha.conjugate() ** 2
     mod2 = abs(alpha) ** 2
-    return (1.0 - _exp(-2.0 * tau) * a2 + 2.0 * mod2 - _exp(2.0 * tau) * ac2) / 4.0
+    return (1.0 - e(-2) * a2 + 2.0 * mod2 - e(2) * ac2) / 4.0
 
 
-def _product_and_bound(tau, g, alpha):
+def _product_and_bound(tau, g, alpha, e):
     """Natural-unit product and bound (1/4)(1 + 2 g <p_hat^2>_0): the mean
     square is twice the product's correction, so the two agree exactly."""
-    c = _product_correction(tau, alpha).real
+    c = _product_correction(tau, alpha, e).real
     return 0.25 + g * c, 0.25 * (1.0 + 4.0 * g * c)
 
 
@@ -204,7 +207,7 @@ def quadrature_variances(tau: float, g: float, alpha,
     """
     amp = _amplitude(alpha)
     _check_validity(tau, g, amp.gamma, strict)
-    correction = g * _x1_correction(tau, amp.alpha)
+    correction = g * _x1_correction(tau, amp.alpha, _phase_table(tau))
     return QuadratureVariances(
         var_x1=CANONICAL_VAR_X1 + correction.real,
         var_x2=CANONICAL_VAR_X2 - correction.real,
@@ -227,33 +230,33 @@ def evolved_position_momentum(
     sqrt(2)*(X2 + (2/3) g X2^3) out of the evolved annihilation operator.
     """
     _check_validity(tau, g, 0.0, strict)
-    e = _exp
+    e = _phase_table(tau)
     s = np.sin(tau)
     x_first = {
-        A: -6.0 * e(2 * tau) * (-1.0 + e(2 * tau) + 2j * tau),
-        A_DAG: 12j * e(3 * tau) * (e(tau) * tau + s),
-        A3: 2.0 * e(2 * tau) - 3.0 + e(4 * tau),
-        A_DAG_A2: -(12j * e(2 * tau) * tau + 12j * e(3 * tau) * s),
-        A_DAG2_A: 12j * e(4 * tau) * tau + 12j * e(3 * tau) * s,
-        A_DAG3: e(2 * tau) + 2.0 * e(4 * tau) - 3.0 * e(6 * tau),
+        A: -6.0 * e(2) * (-1.0 + e(2) + 2j * tau),
+        A_DAG: 12j * e(3) * (e(1) * tau + s),
+        A3: 2.0 * e(2) - 3.0 + e(4),
+        A_DAG_A2: -(12j * e(2) * tau + 12j * e(3) * s),
+        A_DAG2_A: 12j * e(4) * tau + 12j * e(3) * s,
+        A_DAG3: e(2) + 2.0 * e(4) - 3.0 * e(6),
     }
     p_first = {
-        A: 6.0 * e(2 * tau) * (1j * e(2 * tau) + 2.0 * tau),
-        A_DAG: 6.0 * e(2 * tau) * (-1j + 2.0 * e(2 * tau) * tau),
-        A_DAG_A2: 6j * e(4 * tau) + 12.0 * e(2 * tau) * tau,
-        A_DAG2_A: -6j * e(2 * tau) + 12.0 * e(4 * tau) * tau,
-        A3: 1j * (-3.0 + 2.0 * e(2 * tau) - e(4 * tau)),
-        A_DAG3: 1j * (e(2 * tau) - 2.0 * e(4 * tau) + 3.0 * e(6 * tau)),
+        A: 6.0 * e(2) * (1j * e(2) + 2.0 * tau),
+        A_DAG: 6.0 * e(2) * (-1j + 2.0 * e(2) * tau),
+        A_DAG_A2: 6j * e(4) + 12.0 * e(2) * tau,
+        A_DAG2_A: -6j * e(2) + 12.0 * e(4) * tau,
+        A3: 1j * (-3.0 + 2.0 * e(2) - e(4)),
+        A_DAG3: 1j * (e(2) - 2.0 * e(4) + 3.0 * e(6)),
     }
-    phase = e(-3 * tau) / 12.0
+    phase = e(-3) / 12.0
     x_t = OperatorPolynomial({
-        A: (e(-tau), phase * x_first[A]),
-        A_DAG: (e(tau), phase * x_first[A_DAG]),
+        A: (e(-1), phase * x_first[A]),
+        A_DAG: (e(1), phase * x_first[A_DAG]),
         **{m: (0.0, phase * x_first[m]) for m in (A3, A_DAG_A2, A_DAG2_A, A_DAG3)},
     })
     p_t = OperatorPolynomial({
-        A: (-1j * e(-tau), -phase * p_first[A]),
-        A_DAG: (1j * e(tau), -phase * p_first[A_DAG]),
+        A: (-1j * e(-1), -phase * p_first[A]),
+        A_DAG: (1j * e(1), -phase * p_first[A_DAG]),
         **{m: (0.0, -phase * p_first[m]) for m in (A3, A_DAG_A2, A_DAG2_A, A_DAG3)},
     })
     if params is not None:
@@ -316,83 +319,81 @@ def _moments(tau, a) -> dict[str, tuple]:
     mod2 = (a * ac).real
     mod4 = mod2 * mod2
     re_a = a.real
-    e = _exp
+    e = _phase_table(tau)
     s = np.sin(tau)
 
     # <X1^2>
-    x1sq_0 = 0.25 * (1.0 + e(-2 * tau) * a2 + 2.0 * mod2 + e(2 * tau) * ac2)
+    x1sq_0 = 0.25 * (1.0 + e(-2) * a2 + 2.0 * mod2 + e(2) * ac2)
     grp_a = (-6.0 + 27.0 * a2 + 2.0 * a3 * ac + 9.0 * (1.0 + 4j * tau) * ac2
              + 6.0 * (1.0 + 4j * tau) * a * ac3 + 4.0 * ac4 - 48.0 * a * re_a)
     grp_b = (-6.0 + a2 * (33.0 - 36j * tau - 2.0 * a2) - 24j * tau * a3 * ac
              + 3.0 * ac2 + 2.0 * a * ac3 + 12.0 * a * (-4.0 + a2) * re_a)
     grp_c = (6.0 + 5.0 * a2 * (-6.0 + a2) + ac2 * (-6.0 - 4.0 * a * ac + ac2)
              - 8.0 * a * (-6.0 + a2) * re_a + 24.0 * mod4 * s * s)
-    x1sq_1 = e(-4 * tau) / 48.0 * (
-        -6.0 * a4 - 6.0 * e(8 * tau) * ac4
-        + e(6 * tau) * grp_a + e(2 * tau) * grp_b + 2.0 * e(4 * tau) * grp_c)
+    x1sq_1 = e(-4) / 48.0 * (
+        -6.0 * a4 - 6.0 * e(8) * ac4
+        + e(6) * grp_a + e(2) * grp_b + 2.0 * e(4) * grp_c)
 
     # <X1>^2
-    sum_ = a + e(2 * tau) * ac
-    x1m_0 = 0.25 * e(-2 * tau) * sum_ * sum_
-    x1m_1 = e(-4 * tau) / 24.0 * sum_ * (
-        -3.0 * a3 - 3.0 * e(6 * tau) * ac3
-        + e(2 * tau) * (6.0 * (1.0 - 2j * tau) * a * mod2 - 6.0 * a * ac2 + ac3
+    sum_ = a + e(2) * ac
+    x1m_0 = 0.25 * e(-2) * sum_ * sum_
+    x1m_1 = e(-4) / 24.0 * sum_ * (
+        -3.0 * a3 - 3.0 * e(6) * ac3
+        + e(2) * (6.0 * (1.0 - 2j * tau) * a * mod2 - 6.0 * a * ac2 + ac3
                         + 2.0 * (a * (6.0 - 6j * tau + a2) - 6.0 * re_a))
-        + e(4 * tau) * (-12.0 * a + a3 - 6.0 * a * mod2
+        + e(4) * (-12.0 * a + a3 - 6.0 * a * mod2
                         + 2.0 * ac * (6j * tau + ac * (3.0 * a + 6j * tau * a + ac))
                         + 12.0 * re_a))
 
     # deformed momentum mean square
-    psq_0 = 0.5 * (1.0 - e(-2 * tau) * a2 + 2.0 * mod2 - e(2 * tau) * ac2)
-    psq_1 = e(-4 * tau) / 24.0 * (
-        6.0 * e(2 * tau) + 6.0 * e(6 * tau)
-        - 3.0 * e(2 * tau) * (3.0 + 4.0 * e(2 * tau) + e(4 * tau) - 12j * tau) * a2
-        + 2.0 * (3.0 - 2.0 * e(2 * tau) + e(4 * tau)) * a4
-        + 12.0 * e(2 * tau) * (1.0 + e(4 * tau)) * mod4
-        + 16.0 * e(2 * tau) * mod2 * (3.0 * e(2 * tau) - a2)
-        + (-3.0 * e(2 * tau) - 12.0 * e(4 * tau) - e(6 * tau) * (9.0 + 36j * tau)) * ac2
-        - 16.0 * e(6 * tau) * mod2 * ac2
-        + 2.0 * e(4 * tau) * (1.0 - 2.0 * e(2 * tau) + 3.0 * e(4 * tau)) * ac4
-        - 2.0 * e(2 * tau) * mod2 * (
-            -12.0 * (e(2 * tau) - 1.0) ** 2
-            + (-5.0 + 4.0 * e(2 * tau) + e(4 * tau) - 12j * tau) * a2
-            + (1.0 + 4.0 * e(2 * tau) + e(4 * tau) * (-5.0 + 12j * tau)) * ac2))
+    psq_0 = 0.5 * (1.0 - e(-2) * a2 + 2.0 * mod2 - e(2) * ac2)
+    psq_1 = e(-4) / 24.0 * (
+        6.0 * e(2) + 6.0 * e(6)
+        - 3.0 * e(2) * (3.0 + 4.0 * e(2) + e(4) - 12j * tau) * a2
+        + 2.0 * (3.0 - 2.0 * e(2) + e(4)) * a4
+        + 12.0 * e(2) * (1.0 + e(4)) * mod4
+        + 16.0 * e(2) * mod2 * (3.0 * e(2) - a2)
+        + (-3.0 * e(2) - 12.0 * e(4) - e(6) * (9.0 + 36j * tau)) * ac2
+        - 16.0 * e(6) * mod2 * ac2
+        + 2.0 * e(4) * (1.0 - 2.0 * e(2) + 3.0 * e(4)) * ac4
+        - 2.0 * e(2) * mod2 * (
+            -12.0 * (e(2) - 1.0) ** 2
+            + (-5.0 + 4.0 * e(2) + e(4) - 12j * tau) * a2
+            + (1.0 + 4.0 * e(2) + e(4) * (-5.0 + 12j * tau)) * ac2))
 
     return {
         "x1_sq": (x1sq_0, x1sq_1),
         "x1_mean_sq": (x1m_0, x1m_1),
-        **_x2_moments(tau, a),
+        **_x2_moments(tau, a, e),
         "p_hat_sq": (psq_0, psq_1),
     }
 
 
-def _x2_moments(tau, a) -> dict[str, tuple]:
+def _x2_moments(tau, a, e) -> dict[str, tuple]:
     """<X2^2> and <X2>^2 alone, the two moments the momentum audit reads."""
     ac = a.conjugate()
     a2, a4 = a * a, a ** 4
     ac2, ac4 = ac * ac, ac ** 4
     mod2 = (a * ac).real
     mod4 = mod2 * mod2
-    e = _exp
 
     # <X2^2>
-    x2sq_0 = 0.25 * (1.0 - e(-2 * tau) * a2 + 2.0 * mod2 - e(2 * tau) * ac2)
-    x2sq_1 = e(-4 * tau) / 48.0 * (
-        2.0 * a4 - 3.0 * e(6 * tau) * (a2 - 2.0)
-        + e(2 * tau) * (6.0 + 3.0 * a2 * (5.0 + 12j * tau) - 4.0 * a4)
-        + 2.0 * e(4 * tau) * (-6.0 - 6.0 * a2 + a4)
-        + 12.0 * e(2 * tau) * (e(2 * tau) - 1.0) ** 2 * mod4
-        + 3.0 * e(2 * tau) * ac2 * (-1.0 - 4.0 * e(2 * tau)
-                                    + e(4 * tau) * (5.0 - 12j * tau))
-        + 2.0 * e(4 * tau) * ac4 * (e(2 * tau) - 1.0) ** 2
-        - 2.0 * e(2 * tau) * mod2 * (
-            -12.0 - 5.0 * a2 - 12j * tau * a2 + e(4 * tau) * (a2 - 12.0)
-            + 4.0 * e(2 * tau) * (6.0 + a2)
-            + (1.0 + 4.0 * e(2 * tau) + e(4 * tau) * (12j * tau - 5.0)) * ac2))
+    x2sq_0 = 0.25 * (1.0 - e(-2) * a2 + 2.0 * mod2 - e(2) * ac2)
+    x2sq_1 = e(-4) / 48.0 * (
+        2.0 * a4 - 3.0 * e(6) * (a2 - 2.0)
+        + e(2) * (6.0 + 3.0 * a2 * (5.0 + 12j * tau) - 4.0 * a4)
+        + 2.0 * e(4) * (-6.0 - 6.0 * a2 + a4)
+        + 12.0 * e(2) * (e(2) - 1.0) ** 2 * mod4
+        + 3.0 * e(2) * ac2 * (-1.0 - 4.0 * e(2) + e(4) * (5.0 - 12j * tau))
+        + 2.0 * e(4) * ac4 * (e(2) - 1.0) ** 2
+        - 2.0 * e(2) * mod2 * (
+            -12.0 - 5.0 * a2 - 12j * tau * a2 + e(4) * (a2 - 12.0)
+            + 4.0 * e(2) * (6.0 + a2)
+            + (1.0 + 4.0 * e(2) + e(4) * (12j * tau - 5.0)) * ac2))
 
     # <X2>^2 as the square of the graded mean; the order-g part of <a(t)> sums
     # conj(a)^m a^n over a(t)'s monomials, with the forms verify-bch checks
-    w0 = (a * e(-tau) - ac * e(tau)) / 2j
+    w0 = (a * e(-1) - ac * e(1)) / 2j
     m1 = sum(c1 * ac ** m * a ** n for (m, n), (_, c1) in _ladder_parts(tau).items())
     w1 = (m1 - m1.conjugate()) / 2j
     x2m_0 = w0 * w0
@@ -416,7 +417,8 @@ def variance_grid(tau, gamma, theta, g,
     """Every VarianceRecord column, by field name, over the broadcast grid;
     natural units unless params are given.  No secular-validity policy.
 
-    Each closed form runs once.  The momentum variance is audited against the
+    Each closed form runs once, and every phase e^{i k tau} once per grid.
+    The momentum variance is audited against the
     quadrature-moment route and each delta against its variance minus the
     canonical value, to 1e-12 of the rounding-error scale, in natural units;
     a ConsistencyError names the first failing point in grid order.  Negative
@@ -424,10 +426,11 @@ def variance_grid(tau, gamma, theta, g,
     """
     tau, gamma, theta, g = grid = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (tau, gamma, theta, g)))
-    alpha = gamma * _exp(theta)
-    var_x = 0.5 + 2.0 * g * _x1_correction(tau, alpha).real
-    var_p = 0.5 + g * _p_correction(tau, alpha).real
-    product, bound = _product_and_bound(tau, g, alpha)
+    alpha = gamma * np.exp(1j * theta)
+    e = _phase_table(tau)
+    var_x = 0.5 + 2.0 * g * _x1_correction(tau, alpha, e).real
+    var_p = 0.5 + g * _p_correction(tau, alpha, e).real
+    product, bound = _product_and_bound(tau, g, alpha, e)
     d_x = 0.5 * g * scaled_delta_x(tau, theta, gamma)
     d_p = 0.25 * g * scaled_delta_p(tau, theta, gamma)
     d_prod = 0.25 * g * scaled_delta_product(tau, theta, gamma)
@@ -438,7 +441,7 @@ def variance_grid(tau, gamma, theta, g,
     # independent route: 2 (<X2^2> - <X2>^2) + (8/3) g (<X2^4> - <X2><X2^3>),
     # the quartic combination evaluated at g=0 via Gaussian moments:
     # <X2^4> - <X2><X2^3> = 3 <X2>^2 sigma^2 + 3 sigma^4 with sigma^2 = 1/4
-    m = _x2_moments(tau, alpha)
+    m = _x2_moments(tau, alpha, e)
     (x2_sq0, x2_sq1), (x2_mean_sq0, x2_mean_sq1) = (
         (c0.real, c1.real) for c0, c1 in (m["x2_sq"], m["x2_mean_sq"]))
     quartic = 0.75 * x2_mean_sq0 + 3.0 / 16.0
@@ -596,13 +599,14 @@ def squeezing_region_scan(gamma: float, tau_range: tuple[float, float] = (0.0, 4
 def analytic_slopes(tau: float, alpha) -> dict[str, float]:
     """d/dg at g=0 of the five oracle-matched quantities, natural units."""
     amp = _amplitude(alpha)
-    f1 = _x1_correction(tau, amp.alpha).real
+    e = _phase_table(tau)
+    f1 = _x1_correction(tau, amp.alpha, e).real
     return {
         "var_x1": f1,
         "var_x2": -f1,
         "var_x_hat": 2.0 * f1,
-        "var_p_hat": _p_correction(tau, amp.alpha).real,
-        "product": _product_correction(tau, amp.alpha).real,
+        "var_p_hat": _p_correction(tau, amp.alpha, e).real,
+        "product": _product_correction(tau, amp.alpha, e).real,
     }
 
 

@@ -1,16 +1,23 @@
 """Command-line interface: verification suites, figure-data reproduction,
 parameter sweeps, and oracle comparisons.
 
-Every command hands its header and rows of raw values to one writer,
-``_write_rows``, which alone owns the CSV format: a header row, then each float
-in full-precision scientific notation (17 significant digits) and each string
-as is.  A command returns exit code 0 only if every assertion it makes passed.
-Figures are rendered elsewhere; this tool only produces their data surfaces.
+Every command hands its header and columns to one writer, ``_write_table``,
+which alone owns the CSV format: a header row, then each float in
+full-precision scientific notation and each string as is.  A float field's
+bytes equal CPython's ``'%.16e' % x`` exactly.  The writer renders them in
+row blocks of ``_BLOCK_ROWS`` with an exact numpy kernel (``_e16_fields``);
+non-finite values, magnitudes outside [1e-280, 1e280), values within 1e-6
+of a decimal rounding tie, and blocks of fewer than ``_KERNEL_MIN_VALUES``
+floats go through ``'%.16e' %`` one by one.  A command returns exit code 0
+only if every assertion it makes passed.  Figures are rendered elsewhere;
+this tool only produces their data surfaces.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import math
 import sys
 from pathlib import Path
@@ -40,31 +47,189 @@ FIGURE3_COLUMNS = (
 )
 
 
-def _open_csv(path: str):
+# Largest grid any command evaluates, in cells: the product of the figure,
+# uncertainty-check or sweep axis lengths, checked before anything is
+# allocated.  variance_grid peaks at about 500 bytes per cell (232 MiB at
+# 4e5 cells), so 10^6 cells bounds one command near 0.5 GB of memory and a
+# sweep's CSV near 0.3 GB, 100 times the benchmark's and default grids.
+_MAX_GRID_CELLS = 10 ** 6
+
+
+def _check_grid(*sizes: int) -> None:
+    """ConfigError if the grid of these axis lengths is above _MAX_GRID_CELLS."""
+    if math.prod(sizes) > _MAX_GRID_CELLS:
+        raise ConfigError(f"grid of {' x '.join(map(str, sizes))} cells is above "
+                          f"{_MAX_GRID_CELLS}")
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer
+
+# Rows rendered per block: large enough that numpy's per-call cost is spread
+# thin, small enough that the block matrix stays well under a megabyte.
+_BLOCK_ROWS = 2048
+
+# A rendered float field: 7 little-endian uint32 words, NUL where a byte is
+# absent.  Word 0 holds sign, leading digit and ".", words 1-4 the 16
+# fraction digits, words 5-6 "e", the exponent sign and 2 or 3 digits.
+_E16_WORDS = 7
+# Below this many values per call, formatting them one by one is faster than
+# the kernel's fixed cost of about 70 numpy calls (crossover near 90 values).
+_KERNEL_MIN_VALUES = 96
+_POW10_MIN = -270  # 10**k for k = 16 - E, E the decimal exponent in range
+_POW10_MAX = 300
+_EXP_OFFSET = 300
+
+
+def _pack(*chars) -> np.ndarray:
+    """uint32 words holding up to four byte columns, first in the lowest byte;
+    stored as "<u4" they lie in memory in that order."""
+    word = np.zeros(np.broadcast(*chars).shape, np.uint32)
+    for shift, column in zip((0, 8, 16, 24), chars):
+        word |= np.asarray(column, np.uint32) << shift
+    return word
+
+
+def _split(a):
+    """Veltkamp split: a = hi + lo exactly, each half with 26 bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _e16_tables():
+    """Double-double 10**k, each half correctly rounded from the exact
+    rational num/den by int true division, and the digit tables."""
+    pow_hi, pow_lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        pow_hi.append(num / den)
+        p, q = pow_hi[-1].as_integer_ratio()
+        pow_lo.append((num * q - p * den) / (den * q))
+    pow_hi, pow_lo = np.array(pow_hi), np.array(pow_lo)
+    n = np.arange(10000, dtype=np.uint32)
+    quad = _pack(48 + n // 1000, 48 + n // 100 % 10, 48 + n // 10 % 10, 48 + n % 10)
+    # index 10 * negative + leading digit
+    s = np.arange(20)
+    head = _pack(np.where(s >= 10, ord("-"), 0), 48 + s % 10, ord("."))
+    # index exponent + _EXP_OFFSET; a 2-digit exponent leaves word 6 NUL
+    e = np.arange(-_EXP_OFFSET, _EXP_OFFSET)
+    m = np.abs(e)
+    wide = m >= 100
+    tail = np.stack([
+        _pack(ord("e"), np.where(e < 0, ord("-"), ord("+")),
+              np.where(wide, 48 + m // 100, 48 + m // 10 % 10),
+              np.where(wide, 48 + m // 10 % 10, 48 + m % 10)),
+        _pack(np.where(wide, 48 + m % 10, 0))], axis=1)
+    return (pow_hi, pow_lo, *_split(pow_hi)), quad, head, tail
+
+
+def _digits(a, a_hi, a_lo, e):
+    """floor(a * 10**(16 - e)) as int64 and its fractional part, from an
+    exact two-product against the double-double power (error ~1e-31 relative)."""
+    (pow_hi, pow_lo, split_hi, split_lo), *_ = _e16_tables()
+    k = 16 - e - _POW10_MIN
+    b_hi, b_lo = split_hi[k], split_lo[k]
+    p = a * pow_hi[k]
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    whole = np.floor(p)
+    rest = (p - whole) + (err + a * pow_lo[k])
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _e16_one_by_one(x) -> np.ndarray:
+    """'%.16e' % v through CPython for each value of x, as _e16_fields lays
+    it out: one NUL-padded row per value."""
+    return np.array([b"%.16e" % v for v in x.tolist()], dtype=f"S{4 * _E16_WORDS}"
+                    ).view(np.uint8).reshape(len(x), 4 * _E16_WORDS)
+
+
+def _e16_fields(x) -> np.ndarray:
+    """The bytes of '%.16e' % v for each float64 v in x, one NUL-padded row
+    of 4 * _E16_WORDS bytes per value."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size < _KERNEL_MIN_VALUES:
+        return _e16_one_by_one(x)
+    _, quad, head, tail = _e16_tables()
+    a = np.abs(x)
+    # in this range every product and split below stays normal and finite
+    vector = (a >= 1e-280) & (a < 1e280)
+    a = np.where(vector, a, 1.0)
+    a_hi, a_lo = _split(a)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d, frac = _digits(a, a_hi, a_lo, e)
+    # log10 can miss by one next to a power of ten: move e and redo those
+    low, high = d < 10 ** 16, d >= 10 ** 17
+    redo = np.flatnonzero(low | high)
+    if redo.size:
+        e[redo] += high[redo].astype(np.int64) - low[redo]
+        d[redo], frac[redo] = _digits(a[redo], a_hi[redo], a_lo[redo], e[redo])
+    # a true tie rounds half-even; it and anything the product's error could
+    # carry across one half go one by one, like zero and the out-of-range
+    vector &= (d >= 10 ** 16) & (d < 10 ** 17) & (np.abs(frac - 0.5) > 1e-6)
+    d += frac > 0.5
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    d[~vector] = 0  # zeros render as 0.0000000000000000e+00; the rest below
+    e[~vector] = 0
+    lead, rest = np.divmod(d, 10 ** 16)
+    upper, lower = np.divmod(rest, 10 ** 8)
+    fields = np.empty((x.size, _E16_WORDS), "<u4")
+    fields[:, 0] = head[lead + 10 * np.signbit(x)]
+    fields[:, 1:3] = quad[np.stack(np.divmod(upper, 10 ** 4), axis=1)]
+    fields[:, 3:5] = quad[np.stack(np.divmod(lower, 10 ** 4), axis=1)]
+    fields[:, 5:] = tail[e + _EXP_OFFSET]
+    out = fields.view(np.uint8)
+    slow = ~vector & (x != 0.0)
+    out[slow] = _e16_one_by_one(x[slow])
+    return out
+
+
+def _text_fields(strings) -> np.ndarray:
+    """Each string's UTF-8 bytes as one NUL-padded row; each distinct string
+    is encoded once."""
+    distinct, index = np.unique(strings, return_inverse=True)
+    encoded = np.array([text.encode() for text in distinct.tolist()])
+    return encoded.view(np.uint8).reshape(len(distinct), -1)[index]
+
+
+@contextlib.contextmanager
+def _csv_sink(path: str):
+    """A function that writes bytes to path, or to stdout for "-"."""
     if path == "-":
-        return sys.stdout, False
+        yield lambda data: sys.stdout.write(data.decode())
+        return
     try:
-        return open(path, "w", newline=""), True
+        stream = open(path, "wb")
     except OSError as exc:
         raise SystemExit(f"error: cannot write {path!r}: {exc}")
+    with stream:
+        yield stream.write
 
 
-def _write_rows(path: str, header, rows) -> None:
-    """Write the header, then each row (a tuple of floats and strings) with
-    one format for the whole table: %.16e for a float field, a string field
-    as is, taken from the first row."""
-    rows = iter(rows)
-    first = next(rows, None)
-    stream, owned = _open_csv(path)
-    try:
-        stream.write(",".join(header) + "\n")
-        if first is not None:
-            fmt = ",".join("%s" if isinstance(v, str) else "%.16e" for v in first) + "\n"
-            stream.write(fmt % first)
-            stream.writelines(map(fmt.__mod__, rows))
-    finally:
-        if owned:
-            stream.close()
+def _write_table(path: str, header, columns) -> None:
+    """Write the header, then one row per index of the columns, each a float
+    array (written as '%.16e') or a sequence of str (written as is)."""
+    columns = [np.asarray(col) for col in columns]
+    with _csv_sink(path) as write:
+        write((",".join(header) + "\n").encode())
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [col[start:start + _BLOCK_ROWS] for col in columns]
+            rows = len(block[0])
+            # one kernel call renders every float column of the block
+            floats = [b for b in block if b.dtype.kind == "f"]
+            rendered = iter(_e16_fields(np.stack(floats, axis=1)).reshape(
+                rows, len(floats), -1).swapaxes(0, 1))
+            pieces = []
+            for b in block:
+                pieces += [next(rendered) if b.dtype.kind == "f" else _text_fields(b),
+                           np.full((rows, 1), ord(","), np.uint8)]
+            pieces[-1][:] = ord("\n")
+            table = np.concatenate(pieces, axis=1).ravel()
+            write(table[table != 0].tobytes())
 
 
 def _input_error(message) -> int:
@@ -95,6 +260,7 @@ def cmd_verify_bch(args) -> int:
 
 def _figure_surface(which: int, gamma: float, args) -> tuple[analytic.RegionScan, np.ndarray]:
     """Figure 1 or 2's scan and surface; ConfigError unless every cell is finite."""
+    _check_grid(args.tau_points, args.theta_points)
     with np.errstate(all="ignore"):  # non-finite cells are reported below
         scan = analytic.squeezing_region_scan(
             gamma, (0.0, args.tau_max), (0.0, 2.0 * math.pi),
@@ -121,10 +287,9 @@ def cmd_figure(args) -> int:
             return _input_error(exc)
         for gamma, (scan, surface) in zip(gammas, surfaces):
             out = args.out if explicit else _figure_with_suffix(args.out, gamma)
-            thetas = scan.theta.tolist()
-            _write_rows(out, ("tau", "theta", "delta_scaled"), (
-                (tau, theta, cell) for tau, cells in zip(scan.tau.tolist(), surface.tolist())
-                for theta, cell in zip(thetas, cells)))
+            n_tau, n_theta = surface.shape
+            _write_table(out, ("tau", "theta", "delta_scaled"), (
+                np.repeat(scan.tau, n_theta), np.tile(scan.theta, n_tau), surface.ravel()))
             print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
                   f"negative cells: {'yes' if (surface < 0.0).any() else 'no'}")
         return 0
@@ -144,14 +309,15 @@ def cmd_figure(args) -> int:
     var_x0 = factors.x_var / 2.0
     var_p0 = factors.p_var / 2.0
     try:
+        _check_grid(args.tau_points)
         grid = analytic.variance_grid(np.linspace(0.0, args.tau_max, args.tau_points),
                                       amp.gamma, amp.theta, g, params)
     except ConfigError as exc:
         return _input_error(exc)
-    rows = [(tau, var_x, var_x0, var_p, var_p0, product, var_x0 * var_p0)
-            for tau, var_x, var_p, product in zip(*(grid[name].tolist() for name in (
-                "tau", "var_x_hat", "var_p_hat", "product")))]
-    _write_rows(args.out, FIGURE3_COLUMNS, rows)
+    n = args.tau_points
+    _write_table(args.out, FIGURE3_COLUMNS, (
+        grid["tau"], grid["var_x_hat"], np.full(n, var_x0), grid["var_p_hat"],
+        np.full(n, var_p0), grid["product"], np.full(n, var_x0 * var_p0)))
     print(f"figure 3 ({preset.name} preset, g={g:.6e}): wrote {args.out}")
     return 0
 
@@ -195,17 +361,21 @@ def cmd_oracle_compare(args) -> int:
               f"increase --dim", file=sys.stderr)
         return 2
 
-    rows = []
+    columns = taus, quantities, analytic_slope, oracle_slope, rel_err = [], [], [], [], []
     for i, tau in enumerate(args.tau):
         slopes_a = analytic.analytic_slopes(tau, amplitude)
         # a slope that is 0 comes out as rounding noise on both routes
         floor = 1e-12 * fock_oracle.slope_scale(tau, amplitude.gamma)
         for q in ORACLE_QUANTITIES:
             a, o = slopes_a[q], audit.slopes[q][i]
-            rows.append((tau, q, a, o, abs(a - o) / max(abs(a), abs(o), floor)))
-    _write_rows(args.out, ("tau", "quantity", "analytic_slope", "oracle_slope",
-                           "rel_err"), rows)
-    worst = np.max([row[-1] for row in rows])  # NaN propagates
+            taus.append(tau)
+            quantities.append(q)
+            analytic_slope.append(a)
+            oracle_slope.append(o)
+            rel_err.append(abs(a - o) / max(abs(a), abs(o), floor))
+    _write_table(args.out, ("tau", "quantity", "analytic_slope", "oracle_slope",
+                            "rel_err"), columns)
+    worst = np.max(rel_err)  # NaN propagates
     all_ok = worst < args.tol
     print(f"oracle-compare: worst relative slope error {worst:.3e} "
           f"({'PASS' if all_ok else 'FAIL'} at {args.tol:g})")
@@ -217,6 +387,10 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_uncertainty_check(args) -> int:
+    try:
+        _check_grid(args.tau_points, args.gamma_points, args.theta_points, args.g_points)
+    except ConfigError as exc:
+        return _input_error(exc)
     taus = np.linspace(0.0, args.tau_max, args.tau_points)
     gammas = np.linspace(0.0, args.gamma_max, args.gamma_points)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.theta_points, endpoint=False)
@@ -273,6 +447,7 @@ def _parse_axis(fields: dict[str, str], axis: str) -> list[float] | None:
             raise ConfigError(f"{axis}: {exc}")
         if n < 2:
             raise ConfigError(f"{axis}_points must be >= 2, got {n}")
+        _check_grid(n)
         return list(np.linspace(lo, hi, n))
     return None
 
@@ -305,6 +480,7 @@ def _sweep_inputs(args) -> tuple[dict[str, list[float]], PhysicalParams | None, 
             axes[axis] = parsed if parsed is not None else _SWEEP_DEFAULTS[axis]
         if not axes[axis]:
             raise ConfigError(f"empty {axis} axis")
+    _check_grid(*(len(axes[axis]) for axis in _SWEEP_AXES))
 
     params = None
     si_keys = [k for k in ("hbar", "mass", "omega") if k in fields]
@@ -337,8 +513,8 @@ def cmd_sweep(args) -> int:
     secular = grid["secular"].ravel()
     validity = np.where(secular > analytic.SECULAR_REFUSE, "invalid",
                         np.where(secular > analytic.SECULAR_WARN, "warn", "ok"))
-    _write_rows(out, SWEEP_COLUMNS, zip(
-        *(grid[name].ravel().tolist() for name in SWEEP_COLUMNS[:-1]), validity.tolist()))
+    _write_table(out, SWEEP_COLUMNS,
+                 [*(grid[name].ravel() for name in SWEEP_COLUMNS[:-1]), validity])
     if out != "-":
         print(f"sweep: wrote {validity.size} rows to {out}")
     return 0

@@ -507,7 +507,7 @@ def test_momentum_audit_scales_with_the_summed_magnitude(monkeypatch):
     real = analytic._p_correction
     g = PROBE_POINT[3]
     monkeypatch.setattr(analytic, "_p_correction",
-                        lambda tau, alpha: real(tau, alpha) + 3e-12 / g)
+                        lambda *args: real(*args) + 3e-12 / g)
     grid = variance_grid(*PROBE_POINT)
     assert grid["secular"] > analytic.SECULAR_REFUSE
 
@@ -515,7 +515,7 @@ def test_momentum_audit_scales_with_the_summed_magnitude(monkeypatch):
 def test_momentum_audit_catches_a_relative_perturbation(monkeypatch):
     real = analytic._p_correction
     monkeypatch.setattr(analytic, "_p_correction",
-                        lambda tau, alpha: real(tau, alpha) * (1.0 + 1e-9))
+                        lambda *args: real(*args) * (1.0 + 1e-9))
     with pytest.raises(ConsistencyError, match="momentum variance routes disagree "
                                                r"at \(tau, gamma, theta, g\) = \(1\.3, "):
         variance_grid(*ORDINARY_POINT)

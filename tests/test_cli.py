@@ -5,20 +5,21 @@ import csv
 import io
 import math
 import os
+import struct
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gupsqueeze import analytic, fock_oracle
+from gupsqueeze import analytic, cli, fock_oracle
 from gupsqueeze.analytic import variance_record
 from gupsqueeze.cli import FIGURE3_COLUMNS, SWEEP_COLUMNS, main
 from gupsqueeze.fock_oracle import (
     ORACLE_QUANTITIES, FockSpace, fock_dim_for, oracle_slopes,
 )
 from gupsqueeze.physics_config import (
-    CoherentAmplitude, PhysicalParams, electron_preset, to_natural,
+    CoherentAmplitude, ConfigError, PhysicalParams, electron_preset, to_natural,
 )
 
 
@@ -369,6 +370,91 @@ def test_oracle_compare_bytes_follow_the_format(capsys):
     assert capsys.readouterr().out.startswith(expected_csv(header, rows))
 
 
+def kernel_text(values) -> list[str]:
+    """What the writer's float kernel renders for each value, NULs dropped;
+    short inputs are tiled so that the vectorised path, not the one-by-one
+    path for small blocks, renders them."""
+    values = np.asarray(values, dtype=np.float64)
+    tiled = np.tile(values, -(-cli._KERNEL_MIN_VALUES // len(values)))
+    return [row.tobytes().replace(b"\0", b"").decode()
+            for row in cli._e16_fields(tiled)[:len(values)]]
+
+
+def float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-323, 309)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.integers(0, 2 ** 64 - 1).map(float_from_bits))
+@example(x=1000000000000000.25)  # an exact decimal tie: rounds half-even
+@example(x=1e23)
+@example(x=1e-14)  # its 17 digits round up to 10**17: the carry
+@example(x=1e-6)  # below 10**-6, so floor(log10) is one too high
+@example(x=9.999999999999999e22)
+@example(x=1e16)
+@example(x=np.nextafter(1e16, 0.0))
+@example(x=np.nextafter(1e17, math.inf))
+@example(x=1e-280)
+@example(x=np.nextafter(1e-280, 0.0))
+@example(x=np.nextafter(1e280, 0.0))
+@example(x=1e280)
+@example(x=-1e-5)
+@example(x=np.nextafter(-1e-5, -math.inf))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=2.2250738585072014e-308)
+@example(x=1.7976931348623157e308)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=math.nan)
+def test_e16_kernel_matches_cpython(x):
+    assert kernel_text([x]) == ["%.16e" % x]
+
+
+def test_e16_kernel_matches_cpython_at_every_power_of_ten():
+    values = [v for p in POWERS_OF_TEN
+              for v in (p, np.nextafter(p, 0.0), np.nextafter(p, math.inf))]
+    values += [-v for v in values]
+    assert kernel_text(values) == ["%.16e" % v for v in values]
+
+
+def test_e16_kernel_matches_cpython_on_random_bit_patterns():
+    rng = np.random.default_rng(20140518)
+    values = rng.integers(0, 2 ** 64, size=10 ** 5, dtype=np.uint64).view(np.float64)
+    assert kernel_text(values) == ["%.16e" % v for v in values.tolist()]
+
+
+def test_e16_kernel_matches_cpython_on_exact_ties():
+    # m/4 with m odd is an exact tie at the 17th digit between 1e15 and 2.25e15
+    rng = np.random.default_rng(7)
+    values = (2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, size=10 ** 4) + 1) / 4.0
+    assert kernel_text(values) == ["%.16e" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
+    n = 2 * cli._BLOCK_ROWS + 1
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x[:6] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1000000000000000.25]
+    y = np.linspace(-1.0, 1.0, n)
+    labels = [("ok", "warn", "invalid", "", "\u03b8")[i % 5] for i in range(n)]
+    out = str(tmp_path / "table.csv") if to_file else "-"
+    cli._write_table(out, ("x", "label", "y"), (x, labels, y))
+    assert written(out, capsys) == expected_csv(
+        ("x", "label", "y"), zip(x.tolist(), labels, y.tolist()))
+
+
+def test_grid_limit_admits_exactly_max_cells():
+    cli._check_grid(1000, 1000)
+    with pytest.raises(ConfigError, match="1000 x 1001 cells is above 1000000"):
+        cli._check_grid(1000, 1001)
+
+
 # ---------------------------------------------------------------------------
 # bad input
 
@@ -415,6 +501,17 @@ def test_oracle_compare_bytes_follow_the_format(capsys):
     (["figure", "--id", "2", "--gamma=-1"], None, "gamma=-1"),
     (["figure", "--id", "1", "--gamma", "1", "--tau-max", "nan"], None, "--tau-max=nan"),
     (["figure", "--id", "2", "--tau-max", "inf"], None, "--tau-max=inf"),
+    (["figure", "--id", "1", "--gamma", "1", "--tau-points", "10000000000000"], None,
+     "cells is above 1000000"),
+    (["figure", "--id", "2", "--tau-points", "1001", "--theta-points", "1000"], None,
+     "1001 x 1000 cells is above"),
+    (["figure", "--id", "3", "--tau-points", "10000000000000"], None, "cells is above"),
+    (["uncertainty-check", "--tau-points", "10000000000000"], None, "cells is above"),
+    (["sweep"], "tau_min = 0\ntau_max = 1\ntau_points = 10000000000000\n",
+     "cells is above"),
+    (["sweep"], "tau_min = 0\ntau_max = 1\ntau_points = 1001\n"
+                "gamma_min = 0\ngamma_max = 1\ngamma_points = 1000\n",
+     "1001 x 1000 x 1 x 1 cells is above"),
 ], ids=["g-step-zero", "dim-one", "tau-not-numeric", "config-jobs-not-integer",
         "config-unknown-key", "config-list-and-triple", "config-partial-triple",
         "config-triple-not-numeric", "config-one-point", "config-empty-axis",
@@ -430,7 +527,10 @@ def test_oracle_compare_bytes_follow_the_format(capsys):
         "oracle-time-beyond-float-range", "oracle-amplitude-beyond-float-range",
         "figure-1-gamma-nan",
         "figure-2-gamma-negative", "figure-1-tau-max-nan",
-        "figure-2-default-gammas-tau-max-inf"])
+        "figure-2-default-gammas-tau-max-inf", "figure-1-oversized-grid",
+        "figure-2-default-gammas-oversized-grid", "figure-3-oversized-grid",
+        "uncertainty-check-oversized-grid", "sweep-oversized-axis",
+        "sweep-oversized-product"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv, config,
                                                  message):
     if config is not None:
