@@ -10,7 +10,10 @@ non-finite values, magnitudes outside [1e-280, 1e280), values within 1e-6
 of a decimal rounding tie, and blocks of fewer than ``_KERNEL_MIN_VALUES``
 floats go through ``'%.16e' %`` one by one.  A command returns exit code 0
 only if every assertion it makes passed.  Figures are rendered elsewhere;
-this tool only produces their data surfaces.
+this tool only produces their data surfaces.  ``main`` is the one error
+boundary: a command raises ``ConfigError`` on bad input and the oracle
+``OracleError`` on a failed gate, and ``main`` prints either as one
+``error:`` line on stderr and returns 2.
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ def _csv_sink(path: str):
     try:
         stream = open(path, "wb")
     except OSError as exc:
-        raise SystemExit(f"error: cannot write {path!r}: {exc}")
+        raise ConfigError(f"cannot write {path!r}: {exc}")
     with stream:
         yield stream.write
 
@@ -232,12 +235,6 @@ def _write_table(path: str, header, columns) -> None:
             write(table[table != 0].tobytes())
 
 
-def _input_error(message) -> int:
-    """Report bad user input as one line on stderr; exit code 2."""
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 # ---------------------------------------------------------------------------
 # verify-bch
 
@@ -261,10 +258,9 @@ def cmd_verify_bch(args) -> int:
 def _figure_surface(which: int, gamma: float, args) -> tuple[analytic.RegionScan, np.ndarray]:
     """Figure 1 or 2's scan and surface; ConfigError unless every cell is finite."""
     _check_grid(args.tau_points, args.theta_points)
-    with np.errstate(all="ignore"):  # non-finite cells are reported below
-        scan = analytic.squeezing_region_scan(
-            gamma, (0.0, args.tau_max), (0.0, 2.0 * math.pi),
-            (args.tau_points, args.theta_points))
+    scan = analytic.squeezing_region_scan(
+        gamma, (0.0, args.tau_max), (0.0, 2.0 * math.pi),
+        (args.tau_points, args.theta_points))
     surface = scan.delta_x if which == 1 else scan.delta_p
     if gamma < 0.0 or not np.isfinite(surface).all():
         raise ConfigError(f"figure {which} needs gamma >= 0 and finite cells; got "
@@ -280,11 +276,12 @@ def _figure_with_suffix(path: str, gamma: float) -> str:
 def cmd_figure(args) -> int:
     if args.id in (1, 2):
         explicit = args.gamma is not None
+        if not explicit and args.out == "-":
+            raise ConfigError(f"figure {args.id} without --gamma writes one file per "
+                              f"default gamma; --out - needs --gamma")
         gammas = [args.gamma] if explicit else [1.0, 10.0]
-        try:  # every surface is checked before any file is written
-            surfaces = [_figure_surface(args.id, gamma, args) for gamma in gammas]
-        except ConfigError as exc:
-            return _input_error(exc)
+        # every surface is checked before any file is written
+        surfaces = [_figure_surface(args.id, gamma, args) for gamma in gammas]
         for gamma, (scan, surface) in zip(gammas, surfaces):
             out = args.out if explicit else _figure_with_suffix(args.out, gamma)
             n_tau, n_theta = surface.shape
@@ -300,7 +297,7 @@ def cmd_figure(args) -> int:
             preset = physics_config.preset_from_document(
                 Path(args.preset).read_text())
         except (OSError, ConfigError) as exc:
-            raise SystemExit(f"error: cannot load preset {args.preset!r}: {exc}")
+            raise ConfigError(f"cannot load preset {args.preset!r}: {exc}")
     else:
         preset = physics_config.electron_preset()
     params, amp = preset.params, preset.amplitude
@@ -308,12 +305,9 @@ def cmd_figure(args) -> int:
     _, factors = physics_config.to_natural(params)
     var_x0 = factors.x_var / 2.0
     var_p0 = factors.p_var / 2.0
-    try:
-        _check_grid(args.tau_points)
-        grid = analytic.variance_grid(np.linspace(0.0, args.tau_max, args.tau_points),
-                                      amp.gamma, amp.theta, g, params)
-    except ConfigError as exc:
-        return _input_error(exc)
+    _check_grid(args.tau_points)
+    grid = analytic.variance_grid(np.linspace(0.0, args.tau_max, args.tau_points),
+                                  amp.gamma, amp.theta, g, params)
     n = args.tau_points
     _write_table(args.out, FIGURE3_COLUMNS, (
         grid["tau"], grid["var_x_hat"], np.full(n, var_x0), grid["var_p_hat"],
@@ -328,14 +322,9 @@ def cmd_figure(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     if not all(map(math.isfinite, (*args.tau, args.tol))):
-        return _input_error(f"--tau and --tol must be finite, got {args.tau} "
-                            f"and {args.tol}")
-    if args.g_step is not None and not 0.0 < args.g_step < math.inf:
-        return _input_error(f"--g-step must be positive and finite, got {args.g_step}")
-    try:
-        amplitude = CoherentAmplitude(gamma=args.gamma, theta=args.theta)
-    except ConfigError as exc:
-        return _input_error(exc)
+        raise ConfigError(f"--tau and --tol must be finite, got {args.tau} "
+                          f"and {args.tol}")
+    amplitude = CoherentAmplitude(gamma=args.gamma, theta=args.theta)
     dim = args.dim
     if dim is None:
         try:
@@ -343,23 +332,15 @@ def cmd_oracle_compare(args) -> int:
         except OverflowError:  # gamma^2 beyond the float range
             dim = math.inf
     if dim > _MAX_FOCK_DIM:
-        return _input_error(f"Fock dimension {dim} is above {_MAX_FOCK_DIM} "
-                            f"(the truncation audit doubles it)")
-    try:
-        space = FockSpace(dim)
-    except ValueError as exc:
-        return _input_error(f"--dim: {exc}")
-    try:
-        # non-finite values fail the unitarity gate, the audit or the slope check
-        with np.errstate(all="ignore"):
-            audit = fock_oracle.truncation_audit(space, amplitude, args.tau)
-    except OracleError as exc:
-        return _input_error(f"oracle: {exc}")
+        raise ConfigError(f"Fock dimension {dim} is above {_MAX_FOCK_DIM} "
+                          f"(the truncation audit doubles it)")
+    if dim < 2:
+        raise ConfigError(f"--dim: Fock dimension must be >= 2, got {dim}")
+    audit = fock_oracle.truncation_audit(FockSpace(dim), amplitude, args.tau)
     if not audit.passed:
-        print(f"truncation audit FAILED at dim={dim}: max relative deviation "
-              f"{audit.max_rel_deviation:.3e} (vs dim={audit.dim_doubled}); "
-              f"increase --dim", file=sys.stderr)
-        return 2
+        raise OracleError(f"truncation audit FAILED at dim={dim}: max relative "
+                          f"deviation {audit.max_rel_deviation:.3e} (vs "
+                          f"dim={audit.dim_doubled}); increase --dim")
 
     columns = taus, quantities, analytic_slope, oracle_slope, rel_err = [], [], [], [], []
     for i, tau in enumerate(args.tau):
@@ -387,23 +368,22 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_uncertainty_check(args) -> int:
-    try:
-        _check_grid(args.tau_points, args.gamma_points, args.theta_points, args.g_points)
-    except ConfigError as exc:
-        return _input_error(exc)
+    _check_grid(args.tau_points, args.gamma_points, args.theta_points, args.g_points)
+    if not math.isfinite(args.tol):
+        raise ConfigError(f"--tol must be finite, got {args.tol}")
+    if args.g_min <= 0.0:  # linear grid admits the undeformed point g = 0
+        gs = np.linspace(args.g_min, args.g_max, args.g_points)
+    elif args.g_max > 0.0:
+        gs = np.logspace(math.log10(args.g_min), math.log10(args.g_max),
+                         args.g_points)
+    else:
+        raise ConfigError(f"--g-max must be > 0 on the log grid that --g-min > 0 "
+                          f"selects, got {args.g_max:g}")
     taus = np.linspace(0.0, args.tau_max, args.tau_points)
     gammas = np.linspace(0.0, args.gamma_max, args.gamma_points)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.theta_points, endpoint=False)
-    if args.g_min <= 0.0:  # linear grid admits the undeformed point g = 0
-        gs = np.linspace(args.g_min, args.g_max, args.g_points)
-    else:
-        gs = np.logspace(math.log10(args.g_min), math.log10(args.g_max),
-                         args.g_points)
     axes = np.meshgrid(taus, gammas, thetas, gs, indexing="ij")
-    try:
-        grid = analytic.variance_grid(*axes)
-    except ConfigError as exc:
-        return _input_error(exc)
+    grid = analytic.variance_grid(*axes)
     product = grid["product"]
     err = np.abs(product - grid["gup_bound"]) / np.maximum(1.0, np.abs(product))
     i = int(np.argmax(err))  # the first worst point in grid order
@@ -420,7 +400,7 @@ def cmd_uncertainty_check(args) -> int:
 
 
 _SWEEP_AXES = ("tau", "gamma", "theta", "g")
-_SWEEP_SCALAR_KEYS = ("out", "jobs", "hbar", "mass", "omega")
+_SWEEP_SCALAR_KEYS = ("out", "hbar", "mass", "omega")
 
 
 def _parse_axis(fields: dict[str, str], axis: str) -> list[float] | None:
@@ -492,24 +472,14 @@ def _sweep_inputs(args) -> tuple[dict[str, list[float]], PhysicalParams | None, 
                                     float(fields["hbar"]), 0.0)
         except ValueError as exc:  # ConfigError included
             raise ConfigError(f"SI parameters: {exc}")
-
-    # jobs is accepted for compatibility and selects nothing
-    if args.jobs is None and "jobs" in fields:
-        try:
-            int(fields["jobs"])
-        except ValueError:
-            raise ConfigError(f"jobs: not an integer: {fields['jobs']!r}")
     return axes, params, args.out if args.out is not None else fields.get("out", "-")
 
 
 def cmd_sweep(args) -> int:
-    try:
-        axes, params, out = _sweep_inputs(args)
-        grid = analytic.variance_grid(
-            *np.meshgrid(*(axes[axis] for axis in _SWEEP_AXES), indexing="ij"),
-            params=params)
-    except ConfigError as exc:
-        return _input_error(exc)
+    axes, params, out = _sweep_inputs(args)
+    grid = analytic.variance_grid(
+        *np.meshgrid(*(axes[axis] for axis in _SWEEP_AXES), indexing="ij"),
+        params=params)
     secular = grid["secular"].ravel()
     validity = np.where(secular > analytic.SECULAR_REFUSE, "invalid",
                         np.where(secular > analytic.SECULAR_WARN, "warn", "ok"))
@@ -541,7 +511,7 @@ def cmd_preset(args) -> int:
         try:
             Path(args.out).write_text(doc)
         except OSError as exc:
-            raise SystemExit(f"error: cannot write {args.out!r}: {exc}")
+            raise ConfigError(f"cannot write {args.out!r}: {exc}")
         print(f"preset: wrote {args.out}")
     return 0
 
@@ -582,9 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--tau", type=float, nargs="+", default=[0.5, 1.0, 2.0, 4.0])
-    p.add_argument("--g-step", type=float, default=None,
-                   help="accepted for compatibility (must be positive and "
-                        "finite); has no effect: the slopes are exact at g = 0")
     p.add_argument("--dim", type=int, default=None,
                    help="Fock dimension (default: heuristic)")
     p.add_argument("--tol", type=float, default=1e-3)
@@ -611,14 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{axis}", default=None,
                        help=f"comma list overriding the config {axis} axis")
     p.add_argument("--jobs", type=int, default=None,
-                   help="accepted for compatibility; has no effect (the grid "
-                        "is evaluated in one vectorised pass)")
+                   help="has no effect (the grid is evaluated in one "
+                        "vectorised pass); accepted only because the "
+                        "benchmark's sweeps pass --jobs 1 and --jobs 2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("preset", help="print or write the electron preset "
                        "as a flat key = value document")
-    p.add_argument("--name", choices=("electron",), default="electron")
     p.add_argument("--omega-reading", choices=("angular", "cyclic"),
                    default="angular")
     p.add_argument("--out", default=None)
@@ -641,8 +608,16 @@ def _grid_size(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only code that prints ``error:`` or returns 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        with np.errstate(all="ignore"):  # every non-finite value fails a check
+            return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except OracleError as exc:
+        print(f"error: oracle: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -77,9 +77,6 @@ class PhysicalParams:
         """Dimensionless deformation parameter beta * (M_Pl c)^2."""
         return self.beta * planck_momentum_sq
 
-    def with_beta(self, beta: float) -> "PhysicalParams":
-        return replace(self, beta=beta)
-
     @classmethod
     def natural(cls, g: float = 0.0) -> "PhysicalParams":
         """Natural-unit parameters in which beta coincides with g."""

@@ -6,7 +6,10 @@ import io
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,10 +117,12 @@ def test_figure_invalid_id(capsys):
 
 
 def test_figure_unwritable_path(capsys):
-    with pytest.raises(SystemExit, match="cannot write"):
-        main(["figure", "--id", "1", "--gamma", "1",
-              "--out", "/nonexistent-dir/fig.csv",
-              "--tau-points", "4", "--theta-points", "4"])
+    assert main(["figure", "--id", "1", "--gamma", "1",
+                 "--out", "/nonexistent-dir/fig.csv",
+                 "--tau-points", "4", "--theta-points", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write '/nonexistent-dir/fig.csv'")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +465,9 @@ def test_grid_limit_admits_exactly_max_cells():
 
 
 @pytest.mark.parametrize("argv, config, message", [
-    (["oracle-compare", "--g-step", "0", "--tau", "0.5"], None, "--g-step"),
     (["oracle-compare", "--dim", "1"], None, "--dim"),
     (["sweep", "--tau", "abc"], None, "non-numeric"),
-    (["sweep"], "tau = 1.0\njobs = two\n", "jobs"),
+    (["sweep"], "tau = 1.0\njobs = 2\n", "invalid config keys: jobs"),
     (["sweep"], "tau = 1.0\nbananas = 3\n", "invalid config keys: bananas"),
     (["sweep"], "tau = 1.0\ntau_min = 0\ntau_max = 1\ntau_points = 3\n", "not both"),
     (["sweep"], "tau_min = 0\ntau_max = 1\n", "need all of"),
@@ -487,8 +491,6 @@ def test_grid_limit_admits_exactly_max_cells():
     (["oracle-compare", "--gamma=-1"], None, "gamma must be >= 0"),
     (["oracle-compare", "--gamma", "nan"], None, "gamma must be >= 0"),
     (["oracle-compare", "--theta", "inf"], None, "theta must be finite"),
-    (["oracle-compare", "--g-step", "nan"], None, "--g-step"),
-    (["oracle-compare", "--g-step", "inf"], None, "--g-step"),
     (["oracle-compare", "--tau", "nan"], None, "--tau"),
     (["oracle-compare", "--tau", "0.5", "inf"], None, "--tau"),
     (["oracle-compare", "--tol", "nan"], None, "--tol"),
@@ -512,7 +514,24 @@ def test_grid_limit_admits_exactly_max_cells():
     (["sweep"], "tau_min = 0\ntau_max = 1\ntau_points = 1001\n"
                 "gamma_min = 0\ngamma_max = 1\ngamma_points = 1000\n",
      "1001 x 1000 x 1 x 1 cells is above"),
-], ids=["g-step-zero", "dim-one", "tau-not-numeric", "config-jobs-not-integer",
+    (["figure", "--id", "1", "--tau-points", "4", "--theta-points", "4",
+      "--out", "/nonexistent-dir/out.csv"], None, "cannot write"),
+    (["figure", "--id", "3", "--tau-points", "4", "--out", "/nonexistent-dir/out.csv"],
+     None, "cannot write"),
+    (["sweep", "--tau", "1", "--out", "/nonexistent-dir/out.csv"], None, "cannot write"),
+    (["oracle-compare", "--tau", "0.5", "--out", "/nonexistent-dir/out.csv"], None,
+     "cannot write"),
+    (["preset", "--out", "/nonexistent-dir/out.csv"], None, "cannot write"),
+    (["figure", "--id", "3", "--preset", "/nonexistent-dir/preset.txt"], None,
+     "cannot load preset"),
+    (["figure", "--id", "3"], "name = electron\n", "cannot load preset"),
+    (["figure", "--id", "1", "--out", "-"], None, "--out - needs --gamma"),
+    (["figure", "--id", "2", "--tau-points", "4", "--theta-points", "4", "--out", "-"],
+     None, "--out - needs --gamma"),
+    (["uncertainty-check", "--g-max=-1"], None, "--g-max must be > 0"),
+    (["uncertainty-check", "--g-max", "0"], None, "--g-max must be > 0"),
+    (["uncertainty-check", "--tol", "nan"], None, "--tol must be finite"),
+], ids=["dim-one", "tau-not-numeric", "config-jobs-is-unknown",
         "config-unknown-key", "config-list-and-triple", "config-partial-triple",
         "config-triple-not-numeric", "config-one-point", "config-empty-axis",
         "theta-double-dash",
@@ -521,7 +540,7 @@ def test_grid_limit_admits_exactly_max_cells():
         "gamma-nan", "theta-inf", "tau-nan", "g-inf", "record-overflows",
         "uncertainty-check-gamma-negative", "figure-3-tau-max-nan",
         "oracle-gamma-negative", "oracle-gamma-nan", "oracle-theta-inf",
-        "oracle-g-step-nan", "oracle-g-step-inf", "oracle-tau-nan", "oracle-tau-inf",
+        "oracle-tau-nan", "oracle-tau-inf",
         "oracle-tol-nan", "oracle-heuristic-dim-too-large",
         "oracle-heuristic-dim-overflows", "oracle-dim-too-large",
         "oracle-time-beyond-float-range", "oracle-amplitude-beyond-float-range",
@@ -530,21 +549,26 @@ def test_grid_limit_admits_exactly_max_cells():
         "figure-2-default-gammas-tau-max-inf", "figure-1-oversized-grid",
         "figure-2-default-gammas-oversized-grid", "figure-3-oversized-grid",
         "uncertainty-check-oversized-grid", "sweep-oversized-axis",
-        "sweep-oversized-product"])
-def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv, config,
-                                                 message):
+        "sweep-oversized-product", "figure-1-unwritable-out", "figure-3-unwritable-out",
+        "sweep-unwritable-out", "oracle-unwritable-out", "preset-unwritable-out",
+        "figure-3-preset-missing", "figure-3-preset-malformed",
+        "figure-1-default-gammas-to-stdout", "figure-2-default-gammas-to-stdout",
+        "uncertainty-check-g-max-negative", "uncertainty-check-g-max-zero",
+        "uncertainty-check-tol-nan"])
+def test_bad_input_is_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys, argv,
+                                                 config, message):
+    monkeypatch.chdir(tmp_path)  # figures 1-2 would suffix "-" into the cwd
     if config is not None:
-        path = tmp_path / "sweep.cfg"
-        path.write_text(config)
-        argv = argv + ["--config", str(path)]
-    if argv[0] != "uncertainty-check":
-        argv = argv + ["--out", str(tmp_path / "out.csv")]
+        Path("input.cfg").write_text(config)
+        argv = argv + ["--preset" if argv[0] == "figure" else "--config", "input.cfg"]
+    if argv[0] != "uncertainty-check" and "--out" not in argv:
+        argv = argv + ["--out", "out.csv"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert message in err
-    assert not list(tmp_path.glob("out*.csv"))  # figures 1-2 suffix their files
+    assert sorted(os.listdir()) == (["input.cfg"] if config is not None else [])
 
 
 def run_quietly(argv) -> tuple[int, str]:
@@ -596,20 +620,68 @@ def usual_or_any(low, high):
 
 @settings(max_examples=60, deadline=None)
 @given(gamma=(st.floats(0.0, 2.0) | st.floats(max_value=2.0) | st.just(math.nan)).map(repr),
-       theta=numbers, g_step=usual_or_any(1e-7, 1e-3), tol=usual_or_any(1e-4, 1e-2),
+       theta=numbers, tol=usual_or_any(1e-4, 1e-2),
        taus=st.one_of(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3),
                       st.lists(st.floats(min_value=0.0) | st.just(math.nan),
                                min_size=1, max_size=3)).map(lambda t: [*map(repr, t)]))
-def test_oracle_compare_argv_fuzz_exits_0_1_or_2(gamma, theta, g_step, tol, taus):
+def test_oracle_compare_argv_fuzz_exits_0_1_or_2(gamma, theta, tol, taus):
     # gamma <= 2 keeps the heuristic Fock dimension at 54 or below; taus are
     # not negative because argparse reads '-1e-05' as an option
     code, err = run_quietly(["oracle-compare", f"--gamma={gamma}", f"--theta={theta}",
-                             f"--g-step={g_step}", f"--tol={tol}", "--tau", *taus,
-                             "--out", os.devnull])
+                             f"--tol={tol}", "--tau", *taus, "--out", os.devnull])
     assert code in (0, 1, 2)
     if code == 2:
-        assert err.startswith(("error: ", "truncation audit FAILED"))
+        assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+# 0, signed zeros, negatives, NaN and the infinities, with ordinary values
+edge_numbers = st.sampled_from(
+    [0.0, -0.0, -1.0, 1e-8, 1e-2, 1e300, math.nan, math.inf, -math.inf]).map(repr) | numbers
+
+
+@settings(max_examples=100, deadline=None)
+@given(g_min=edge_numbers, g_max=edge_numbers, tol=edge_numbers, tau_max=edge_numbers,
+       gamma_max=edge_numbers, points=st.lists(st.sampled_from("23"), min_size=4,
+                                               max_size=4))
+@example(g_min="1e-08", g_max="-1.0", tol="1e-12", tau_max="12.0", gamma_max="2.0",
+         points=["2", "2", "2", "2"])  # the log grid of a non-positive --g-max
+def test_uncertainty_check_argv_fuzz_exits_0_1_or_2(g_min, g_max, tol, tau_max,
+                                                     gamma_max, points):
+    argv = ["uncertainty-check", f"--g-min={g_min}", f"--g-max={g_max}", f"--tol={tol}",
+            f"--tau-max={tau_max}", f"--gamma-max={gamma_max}"]
+    for axis, n in zip(("tau", "gamma", "theta", "g"), points):
+        argv += [f"--{axis}-points", n]
+    code, err = run_quietly(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_entry_point_stderr_is_the_error_line_or_nothing(tmp_path):
+    """Run as a program, pytest's warning capture is gone: nothing but the
+    error line may reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "gupsqueeze.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+    for argv in (["uncertainty-check", "--gamma-max", "inf"],
+                 ["figure", "--id", "1", "--gamma", "nan", "--out", "fig.csv"]):
+        result = run(*argv)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+    result = run("uncertainty-check", "--tau-points", "2", "--gamma-points", "2",
+                 "--theta-points", "2", "--g-points", "2")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
