@@ -417,15 +417,22 @@ def variance_grid(tau, gamma, theta, g,
     """Every VarianceRecord column, by field name, over the broadcast grid;
     natural units unless params are given.  No secular-validity policy.
 
-    Each closed form runs once, and every phase e^{i k tau} once per grid.
+    The inputs are not expanded: each factor runs on the broadcast of the
+    axes it depends on, so open axes (``np.meshgrid(..., sparse=True)``)
+    evaluate the phases e^{i k tau} on tau alone and the brackets on
+    (tau, gamma, theta), and only the terms that meet g reach the whole grid.
+    Every cell is the IEEE result a dense grid gives.  The columns are
+    read-only views broadcast to the grid's shape.
+
     The momentum variance is audited against the
     quadrature-moment route and each delta against its variance minus the
     canonical value, to 1e-12 of the rounding-error scale, in natural units;
     a ConsistencyError names the first failing point in grid order.  Negative
     gamma, non-finite values and overflowing records raise ConfigError.
     """
-    tau, gamma, theta, g = grid = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (tau, gamma, theta, g)))
+    tau, gamma, theta, g = axes = [np.asarray(v, dtype=float)
+                                   for v in (tau, gamma, theta, g)]
+    shape = np.broadcast_shapes(*(v.shape for v in axes))
     alpha = gamma * np.exp(1j * theta)
     e = _phase_table(tau)
     var_x = 0.5 + 2.0 * g * _x1_correction(tau, alpha, e).real
@@ -448,11 +455,18 @@ def variance_grid(tau, gamma, theta, g,
     var_p_alt = (2.0 * (x2_sq0 - x2_mean_sq0)
                  + g * (2.0 * (x2_sq1 - x2_mean_sq1) + 8.0 / 3.0 * quartic))
 
-    def point(i: int) -> tuple[float, ...]:
-        return tuple(float(v.flat[i]) for v in grid)
+    def at(v, i: int):
+        """v's value at index i of the grid in C order."""
+        return np.broadcast_to(v, shape).flat[i]
 
-    finite = np.isfinite([*columns.values(), var_p_alt]).all(axis=0)
-    bad = np.flatnonzero((gamma < 0.0) | ~finite)
+    def point(i: int) -> tuple[float, ...]:
+        return tuple(float(at(v, i)) for v in axes)
+
+    def failing(mask) -> np.ndarray:
+        return np.flatnonzero(np.broadcast_to(mask, shape))
+
+    finite = reduce(np.logical_and, map(np.isfinite, (*columns.values(), var_p_alt)))
+    bad = failing((gamma < 0.0) | ~finite)
     if bad.size:
         raise ConfigError(f"(tau, gamma, theta, g) = {point(bad[0])}: need gamma >= 0, "
                           "finite values and a record within the float range")
@@ -473,13 +487,13 @@ def variance_grid(tau, gamma, theta, g,
     )
     failed = [~(np.abs(a - b) <= CROSS_CHECK_TOL * phase * scale)
               for _, a, b, scale in audits]
-    bad = np.flatnonzero(reduce(np.logical_or, failed))
+    bad = failing(reduce(np.logical_or, failed))
     if bad.size:
-        name, a, b, _ = next(audit for audit, f in zip(audits, failed) if f.flat[bad[0]])
+        name, a, b, _ = next(audit for audit, f in zip(audits, failed) if at(f, bad[0]))
         raise ConsistencyError(
             f"{name} routes disagree at (tau, gamma, theta, g) = {point(bad[0])}: "
-            f"{a.flat[bad[0]]!r} vs {b.flat[bad[0]]!r}")
-    return columns
+            f"{at(a, bad[0])!r} vs {at(b, bad[0])!r}")
+    return {name: np.broadcast_to(col, shape) for name, col in columns.items()}
 
 
 def _record_at(tau: float, g: float, amp: CoherentAmplitude,
@@ -588,7 +602,7 @@ def squeezing_region_scan(gamma: float, tau_range: tuple[float, float] = (0.0, 4
         raise ValueError(f"grid resolutions must be >= 2, got {resolution}")
     tau = np.linspace(tau_range[0], tau_range[1], n_tau)
     theta = np.linspace(theta_range[0], theta_range[1], n_theta)
-    tt, hh = np.meshgrid(tau, theta, indexing="ij")
+    tt, hh = np.meshgrid(tau, theta, indexing="ij", sparse=True)
     return RegionScan(
         gamma=gamma, tau=tau, theta=theta,
         delta_x=scaled_delta_x(tt, hh, gamma),

@@ -8,12 +8,16 @@ bytes equal CPython's ``'%.16e' % x`` exactly.  The writer renders them in
 row blocks of ``_BLOCK_ROWS`` with an exact numpy kernel (``_e16_fields``);
 non-finite values, magnitudes outside [1e-280, 1e280), values within 1e-6
 of a decimal rounding tie, and blocks of fewer than ``_KERNEL_MIN_VALUES``
-floats go through ``'%.16e' %`` one by one.  A command returns exit code 0
+floats go through ``'%.16e' %`` one by one.  Columns need only broadcast to
+one shape, so a command hands over its grid open: a float column broadcast
+over the grid is rendered once per stored value, and its rows are gathered
+block by block.  A command returns exit code 0
 only if every assertion it makes passed.  Figures are rendered elsewhere;
 this tool only produces their data surfaces.  ``main`` is the one error
 boundary: a command raises ``ConfigError`` on bad input and the oracle
 ``OracleError`` on a failed gate, and ``main`` prints either as one
-``error:`` line on stderr and returns 2.
+``error:`` line on stderr and returns 2.  A closed stdout ends a command
+quietly with exit code 141.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -52,9 +57,11 @@ FIGURE3_COLUMNS = (
 
 # Largest grid any command evaluates, in cells: the product of the figure,
 # uncertainty-check or sweep axis lengths, checked before anything is
-# allocated.  variance_grid peaks at about 500 bytes per cell (232 MiB at
-# 4e5 cells), so 10^6 cells bounds one command near 0.5 GB of memory and a
-# sweep's CSV near 0.3 GB, 100 times the benchmark's and default grids.
+# allocated.  On a dense grid (figure 3, or one long sweep axis)
+# variance_grid peaks at about 430 bytes per cell (165 MiB at 4e5 cells,
+# traced with tracemalloc), and an open grid over several axes at less, so
+# 10^6 cells bounds one command near 0.5 GB of memory and a sweep's CSV near
+# 0.3 GB, 100 times the benchmark's and default grids.
 _MAX_GRID_CELLS = 10 ** 6
 
 
@@ -203,7 +210,13 @@ def _text_fields(strings) -> np.ndarray:
 def _csv_sink(path: str):
     """A function that writes bytes to path, or to stdout for "-"."""
     if path == "-":
-        yield lambda data: sys.stdout.write(data.decode())
+        sys.stdout.flush()  # what was printed before goes first
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:  # a text-only stream, such as io.StringIO
+            yield lambda data: sys.stdout.write(data.decode())
+        else:
+            yield stream.write
+            stream.flush()
         return
     try:
         stream = open(path, "wb")
@@ -213,23 +226,47 @@ def _csv_sink(path: str):
         yield stream.write
 
 
+def _stored(column: np.ndarray) -> np.ndarray:
+    """The values a column holds: each axis it is broadcast along (stride 0)
+    cut to length 1."""
+    return column[tuple(slice(None) if step else slice(0, 1)
+                        for step in column.strides)]
+
+
 def _write_table(path: str, header, columns) -> None:
-    """Write the header, then one row per index of the columns, each a float
-    array (written as '%.16e') or a sequence of str (written as is)."""
+    """Write the header, then one row per cell of the shape the columns
+    broadcast to, in C order.  Each column is a float array (written as
+    '%.16e') or a sequence of str (written as is); a float column that
+    stores fewer values than there are rows is rendered once per value."""
     columns = [np.asarray(col) for col in columns]
+    shape = np.broadcast_shapes(*(col.shape for col in columns))
+    rows = math.prod(shape)
+    # each column as its rows in C order, or as its stored values rendered
+    # and broadcast to the table's shape
+    parts = []
+    for col in columns:
+        col = np.broadcast_to(col, shape)
+        stored = _stored(col)
+        if col.dtype.kind == "f" and stored.size < rows:
+            fields = _e16_fields(stored).reshape(*stored.shape, -1)
+            parts.append(("rendered", np.broadcast_to(fields, (*shape, fields.shape[-1]))))
+        else:
+            parts.append(("float" if col.dtype.kind == "f" else "text", col.reshape(-1)))
+    open_grid = any(kind == "rendered" for kind, _ in parts)
     with _csv_sink(path) as write:
         write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [col[start:start + _BLOCK_ROWS] for col in columns]
-            rows = len(block[0])
-            # one kernel call renders every float column of the block
-            floats = [b for b in block if b.dtype.kind == "f"]
-            rendered = iter(_e16_fields(np.stack(floats, axis=1)).reshape(
-                rows, len(floats), -1).swapaxes(0, 1))
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            at = np.unravel_index(np.arange(start, stop), shape) if open_grid else None
+            # one kernel call renders every float column not rendered above
+            floats = [data[start:stop] for kind, data in parts if kind == "float"]
+            dense = iter(_e16_fields(np.stack(floats, axis=1)).reshape(
+                stop - start, len(floats), -1).swapaxes(0, 1) if floats else ())
             pieces = []
-            for b in block:
-                pieces += [next(rendered) if b.dtype.kind == "f" else _text_fields(b),
-                           np.full((rows, 1), ord(","), np.uint8)]
+            for kind, data in parts:
+                pieces += [data[at] if kind == "rendered" else next(dense)
+                           if kind == "float" else _text_fields(data[start:stop]),
+                           np.full((stop - start, 1), ord(","), np.uint8)]
             pieces[-1][:] = ord("\n")
             table = np.concatenate(pieces, axis=1).ravel()
             write(table[table != 0].tobytes())
@@ -284,9 +321,8 @@ def cmd_figure(args) -> int:
         surfaces = [_figure_surface(args.id, gamma, args) for gamma in gammas]
         for gamma, (scan, surface) in zip(gammas, surfaces):
             out = args.out if explicit else _figure_with_suffix(args.out, gamma)
-            n_tau, n_theta = surface.shape
-            _write_table(out, ("tau", "theta", "delta_scaled"), (
-                np.repeat(scan.tau, n_theta), np.tile(scan.theta, n_tau), surface.ravel()))
+            _write_table(out, ("tau", "theta", "delta_scaled"),
+                         (scan.tau[:, None], scan.theta[None, :], surface))
             print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
                   f"negative cells: {'yes' if (surface < 0.0).any() else 'no'}")
         return 0
@@ -324,6 +360,8 @@ def cmd_oracle_compare(args) -> int:
     if not all(map(math.isfinite, (*args.tau, args.tol))):
         raise ConfigError(f"--tau and --tol must be finite, got {args.tau} "
                           f"and {args.tol}")
+    if args.tol <= 0.0:  # no slope error can fall below it
+        raise ConfigError(f"--tol must be > 0, got {args.tol:g}")
     amplitude = CoherentAmplitude(gamma=args.gamma, theta=args.theta)
     dim = args.dim
     if dim is None:
@@ -369,8 +407,8 @@ def cmd_oracle_compare(args) -> int:
 
 def cmd_uncertainty_check(args) -> int:
     _check_grid(args.tau_points, args.gamma_points, args.theta_points, args.g_points)
-    if not math.isfinite(args.tol):
-        raise ConfigError(f"--tol must be finite, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
     if args.g_min <= 0.0:  # linear grid admits the undeformed point g = 0
         gs = np.linspace(args.g_min, args.g_max, args.g_points)
     elif args.g_max > 0.0:
@@ -382,13 +420,13 @@ def cmd_uncertainty_check(args) -> int:
     taus = np.linspace(0.0, args.tau_max, args.tau_points)
     gammas = np.linspace(0.0, args.gamma_max, args.gamma_points)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.theta_points, endpoint=False)
-    axes = np.meshgrid(taus, gammas, thetas, gs, indexing="ij")
-    grid = analytic.variance_grid(*axes)
+    grid = analytic.variance_grid(
+        *np.meshgrid(taus, gammas, thetas, gs, indexing="ij", sparse=True))
     product = grid["product"]
     err = np.abs(product - grid["gup_bound"]) / np.maximum(1.0, np.abs(product))
     i = int(np.argmax(err))  # the first worst point in grid order
     worst = float(err.flat[i])
-    worst_point = tuple(float(v.flat[i]) for v in axes)
+    worst_point = tuple(float(grid[axis].flat[i]) for axis in _SWEEP_AXES)
     ok = worst <= args.tol
     print(f"uncertainty-check: {err.size} points, worst |product - bound| "
           f"= {worst:.3e} at {worst_point} ({'PASS' if ok else 'FAIL'} at {args.tol:g})")
@@ -478,13 +516,13 @@ def _sweep_inputs(args) -> tuple[dict[str, list[float]], PhysicalParams | None, 
 def cmd_sweep(args) -> int:
     axes, params, out = _sweep_inputs(args)
     grid = analytic.variance_grid(
-        *np.meshgrid(*(axes[axis] for axis in _SWEEP_AXES), indexing="ij"),
+        *np.meshgrid(*(axes[axis] for axis in _SWEEP_AXES), indexing="ij", sparse=True),
         params=params)
-    secular = grid["secular"].ravel()
+    secular = grid["secular"]
     validity = np.where(secular > analytic.SECULAR_REFUSE, "invalid",
                         np.where(secular > analytic.SECULAR_WARN, "warn", "ok"))
     _write_table(out, SWEEP_COLUMNS,
-                 [*(grid[name].ravel() for name in SWEEP_COLUMNS[:-1]), validity])
+                 [*(grid[name] for name in SWEEP_COLUMNS[:-1]), validity])
     if out != "-":
         print(f"sweep: wrote {validity.size} rows to {out}")
     return 0
@@ -607,12 +645,25 @@ def _grid_size(text: str) -> int:
     return value
 
 
+# Exit code when the reader of stdout goes away: a process killed by SIGPIPE
+# reads as this in a shell.
+_EXIT_CLOSED_PIPE = 128 + 13
+
+
 def main(argv=None) -> int:
-    """Run one command; the only code that prints ``error:`` or returns 2."""
+    """Run one command; the only code that prints ``error:`` or returns 2.
+    A closed stdout ends the command quietly with _EXIT_CLOSED_PIPE."""
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # every non-finite value fails a check
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the flush at exit is quiet
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_PIPE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except OracleError as exc:

@@ -570,6 +570,50 @@ def test_record_equals_grid_bit_for_bit(point, axes, positions, params):
     assert got.tobytes() == want.tobytes()
 
 
+def _grid_outcome(axes, params, sparse):
+    """The grid's columns as bytes, or the error it raises, by type and text."""
+    try:
+        grid = variance_grid(*np.meshgrid(*axes, indexing="ij", sparse=sparse),
+                             params=params)
+    except (ConfigError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+    shape = tuple(map(len, axes))
+    assert all(col.shape == shape for col in grid.values())
+    return {name: np.ascontiguousarray(col).tobytes() for name, col in grid.items()}
+
+
+# every axis 1-4 values long, -0.0 among the draws
+open_axes = st.tuples(*(st.lists(s | st.just(-0.0), min_size=1, max_size=4)
+                        for s in (taus, gammas, thetas, gs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(axes=open_axes, params=units)
+def test_open_axes_equal_dense_axes_bit_for_bit(axes, params):
+    dense = _grid_outcome(axes, params, sparse=False)
+    assert isinstance(dense, dict)
+    assert _grid_outcome(axes, params, sparse=True) == dense
+
+
+@settings(max_examples=100, deadline=None)
+@given(axes=open_axes, positions=st.tuples(*[st.integers(0, 4)] * 4), params=units)
+def test_open_axes_name_the_same_first_failing_point(axes, positions, params):
+    # a negative gamma raises the ConfigError; with the momentum correction
+    # perturbed, the ordinary point fails the audit
+    bad_gamma = (axes[0], _with_point(axes[1], -1.0, positions[1])[0], *axes[2:])
+    failing = tuple(_with_point(*args)[0]
+                    for args in zip(axes, ORDINARY_POINT, positions))
+    dense = _grid_outcome(bad_gamma, params, sparse=False)
+    assert dense[0] is ConfigError
+    assert _grid_outcome(bad_gamma, params, sparse=True) == dense
+    real = analytic._p_correction
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_p_correction", lambda *args: real(*args) * (1.0 + 1e-6))
+        dense = _grid_outcome(failing, params, sparse=False)
+        assert dense[0] is ConsistencyError
+        assert _grid_outcome(failing, params, sparse=True) == dense
+
+
 @settings(max_examples=200, deadline=None)
 @given(tau=taus, gamma=gammas, theta=thetas, g=gs)
 def test_quadrature_corrections_are_antisymmetric(tau, gamma, theta, g):

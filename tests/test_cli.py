@@ -454,6 +454,88 @@ def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
         ("x", "label", "y"), zip(x.tolist(), labels, y.tolist()))
 
 
+# 4165 rows, so three blocks; every axis is shorter than the kernel's minimum
+OPEN_SHAPE = (17, 5, 7, 7)
+
+
+def open_axis(values, axis, ndim):
+    """values laid along one axis of an ndim-dimensional open grid."""
+    return np.reshape(values, [-1 if d == axis else 1 for d in range(ndim)])
+
+
+def write_both_ways(tmp_path, capsys, to_file, header, columns) -> tuple[str, str]:
+    """The table as given, then as dense 1-D columns, each as written."""
+    shape = np.broadcast_shapes(*(np.shape(col) for col in columns))
+    dense = [np.broadcast_to(col, shape).ravel() for col in columns]
+    texts = []
+    for name, cols in (("open", columns), ("dense", dense)):
+        out = str(tmp_path / f"{name}.csv") if to_file else "-"
+        cli._write_table(out, header, cols)
+        texts.append(written(out, capsys))
+    return texts[0], texts[1]
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_write_table_renders_each_stored_value_once(tmp_path, capsys, monkeypatch,
+                                                    to_file):
+    rng = np.random.default_rng(11)
+    axes = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            for n in OPEN_SHAPE]
+    axes[0][:5] = [-0.0, 5e-324, math.inf, -math.nan, 1000000000000000.25]
+    columns = [open_axis(a, i, 4) for i, a in enumerate(axes)]
+    full = rng.standard_normal(OPEN_SHAPE)
+    labels = np.array(["ok", "warn", "invalid", "\u03b8"])[rng.integers(0, 4, OPEN_SHAPE)]
+    open_labels = open_axis(["a", "", "bb", "c", "\u03b8"], 1, 4)
+    header = ("tau", "label", "gamma", "theta", "full", "g", "open_label")
+    table = (columns[0], labels, columns[1], columns[2], full, columns[3], open_labels)
+    rendered = []
+    real = cli._e16_fields
+    monkeypatch.setattr(cli, "_e16_fields",
+                        lambda x: (rendered.append(np.size(x)), real(x))[1])
+    got, want = write_both_ways(tmp_path, capsys, to_file, header, table)
+    assert got == want
+    rows = math.prod(OPEN_SHAPE)
+    assert want.count("\n") == rows + 1
+    # the open table renders each axis value once, the dense one every cell
+    assert sum(rendered) == sum(OPEN_SHAPE) + rows + 5 * rows
+    assert want == expected_csv(header, zip(*(np.broadcast_to(c, OPEN_SHAPE).ravel().tolist()
+                                              for c in table)))
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_write_table_takes_a_figure_shaped_table(tmp_path, capsys, to_file):
+    # 120 taus go through the vector kernel, 40 thetas one by one
+    tau = np.linspace(0.0, 4.0 * math.pi, 120)
+    theta = np.linspace(0.0, 2.0 * math.pi, 40)
+    surface = analytic.scaled_delta_x(tau[:, None], theta[None, :], 1.5)
+    got, want = write_both_ways(tmp_path, capsys, to_file, ("tau", "theta", "delta_scaled"),
+                                (tau[:, None], theta[None, :], surface))
+    assert got == want
+    assert want == expected_csv(("tau", "theta", "delta_scaled"), zip(
+        np.repeat(tau, 40).tolist(), np.tile(theta, 120).tolist(), surface.ravel().tolist()))
+
+
+def test_sweep_keeps_the_grid_open(tmp_path, monkeypatch):
+    """A 25 x 8 x 5 x 10 sweep: each phase table holds the 25 taus, and only
+    the seven columns that meet g are rendered cell by cell."""
+    axes = {"tau": np.linspace(0.0, 4.0 * math.pi, 25), "gamma": np.linspace(0.0, 3.0, 8),
+            "theta": np.linspace(0.0, 6.0, 5), "g": np.logspace(-5.0, 0.0, 10)}
+    config = tmp_path / "sweep.cfg"
+    config.write_text("".join(f"{axis} = {', '.join(map(repr, values.tolist()))}\n"
+                              for axis, values in axes.items()))
+    tables, rendered = [], []
+    real_table, real_fields = analytic._phase_table, cli._e16_fields
+    monkeypatch.setattr(analytic, "_phase_table",
+                        lambda tau: (tables.append(np.size(tau)), real_table(tau))[1])
+    monkeypatch.setattr(cli, "_e16_fields",
+                        lambda x: (rendered.append(np.size(x)), real_fields(x))[1])
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert tables and set(tables) == {25}
+    assert sum(rendered) == 7 * 10 ** 4 + 48
+    assert out.read_bytes().count(b"\n") == 10 ** 4 + 1
+
+
 def test_grid_limit_admits_exactly_max_cells():
     cli._check_grid(1000, 1000)
     with pytest.raises(ConfigError, match="1000 x 1001 cells is above 1000000"):
@@ -531,6 +613,10 @@ def test_grid_limit_admits_exactly_max_cells():
     (["uncertainty-check", "--g-max=-1"], None, "--g-max must be > 0"),
     (["uncertainty-check", "--g-max", "0"], None, "--g-max must be > 0"),
     (["uncertainty-check", "--tol", "nan"], None, "--tol must be finite"),
+    (["uncertainty-check", "--tol=-1"], None, "--tol must be finite and > 0"),
+    (["uncertainty-check", "--tol", "0"], None, "--tol must be finite and > 0"),
+    (["oracle-compare", "--tol=-1"], None, "--tol must be > 0"),
+    (["oracle-compare", "--tol", "0"], None, "--tol must be > 0"),
 ], ids=["dim-one", "tau-not-numeric", "config-jobs-is-unknown",
         "config-unknown-key", "config-list-and-triple", "config-partial-triple",
         "config-triple-not-numeric", "config-one-point", "config-empty-axis",
@@ -554,7 +640,8 @@ def test_grid_limit_admits_exactly_max_cells():
         "figure-3-preset-missing", "figure-3-preset-malformed",
         "figure-1-default-gammas-to-stdout", "figure-2-default-gammas-to-stdout",
         "uncertainty-check-g-max-negative", "uncertainty-check-g-max-zero",
-        "uncertainty-check-tol-nan"])
+        "uncertainty-check-tol-nan", "uncertainty-check-tol-negative",
+        "uncertainty-check-tol-zero", "oracle-tol-negative", "oracle-tol-zero"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys, argv,
                                                  config, message):
     monkeypatch.chdir(tmp_path)  # figures 1-2 would suffix "-" into the cwd
@@ -630,6 +717,8 @@ def test_oracle_compare_argv_fuzz_exits_0_1_or_2(gamma, theta, tol, taus):
     code, err = run_quietly(["oracle-compare", f"--gamma={gamma}", f"--theta={theta}",
                              f"--tol={tol}", "--tau", *taus, "--out", os.devnull])
     assert code in (0, 1, 2)
+    if not float(tol) > 0.0:
+        assert code == 2
     if code == 2:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
@@ -646,6 +735,8 @@ edge_numbers = st.sampled_from(
                                                max_size=4))
 @example(g_min="1e-08", g_max="-1.0", tol="1e-12", tau_max="12.0", gamma_max="2.0",
          points=["2", "2", "2", "2"])  # the log grid of a non-positive --g-max
+@example(g_min="1e-08", g_max="0.01", tol="-1", tau_max="12.0", gamma_max="2.0",
+         points=["2", "2", "2", "2"])  # no point can meet a negative --tol
 def test_uncertainty_check_argv_fuzz_exits_0_1_or_2(g_min, g_max, tol, tau_max,
                                                      gamma_max, points):
     argv = ["uncertainty-check", f"--g-min={g_min}", f"--g-max={g_max}", f"--tol={tol}",
@@ -654,6 +745,8 @@ def test_uncertainty_check_argv_fuzz_exits_0_1_or_2(g_min, g_max, tol, tau_max,
         argv += [f"--{axis}-points", n]
     code, err = run_quietly(argv)
     assert code in (0, 1, 2)
+    if not float(tol) > 0.0:
+        assert code == 2
     if code == 2:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
@@ -682,6 +775,21 @@ def test_entry_point_stderr_is_the_error_line_or_nothing(tmp_path):
     assert result.returncode == 0
     assert result.stderr == ""
     assert not list(tmp_path.iterdir())
+
+
+def test_closed_pipe_on_stdout_ends_quietly(tmp_path):
+    """`sweep --out - | head -1`: the reader goes after one line of 4500 rows."""
+    argv = ["sweep", "--tau", ",".join(map(str, range(30))), "--gamma", "0,1,2",
+            "--theta", "0,1,3,4,5", "--g", ",".join(f"1e-{k}" for k in range(1, 11)),
+            "--out", "-"]
+    proc = subprocess.Popen([sys.executable, "-m", "gupsqueeze.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().decode() == ",".join(SWEEP_COLUMNS) + "\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
 
 
 # ---------------------------------------------------------------------------
