@@ -208,22 +208,17 @@ def _text_fields(strings) -> np.ndarray:
 
 @contextlib.contextmanager
 def _csv_sink(path: str):
-    """A function that writes bytes to path, or to stdout for "-"."""
+    """A function that writes bytes to path, or to stdout for "-".  A path
+    that cannot be opened or written, a FIFO whose reader left included, is
+    a ConfigError."""
     if path == "-":
-        sys.stdout.flush()  # what was printed before goes first
-        stream = getattr(sys.stdout, "buffer", None)
-        if stream is None:  # a text-only stream, such as io.StringIO
-            yield lambda data: sys.stdout.write(data.decode())
-        else:
-            yield stream.write
-            stream.flush()
+        yield lambda data: sys.stdout.write(data.decode())
         return
     try:
-        stream = open(path, "wb")
+        with open(path, "wb") as stream:
+            yield stream.write
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}")
-    with stream:
-        yield stream.write
 
 
 def _stored(column: np.ndarray) -> np.ndarray:
@@ -344,10 +339,9 @@ def cmd_figure(args) -> int:
     _check_grid(args.tau_points)
     grid = analytic.variance_grid(np.linspace(0.0, args.tau_max, args.tau_points),
                                   amp.gamma, amp.theta, g, params)
-    n = args.tau_points
     _write_table(args.out, FIGURE3_COLUMNS, (
-        grid["tau"], grid["var_x_hat"], np.full(n, var_x0), grid["var_p_hat"],
-        np.full(n, var_p0), grid["product"], np.full(n, var_x0 * var_p0)))
+        grid["tau"], grid["var_x_hat"], var_x0, grid["var_p_hat"],
+        var_p0, grid["product"], var_x0 * var_p0))
     print(f"figure 3 ({preset.name} preset, g={g:.6e}): wrote {args.out}")
     return 0
 
@@ -660,9 +654,15 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:
-        # what is still buffered goes nowhere, so the flush at exit is quiet
+        # stdout's reader left: every file a command writes turns its OSError
+        # into ConfigError.  What is still buffered goes to /dev/null, so the
+        # flush at exit is quiet.
         with contextlib.suppress(AttributeError, OSError, ValueError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         return _EXIT_CLOSED_PIPE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -792,6 +792,26 @@ def test_closed_pipe_on_stdout_ends_quietly(tmp_path):
     assert stderr == b""
 
 
+def test_closed_fifo_out_is_one_error_line_and_exit_2(tmp_path):
+    """A broken --out other than stdout is an unwritable --out, not a quiet
+    141: the FIFO's reader goes after one line of 4500 rows."""
+    fifo = tmp_path / "table.csv"
+    os.mkfifo(fifo)
+    argv = ["sweep", "--tau", ",".join(map(str, range(30))), "--gamma", "0,1,2",
+            "--theta", "0,1,3,4,5", "--g", ",".join(f"1e-{k}" for k in range(1, 11)),
+            "--out", str(fifo)]
+    proc = subprocess.Popen([sys.executable, "-m", "gupsqueeze.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with open(fifo, "rb") as reader:
+        assert reader.readline().decode() == ",".join(SWEEP_COLUMNS) + "\n"
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert stdout == b""
+    assert stderr.decode().startswith(f"error: cannot write {str(fifo)!r}: ")
+    assert stderr.decode().count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # preset
 
