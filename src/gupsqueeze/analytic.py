@@ -60,7 +60,7 @@ def secular_scale(tau: float, g: float, gamma: float = 0.0) -> float:
     return abs(g) * abs(tau) * (1.0 + gamma * gamma)
 
 
-def _check_validity(tau: float, g: float, gamma: float, strict: bool) -> None:
+def _check_validity(tau: float, g: float, gamma: float, strict: bool, stacklevel=3) -> None:
     scale = secular_scale(tau, g, gamma)
     if not strict:
         return
@@ -71,13 +71,7 @@ def _check_validity(tau: float, g: float, gamma: float, strict: bool) -> None:
     if scale > SECULAR_WARN:
         warnings.warn(
             f"secular scale {scale:.3g} > {SECULAR_WARN}; first-order accuracy "
-            "is degrading", SecularValidityWarning, stacklevel=3)
-
-
-def _amplitude(alpha) -> CoherentAmplitude:
-    if isinstance(alpha, CoherentAmplitude):
-        return alpha
-    return CoherentAmplitude.from_complex(complex(alpha))
+            "is degrading", SecularValidityWarning, stacklevel=stacklevel)
 
 
 def _phase_table(tau):
@@ -205,7 +199,7 @@ def quadrature_variances(tau: float, g: float, alpha,
     1/16.  One bracket therefore serves both quadratures, with its negation
     as the X2 correction; the truncated-Fock oracle pins both signs down.
     """
-    amp = _amplitude(alpha)
+    amp = CoherentAmplitude.from_complex(alpha)
     _check_validity(tau, g, amp.gamma, strict)
     correction = g * _x1_correction(tau, amp.alpha, _phase_table(tau))
     return QuadratureVariances(
@@ -267,7 +261,7 @@ def evolved_position_momentum(
 
 def coherent_expectation(poly: OperatorPolynomial, alpha, g: float) -> complex:
     """<alpha| P |alpha> with the graded coefficients evaluated at g."""
-    amp = _amplitude(alpha)
+    amp = CoherentAmplitude.from_complex(alpha)
     e0, e1 = poly.expectation(amp.alpha)
     return e0 + g * e1
 
@@ -303,7 +297,7 @@ def quadrature_moments(tau: float, g: float, alpha,
     to float precision; callers relying on that identity get it audited in
     :func:`variance_grid`.
     """
-    amp = _amplitude(alpha)
+    amp = CoherentAmplitude.from_complex(alpha)
     _check_validity(tau, g, amp.gamma, strict)
     pairs = _moments(tau, amp.alpha)
     residual = max(abs(c.imag) for pair in pairs.values() for c in pair)
@@ -496,9 +490,11 @@ def variance_grid(tau, gamma, theta, g,
     return {name: np.broadcast_to(col, shape) for name, col in columns.items()}
 
 
-def _record_at(tau: float, g: float, amp: CoherentAmplitude,
-               params: PhysicalParams | None) -> VarianceRecord:
-    """One point as shape-(1,) arrays: bit for bit what any grid gives."""
+def _record_at(tau: float, g: float, alpha, params: PhysicalParams | None,
+               strict: bool) -> VarianceRecord:
+    """One point, after the validity policy, bit for bit what any grid gives."""
+    amp = CoherentAmplitude.from_complex(alpha)
+    _check_validity(tau, g, amp.gamma, strict, stacklevel=4)  # the caller's caller
     grid = variance_grid([tau], [amp.gamma], [amp.theta], [g], params)
     return VarianceRecord(**{name: float(col[0]) for name, col in grid.items()})
 
@@ -507,9 +503,7 @@ def deformed_variances(tau: float, g: float, alpha,
                        params: PhysicalParams | None = None,
                        strict: bool = True) -> tuple[float, float]:
     """Deformed position and momentum variances (see :func:`variance_grid`)."""
-    amp = _amplitude(alpha)
-    _check_validity(tau, g, amp.gamma, strict)
-    record = _record_at(tau, g, amp, params)
+    record = _record_at(tau, g, alpha, params, strict)
     return record.var_x_hat, record.var_p_hat
 
 
@@ -523,9 +517,7 @@ def uncertainty_product(tau: float, g: float, alpha,
     this order (minimum uncertainty survives the deformation).  Both come from
     the record kernel (see :func:`variance_grid`), SI scaling included.
     """
-    amp = _amplitude(alpha)
-    _check_validity(tau, g, amp.gamma, strict)
-    record = _record_at(tau, g, amp, params)
+    record = _record_at(tau, g, alpha, params, strict)
     return record.product, record.gup_bound
 
 
@@ -567,9 +559,7 @@ def squeezing_deltas(tau: float, g: float, alpha,
                      strict: bool = True) -> tuple[float, float, float]:
     """Deviations of the deformed variances and product from their canonical
     values, each audited against its variance (see :func:`variance_grid`)."""
-    amp = _amplitude(alpha)
-    _check_validity(tau, g, amp.gamma, strict)
-    record = _record_at(tau, g, amp, params)
+    record = _record_at(tau, g, alpha, params, strict)
     return record.delta_x, record.delta_p, record.delta_product
 
 
@@ -612,7 +602,7 @@ def squeezing_region_scan(gamma: float, tau_range: tuple[float, float] = (0.0, 4
 
 def analytic_slopes(tau: float, alpha) -> dict[str, float]:
     """d/dg at g=0 of the five oracle-matched quantities, natural units."""
-    amp = _amplitude(alpha)
+    amp = CoherentAmplitude.from_complex(alpha)
     e = _phase_table(tau)
     f1 = _x1_correction(tau, amp.alpha, e).real
     return {
@@ -628,6 +618,4 @@ def variance_record(tau: float, g: float, alpha,
                     params: PhysicalParams | None = None,
                     strict: bool = True) -> VarianceRecord:
     """One grid point's worth of variances, product, bound, and deltas."""
-    amp = _amplitude(alpha)
-    _check_validity(tau, g, amp.gamma, strict)
-    return _record_at(tau, g, amp, params)
+    return _record_at(tau, g, alpha, params, strict)

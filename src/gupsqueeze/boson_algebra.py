@@ -215,13 +215,6 @@ class TaylorSeries:
 
     coefficients: tuple[Fraction, ...]
 
-    def __len__(self):
-        return len(self.coefficients)
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
     def evaluate(self, tau: float) -> complex:
         """Numeric partial sum at real tau."""
         total = 0.0 + 0.0j
@@ -259,47 +252,43 @@ def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
     return {mono: _order1_series(bodies, mono) for mono in EVOLVED_MONOMIALS}
 
 
-_FORM_IDS = ("base", "drift", "sine", "a3", "adag3")
+#: The closed forms the collected coefficient series resum to, as (exact Taylor
+#: coefficient c_k in the basis (i tau)^k / k!, value at real tau given the
+#: phases e(k) = e^{i k tau}):
+#: base   e^{-i tau}                     c_k = (-1)^k
+#: drift  -i tau e^{-i tau}              c_k = k (-1)^k
+#: sine   i sin tau                      c_k = 1 (k odd), 0 (k even)
+#: a3     (e^{-i tau} - e^{-3 i tau})/6  c_k = -(-1)^k (3^k - 1)/6
+#: adag3  (e^{-i tau} - e^{3 i tau})/12  c_k = -(3^k - (-1)^k)/12
+_FORMS: dict[str, tuple[Callable[[int], Fraction], Callable]] = {
+    "base": (lambda k: Fraction((-1) ** k), lambda tau, e: e(-1)),
+    "drift": (lambda k: Fraction(k * (-1) ** k), lambda tau, e: -1j * tau * e(-1)),
+    "sine": (lambda k: Fraction(k % 2), lambda tau, e: 1j * np.sin(tau)),
+    "a3": (lambda k: Fraction(-((-1) ** k) * (3 ** k - 1), 6),
+           lambda tau, e: (e(-1) - e(-3)) / 6.0),
+    "adag3": (lambda k: Fraction(-(3 ** k - (-1) ** k), 12),
+              lambda tau, e: (e(-1) - e(3)) / 12.0),
+}
+
+
+def _form(form_id: str) -> tuple[Callable[[int], Fraction], Callable]:
+    if form_id not in _FORMS:
+        raise ValueError(f"unknown form {form_id!r}; expected one of {tuple(_FORMS)}")
+    return _FORMS[form_id]
 
 
 def closed_form_taylor(form_id: str, k_max: int) -> TaylorSeries:
-    """Exact Taylor coefficients (basis (i tau)^k / k!) of the five closed forms
-    the collected coefficient series resum to:
-
-    base   e^{-i tau}                     c_k = (-1)^k
-    drift  -i tau e^{-i tau}              c_k = k (-1)^k
-    sine   i sin tau                      c_k = 1 (k odd), 0 (k even)
-    a3     (e^{-i tau} - e^{-3 i tau})/6  c_k = -(-1)^k (3^k - 1)/6
-    adag3  (e^{-i tau} - e^{3 i tau})/12  c_k = -(3^k - (-1)^k)/12
-    """
+    """Exact Taylor coefficients of a closed form (see _FORMS) through k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    rules: dict[str, Callable[[int], Fraction]] = {
-        "base": lambda k: Fraction((-1) ** k),
-        "drift": lambda k: Fraction(k * (-1) ** k),
-        "sine": lambda k: Fraction(k % 2),
-        "a3": lambda k: Fraction(-((-1) ** k) * (3 ** k - 1), 6),
-        "adag3": lambda k: Fraction(-(3 ** k - (-1) ** k), 12),
-    }
-    if form_id not in rules:
-        raise ValueError(f"unknown form {form_id!r}; expected one of {_FORM_IDS}")
-    rule = rules[form_id]
+    rule, _ = _form(form_id)
     return TaylorSeries(tuple(rule(k) for k in range(k_max + 1)))
 
 
 def closed_form_value(form_id: str, tau):
     """Numeric value of a closed form at real tau; array-generic."""
-    e = lambda k: np.exp(1j * k * tau)
-    forms: dict[str, Callable[[], object]] = {
-        "base": lambda: e(-1),
-        "drift": lambda: -1j * tau * e(-1),
-        "sine": lambda: 1j * np.sin(tau),
-        "a3": lambda: (e(-1) - e(-3)) / 6.0,
-        "adag3": lambda: (e(-1) - e(3)) / 12.0,
-    }
-    if form_id not in forms:
-        raise ValueError(f"unknown form {form_id!r}; expected one of {_FORM_IDS}")
-    return forms[form_id]()
+    _, value = _form(form_id)
+    return value(tau, lambda k: np.exp(1j * k * tau))
 
 
 #: Closed form resumming each evolved monomial's order-g coefficient series.

@@ -6,18 +6,18 @@ which alone owns the CSV format: a header row, then each float in
 full-precision scientific notation and each string as is.  A float field's
 bytes equal CPython's ``'%.16e' % x`` exactly.  The writer renders them in
 row blocks of ``_BLOCK_ROWS`` with an exact numpy kernel (``_e16_fields``);
-non-finite values, magnitudes outside [1e-280, 1e280), values within 1e-6
-of a decimal rounding tie, and blocks of fewer than ``_KERNEL_MIN_VALUES``
-floats go through ``'%.16e' %`` one by one.  Columns need only broadcast to
-one shape, so a command hands over its grid open: a float column broadcast
-over the grid is rendered once per stored value, and its rows are gathered
-block by block.  A command returns exit code 0
-only if every assertion it makes passed.  Figures are rendered elsewhere;
-this tool only produces their data surfaces.  ``main`` is the one error
-boundary: a command raises ``ConfigError`` on bad input and the oracle
-``OracleError`` on a failed gate, and ``main`` prints either as one
-``error:`` line on stderr and returns 2.  A closed stdout ends a command
-quietly with exit code 141.
+non-finite values, magnitudes outside [1e-280, 1e280), power-of-ten
+neighbours whose decimal exponent log10 misses, values within 1e-6 of a
+decimal rounding tie, and blocks of fewer than ``_KERNEL_MIN_VALUES`` floats
+go through ``'%.16e' %`` one by one.  Columns need only broadcast to one
+shape, so a command hands over its grid open: a float column broadcast over
+the grid is rendered once per stored value, and its rows are gathered block
+by block.  A command returns exit code 0 only if every assertion it makes
+passed.  Figures are rendered elsewhere; this tool only produces their data
+surfaces.  ``main`` is the one error boundary: a command raises
+``ConfigError`` on bad input and the oracle ``OracleError`` on a failed
+gate, and ``main`` prints either as one ``error:`` line on stderr and
+returns 2.  A closed stdout ends a command quietly with exit code 141.
 """
 
 from __future__ import annotations
@@ -170,13 +170,8 @@ def _e16_fields(x) -> np.ndarray:
     a_hi, a_lo = _split(a)
     e = np.floor(np.log10(a)).astype(np.int64)
     d, frac = _digits(a, a_hi, a_lo, e)
-    # log10 can miss by one next to a power of ten: move e and redo those
-    low, high = d < 10 ** 16, d >= 10 ** 17
-    redo = np.flatnonzero(low | high)
-    if redo.size:
-        e[redo] += high[redo].astype(np.int64) - low[redo]
-        d[redo], frac[redo] = _digits(a[redo], a_hi[redo], a_lo[redo], e[redo])
-    # a true tie rounds half-even; it and anything the product's error could
+    # a d of 16 or 18 digits (log10 missed by one next to a power of ten), a
+    # true tie (it rounds half-even) and anything the product's error could
     # carry across one half go one by one, like zero and the out-of-range
     vector &= (d >= 10 ** 16) & (d < 10 ** 17) & (np.abs(frac - 0.5) > 1e-6)
     d += frac > 0.5
@@ -300,11 +295,6 @@ def _figure_surface(which: int, gamma: float, args) -> tuple[analytic.RegionScan
     return scan, surface
 
 
-def _figure_with_suffix(path: str, gamma: float) -> str:
-    p = Path(path)
-    return str(p.with_name(f"{p.stem}_gamma{gamma:g}{p.suffix}"))
-
-
 def cmd_figure(args) -> int:
     if args.id in (1, 2):
         explicit = args.gamma is not None
@@ -312,12 +302,21 @@ def cmd_figure(args) -> int:
             raise ConfigError(f"figure {args.id} without --gamma writes one file per "
                               f"default gamma; --out - needs --gamma")
         gammas = [args.gamma] if explicit else [1.0, 10.0]
-        # every surface is checked before any file is written
+        # all or nothing: surfaces are checked first, a failed file removes earlier ones
         surfaces = [_figure_surface(args.id, gamma, args) for gamma in gammas]
-        for gamma, (scan, surface) in zip(gammas, surfaces):
-            out = args.out if explicit else _figure_with_suffix(args.out, gamma)
-            _write_table(out, ("tau", "theta", "delta_scaled"),
-                         (scan.tau[:, None], scan.theta[None, :], surface))
+        path = Path(args.out)  # without --gamma, each stem ends in _gamma<gamma>
+        outs = [args.out] if explicit else [
+            str(path.with_name(f"{path.stem}_gamma{g:g}{path.suffix}")) for g in gammas]
+        for i, (out, (scan, surface)) in enumerate(zip(outs, surfaces)):
+            try:
+                _write_table(out, ("tau", "theta", "delta_scaled"),
+                             (scan.tau[:, None], scan.theta[None, :], surface))
+            except BaseException:
+                for written in outs[:i]:
+                    with contextlib.suppress(OSError):
+                        Path(written).unlink()
+                raise
+        for gamma, out, (_, surface) in zip(gammas, outs, surfaces):
             print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
                   f"negative cells: {'yes' if (surface < 0.0).any() else 'no'}")
         return 0
@@ -374,20 +373,17 @@ def cmd_oracle_compare(args) -> int:
                           f"deviation {audit.max_rel_deviation:.3e} (vs "
                           f"dim={audit.dim_doubled}); increase --dim")
 
-    columns = taus, quantities, analytic_slope, oracle_slope, rel_err = [], [], [], [], []
-    for i, tau in enumerate(args.tau):
-        slopes_a = analytic.analytic_slopes(tau, amplitude)
-        # a slope that is 0 comes out as rounding noise on both routes
-        floor = 1e-12 * fock_oracle.slope_scale(tau, amplitude.gamma)
-        for q in ORACLE_QUANTITIES:
-            a, o = slopes_a[q], audit.slopes[q][i]
-            taus.append(tau)
-            quantities.append(q)
-            analytic_slope.append(a)
-            oracle_slope.append(o)
-            rel_err.append(abs(a - o) / max(abs(a), abs(o), floor))
-    _write_table(args.out, ("tau", "quantity", "analytic_slope", "oracle_slope",
-                            "rel_err"), columns)
+    # an open (tau, quantity) grid: one row per pair, tau first
+    taus = np.asarray(args.tau)[:, None]
+    analytic_slope = np.array([[slopes[q] for q in ORACLE_QUANTITIES] for slopes in
+                               (analytic.analytic_slopes(t, amplitude) for t in args.tau)])
+    oracle_slope = np.stack([audit.slopes[q] for q in ORACLE_QUANTITIES], axis=1)
+    # a slope that is 0 comes out as rounding noise on both routes
+    floor = 1e-12 * fock_oracle.slope_scale(taus, amplitude.gamma)
+    rel_err = np.abs(analytic_slope - oracle_slope) / np.maximum(
+        np.maximum(np.abs(analytic_slope), np.abs(oracle_slope)), floor)
+    _write_table(args.out, ("tau", "quantity", "analytic_slope", "oracle_slope", "rel_err"),
+                 (taus, np.array(ORACLE_QUANTITIES), analytic_slope, oracle_slope, rel_err))
     worst = np.max(rel_err)  # NaN propagates
     all_ok = worst < args.tol
     print(f"oracle-compare: worst relative slope error {worst:.3e} "
@@ -536,14 +532,9 @@ _SWEEP_DEFAULTS = {
 
 def cmd_preset(args) -> int:
     preset = physics_config.electron_preset(omega_reading=args.omega_reading)
-    doc = physics_config.preset_to_document(preset)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(doc)
-    else:
-        try:
-            Path(args.out).write_text(doc)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out!r}: {exc}")
+    with _csv_sink(args.out) as write:
+        write(physics_config.preset_to_document(preset).encode())
+    if args.out != "-":
         print(f"preset: wrote {args.out}")
     return 0
 
@@ -620,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "as a flat key = value document")
     p.add_argument("--omega-reading", choices=("angular", "cyclic"),
                    default="angular")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="-",
+                   help="file to write the document to (default: - for stdout)")
     p.set_defaults(func=cmd_preset)
     return parser
 

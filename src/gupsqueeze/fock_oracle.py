@@ -65,7 +65,6 @@ class FockOperator:
 class CoherentVector:
     """Truncated coherent state, renormalized; the clipped tail is recorded."""
 
-    amplitude: CoherentAmplitude
     components: np.ndarray
     truncation_loss: float
 
@@ -286,8 +285,7 @@ def coherent_vector(alpha: complex | CoherentAmplitude,
     The recursion runs on the coefficients times 2**shift (log space in base
     2), so nothing underflows; powers of two scale exactly, so in range this
     is the plain recursion bit for bit.  OracleError if no norm is kept."""
-    amp = alpha if isinstance(alpha, CoherentAmplitude) \
-        else CoherentAmplitude.from_complex(alpha)
+    amp = CoherentAmplitude.from_complex(alpha)
     a = amp.alpha
     no_norm = OracleError(f"coherent state |alpha| = {amp.gamma:g} keeps no norm "
                           f"in Fock dimension {space.dim}")
@@ -307,7 +305,7 @@ def coherent_vector(alpha: complex | CoherentAmplitude,
     loss = 1.0 - math.ldexp(norm_sq, -2 * shift)
     if not loss < 1.0:  # NaN too
         raise no_norm
-    return CoherentVector(amp, comps / math.sqrt(norm_sq), max(0.0, loss))
+    return CoherentVector(comps / math.sqrt(norm_sq), max(0.0, loss))
 
 
 def _keeps_no_norm(mod2: float, dim: int) -> bool:
@@ -372,14 +370,14 @@ def polynomial_matrix(poly: OperatorPolynomial, space: FockSpace,
     return out
 
 
-def fock_dim_for(amplitude: CoherentAmplitude, floor: int = 30) -> int:
-    """Dimension heuristic |alpha|^2 + 10|alpha| + floor.
+def fock_dim_for(amplitude: CoherentAmplitude) -> int:
+    """Dimension heuristic |alpha|^2 + 10|alpha| + 30.
 
     Poisson tail of the coherent state plus headroom for quartic level
     mixing; where this is not enough, truncation_audit fails.
     """
     gamma = amplitude.gamma
-    return math.ceil(gamma * gamma + 10.0 * gamma + floor)
+    return math.ceil(gamma * gamma + 10.0 * gamma + 30)
 
 
 def oracle_variances(tau, amplitude: CoherentAmplitude, params: PhysicalParams,
@@ -402,14 +400,22 @@ def oracle_variances(tau, amplitude: CoherentAmplitude, params: PhysicalParams,
     bands = np.stack([0.5 * s, 0.5j * q, x_hat, p_hat])
     eig = eigensystem(hamiltonian(space, params))
     psi = coherent_vector(amplitude, space).components
-    taus = np.asarray(tau, dtype=float)
-    values = np.empty(taus.shape + (len(bands),))
-    for i, t in np.ndenumerate(taus):
+
+    def at(t):  # the five variances at one tau
         psi_t = evolve(eig, psi, t / params.omega, params.hbar)  # U|psi>
-        values[i] = _variance(psi_t, _apply(bands, psi_t))
-    out = dict(zip(ORACLE_QUANTITIES, np.moveaxis(values, -1, 0)))
-    out["product"] = out["var_x_hat"] * out["var_p_hat"]
-    return {q: v[()] for q, v in out.items()}  # [()] unwraps a scalar tau
+        var = _variance(psi_t, _apply(bands, psi_t))
+        return [*var, var[2] * var[3]]
+
+    return _per_tau(tau, at)
+
+
+def _per_tau(tau, at) -> dict[str, float | np.ndarray]:
+    """at(t) for each t in tau, by quantity; each comes back shaped like tau."""
+    taus = np.asarray(tau, dtype=float)
+    values = np.empty(taus.shape + (len(ORACLE_QUANTITIES),))
+    for i, t in np.ndenumerate(taus):
+        values[i] = at(t)
+    return {q: v[()] for q, v in zip(ORACLE_QUANTITIES, np.moveaxis(values, -1, 0))}
 
 
 def slope_scale(tau, gamma: float):
@@ -440,9 +446,8 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
     gaps = sliding_window_view(np.pad(energies, BANDS), space.dim) - energies
     v_bands = p4 / (3.0 * params.mass)  # zero wherever a gap runs off the space
     psi = coherent_vector(amplitude, space).components
-    taus = np.asarray(tau, dtype=float)
-    values = np.empty(taus.shape + (len(ORACLE_QUANTITIES),))
-    for i, t in np.ndenumerate(taus):
+
+    def at(t):  # the five slopes at one tau
         phase = np.exp(-1j * energies * t)
         if not np.isfinite(phase).all():  # NaN t too
             raise OracleError(f"evolution operator lost unitarity: time {t} "
@@ -457,21 +462,20 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
         d_mean = ((o_chi + d_o_psi) @ psi_t.conj()).real  # 2Re<psi, O chi> + <O'>
         slopes = 2.0 * (o_psi.conj() * d_o_psi).real.sum(axis=-1) - 2.0 * mean * d_mean
         var = _variance(psi_t, o_psi)
-        values[i] = [*slopes, var[2] * slopes[3] + var[3] * slopes[2]]
-    return {q: v[()] for q, v in zip(ORACLE_QUANTITIES, np.moveaxis(values, -1, 0))}
+        return [*slopes, var[2] * slopes[3] + var[3] * slopes[2]]
+
+    return _per_tau(tau, at)
 
 
 @dataclass(frozen=True, eq=False)
 class TruncationAudit:
-    dim: int
     dim_doubled: int
     max_rel_deviation: float
     passed: bool
     slopes: dict[str, float | np.ndarray]  # oracle_slopes at dim
 
 
-def truncation_audit(space: FockSpace, amplitude: CoherentAmplitude, tau,
-                     tol: float = AUDIT_TOL) -> TruncationAudit:
+def truncation_audit(space: FockSpace, amplitude: CoherentAmplitude, tau) -> TruncationAudit:
     """oracle_slopes at dim and at 2*dim, compared at every tau, each relative
     to the larger of its doubled-dimension value and slope_scale.  The slopes
     at dim come back with the verdict, so a caller evaluates them once."""
@@ -481,4 +485,4 @@ def truncation_audit(space: FockSpace, amplitude: CoherentAmplitude, tau,
     scale = slope_scale(tau, amplitude.gamma)
     worst = float(np.max([np.abs(small[q] - big[q]) / np.maximum(np.abs(big[q]), scale)
                           for q in ORACLE_QUANTITIES]))  # NaN propagates
-    return TruncationAudit(space.dim, big_space.dim, worst, worst < tol, small)
+    return TruncationAudit(big_space.dim, worst, worst < AUDIT_TOL, small)

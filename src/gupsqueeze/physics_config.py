@@ -43,9 +43,8 @@ class ConfigError(ValueError):
 class PhysicalParams:
     """Oscillator parameters plus the deformation parameter beta.
 
-    beta has units of inverse momentum squared; negative values are accepted
-    so that central finite differences in beta remain well defined (the
-    Hamiltonian stays Hermitian), even though physically beta >= 0.
+    beta has units of inverse momentum squared.  Physically beta >= 0; negative
+    values are accepted because the finite-beta oracle tests evolve under them.
     """
 
     mass: float = 1.0
@@ -101,7 +100,9 @@ class CoherentAmplitude:
         return self.gamma * cmath.exp(1j * self.theta)
 
     @classmethod
-    def from_complex(cls, alpha: complex) -> "CoherentAmplitude":
+    def from_complex(cls, alpha: complex | CoherentAmplitude) -> "CoherentAmplitude":
+        if isinstance(alpha, CoherentAmplitude):
+            return alpha
         alpha = complex(alpha)
         return cls(gamma=abs(alpha), theta=cmath.phase(alpha) % (2.0 * math.pi))
 

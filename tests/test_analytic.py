@@ -104,6 +104,14 @@ def test_secular_warning_emitted():
         quadrature_variances(4.0, 0.1, CoherentAmplitude(gamma=1.0))
 
 
+@pytest.mark.parametrize("record", [
+    variance_record, deformed_variances, uncertainty_product, squeezing_deltas])
+def test_secular_warning_names_the_callers_file(record):
+    with pytest.warns(SecularValidityWarning) as caught:
+        record(1.0, 0.5, VACUUM)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_secular_refusal():
     with pytest.raises(SecularValidityError):
         quadrature_variances(30.0, 1.0, CoherentAmplitude(gamma=1.0))

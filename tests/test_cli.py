@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gupsqueeze import analytic, cli, fock_oracle
+from gupsqueeze import analytic, cli, fock_oracle, physics_config
 from gupsqueeze.analytic import variance_record
 from gupsqueeze.cli import FIGURE3_COLUMNS, SWEEP_COLUMNS, main
 from gupsqueeze.fock_oracle import (
@@ -83,6 +83,18 @@ def test_figure_default_gammas_write_suffixed_files(tmp_path, capsys):
     assert (tmp_path / "fig1_gamma1.csv").exists()
     assert (tmp_path / "fig1_gamma10.csv").exists()
     assert not out.exists()
+
+
+def test_figure_default_gammas_write_all_or_nothing(tmp_path, capsys):
+    """The second default file cannot be written: the first is removed, and
+    no "wrote" line is printed."""
+    (tmp_path / "fig_gamma10.csv").mkdir()
+    assert main(["figure", "--id", "1", "--out", str(tmp_path / "fig.csv"),
+                 "--tau-points", "4", "--theta-points", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig_gamma10.csv"]
 
 
 def test_figure_3_product_always_above_canonical(tmp_path, capsys):
@@ -300,7 +312,10 @@ def expected_csv(header, rows) -> str:
 
 
 def written(out, capsys) -> str:
-    return capsys.readouterr().out if out == "-" else open(out, newline="").read()
+    if out == "-":
+        return capsys.readouterr().out
+    with open(out, newline="") as stream:
+        return stream.read()
 
 
 # -0.0 and a subnormal on every axis but gamma
@@ -788,6 +803,7 @@ def test_closed_pipe_on_stdout_ends_quietly(tmp_path):
     assert proc.stdout.readline().decode() == ",".join(SWEEP_COLUMNS) + "\n"
     proc.stdout.close()
     stderr = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert stderr == b""
 
@@ -822,3 +838,14 @@ def test_preset_document_output(capsys):
     assert "name = electron" in doc
     assert "beta = 2.43478e+48" in doc
     assert "annotation.omega_reading = angular" in doc
+
+
+@pytest.mark.parametrize("reading", ["angular", "cyclic"])
+def test_preset_out_file_and_stdout_write_the_document(tmp_path, capsys, reading):
+    doc = physics_config.preset_to_document(electron_preset(reading))
+    path = tmp_path / "preset.txt"
+    assert main(["preset", "--omega-reading", reading, "--out", str(path)]) == 0
+    assert path.read_bytes() == doc.encode()
+    assert capsys.readouterr().out == f"preset: wrote {path}\n"
+    assert main(["preset", "--omega-reading", reading, "--out", "-"]) == 0
+    assert capsys.readouterr().out == doc

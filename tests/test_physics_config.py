@@ -56,6 +56,11 @@ def test_amplitude_validation_and_alpha():
     assert back.alpha == pytest.approx(1.0 - 1.0j, abs=1e-15)
 
 
+def test_from_complex_returns_an_amplitude_as_is():
+    amp = CoherentAmplitude(gamma=2.0, theta=7.0)  # theta outside [0, 2 pi)
+    assert CoherentAmplitude.from_complex(amp) is amp
+
+
 # ---------------------------------------------------------------------------
 # natural-unit reduction and restoration
 
