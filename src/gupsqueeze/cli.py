@@ -18,6 +18,8 @@ surfaces.  ``main`` is the one error boundary: a command raises
 ``ConfigError`` on bad input and the oracle ``OracleError`` on a failed
 gate, and ``main`` prints either as one ``error:`` line on stderr and
 returns 2.  A closed stdout ends a command quietly with exit code 141.
+``main`` builds its argument parser once per process and reuses it, so
+every parser default is immutable.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +59,13 @@ FIGURE3_COLUMNS = (
 
 
 # Largest grid any command evaluates, in cells: the product of the figure,
-# uncertainty-check or sweep axis lengths, checked before anything is
-# allocated.  On a dense grid (figure 3, or one long sweep axis)
-# variance_grid peaks at about 430 bytes per cell (165 MiB at 4e5 cells,
-# traced with tracemalloc), and an open grid over several axes at less, so
-# 10^6 cells bounds one command near 0.5 GB of memory and a sweep's CSV near
-# 0.3 GB, 100 times the benchmark's and default grids.
+# uncertainty-check or sweep axis lengths, or oracle-compare's taus times its
+# quantities (one CSV row each), checked before anything is allocated.  On a
+# dense grid (figure 3, or one long sweep axis) variance_grid peaks at about
+# 430 bytes per cell (165 MiB at 4e5 cells, traced with tracemalloc), and an
+# open grid over several axes at less, so 10^6 cells bounds one command near
+# 0.5 GB of memory and a sweep's CSV near 0.3 GB, 100 times the benchmark's
+# and default grids.
 _MAX_GRID_CELLS = 10 ** 6
 
 
@@ -350,6 +354,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    _check_grid(len(args.tau), len(ORACLE_QUANTITIES))
     if not all(map(math.isfinite, (*args.tau, args.tol))):
         raise ConfigError(f"--tau and --tol must be finite, got {args.tau} "
                           f"and {args.tol}")
@@ -460,7 +465,7 @@ def _parse_axis(fields: dict[str, str], axis: str) -> list[float] | None:
     return None
 
 
-def _sweep_inputs(args) -> tuple[dict[str, list[float]], PhysicalParams | None, str]:
+def _sweep_inputs(args) -> tuple[dict[str, Sequence[float]], PhysicalParams | None, str]:
     """Axes, optional SI parameters and output path; ConfigError on bad input."""
     fields: dict[str, str] = {}
     if args.config is not None:
@@ -477,7 +482,7 @@ def _sweep_inputs(args) -> tuple[dict[str, list[float]], PhysicalParams | None, 
         raise ConfigError(f"invalid config keys: {', '.join(unknown)}")
 
     # flags win over config values
-    axes: dict[str, list[float]] = {}
+    axes: dict[str, Sequence[float]] = {}
     for axis in _SWEEP_AXES:
         override = getattr(args, axis)
         if override is not None:
@@ -519,10 +524,10 @@ def cmd_sweep(args) -> int:
 
 
 _SWEEP_DEFAULTS = {
-    "tau": list(np.linspace(0.0, 4.0 * math.pi, 200)),
-    "gamma": [1.0],
-    "theta": [0.0],
-    "g": [1e-6],
+    "tau": tuple(np.linspace(0.0, 4.0 * math.pi, 200)),
+    "gamma": (1.0,),
+    "theta": (0.0,),
+    "g": (1e-6,),
 }
 
 
@@ -574,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "vs truncated-Fock linear response")
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--tau", type=float, nargs="+", default=[0.5, 1.0, 2.0, 4.0])
+    p.add_argument("--tau", type=float, nargs="+", default=(0.5, 1.0, 2.0, 4.0))
     p.add_argument("--dim", type=int, default=None,
                    help="Fock dimension (default: heuristic)")
     p.add_argument("--tol", type=float, default=1e-3)
@@ -636,10 +641,17 @@ def _grid_size(text: str) -> int:
 _EXIT_CLOSED_PIPE = 128 + 13
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, then reused.  argparse
+    hands the same default objects to every parse, so each is immutable."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; the only code that prints ``error:`` or returns 2.
     A closed stdout ends the command quietly with _EXIT_CLOSED_PIPE."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # every non-finite value fails a check
             code = args.func(args)

@@ -116,12 +116,14 @@ def _ladder(bands: np.ndarray, sign: float) -> np.ndarray:
     return out
 
 
-def _quadrature_bands(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of a + a^dag and a^dag - a (x is their first, p i times the
-    second, each times its length scale)."""
+def _quadrature_bands(space: FockSpace) -> tuple[np.ndarray, ...]:
+    """Bands of a + a^dag and of (a^dag - a)^k for k = 1, 2, 3 (x is the
+    first, p i times the second, each times its length scale)."""
     identity = np.zeros((2 * BANDS + 1, space.dim))
     identity[BANDS] = 1.0
-    return _ladder(identity, 1.0), _ladder(identity, -1.0)
+    q = _ladder(identity, -1.0)
+    q2 = _ladder(q, -1.0)
+    return _ladder(identity, 1.0), q, q2, _ladder(q2, -1.0)
 
 
 def _matrix(bands: np.ndarray, dtype=float) -> np.ndarray:
@@ -150,19 +152,18 @@ def ladder_ops(space: FockSpace) -> tuple[FockOperator, FockOperator]:
 def canonical_xp(space: FockSpace,
                  params: PhysicalParams) -> tuple[FockOperator, FockOperator]:
     """x = sqrt(hbar/2m w)(a + a^dag), p = i sqrt(hbar m w/2)(a^dag - a)."""
-    s, q = _quadrature_bands(space)
+    s, q, *_ = _quadrature_bands(space)
     lx, lp = _lengths(params)
     return (FockOperator(space, _matrix(lx * s, complex)),
             FockOperator(space, _matrix(1j * lp * q, complex)))
 
 
-def _deformed_bands(s: np.ndarray, q: np.ndarray,
+def _deformed_bands(s: np.ndarray, q: np.ndarray, q3: np.ndarray,
                     params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
     """Bands of x_hat = x (real) and p_hat = p + (beta/3) p^3 from the
-    quadrature bands s, q, where p^3 = -i lp^3 q^3: purely imaginary, at
-    offsets +-1, +-3."""
+    quadrature bands s, q and q^3, where p^3 = -i lp^3 q^3: purely
+    imaginary, at offsets +-1, +-3."""
     lx, lp = _lengths(params)
-    q3 = _ladder(_ladder(q, -1.0), -1.0)
     return lx * s, 1j * (lp * q - (params.beta / 3.0) * lp ** 3 * q3)
 
 
@@ -173,17 +174,18 @@ def deformed_ops(space: FockSpace,
     Satisfies [x_hat, p_hat] = i hbar (1 + beta p^2) exactly in the truncated
     space away from the edge.
     """
-    x_hat, p_hat = _deformed_bands(*_quadrature_bands(space), params)
+    s, q, _, q3 = _quadrature_bands(space)
+    x_hat, p_hat = _deformed_bands(s, q, q3, params)
     return (FockOperator(space, _matrix(x_hat, complex)),
             FockOperator(space, _matrix(p_hat, complex)))
 
 
-def _oscillator_bands(space: FockSpace,
+def _oscillator_bands(s: np.ndarray, q2: np.ndarray,
                       params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of H0 = p^2/2m + m w^2 x^2 / 2 (diagonal up to rounding) and p^4."""
-    s, q = _quadrature_bands(space)
+    """Bands of H0 = p^2/2m + m w^2 x^2 / 2 (diagonal up to rounding) and p^4
+    from the quadrature bands s and q^2."""
     lx, lp = _lengths(params)
-    p2 = -lp ** 2 * _ladder(q, -1.0)
+    p2 = -lp ** 2 * q2
     p4 = -lp ** 2 * _ladder(_ladder(p2, -1.0), -1.0)
     h0 = (p2 / (2.0 * params.mass)
           + 0.5 * params.mass * params.omega ** 2 * lx ** 2 * _ladder(s, 1.0))
@@ -193,7 +195,8 @@ def _oscillator_bands(space: FockSpace,
 def hamiltonian(space: FockSpace, params: PhysicalParams) -> FockOperator:
     """H = p^2/2m + m w^2 x^2 / 2 + beta p^4 / 3m: real symmetric, at
     offsets 0, +-2, +-4, built from its bands."""
-    h0, p4 = _oscillator_bands(space, params)
+    s, _, q2, _ = _quadrature_bands(space)
+    h0, p4 = _oscillator_bands(s, q2, params)
     h = h0 + (params.beta / (3.0 * params.mass)) * p4
     n = space.dim
     for k in range(1, min(BANDS, n - 1) + 1):  # scrub rounding asymmetry
@@ -341,12 +344,16 @@ def _variance(psi: np.ndarray, o_psi: np.ndarray) -> np.ndarray:
     return second - mean * mean
 
 
-def _apply(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v from the bands of M (or of a stack of M), O(n) per M:
-    (M v)[r] = sum_k M[r, r+k] v[r+k]."""
-    padded = np.zeros(v.shape[0] + 2 * BANDS, dtype=complex)
-    padded[BANDS:-BANDS] = v
-    return (bands * sliding_window_view(padded, v.shape[0])).sum(axis=-2)
+def _apply(bands: np.ndarray, v: np.ndarray, offsets: slice = slice(None)) -> np.ndarray:
+    """M v from the bands of M (or of a stack of M), O(n) per M and vector:
+    (M v)[r] = sum_k M[r, r+k] v[r+k].  v may be a stack of vectors along
+    its leading axes, which broadcast against those of bands.  bands holds
+    the offsets -BANDS .. BANDS, or only those that offsets selects."""
+    n = v.shape[-1]
+    padded = np.zeros(v.shape[:-1] + (n + 2 * BANDS,), dtype=complex)
+    padded[..., BANDS:-BANDS] = v
+    window = sliding_window_view(padded, n, axis=-1)[..., offsets, :]
+    return (bands * window).sum(axis=-2)
 
 
 def monomial_matrix(space: FockSpace, mono: Monomial) -> np.ndarray:
@@ -394,8 +401,8 @@ def oracle_variances(tau, amplitude: CoherentAmplitude, params: PhysicalParams,
     """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    s, q = _quadrature_bands(space)
-    x_hat, p_hat = _deformed_bands(s, q, params)
+    s, q, _, q3 = _quadrature_bands(space)
+    x_hat, p_hat = _deformed_bands(s, q, q3, params)
     # bands of X1 = (a + a^dag)/2, X2 = (a - a^dag)/2i, x_hat, p_hat
     bands = np.stack([0.5 * s, 0.5j * q, x_hat, p_hat])
     eig = eigensystem(hamiltonian(space, params))
@@ -415,6 +422,11 @@ def _per_tau(tau, at) -> dict[str, float | np.ndarray]:
     values = np.empty(taus.shape + (len(ORACLE_QUANTITIES),))
     for i, t in np.ndenumerate(taus):
         values[i] = at(t)
+    return _by_quantity(values)
+
+
+def _by_quantity(values: np.ndarray) -> dict[str, float | np.ndarray]:
+    """The last axis of values, one entry per quantity; a scalar where tau was."""
     return {q: v[()] for q, v in zip(ORACLE_QUANTITIES, np.moveaxis(values, -1, 0))}
 
 
@@ -424,10 +436,19 @@ def slope_scale(tau, gamma: float):
     return (1.0 + gamma * gamma) ** 2 * (1.0 + np.abs(tau))
 
 
+# Taus per chunk of oracle_slopes' array pass, times the Fock dimension.  Its
+# largest arrays hold 36 complex numbers per (tau, number state), 4 quantities
+# times 9 bands, so each stays near 2.4 MB at any dimension; 5000 taus at
+# gamma = 10 ran no faster with 4 times larger chunks and took 20 MiB more.
+_SLOPE_CHUNK_CELLS = 2 ** 12
+
+
 def oracle_slopes(tau, amplitude: CoherentAmplitude,
                   space: FockSpace | None = None) -> dict[str, float | np.ndarray]:
     """d/dbeta at beta = 0 of all five oracle variances, natural units, shaped
-    like tau, by linear response: no eigensolve, O(n) work per tau.
+    like tau, by linear response: no eigensolve, O(n) work per tau.  The taus
+    run as one array pass, in chunks of at most _SLOPE_CHUNK_CELLS / n taus,
+    so memory stays bounded however many are given.
 
     H0 is diagonal (energies E), so Duhamel's formula gives d(U psi)/dbeta =
     -i e^{-iEt} (W psi) exactly: W has the bands of V = p^4/3m times
@@ -437,34 +458,44 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
     params = PhysicalParams.natural(0.0)
-    s, q = _quadrature_bands(space)
-    bands = np.stack([0.5 * s, 0.5j * q, *_deformed_bands(s, q, params)])
+    s, q, q2, q3 = _quadrature_bands(space)
+    bands = np.stack([0.5 * s, 0.5j * q, *_deformed_bands(s, q, q3, params)])
     d_bands = np.zeros_like(bands)
-    d_bands[3] = -1j * _lengths(params)[1] ** 3 / 3.0 * _ladder(_ladder(q, -1.0), -1.0)
-    h0, p4 = _oscillator_bands(space, params)
+    d_bands[3] = -1j * _lengths(params)[1] ** 3 / 3.0 * q3
+    h0, p4 = _oscillator_bands(s, q2, params)
     energies = h0[BANDS]
-    gaps = sliding_window_view(np.pad(energies, BANDS), space.dim) - energies
-    v_bands = p4 / (3.0 * params.mass)  # zero wherever a gap runs off the space
+    # V = p^4/3m is zero at odd offsets, so F is needed at the even ones only
+    even = slice(None, None, 2)
+    gaps = (sliding_window_view(np.pad(energies, BANDS), space.dim) - energies)[even]
+    v_bands = (p4 / (3.0 * params.mass))[even]  # zero wherever a gap runs off the space
     psi = coherent_vector(amplitude, space).components
-
-    def at(t):  # the five slopes at one tau
+    taus = np.asarray(tau, dtype=float)
+    flat = taus.reshape(-1)
+    values = np.empty((flat.size, len(ORACLE_QUANTITIES)))
+    chunk = max(1, _SLOPE_CHUNK_CELLS // space.dim)
+    for start in range(0, flat.size, chunk):
+        # axes (tau, quantity or band, number state)
+        t = flat[start:start + chunk, None]
         phase = np.exp(-1j * energies * t)
-        if not np.isfinite(phase).all():  # NaN t too
-            raise OracleError(f"evolution operator lost unitarity: time {t} "
-                              "is beyond the float range")
+        finite = np.isfinite(phase).all(axis=-1)
+        if not finite.all():  # NaN t too
+            raise OracleError(f"evolution operator lost unitarity: time "
+                              f"{t[np.argmin(finite), 0]} is beyond the float range")
         psi_t = phase * psi
+        t = t[:, :, None]
         # F(D, t) = t e^{-iDt/2} sinc(Dt/2pi), stable as D t -> 0
         f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
-        chi = -1j * phase * _apply(v_bands * f, psi)
-        o_psi, o_chi = _apply(bands, psi_t), _apply(bands, chi)
-        d_o_psi = o_chi + _apply(d_bands, psi_t)
-        mean = (o_psi @ psi_t.conj()).real
-        d_mean = ((o_chi + d_o_psi) @ psi_t.conj()).real  # 2Re<psi, O chi> + <O'>
+        chi = -1j * phase * _apply(v_bands * f, psi, even)
+        o_psi, o_chi = _apply(bands, psi_t[:, None]), _apply(bands, chi[:, None])
+        d_o_psi = o_chi + _apply(d_bands, psi_t[:, None])
+        bra = psi_t.conj()[:, :, None]
+        mean = (o_psi @ bra)[..., 0].real
+        d_mean = ((o_chi + d_o_psi) @ bra)[..., 0].real  # 2Re<psi, O chi> + <O'>
         slopes = 2.0 * (o_psi.conj() * d_o_psi).real.sum(axis=-1) - 2.0 * mean * d_mean
-        var = _variance(psi_t, o_psi)
-        return [*slopes, var[2] * slopes[3] + var[3] * slopes[2]]
-
-    return _per_tau(tau, at)
+        var = (o_psi.conj() * o_psi).real.sum(axis=-1) - mean * mean
+        values[start:start + chunk, :4] = slopes
+        values[start:start + chunk, 4] = var[:, 2] * slopes[:, 3] + var[:, 3] * slopes[:, 2]
+    return _by_quantity(values.reshape(taus.shape + (len(ORACLE_QUANTITIES),)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -632,6 +632,8 @@ def test_grid_limit_admits_exactly_max_cells():
     (["uncertainty-check", "--tol", "0"], None, "--tol must be finite and > 0"),
     (["oracle-compare", "--tol=-1"], None, "--tol must be > 0"),
     (["oracle-compare", "--tol", "0"], None, "--tol must be > 0"),
+    (["oracle-compare", "--tau", *["1"] * 200001], None,
+     "grid of 200001 x 5 cells is above 1000000"),
 ], ids=["dim-one", "tau-not-numeric", "config-jobs-is-unknown",
         "config-unknown-key", "config-list-and-triple", "config-partial-triple",
         "config-triple-not-numeric", "config-one-point", "config-empty-axis",
@@ -656,7 +658,8 @@ def test_grid_limit_admits_exactly_max_cells():
         "figure-1-default-gammas-to-stdout", "figure-2-default-gammas-to-stdout",
         "uncertainty-check-g-max-negative", "uncertainty-check-g-max-zero",
         "uncertainty-check-tol-nan", "uncertainty-check-tol-negative",
-        "uncertainty-check-tol-zero", "oracle-tol-negative", "oracle-tol-zero"])
+        "uncertainty-check-tol-zero", "oracle-tol-negative", "oracle-tol-zero",
+        "oracle-oversized-tau-list"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys, argv,
                                                  config, message):
     monkeypatch.chdir(tmp_path)  # figures 1-2 would suffix "-" into the cwd
@@ -790,6 +793,31 @@ def test_entry_point_stderr_is_the_error_line_or_nothing(tmp_path):
     assert result.returncode == 0
     assert result.stderr == ""
     assert not list(tmp_path.iterdir())
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys, tmp_path):
+    """main builds its parser once per process.  A call that leaves its
+    options behind in a shared default would show in the next call's output,
+    so each second call must print what a fresh process prints."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for first, second in ((["oracle-compare", "--tau", "3"], ["oracle-compare"]),
+                              (["sweep", "--tau", "1"], ["sweep"])):
+            assert main(first) == 0
+            capsys.readouterr()
+            assert main(second) == 0
+            fresh = subprocess.run([sys.executable, "-m", "gupsqueeze.cli", *second],
+                                   env={**os.environ, "PYTHONPATH": str(SRC)},
+                                   cwd=tmp_path, capture_output=True, text=True,
+                                   timeout=60)
+            assert fresh.returncode == 0 and fresh.stderr == ""
+            assert capsys.readouterr().out == fresh.stdout
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_closed_pipe_on_stdout_ends_quietly(tmp_path):

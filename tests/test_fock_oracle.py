@@ -2,10 +2,12 @@
 coherent-state variances, linear-response slopes, truncation audits."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gupsqueeze import fock_oracle
 from gupsqueeze.analytic import analytic_slopes
@@ -511,6 +513,122 @@ def test_oracle_slopes_never_calls_eigensystem(monkeypatch, tmp_path):
     assert truncation_audit(FockSpace(41), amp, [0.5, 2.0]).passed
     assert main(["oracle-compare", "--gamma", "1", "--theta", "0.4",
                  "--out", str(tmp_path / "oracle.csv")]) == 0
+
+
+def reference_slopes(tau, amplitude, space):
+    """oracle_slopes as it ran before its array pass: one Python step per tau,
+    F(D, t) on every offset.  Kept to pin the array pass's bits."""
+    edge = fock_oracle.BANDS
+    params = NAT(0.0)
+    s, q, q2, q3 = fock_oracle._quadrature_bands(space)
+    bands = np.stack([0.5 * s, 0.5j * q, *fock_oracle._deformed_bands(s, q, q3, params)])
+    d_bands = np.zeros_like(bands)
+    d_bands[3] = -1j * fock_oracle._lengths(params)[1] ** 3 / 3.0 * q3
+    h0, p4 = fock_oracle._oscillator_bands(s, q2, params)
+    energies = h0[edge]
+    gaps = sliding_window_view(np.pad(energies, edge), space.dim) - energies
+    v_bands = p4 / (3.0 * params.mass)
+    psi = coherent_vector(amplitude, space).components
+
+    def apply(m, v):
+        padded = np.zeros(v.shape[0] + 2 * edge, dtype=complex)
+        padded[edge:-edge] = v
+        return (m * sliding_window_view(padded, v.shape[0])).sum(axis=-2)
+
+    def at(t):
+        phase = np.exp(-1j * energies * t)
+        if not np.isfinite(phase).all():
+            raise OracleError(f"evolution operator lost unitarity: time {t} "
+                              "is beyond the float range")
+        psi_t = phase * psi
+        f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
+        chi = -1j * phase * apply(v_bands * f, psi)
+        o_psi, o_chi = apply(bands, psi_t), apply(bands, chi)
+        d_o_psi = o_chi + apply(d_bands, psi_t)
+        mean = (o_psi @ psi_t.conj()).real
+        d_mean = ((o_chi + d_o_psi) @ psi_t.conj()).real
+        slopes = 2.0 * (o_psi.conj() * d_o_psi).real.sum(axis=-1) - 2.0 * mean * d_mean
+        var = fock_oracle._variance(psi_t, o_psi)
+        return [*slopes, var[2] * slopes[3] + var[3] * slopes[2]]
+
+    return fock_oracle._per_tau(tau, at)
+
+
+def assert_same_bits(got, want):
+    for q in ORACLE_QUANTITIES:
+        assert type(got[q]) is type(want[q]), q
+        assert np.shape(got[q]) == np.shape(want[q]), q
+        assert np.asarray(got[q]).tobytes() == np.asarray(want[q]).tobytes(), q
+
+
+def outcome(slopes, *args):
+    """The slopes, or the message of the OracleError they raise; a time
+    beyond the float range overflows on its way there, as under cli.main."""
+    try:
+        with np.errstate(all="ignore"):
+            return slopes(*args)
+    except OracleError as exc:
+        return str(exc)
+
+
+special_taus = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2.0, 1e-300, 1e308])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+       theta=st.floats(0.0, 2.0 * math.pi), dim=st.integers(2, 120),
+       taus=st.lists(st.one_of(special_taus, st.floats(-20.0, 20.0)), min_size=1,
+                     max_size=6),
+       form=st.sampled_from(["scalar", "list", "2-d"]))
+@example(gamma=0.0, theta=0.0, dim=2, taus=[0.0, -0.0, -2.0, 5e-324], form="list")
+@example(gamma=1.0, theta=0.4, dim=41, taus=[0.0, -0.0, -2.0, 5e-324], form="2-d")
+@example(gamma=1.0, theta=0.4, dim=41, taus=[-0.0], form="scalar")
+@example(gamma=2.0, theta=1.0, dim=30, taus=[1.0, 1e308, -1e308], form="list")
+def test_batched_slopes_equal_the_per_tau_reference_bit_for_bit(gamma, theta, dim, taus,
+                                                                form):
+    tau = {"scalar": taus[0], "list": taus,
+           "2-d": np.array(taus * 2).reshape(2, len(taus))}[form]
+    amp, space = CoherentAmplitude(gamma=gamma, theta=theta), FockSpace(dim)
+    got = outcome(oracle_slopes, tau, amp, space)
+    want = outcome(reference_slopes, tau, amp, space)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_bits(got, want)
+
+
+def test_batched_slopes_span_several_chunks_bit_for_bit():
+    amp, space = CoherentAmplitude(gamma=2.0, theta=0.3), FockSpace(120)
+    chunk = fock_oracle._SLOPE_CHUNK_CELLS // space.dim
+    taus = np.linspace(-1.0, 9.0, 2 * chunk + 7)
+    assert_same_bits(oracle_slopes(taus, amp, space), reference_slopes(taus, amp, space))
+
+
+def test_slope_pass_makes_as_many_calls_for_40_taus_as_for_4(monkeypatch):
+    """One array pass: the banded products and ladders do not grow with the
+    taus, and each band is laddered once."""
+    counts = Counter()
+    for name in ("_apply", "_ladder"):
+        def counted(*args, _real=getattr(fock_oracle, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(fock_oracle, name, counted)
+    amp, space = CoherentAmplitude(gamma=1.0, theta=0.4), FockSpace(41)
+
+    def calls(n_taus):
+        counts.clear()
+        oracle_slopes(np.linspace(0.5, 4.0, n_taus), amp, space)
+        return dict(counts)
+
+    assert calls(4) == calls(40) == {"_apply": 4, "_ladder": 7}
+
+
+def test_time_beyond_float_range_names_the_first_such_tau(capsys):
+    assert main(["oracle-compare", "--tau", "1", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: oracle: evolution operator lost unitarity: "
+                            "time 1e+308 is beyond the float range\n")
 
 
 def test_batched_slopes_equal_single_tau_bit_for_bit():
