@@ -10,16 +10,18 @@ non-finite values, magnitudes outside [1e-280, 1e280), power-of-ten
 neighbours whose decimal exponent log10 misses, values within 1e-6 of a
 decimal rounding tie, and blocks of fewer than ``_KERNEL_MIN_VALUES`` floats
 go through ``'%.16e' %`` one by one.  Columns need only broadcast to one
-shape, so a command hands over its grid open: a float column broadcast over
-the grid is rendered once per stored value, and its rows are gathered block
-by block.  A command returns exit code 0 only if every assertion it makes
-passed.  Figures are rendered elsewhere; this tool only produces their data
-surfaces.  ``main`` is the one error boundary: a command raises
-``ConfigError`` on bad input and the oracle ``OracleError`` on a failed
-gate, and ``main`` prints either as one ``error:`` line on stderr and
-returns 2.  A closed stdout ends a command quietly with exit code 141.
-``main`` builds its argument parser once per process and reuses it, so
-every parser default is immutable.
+shape, so a command hands over its grid open.  A float column with a value
+for every row is rendered block by block; any other column is rendered once
+per table, a float column broadcast over the grid once per stored value and
+a text column once per distinct string, and its rows are gathered block by
+block.  Each block's NUL padding is dropped in one pass.  A command returns
+exit code 0 only if every assertion it makes passed.  Figures are rendered
+elsewhere; this tool only produces their data surfaces.  ``main`` is the
+one error boundary: a command raises ``ConfigError`` on bad input and the
+oracle ``OracleError`` on a failed gate, and ``main`` prints either as one
+``error:`` line on stderr and returns 2.  A closed stdout ends a command
+quietly with exit code 141.  ``main`` builds its argument parser once per
+process and reuses it, so every parser default is immutable.
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ _BLOCK_ROWS = 2048
 # fraction digits, words 5-6 "e", the exponent sign and 2 or 3 digits.
 _E16_WORDS = 7
 # Below this many values per call, formatting them one by one is faster than
-# the kernel's fixed cost of about 70 numpy calls (crossover near 90 values).
-_KERNEL_MIN_VALUES = 96
+# the kernel's fixed per-call cost (crossover measured at 80 values: about
+# 115 us either way, 2-core VM, numpy 2.4).
+_KERNEL_MIN_VALUES = 80
 _POW10_MIN = -270  # 10**k for k = 16 - E, E the decimal exponent in range
 _POW10_MAX = 300
 _EXP_OFFSET = 300
@@ -184,25 +187,33 @@ def _e16_fields(x) -> np.ndarray:
     e += carry
     d[~vector] = 0  # zeros render as 0.0000000000000000e+00; the rest below
     e[~vector] = 0
-    lead, rest = np.divmod(d, 10 ** 16)
-    upper, lower = np.divmod(rest, 10 ** 8)
+    # d's 17 digits: the leading one, then two 8-digit halves of two 4-digit
+    # quads each, split by floor division (an int64 np.divmod costs about
+    # four floor divisions)
+    hi = d // 10 ** 8
+    lo = d - hi * 10 ** 8
+    lead = hi // 10 ** 8
+    hi -= lead * 10 ** 8
     fields = np.empty((x.size, _E16_WORDS), "<u4")
-    fields[:, 0] = head[lead + 10 * np.signbit(x)]
-    fields[:, 1:3] = quad[np.stack(np.divmod(upper, 10 ** 4), axis=1)]
-    fields[:, 3:5] = quad[np.stack(np.divmod(lower, 10 ** 4), axis=1)]
-    fields[:, 5:] = tail[e + _EXP_OFFSET]
+    fields[:, 0] = head.take(lead + 10 * np.signbit(x))
+    for word, half in ((1, hi), (3, lo)):
+        upper = half // 10 ** 4
+        fields[:, word] = quad.take(upper)
+        fields[:, word + 1] = quad.take(half - upper * 10 ** 4)
+    fields[:, 5:] = tail.take(e + _EXP_OFFSET, axis=0)
     out = fields.view(np.uint8)
     slow = ~vector & (x != 0.0)
     out[slow] = _e16_one_by_one(x[slow])
     return out
 
 
-def _text_fields(strings) -> np.ndarray:
-    """Each string's UTF-8 bytes as one NUL-padded row; each distinct string
-    is encoded once."""
+def _text_fields(strings, end: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct string's UTF-8 bytes and then end, as one NUL-padded row,
+    and for each string the index of its row, in the shape of strings."""
     distinct, index = np.unique(strings, return_inverse=True)
-    encoded = np.array([text.encode() for text in distinct.tolist()])
-    return encoded.view(np.uint8).reshape(len(distinct), -1)[index]
+    encoded = np.array([text.encode() + end for text in distinct.tolist()], dtype=bytes)
+    return (encoded.view(np.uint8).reshape(len(distinct), encoded.itemsize),
+            index.reshape(np.shape(strings)))
 
 
 @contextlib.contextmanager
@@ -230,40 +241,46 @@ def _stored(column: np.ndarray) -> np.ndarray:
 def _write_table(path: str, header, columns) -> None:
     """Write the header, then one row per cell of the shape the columns
     broadcast to, in C order.  Each column is a float array (written as
-    '%.16e') or a sequence of str (written as is); a float column that
-    stores fewer values than there are rows is rendered once per value."""
+    '%.16e') or a sequence of str (written as is).  A float column that holds
+    a value for every row is rendered block by block; any other column is
+    rendered once per table, a float per stored value and a string per
+    distinct value, and its rows are gathered block by block."""
     columns = [np.asarray(col) for col in columns]
     shape = np.broadcast_shapes(*(col.shape for col in columns))
     rows = math.prod(shape)
-    # each column as its rows in C order, or as its stored values rendered
-    # and broadcast to the table's shape
-    parts = []
-    for col in columns:
+    # every field ends in its separator, "," or "\n" after the last column;
+    # a float field's is its last byte, as '%.16e' fills at most 24 of its 28
+    ends = [b","] * (len(columns) - 1) + [b"\n"]
+    parts = []  # (None, rows) for a dense float column, else (fields, index)
+    dense_ends = []
+    for col, end in zip(columns, ends):
         col = np.broadcast_to(col, shape)
         stored = _stored(col)
-        if col.dtype.kind == "f" and stored.size < rows:
-            fields = _e16_fields(stored).reshape(*stored.shape, -1)
-            parts.append(("rendered", np.broadcast_to(fields, (*shape, fields.shape[-1]))))
+        if col.dtype.kind == "f" and stored.size == rows:
+            parts.append((None, col.reshape(-1)))
+            dense_ends.append(ord(end))
+            continue
+        if col.dtype.kind == "f":
+            fields, index = _e16_fields(stored), np.arange(stored.size).reshape(stored.shape)
+            fields[:, -1] = ord(end)
         else:
-            parts.append(("float" if col.dtype.kind == "f" else "text", col.reshape(-1)))
-    open_grid = any(kind == "rendered" for kind, _ in parts)
+            fields, index = _text_fields(stored, end)
+        parts.append((fields, np.broadcast_to(index, shape)))
     with _csv_sink(path) as write:
         write((",".join(header) + "\n").encode())
         for start in range(0, rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, rows)
-            at = np.unravel_index(np.arange(start, stop), shape) if open_grid else None
-            # one kernel call renders every float column not rendered above
-            floats = [data[start:stop] for kind, data in parts if kind == "float"]
-            dense = iter(_e16_fields(np.stack(floats, axis=1)).reshape(
-                stop - start, len(floats), -1).swapaxes(0, 1) if floats else ())
-            pieces = []
-            for kind, data in parts:
-                pieces += [data[at] if kind == "rendered" else next(dense)
-                           if kind == "float" else _text_fields(data[start:stop]),
-                           np.full((stop - start, 1), ord(","), np.uint8)]
-            pieces[-1][:] = ord("\n")
-            table = np.concatenate(pieces, axis=1).ravel()
-            write(table[table != 0].tobytes())
+            at = np.unravel_index(np.arange(start, stop), shape)
+            # one kernel call renders every dense float column's block
+            floats = [data[start:stop] for fields, data in parts if fields is None]
+            if floats:
+                block = _e16_fields(np.stack(floats, axis=1)).reshape(
+                    stop - start, len(floats), -1)
+                block[:, :, -1] = dense_ends
+                dense = iter(block.swapaxes(0, 1))
+            pieces = [next(dense) if fields is None else fields.take(index[at], axis=0)
+                      for fields, index in parts]
+            write(np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------

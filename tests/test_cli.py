@@ -431,6 +431,18 @@ POWERS_OF_TEN = [float(f"1e{k}") for k in range(-323, 309)]
 @example(x=math.inf)
 @example(x=-math.inf)
 @example(x=math.nan)
+# the digit groups' seams: a fraction of all 0s or all 9s, 8-digit halves
+# and 4-digit quads at 0000 and 9999, and a leading 9
+@example(x=1.0)
+@example(x=-1e-100)
+@example(x=np.nextafter(10.0, 0.0))  # 9.9999999999999982e+00
+@example(x=np.nextafter(1.0, 0.0))  # 9.9999999999999989e-01
+@example(x=1.00000001)  # 1.0000000099999999e+00
+@example(x=1.99999999)  # 1.9999999900000001e+00
+@example(x=4.000099990001)  # 4.0000999900009999e+00
+@example(x=7.999900009999001e-07)  # 7.9999000099990006e-07
+@example(x=-900000.0)
+@example(x=9.000000009999999e+123)  # 9.0000000099999989e+123
 def test_e16_kernel_matches_cpython(x):
     assert kernel_text([x]) == ["%.16e" % x]
 
@@ -463,10 +475,32 @@ def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
     x[:6] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1000000000000000.25]
     y = np.linspace(-1.0, 1.0, n)
     labels = [("ok", "warn", "invalid", "", "\u03b8")[i % 5] for i in range(n)]
+    blank = [""] * n
     out = str(tmp_path / "table.csv") if to_file else "-"
-    cli._write_table(out, ("x", "label", "y"), (x, labels, y))
+    cli._write_table(out, ("x", "label", "y", "blank"), (x, labels, y, blank))
     assert written(out, capsys) == expected_csv(
-        ("x", "label", "y"), zip(x.tolist(), labels, y.tolist()))
+        ("x", "label", "y", "blank"), zip(x.tolist(), labels, y.tolist(), blank))
+
+
+@pytest.mark.parametrize("widest", [False, True])
+def test_write_table_fields_all_of_one_width(tmp_path, capsys, widest):
+    """Every float field negative with a 3-digit exponent (24 bytes), or
+    every one positive with a 2-digit exponent (22 bytes), on the rendered-once
+    and the block-by-block path, across block boundaries."""
+    shape = (97, 43)  # 4171 rows, so three blocks
+    rng = np.random.default_rng(13)
+    def draw(size):
+        scale = 10.0 ** (rng.integers(100, 280, size) * rng.choice([-1, 1], size) if widest
+                         else rng.integers(-99, 99, size))
+        return (-1.0 if widest else 1.0) * rng.uniform(1.0, 9.0, size) * scale
+    table = (draw(97)[:, None], draw(43)[None, :], draw(shape), draw(shape))
+    header = ("u", "v", "w", "z")
+    out = tmp_path / "table.csv"
+    cli._write_table(str(out), header, table)
+    text = written(out, capsys)
+    assert text == expected_csv(header, zip(*(np.broadcast_to(c, shape).ravel().tolist()
+                                              for c in table)))
+    assert {len(line) for line in text.splitlines()[1:]} == {4 * (24 if widest else 22) + 3}
 
 
 # 4165 rows, so three blocks; every axis is shorter than the kernel's minimum
@@ -503,16 +537,21 @@ def test_write_table_renders_each_stored_value_once(tmp_path, capsys, monkeypatc
     open_labels = open_axis(["a", "", "bb", "c", "\u03b8"], 1, 4)
     header = ("tau", "label", "gamma", "theta", "full", "g", "open_label")
     table = (columns[0], labels, columns[1], columns[2], full, columns[3], open_labels)
-    rendered = []
-    real = cli._e16_fields
+    rendered, encoded = [], []
+    real, real_text = cli._e16_fields, cli._text_fields
     monkeypatch.setattr(cli, "_e16_fields",
                         lambda x: (rendered.append(np.size(x)), real(x))[1])
+    monkeypatch.setattr(cli, "_text_fields",
+                        lambda x, end: (encoded.append(np.size(x)), real_text(x, end))[1])
     got, want = write_both_ways(tmp_path, capsys, to_file, header, table)
     assert got == want
     rows = math.prod(OPEN_SHAPE)
     assert want.count("\n") == rows + 1
     # the open table renders each axis value once, the dense one every cell
     assert sum(rendered) == sum(OPEN_SHAPE) + rows + 5 * rows
+    # each text column is encoded once per table, not once per block: the
+    # open table's labels and open labels, then the dense table's two
+    assert encoded == [rows, 5, rows, rows]
     assert want == expected_csv(header, zip(*(np.broadcast_to(c, OPEN_SHAPE).ravel().tolist()
                                               for c in table)))
 
