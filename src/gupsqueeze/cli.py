@@ -4,22 +4,26 @@ parameter sweeps, and oracle comparisons.
 Every command hands its header and columns to one writer, ``_write_table``,
 which alone owns the CSV format: a header row, then each float in
 full-precision scientific notation and each string as is.  A float field's
-bytes equal CPython's ``'%.16e' % x`` exactly.  The writer renders them in
-row blocks of ``_BLOCK_ROWS`` with an exact numpy kernel (``_e16_fields``);
-non-finite values, magnitudes outside [1e-280, 1e280), power-of-ten
-neighbours whose decimal exponent log10 misses, values within 1e-6 of a
-decimal rounding tie, and blocks of fewer than ``_KERNEL_MIN_VALUES`` floats
-go through ``'%.16e' %`` one by one.  Columns need only broadcast to one
-shape, so a command hands over its grid open.  A float column with a value
-for every row is rendered block by block; any other column is rendered once
-per table, a float column broadcast over the grid once per stored value and
-a text column once per distinct string, and its rows are gathered block by
-block.  Each block's NUL padding is dropped in one pass.  A command returns
-exit code 0 only if every assertion it makes passed.  Figures are rendered
-elsewhere; this tool only produces their data surfaces.  ``main`` is the
-one error boundary: a command raises ``ConfigError`` on bad input and the
-oracle ``OracleError`` on a failed gate, and ``main`` prints either as one
-``error:`` line on stderr and returns 2.  A closed stdout ends a command
+bytes equal CPython's ``'%.16e' % x`` exactly.  The writer renders them
+with an exact numpy kernel (``_e16_fields``) in row blocks that hold
+``_BLOCK_VALUES`` dense float values, so a block's row count follows the
+number of dense float columns; non-finite values, magnitudes outside
+[1e-280, 1e280), power-of-ten neighbours whose decimal exponent log10
+misses, values within 1e-6 of a decimal rounding tie, and blocks of fewer
+than ``_KERNEL_MIN_VALUES`` floats go through ``'%.16e' %`` one by one.
+Columns need only broadcast to one shape, so a command hands over its grid
+open.  A float column with a value for every row is rendered block by
+block; any other column is rendered once per table, a float column
+broadcast over the grid once per stored value, a text column once per
+distinct string and a ``Labels`` column (its labels plus one code per cell)
+once per label, and its rows are gathered block by block by a flat row
+index.  Each block is laid out in one buffer and its NUL padding dropped in
+one pass.  A command returns exit code 0 only if every assertion it makes
+passed.  Figures are rendered elsewhere; this tool only produces their data
+surfaces.  ``main`` is the one error boundary: a command raises
+``ConfigError`` on bad input and the oracle ``OracleError`` on a failed
+gate, and ``main`` prints either as one ``error:`` line on stderr and
+returns 2.  A closed stdout ends a command
 quietly with exit code 141.  ``main`` builds its argument parser once per
 process and reuses it, so every parser default is immutable.
 """
@@ -34,6 +38,7 @@ import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,16 +86,19 @@ def _check_grid(*sizes: int) -> None:
 # ---------------------------------------------------------------------------
 # the CSV writer
 
-# Rows rendered per block: large enough that numpy's per-call cost is spread
-# thin, small enough that the block matrix stays well under a megabyte.
-_BLOCK_ROWS = 2048
+# Dense float values rendered per block: the kernel's fixed cost of about 75
+# numpy calls is spread over this many values (78 ns per value, against 120
+# at 2048; medians on a 2-core VM, numpy 2.4), and a block's arrays stay
+# under a megabyte.  A block holds _BLOCK_VALUES // (dense float columns)
+# rows: 1170 for a sweep's seven, 8192 for a figure's one.
+_BLOCK_VALUES = 8192
 
 # A rendered float field: 7 little-endian uint32 words, NUL where a byte is
 # absent.  Word 0 holds sign, leading digit and ".", words 1-4 the 16
 # fraction digits, words 5-6 "e", the exponent sign and 2 or 3 digits.
 _E16_WORDS = 7
 # Below this many values per call, formatting them one by one is faster than
-# the kernel's fixed per-call cost (crossover measured at 80 values: about
+# the kernel's fixed per-call cost (crossover measured at 80-85 values: about
 # 115 us either way, 2-core VM, numpy 2.4).
 _KERNEL_MIN_VALUES = 80
 _POW10_MIN = -270  # 10**k for k = 16 - E, E the decimal exponent in range
@@ -117,7 +125,8 @@ def _split(a):
 @functools.cache
 def _e16_tables():
     """Double-double 10**k, each half correctly rounded from the exact
-    rational num/den by int true division, and the digit tables."""
+    rational num/den by int true division, as one row per k of (hi, lo, and
+    hi's Veltkamp halves); then the digit tables."""
     pow_hi, pow_lo = [], []
     for k in range(_POW10_MIN, _POW10_MAX + 1):
         num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
@@ -125,35 +134,48 @@ def _e16_tables():
         p, q = pow_hi[-1].as_integer_ratio()
         pow_lo.append((num * q - p * den) / (den * q))
     pow_hi, pow_lo = np.array(pow_hi), np.array(pow_lo)
+    powers = np.stack([pow_hi, pow_lo, *_split(pow_hi)], axis=1)
     n = np.arange(10000, dtype=np.uint32)
     quad = _pack(48 + n // 1000, 48 + n // 100 % 10, 48 + n // 10 % 10, 48 + n % 10)
     # index 10 * negative + leading digit
     s = np.arange(20)
     head = _pack(np.where(s >= 10, ord("-"), 0), 48 + s % 10, ord("."))
-    # index exponent + _EXP_OFFSET; a 2-digit exponent leaves word 6 NUL
+    # words 5 and 6, index exponent + _EXP_OFFSET; a 2-digit exponent leaves
+    # word 6 NUL
     e = np.arange(-_EXP_OFFSET, _EXP_OFFSET)
     m = np.abs(e)
     wide = m >= 100
-    tail = np.stack([
-        _pack(ord("e"), np.where(e < 0, ord("-"), ord("+")),
-              np.where(wide, 48 + m // 100, 48 + m // 10 % 10),
-              np.where(wide, 48 + m // 10 % 10, 48 + m % 10)),
-        _pack(np.where(wide, 48 + m % 10, 0))], axis=1)
-    return (pow_hi, pow_lo, *_split(pow_hi)), quad, head, tail
+    tail = (_pack(ord("e"), np.where(e < 0, ord("-"), ord("+")),
+                  np.where(wide, 48 + m // 100, 48 + m // 10 % 10),
+                  np.where(wide, 48 + m // 10 % 10, 48 + m % 10)),
+            _pack(np.where(wide, 48 + m % 10, 0)))
+    return powers, quad, head, tail
 
 
-def _digits(a, a_hi, a_lo, e):
+def _digits(a, e):
     """floor(a * 10**(16 - e)) as int64 and its fractional part, from an
-    exact two-product against the double-double power (error ~1e-31 relative)."""
-    (pow_hi, pow_lo, split_hi, split_lo), *_ = _e16_tables()
-    k = 16 - e - _POW10_MIN
-    b_hi, b_lo = split_hi[k], split_lo[k]
-    p = a * pow_hi[k]
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    exact two-product against the double-double power (error ~1e-31
+    relative), reusing its temporaries in place."""
+    powers, *_ = _e16_tables()
+    pow_hi, pow_lo, b_hi, b_lo = powers.take(16 - _POW10_MIN - e, axis=0).T
+    a_hi, a_lo = _split(a)
+    p = a * pow_hi
+    # err = ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in that order
+    err = a_hi * b_hi
+    err -= p
+    term = np.multiply(a_hi, b_lo, out=a_hi)
+    err += term
+    err += np.multiply(a_lo, b_hi, out=term)
+    err += np.multiply(a_lo, b_lo, out=term)
+    err += np.multiply(a, pow_lo, out=term)
     whole = np.floor(p)
-    rest = (p - whole) + (err + a * pow_lo[k])
-    carry = np.floor(rest)
-    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+    p -= whole
+    p += err  # the fraction and what the error carries across an integer
+    carry = np.floor(p)
+    p -= carry
+    d = whole.astype(np.int64)
+    d += carry.astype(np.int64)
+    return d, p
 
 
 def _e16_one_by_one(x) -> np.ndarray:
@@ -173,47 +195,65 @@ def _e16_fields(x) -> np.ndarray:
     a = np.abs(x)
     # in this range every product and split below stays normal and finite
     vector = (a >= 1e-280) & (a < 1e280)
-    a = np.where(vector, a, 1.0)
-    a_hi, a_lo = _split(a)
+    a[~vector] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
-    d, frac = _digits(a, a_hi, a_lo, e)
+    d, frac = _digits(a, e)
     # a d of 16 or 18 digits (log10 missed by one next to a power of ten), a
     # true tie (it rounds half-even) and anything the product's error could
     # carry across one half go one by one, like zero and the out-of-range
-    vector &= (d >= 10 ** 16) & (d < 10 ** 17) & (np.abs(frac - 0.5) > 1e-6)
-    d += frac > 0.5
+    vector &= (d >= 10 ** 16) & (d < 10 ** 17)
+    frac -= 0.5
+    d += frac > 0.0
+    vector &= np.abs(frac, out=frac) > 1e-6
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
     e += carry
-    d[~vector] = 0  # zeros render as 0.0000000000000000e+00; the rest below
-    e[~vector] = 0
+    d *= vector  # zeros render as 0.0000000000000000e+00; the rest below
+    e *= vector
     # d's 17 digits: the leading one, then two 8-digit halves of two 4-digit
     # quads each, split by floor division (an int64 np.divmod costs about
     # four floor divisions)
     hi = d // 10 ** 8
-    lo = d - hi * 10 ** 8
+    d -= hi * 10 ** 8
     lead = hi // 10 ** 8
     hi -= lead * 10 ** 8
+    lead += 10 * np.signbit(x)
+    e += _EXP_OFFSET
     fields = np.empty((x.size, _E16_WORDS), "<u4")
-    fields[:, 0] = head.take(lead + 10 * np.signbit(x))
-    for word, half in ((1, hi), (3, lo)):
+    fields[:, 0] = head.take(lead)
+    for word, half in ((1, hi), (3, d)):
         upper = half // 10 ** 4
+        half -= upper * 10 ** 4
         fields[:, word] = quad.take(upper)
-        fields[:, word + 1] = quad.take(half - upper * 10 ** 4)
-    fields[:, 5:] = tail.take(e + _EXP_OFFSET, axis=0)
+        fields[:, word + 1] = quad.take(half)
+    for word, table in zip((5, 6), tail):
+        fields[:, word] = table.take(e)
     out = fields.view(np.uint8)
     slow = ~vector & (x != 0.0)
     out[slow] = _e16_one_by_one(x[slow])
     return out
 
 
+class Labels(NamedTuple):
+    """A text column of few distinct labels, handed over as the labels and,
+    per cell, the index of its label: the writer encodes each label once and
+    gathers rows by code, with no sort over the cells."""
+
+    labels: Sequence[str]
+    codes: np.ndarray
+
+
+def _encoded(strings, end: bytes) -> np.ndarray:
+    """Each string's UTF-8 bytes and then end, one NUL-padded row each."""
+    encoded = np.array([text.encode() + end for text in strings], dtype=bytes)
+    return encoded.view(np.uint8).reshape(len(strings), encoded.itemsize)
+
+
 def _text_fields(strings, end: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct string's UTF-8 bytes and then end, as one NUL-padded row,
     and for each string the index of its row, in the shape of strings."""
     distinct, index = np.unique(strings, return_inverse=True)
-    encoded = np.array([text.encode() + end for text in distinct.tolist()], dtype=bytes)
-    return (encoded.view(np.uint8).reshape(len(distinct), encoded.itemsize),
-            index.reshape(np.shape(strings)))
+    return _encoded(distinct.tolist(), end), index.reshape(np.shape(strings))
 
 
 @contextlib.contextmanager
@@ -241,46 +281,66 @@ def _stored(column: np.ndarray) -> np.ndarray:
 def _write_table(path: str, header, columns) -> None:
     """Write the header, then one row per cell of the shape the columns
     broadcast to, in C order.  Each column is a float array (written as
-    '%.16e') or a sequence of str (written as is).  A float column that holds
-    a value for every row is rendered block by block; any other column is
-    rendered once per table, a float per stored value and a string per
-    distinct value, and its rows are gathered block by block."""
-    columns = [np.asarray(col) for col in columns]
-    shape = np.broadcast_shapes(*(col.shape for col in columns))
+    '%.16e'), a sequence of str or a Labels (written as is).  A float column
+    that holds a value for every row is rendered block by block, in blocks of
+    _BLOCK_VALUES dense float values; any other column is rendered once per
+    table, a float per stored value, a string per distinct value and a label
+    per label, and its rows are gathered block by block."""
+    shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, Labels) else col)
+                                  for col in columns))
     rows = math.prod(shape)
+    width = 4 * _E16_WORDS  # of a float field
     # every field ends in its separator, "," or "\n" after the last column;
     # a float field's is its last byte, as '%.16e' fills at most 24 of its 28
     ends = [b","] * (len(columns) - 1) + [b"\n"]
-    parts = []  # (None, rows) for a dense float column, else (fields, index)
-    dense_ends = []
+    dense, dense_ends = [], []  # the dense float columns' values, flat
+    # per run of adjacent dense float columns (None, its bytes in a rendered
+    # block row), per other column (fields, the flat row index of its field)
+    parts = []
     for col, end in zip(columns, ends):
-        col = np.broadcast_to(col, shape)
-        stored = _stored(col)
-        if col.dtype.kind == "f" and stored.size == rows:
-            parts.append((None, col.reshape(-1)))
-            dense_ends.append(ord(end))
-            continue
-        if col.dtype.kind == "f":
-            fields, index = _e16_fields(stored), np.arange(stored.size).reshape(stored.shape)
-            fields[:, -1] = ord(end)
+        if isinstance(col, Labels):
+            fields, index = _encoded(col.labels, end), np.asarray(col.codes)
         else:
-            fields, index = _text_fields(stored, end)
-        parts.append((fields, np.broadcast_to(index, shape)))
+            col = np.broadcast_to(col, shape)
+            stored = _stored(col)
+            if col.dtype.kind == "f" and stored.size == rows:
+                run = (parts.pop()[1].start if parts and parts[-1][0] is None
+                       else width * len(dense))
+                dense.append(col.reshape(-1))
+                dense_ends.append(ord(end))
+                parts.append((None, slice(run, width * len(dense))))
+                continue
+            if col.dtype.kind == "f":
+                fields = _e16_fields(stored)
+                fields[:, -1] = ord(end)
+                index = np.arange(stored.size).reshape(stored.shape)
+            else:
+                fields, index = _text_fields(stored, end)
+        # at most 4 bytes a row (1 for up to 256 fields), so at most 4 MB a
+        # column at the 10**6-cell cap
+        index = index.astype(np.min_scalar_type(len(fields) - 1), copy=False)
+        parts.append((fields, np.broadcast_to(index, shape).reshape(-1)))
+    step = _BLOCK_VALUES // max(len(dense), 1)
+    row_bytes = sum(data.stop - data.start if fields is None else fields.shape[1]
+                    for fields, data in parts)
+    table = np.empty((0, row_bytes), np.uint8)
     with _csv_sink(path) as write:
         write((",".join(header) + "\n").encode())
-        for start in range(0, rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, rows)
-            at = np.unravel_index(np.arange(start, stop), shape)
-            # one kernel call renders every dense float column's block
-            floats = [data[start:stop] for fields, data in parts if fields is None]
-            if floats:
-                block = _e16_fields(np.stack(floats, axis=1)).reshape(
-                    stop - start, len(floats), -1)
-                block[:, :, -1] = dense_ends
-                dense = iter(block.swapaxes(0, 1))
-            pieces = [next(dense) if fields is None else fields.take(index[at], axis=0)
-                      for fields, index in parts]
-            write(np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0"))
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            if len(table) != stop - start:  # the first block, and a short last one
+                # every block is laid out in this one buffer, and its padding
+                # dropped by bytearray.translate, with no copy in between
+                buffer = bytearray((stop - start) * row_bytes)
+                table = np.frombuffer(buffer, np.uint8).reshape(stop - start, row_bytes)
+            if dense:  # one kernel call renders every dense float column's block
+                block = _e16_fields(np.stack([v[start:stop] for v in dense], axis=1)
+                                    ).reshape(stop - start, -1)
+                block[:, width - 1::width] = dense_ends
+            np.concatenate([block[:, data] if fields is None else
+                            fields.take(data[start:stop], axis=0) for fields, data in parts],
+                           axis=1, out=table)
+            write(buffer.translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +363,19 @@ def cmd_verify_bch(args) -> int:
 # figure
 
 
-def _figure_surface(which: int, gamma: float, args) -> tuple[analytic.RegionScan, np.ndarray]:
-    """Figure 1 or 2's scan and surface; ConfigError unless every cell is finite."""
+def _figure_surface(which: int, gamma: float, args) -> tuple[np.ndarray, ...]:
+    """Figure 1 or 2's open (tau, theta) axes and the one surface it writes;
+    ConfigError unless every cell is finite."""
     _check_grid(args.tau_points, args.theta_points)
-    scan = analytic.squeezing_region_scan(
-        gamma, (0.0, args.tau_max), (0.0, 2.0 * math.pi),
-        (args.tau_points, args.theta_points))
-    surface = scan.delta_x if which == 1 else scan.delta_p
+    tau, theta = np.meshgrid(np.linspace(0.0, args.tau_max, args.tau_points),
+                             np.linspace(0.0, 2.0 * math.pi, args.theta_points),
+                             indexing="ij", sparse=True)
+    delta = analytic.scaled_delta_x if which == 1 else analytic.scaled_delta_p
+    surface = delta(tau, theta, gamma)
     if gamma < 0.0 or not np.isfinite(surface).all():
         raise ConfigError(f"figure {which} needs gamma >= 0 and finite cells; got "
                           f"gamma={gamma:g}, --tau-max={args.tau_max:g}")
-    return scan, surface
+    return tau, theta, surface
 
 
 def cmd_figure(args) -> int:
@@ -328,16 +390,15 @@ def cmd_figure(args) -> int:
         path = Path(args.out)  # without --gamma, each stem ends in _gamma<gamma>
         outs = [args.out] if explicit else [
             str(path.with_name(f"{path.stem}_gamma{g:g}{path.suffix}")) for g in gammas]
-        for i, (out, (scan, surface)) in enumerate(zip(outs, surfaces)):
+        for i, (out, table) in enumerate(zip(outs, surfaces)):
             try:
-                _write_table(out, ("tau", "theta", "delta_scaled"),
-                             (scan.tau[:, None], scan.theta[None, :], surface))
+                _write_table(out, ("tau", "theta", "delta_scaled"), table)
             except BaseException:
                 for written in outs[:i]:
                     with contextlib.suppress(OSError):
                         Path(written).unlink()
                 raise
-        for gamma, out, (_, surface) in zip(gammas, outs, surfaces):
+        for gamma, out, (*_, surface) in zip(gammas, outs, surfaces):
             print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
                   f"negative cells: {'yes' if (surface < 0.0).any() else 'no'}")
         return 0
@@ -450,6 +511,9 @@ def cmd_uncertainty_check(args) -> int:
 
 
 _SWEEP_AXES = ("tau", "gamma", "theta", "g")
+# a row's validity label, indexed by how many of SECULAR_WARN and
+# SECULAR_REFUSE its secular scale exceeds
+_VALIDITY_LABELS = ("ok", "warn", "invalid")
 _SWEEP_SCALAR_KEYS = ("out", "hbar", "mass", "omega")
 
 
@@ -530,13 +594,13 @@ def cmd_sweep(args) -> int:
     grid = analytic.variance_grid(
         *np.meshgrid(*(axes[axis] for axis in _SWEEP_AXES), indexing="ij", sparse=True),
         params=params)
-    secular = grid["secular"]
-    validity = np.where(secular > analytic.SECULAR_REFUSE, "invalid",
-                        np.where(secular > analytic.SECULAR_WARN, "warn", "ok"))
-    _write_table(out, SWEEP_COLUMNS,
-                 [*(grid[name] for name in SWEEP_COLUMNS[:-1]), validity])
+    secular = _stored(grid["secular"])  # on the axes it depends on
+    codes = (secular > analytic.SECULAR_WARN).astype(np.int8)
+    codes += secular > analytic.SECULAR_REFUSE
+    _write_table(out, SWEEP_COLUMNS, [*(grid[name] for name in SWEEP_COLUMNS[:-1]),
+                                      Labels(_VALIDITY_LABELS, codes)])
     if out != "-":
-        print(f"sweep: wrote {validity.size} rows to {out}")
+        print(f"sweep: wrote {grid['secular'].size} rows to {out}")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib.util
 import io
 import math
 import os
@@ -469,7 +470,7 @@ def test_e16_kernel_matches_cpython_on_exact_ties():
 
 @pytest.mark.parametrize("to_file", [False, True])
 def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
-    n = 2 * cli._BLOCK_ROWS + 1
+    n = 2 * (cli._BLOCK_VALUES // 2) + 1  # two dense float columns: three blocks
     rng = np.random.default_rng(3)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     x[:6] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1000000000000000.25]
@@ -482,12 +483,33 @@ def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
         ("x", "label", "y", "blank"), zip(x.tolist(), labels, y.tolist(), blank))
 
 
+@pytest.mark.parametrize("dense", [1, 2, 7])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_write_table_block_edges(tmp_path, capsys, dense, offset):
+    """A table of one block less a row, one block and one block and a row,
+    where a block holds _BLOCK_VALUES // dense rows, beside a broadcast
+    float column, a Labels column and a text column."""
+    n = cli._BLOCK_VALUES // dense + offset
+    rng = np.random.default_rng(dense)
+    floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+              for _ in range(dense)]
+    floats[0][:6] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1000000000000000.25]
+    codes = rng.integers(0, 3, n).astype(np.int8)
+    labels = ("ok", "", "\u03b8")
+    text = [("a", "bb", "")[i % 3] for i in range(n)]
+    header = ("scale", *(f"x{i}" for i in range(dense)), "label", "text")
+    out = tmp_path / "table.csv"
+    cli._write_table(str(out), header, (2.5, *floats, cli.Labels(labels, codes), text))
+    assert written(out, capsys) == expected_csv(header, zip(
+        [2.5] * n, *(f.tolist() for f in floats), [labels[c] for c in codes], text))
+
+
 @pytest.mark.parametrize("widest", [False, True])
 def test_write_table_fields_all_of_one_width(tmp_path, capsys, widest):
     """Every float field negative with a 3-digit exponent (24 bytes), or
     every one positive with a 2-digit exponent (22 bytes), on the rendered-once
     and the block-by-block path, across block boundaries."""
-    shape = (97, 43)  # 4171 rows, so three blocks
+    shape = (97, 43)  # 4171 rows, so two blocks of the two dense columns
     rng = np.random.default_rng(13)
     def draw(size):
         scale = 10.0 ** (rng.integers(100, 280, size) * rng.choice([-1, 1], size) if widest
@@ -503,8 +525,9 @@ def test_write_table_fields_all_of_one_width(tmp_path, capsys, widest):
     assert {len(line) for line in text.splitlines()[1:]} == {4 * (24 if widest else 22) + 3}
 
 
-# 4165 rows, so three blocks; every axis is shorter than the kernel's minimum
-OPEN_SHAPE = (17, 5, 7, 7)
+# 8330 rows, so two blocks of the one dense float column; every axis is
+# shorter than the kernel's minimum
+OPEN_SHAPE = (17, 5, 7, 14)
 
 
 def open_axis(values, axis, ndim):
@@ -588,6 +611,32 @@ def test_sweep_keeps_the_grid_open(tmp_path, monkeypatch):
     assert tables and set(tables) == {25}
     assert sum(rendered) == 7 * 10 ** 4 + 48
     assert out.read_bytes().count(b"\n") == 10 ** 4 + 1
+
+
+@pytest.mark.parametrize("g, labels", [("1e-8,0.05,0.5", {"ok", "warn", "invalid"}),
+                                       ("1e-8,1e-7", {"ok"})])
+def test_sweep_writes_validity_as_label_codes(tmp_path, monkeypatch, g, labels):
+    """The validity column goes to the writer as labels and codes, never
+    through _text_fields, and its bytes are those of the string column."""
+    axes = {"tau": "0,12.5,25.0", "gamma": "0,1", "theta": "0,0.5", "g": g}
+    encoded = []
+    real = cli._text_fields
+    monkeypatch.setattr(cli, "_text_fields",
+                        lambda x, end: (encoded.append(np.size(x)), real(x, end))[1])
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *(f"--{k}={v}" for k, v in axes.items()), "--out", str(out)]) == 0
+    assert encoded == []
+    grid = analytic.variance_grid(*np.meshgrid(
+        *([float(v) for v in values.split(",")] for values in axes.values()), indexing="ij"))
+    secular = grid["secular"]
+    validity = np.where(secular > analytic.SECULAR_REFUSE, "invalid",
+                        np.where(secular > analytic.SECULAR_WARN, "warn", "ok"))
+    assert set(validity.ravel().tolist()) == labels
+    strings = tmp_path / "strings.csv"
+    cli._write_table(str(strings), SWEEP_COLUMNS,
+                     [*(grid[name] for name in SWEEP_COLUMNS[:-1]), validity])
+    assert encoded == [validity.size]
+    assert out.read_bytes() == strings.read_bytes()
 
 
 def test_grid_limit_admits_exactly_max_cells():
@@ -916,3 +965,30 @@ def test_preset_out_file_and_stdout_write_the_document(tmp_path, capsys, reading
     assert capsys.readouterr().out == f"preset: wrote {path}\n"
     assert main(["preset", "--omega-reading", reading, "--out", "-"]) == 0
     assert capsys.readouterr().out == doc
+
+
+# ---------------------------------------------------------------------------
+# tools/compare_outputs.py, the byte-identity check between two trees
+
+COMPARE_OUTPUTS = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+
+
+def test_compare_outputs_finds_a_tree_equal_to_itself():
+    done = subprocess.run([sys.executable, str(COMPARE_OUTPUTS), "--parent",
+                           str(COMPARE_OUTPUTS.parent.parent), "--only", "preset_stdout",
+                           "bad_sweep_nan"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == ["same  preset_stdout  (exit 0)",
+                                        "same  bad_sweep_nan  (exit 2)",
+                                        "2 of 2 commands byte-identical"]
+
+
+def test_compare_outputs_names_each_difference(monkeypatch):
+    spec = importlib.util.spec_from_file_location("compare_outputs", COMPARE_OUTPUTS)
+    tool = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tool)  # its dataclasses look it up
+    spec.loader.exec_module(tool)
+    base = tool.Result(0, b"out", b"", {"a.csv": b"1\n", "b.csv": b"2\n"})
+    assert tool.differences(base, base) == []
+    other = tool.Result(2, b"out", b"error: x\n", {"a.csv": b"1\n", "c.csv": b"3\n"})
+    assert tool.differences(base, other) == ["code", "stderr", "file b.csv", "file c.csv"]

@@ -1,0 +1,143 @@
+"""Compare what two source trees' command lines print and write.
+
+Runs a fixed list of ``gupsqueeze`` commands, each in a fresh interpreter
+and a fresh working directory, once against this tree's ``src`` and once
+against ``--parent DIR``'s, and compares exit code, stdout, stderr and every
+file the command leaves in its directory, byte for byte.  The list covers
+the benchmark's inputs (sweeps at perfbench seeds 1-3, to a file and to
+stdout; figures 1-3; uncertainty-check; oracle-compare at both amplitudes),
+``preset``, ``verify-bch --max-order 12`` and a few bad inputs that exit 2.
+
+    python tools/compare_outputs.py --parent ../parent-checkout
+    python tools/compare_outputs.py --parent DIR --only preset_stdout verify_bch_12
+
+Prints one line per command and exits 1 if any output differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+# what `python -m gupsqueeze.cli` would run, without needing an install
+ENTRY = "import sys; from gupsqueeze.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@dataclass(frozen=True)
+class Case:
+    name: str
+    argv: tuple[str, ...]
+    inputs: tuple[tuple[str, str], ...] = ()  # (file name, text) written first
+
+
+@dataclass(frozen=True)
+class Result:
+    code: int
+    stdout: bytes
+    stderr: bytes
+    files: dict[str, bytes]
+
+
+def cases() -> list[Case]:
+    """The command list, its seeded inputs drawn as the benchmark draws them."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from perfbench.suite import closed_form_inputs, oracle_inputs
+
+    out = []
+    for seed in SEEDS:
+        inp = closed_form_inputs(seed)
+        config = (("sweep.cfg", inp["grid"].config_text()),)
+        gamma = repr(inp["figure_gamma"])
+        out += [
+            Case(f"sweep_s{seed}_file", ("sweep", "--config", "sweep.cfg", "--jobs", "1",
+                                         "--out", "sweep.csv"), config),
+            Case(f"sweep_s{seed}_stdout", ("sweep", "--config", "sweep.cfg", "--out", "-"),
+                 config),
+            Case(f"uncertainty_s{seed}", ("uncertainty-check", *inp["uncertainty"])),
+            Case(f"figure1_s{seed}", ("figure", "--id", "1", "--gamma", gamma,
+                                      "--out", "fig1.csv")),
+            Case(f"figure2_s{seed}", ("figure", "--id", "2", "--gamma", gamma,
+                                      "--out", "fig2.csv")),
+        ]
+        for label, spec in oracle_inputs(seed).items():
+            out.append(Case(f"oracle_{label}_s{seed}", (
+                "oracle-compare", "--gamma", repr(spec["gamma"]), "--theta",
+                repr(spec["theta"]), "--tau", *map(repr, spec["tau"]), "--out", "-")))
+    return out + [
+        Case("sweep_defaults", ("sweep",)),
+        Case("sweep_probe", ("sweep", "--tau", "10.105263157894736", "--gamma", "3.0",
+                             "--theta", "0.6666666666666666", "--g", "5.0", "--out", "-")),
+        Case("figure1_default_gammas", ("figure", "--id", "1", "--out", "fig.csv")),
+        Case("figure2_stdout", ("figure", "--id", "2", "--gamma", "0", "--out", "-")),
+        Case("figure3", ("figure", "--id", "3", "--out", "fig3.csv")),
+        Case("figure3_stdout", ("figure", "--id", "3", "--tau-points", "50", "--out", "-")),
+        Case("uncertainty_defaults", ("uncertainty-check",)),
+        Case("oracle_defaults", ("oracle-compare", "--gamma", "1", "--theta", "0.785",
+                                 "--out", "oracle.csv")),
+        Case("preset_stdout", ("preset",)),
+        Case("preset_file", ("preset", "--omega-reading", "cyclic", "--out", "preset.cfg")),
+        Case("verify_bch_12", ("verify-bch", "--max-order", "12")),
+        Case("bad_sweep_nan", ("sweep", "--tau", "nan", "--out", "bad.csv")),
+        Case("bad_sweep_config", ("sweep", "--config", "missing.cfg")),
+        Case("bad_figure_gamma", ("figure", "--id", "1", "--gamma=-1", "--out", "bad.csv")),
+        Case("bad_oracle_tol", ("oracle-compare", "--tol", "0")),
+        Case("bad_uncertainty_tol", ("uncertainty-check", "--tol=-1")),
+    ]
+
+
+def run_case(tree: Path, case: Case) -> Result:
+    """Run one command against tree's src in a fresh directory."""
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in case.inputs:
+            Path(work, name).write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        done = subprocess.run([sys.executable, "-c", ENTRY, *case.argv], cwd=work,
+                              env=env, capture_output=True, timeout=600)
+        files = {str(p.relative_to(work)): p.read_bytes()
+                 for p in sorted(Path(work).rglob("*")) if p.is_file()}
+    return Result(done.returncode, done.stdout, done.stderr, files)
+
+
+def differences(mine: Result, theirs: Result) -> list[str]:
+    """What differs between two results, one phrase per difference."""
+    found = [name for name in ("code", "stdout", "stderr")
+             if getattr(mine, name) != getattr(theirs, name)]
+    for name in sorted(mine.files.keys() | theirs.files.keys()):
+        if mine.files.get(name) != theirs.files.get(name):
+            found.append(f"file {name}")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="the other tree (a checkout with a src/ directory)")
+    parser.add_argument("--only", nargs="+", default=None, metavar="NAME",
+                        help="run only these commands, by name")
+    args = parser.parse_args(argv)
+    if not (args.parent / "src" / "gupsqueeze").is_dir():
+        parser.error(f"no gupsqueeze package under {args.parent / 'src'}")
+    chosen = [case for case in cases() if args.only is None or case.name in args.only]
+    unknown = set(args.only or ()) - {case.name for case in chosen}
+    if unknown:
+        parser.error(f"no such command: {', '.join(sorted(unknown))}")
+    differing = 0
+    for case in chosen:
+        mine, theirs = run_case(ROOT, case), run_case(args.parent, case)
+        diff = differences(mine, theirs)
+        differing += bool(diff)
+        print(f"{'DIFFERS' if diff else 'same'}  {case.name}  (exit {mine.code}"
+              f"{', ' + ', '.join(diff) if diff else ''})")
+    print(f"{len(chosen) - differing} of {len(chosen)} commands byte-identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
