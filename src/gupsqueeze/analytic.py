@@ -7,11 +7,11 @@ SI prefactors are restored at the boundary when PhysicalParams are supplied.
 Literal closed-form expressions for the evolved annihilation operator, the
 quadrature and deformed variances, the uncertainty product and its bound, and
 the squeezing deltas, array-generic: variance_grid evaluates whole records
-over a broadcast grid.  The evolved operators are also available as
-complex-coefficient polynomials in boson_algebra's graded ring, which
-re-derives the coherent-state moments mechanically.  The closed forms
-cross-audit each other at run time where the contract demands it; the
-truncated-Fock oracle provides the fully independent check in the test suite.
+over a broadcast grid.  The closed forms cross-audit each other at run time
+where the contract demands it.  The test suite builds the evolved operators
+as complex-coefficient polynomials in boson_algebra's graded ring, which
+re-derives the coherent-state moments mechanically, and checks everything
+against the truncated-Fock oracle (see tests/reference.py).
 
 Validity: the first-order corrections contain secular terms linear in tau, so
 results degrade as |g|*tau*(1+gamma^2) grows.  Operations warn above 0.1 and
@@ -20,17 +20,13 @@ refuse above 10 unless ``strict=False``.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
 
-from .boson_algebra import (
-    A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, MONOMIAL_FORMS, Monomial,
-    OperatorPolynomial, closed_form_value, evolved_series,
-)
+from .boson_algebra import A, MONOMIAL_FORMS, Monomial, closed_form_value, evolved_series
 from .physics_config import (
     CoherentAmplitude, ConfigError, PhysicalParams, VarianceRecord, from_natural,
 )
@@ -83,26 +79,13 @@ def _phase_table(tau):
 # evolved annihilation operator
 
 
-def _ladder_parts(tau) -> dict[Monomial, tuple]:
-    """Graded (order g^0, order g^1) coefficients of a(t); array-generic."""
-    parts = {mono: (0.0, closed_form_value(form, tau))
+def _ladder_parts(tau, e) -> dict[Monomial, tuple]:
+    """Graded (order g^0, order g^1) coefficients of a(t) from tau's phase
+    table e; array-generic."""
+    parts = {mono: (0.0, closed_form_value(form, tau, e))
              for mono, form in MONOMIAL_FORMS.items()}
-    parts[A] = (closed_form_value("base", tau), parts[A][1])
+    parts[A] = (closed_form_value("base", tau, e), parts[A][1])
     return parts
-
-
-def evolved_annihilation(tau: float, g: float,
-                         strict: bool = True) -> dict[Monomial, complex]:
-    """Closed-form Heisenberg-evolved annihilation operator, first order in g,
-    as its coefficients over {a, a^dag, a^3, a^dag^3, a^dag a^2, a^dag^2 a}.
-
-    a(t) = e^{-i tau} a
-         + g [ -i tau e^{-i tau} (a + a^dag a^2) + i sin(tau) (a^dag + a^dag^2 a)
-               + (e^{-i tau} - e^{-3 i tau}) a^3 / 6
-               + (e^{-i tau} - e^{3 i tau}) a^dag^3 / 12 ]
-    """
-    _check_validity(tau, g, 0.0, strict)
-    return {mono: c0 + g * c1 for mono, (c0, c1) in _ladder_parts(tau).items()}
 
 
 def ladder_taylor_check(tau: float, k_max: int = 12) -> float:
@@ -110,21 +93,7 @@ def ladder_taylor_check(tau: float, k_max: int = 12) -> float:
     exact collected coefficient series summed through depth k_max."""
     series = evolved_series(k_max)
     return max(abs(series[mono].evaluate(tau) - c1)
-               for mono, (_, c1) in _ladder_parts(tau).items())
-
-
-def evolved_ladder_polynomial(tau: float) -> OperatorPolynomial:
-    """a(t) as a graded polynomial (coefficients of g supplied symbolically)."""
-    return OperatorPolynomial(_ladder_parts(tau))
-
-
-def quadrature_polynomials(tau: float) -> tuple[OperatorPolynomial, OperatorPolynomial]:
-    """X1 = (a(t) + a(t)^dag)/2 and X2 = (a(t) - a(t)^dag)/2i."""
-    a_t = evolved_ladder_polynomial(tau)
-    ad_t = a_t.adjoint()
-    x1 = (a_t + ad_t).scale(0.5)
-    x2 = (a_t - ad_t).scale(1.0 / 2.0j)
-    return x1, x2
+               for mono, (_, c1) in _ladder_parts(tau, _phase_table(tau)).items())
 
 
 # ---------------------------------------------------------------------------
@@ -207,63 +176,6 @@ def quadrature_variances(tau: float, g: float, alpha,
         var_x2=CANONICAL_VAR_X2 - correction.real,
         residual_imag=abs(correction.imag),
     )
-
-
-# ---------------------------------------------------------------------------
-# evolved position and momentum operators
-
-
-def evolved_position_momentum(
-        tau: float, g: float, params: PhysicalParams | None = None,
-        strict: bool = True) -> tuple[OperatorPolynomial, OperatorPolynomial]:
-    """Deformed x(t) and p(t) as graded normal-ordered polynomials.
-
-    Natural units unless params are given, in which case coefficients carry
-    sqrt(hbar/2m w) and sqrt(hbar m w/2).  The closed-form coefficient
-    functions below agree, through order g, with building sqrt(2)*X1 and
-    sqrt(2)*(X2 + (2/3) g X2^3) out of the evolved annihilation operator.
-    """
-    _check_validity(tau, g, 0.0, strict)
-    e = _phase_table(tau)
-    s = np.sin(tau)
-    x_first = {
-        A: -6.0 * e(2) * (-1.0 + e(2) + 2j * tau),
-        A_DAG: 12j * e(3) * (e(1) * tau + s),
-        A3: 2.0 * e(2) - 3.0 + e(4),
-        A_DAG_A2: -(12j * e(2) * tau + 12j * e(3) * s),
-        A_DAG2_A: 12j * e(4) * tau + 12j * e(3) * s,
-        A_DAG3: e(2) + 2.0 * e(4) - 3.0 * e(6),
-    }
-    p_first = {
-        A: 6.0 * e(2) * (1j * e(2) + 2.0 * tau),
-        A_DAG: 6.0 * e(2) * (-1j + 2.0 * e(2) * tau),
-        A_DAG_A2: 6j * e(4) + 12.0 * e(2) * tau,
-        A_DAG2_A: -6j * e(2) + 12.0 * e(4) * tau,
-        A3: 1j * (-3.0 + 2.0 * e(2) - e(4)),
-        A_DAG3: 1j * (e(2) - 2.0 * e(4) + 3.0 * e(6)),
-    }
-    phase = e(-3) / 12.0
-    x_t = OperatorPolynomial({
-        A: (e(-1), phase * x_first[A]),
-        A_DAG: (e(1), phase * x_first[A_DAG]),
-        **{m: (0.0, phase * x_first[m]) for m in (A3, A_DAG_A2, A_DAG2_A, A_DAG3)},
-    })
-    p_t = OperatorPolynomial({
-        A: (-1j * e(-1), -phase * p_first[A]),
-        A_DAG: (1j * e(1), -phase * p_first[A_DAG]),
-        **{m: (0.0, -phase * p_first[m]) for m in (A3, A_DAG_A2, A_DAG2_A, A_DAG3)},
-    })
-    if params is not None:
-        x_t = x_t.scale(math.sqrt(params.hbar / (2.0 * params.mass * params.omega)))
-        p_t = p_t.scale(math.sqrt(params.hbar * params.mass * params.omega / 2.0))
-    return x_t, p_t
-
-
-def coherent_expectation(poly: OperatorPolynomial, alpha, g: float) -> complex:
-    """<alpha| P |alpha> with the graded coefficients evaluated at g."""
-    amp = CoherentAmplitude.from_complex(alpha)
-    e0, e1 = poly.expectation(amp.alpha)
-    return e0 + g * e1
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +300,7 @@ def _x2_moments(tau, a, e) -> dict[str, tuple]:
     # <X2>^2 as the square of the graded mean; the order-g part of <a(t)> sums
     # conj(a)^m a^n over a(t)'s monomials, with the forms verify-bch checks
     w0 = (a * e(-1) - ac * e(1)) / 2j
-    m1 = sum(c1 * ac ** m * a ** n for (m, n), (_, c1) in _ladder_parts(tau).items())
+    m1 = sum(c1 * ac ** m * a ** n for (m, n), (_, c1) in _ladder_parts(tau, e).items())
     w1 = (m1 - m1.conjugate()) / 2j
     x2m_0 = w0 * w0
     x2m_1 = 2.0 * w0 * w1
@@ -561,43 +473,6 @@ def squeezing_deltas(tau: float, g: float, alpha,
     values, each audited against its variance (see :func:`variance_grid`)."""
     record = _record_at(tau, g, alpha, params, strict)
     return record.delta_x, record.delta_p, record.delta_product
-
-
-@dataclass(frozen=True)
-class RegionScan:
-    """Sign structure of the scaled deltas over a (tau, theta) grid."""
-
-    gamma: float
-    tau: np.ndarray
-    theta: np.ndarray
-    delta_x: np.ndarray   # shape (len(tau), len(theta))
-    delta_p: np.ndarray
-
-    @property
-    def any_negative_x(self) -> bool:
-        return bool((self.delta_x < 0.0).any())
-
-    @property
-    def any_negative_p(self) -> bool:
-        return bool((self.delta_p < 0.0).any())
-
-
-def squeezing_region_scan(gamma: float, tau_range: tuple[float, float] = (0.0, 4.0 * math.pi),
-                          theta_range: tuple[float, float] = (0.0, 2.0 * math.pi),
-                          resolution: tuple[int, int] = (200, 100)) -> RegionScan:
-    """Evaluate the coefficient-stripped deltas on a grid and report whether
-    either surface dips below zero (squeezing regions)."""
-    n_tau, n_theta = resolution
-    if n_tau < 2 or n_theta < 2:
-        raise ValueError(f"grid resolutions must be >= 2, got {resolution}")
-    tau = np.linspace(tau_range[0], tau_range[1], n_tau)
-    theta = np.linspace(theta_range[0], theta_range[1], n_theta)
-    tt, hh = np.meshgrid(tau, theta, indexing="ij", sparse=True)
-    return RegionScan(
-        gamma=gamma, tau=tau, theta=theta,
-        delta_x=scaled_delta_x(tt, hh, gamma),
-        delta_p=scaled_delta_p(tt, hh, gamma),
-    )
 
 
 def analytic_slopes(tau: float, alpha) -> dict[str, float]:

@@ -7,9 +7,9 @@ ring C[g]/(g^2).  The ring is generic in the entry type.  The exact route
 grades the Hamiltonian in g_hat = g/12, where every entry is a Python int, so
 the nested-commutator chain is integer arithmetic and its coefficient tables
 (121/3 is 484 in g_hat) come out as equalities, not float approximations;
-``Fraction`` appears only in the Taylor series read off the chain.  With
-complex entries the same ring derives coherent-state moments in floating
-point.
+``Fraction`` appears only in the Taylor series read off the chain.  The
+tests also run the ring on complex entries, to derive coherent-state moments
+in floating point (see tests/reference.py).
 """
 
 from __future__ import annotations
@@ -84,15 +84,9 @@ class OperatorPolynomial:
         """The bare monomial, with int entries (1, 0)."""
         return cls({mono: (1, 0)})
 
-    def coefficient(self, mono: Monomial, g: float | None = None):
-        """The graded pair of ``mono`` ((0, 0) if absent), or its value at g."""
-        c0, c1 = self.terms.get(mono, (0, 0))
-        if g is None:
-            return (c0, c1)
-        return c0 + g * c1
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def coefficient(self, mono: Monomial) -> tuple:
+        """The graded pair of ``mono``, (0, 0) if absent."""
+        return self.terms.get(mono, (0, 0))
 
     def __add__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         terms = dict(self.terms)
@@ -147,32 +141,6 @@ class OperatorPolynomial:
             c0, c1 = self.terms[mono]
             bits.append(f"{MONOMIAL_LABELS.get(mono, mono)}: {c0!r} + g*{c1!r}")
         return "OperatorPolynomial({" + ", ".join(bits) + "})"
-
-    # numeric helpers for complex entries
-
-    def expectation(self, alpha: complex) -> tuple[complex, complex]:
-        """Graded coherent-state expectation: <a^dag^m a^n> = conj(a)^m a^n."""
-        e0 = 0.0 + 0.0j
-        e1 = 0.0 + 0.0j
-        for (m, n), (c0, c1) in self.terms.items():
-            w = alpha.conjugate() ** m * alpha ** n
-            e0 += c0 * w
-            e1 += c1 * w
-        return e0, e1
-
-    def variance_graded(self, alpha: complex) -> tuple[complex, complex]:
-        """Graded <P^2> - <P>^2 in a coherent state (P assumed Hermitian)."""
-        sq0, sq1 = (self @ self).expectation(alpha)
-        m0, m1 = self.expectation(alpha)
-        return sq0 - m0 * m0, sq1 - 2.0 * m0 * m1
-
-    def max_abs_diff(self, other: "OperatorPolynomial") -> float:
-        worst = 0.0
-        for mono in set(self.terms) | set(other.terms):
-            p0, p1 = self.coefficient(mono)
-            q0, q1 = other.coefficient(mono)
-            worst = max(worst, abs(p0 - q0), abs(p1 - q1))
-        return worst
 
 
 def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
@@ -285,10 +253,11 @@ def closed_form_taylor(form_id: str, k_max: int) -> TaylorSeries:
     return TaylorSeries(tuple(rule(k) for k in range(k_max + 1)))
 
 
-def closed_form_value(form_id: str, tau):
-    """Numeric value of a closed form at real tau; array-generic."""
+def closed_form_value(form_id: str, tau, e):
+    """Numeric value of a closed form at real tau, given tau's phases
+    e(k) = e^{i k tau}; array-generic."""
     _, value = _form(form_id)
-    return value(tau, lambda k: np.exp(1j * k * tau))
+    return value(tau, e)
 
 
 #: Closed form resumming each evolved monomial's order-g coefficient series.

@@ -3,7 +3,7 @@ parameter sweeps, and oracle comparisons.
 
 Every command hands its header and columns to one writer, ``_write_table``,
 which alone owns the CSV format: a header row, then each float in
-full-precision scientific notation and each string as is.  A float field's
+full-precision scientific notation and each label as is.  A float field's
 bytes equal CPython's ``'%.16e' % x`` exactly.  The writer renders them
 with an exact numpy kernel (``_e16_fields``) in row blocks that hold
 ``_BLOCK_VALUES`` dense float values, so a block's row count follows the
@@ -14,16 +14,15 @@ than ``_KERNEL_MIN_VALUES`` floats go through ``'%.16e' %`` one by one.
 Columns need only broadcast to one shape, so a command hands over its grid
 open.  A float column with a value for every row is rendered block by
 block; any other column is rendered once per table, a float column
-broadcast over the grid once per stored value, a text column once per
-distinct string and a ``Labels`` column (its labels plus one code per cell)
-once per label, and its rows are gathered block by block by a flat row
-index.  Each block is laid out in one buffer and its NUL padding dropped in
-one pass.  A command returns exit code 0 only if every assertion it makes
-passed.  Figures are rendered elsewhere; this tool only produces their data
-surfaces.  ``main`` is the one error boundary: a command raises
-``ConfigError`` on bad input and the oracle ``OracleError`` on a failed
-gate, and ``main`` prints either as one ``error:`` line on stderr and
-returns 2.  A closed stdout ends a command
+broadcast over the grid once per stored value and a ``Labels`` column (its
+labels plus one code per cell) once per label, and its rows are gathered
+block by block by a flat row index.  Each block is laid out in one buffer
+and its NUL padding dropped in one pass.  A command returns exit code 0
+only if every assertion it makes passed.  Figures are rendered elsewhere;
+this tool only produces their data surfaces.  ``main`` is the one error
+boundary: a command raises ``ConfigError`` on bad input and the oracle
+``OracleError`` on a failed gate, and ``main`` prints either as one
+``error:`` line on stderr and returns 2.  A closed stdout ends a command
 quietly with exit code 141.  ``main`` builds its argument parser once per
 process and reuses it, so every parser default is immutable.
 """
@@ -235,9 +234,9 @@ def _e16_fields(x) -> np.ndarray:
 
 
 class Labels(NamedTuple):
-    """A text column of few distinct labels, handed over as the labels and,
-    per cell, the index of its label: the writer encodes each label once and
-    gathers rows by code, with no sort over the cells."""
+    """A text column, handed over as its labels and, per cell, the index of
+    its label: the writer encodes each label once and gathers rows by code,
+    with no sort over the cells."""
 
     labels: Sequence[str]
     codes: np.ndarray
@@ -247,13 +246,6 @@ def _encoded(strings, end: bytes) -> np.ndarray:
     """Each string's UTF-8 bytes and then end, one NUL-padded row each."""
     encoded = np.array([text.encode() + end for text in strings], dtype=bytes)
     return encoded.view(np.uint8).reshape(len(strings), encoded.itemsize)
-
-
-def _text_fields(strings, end: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct string's UTF-8 bytes and then end, as one NUL-padded row,
-    and for each string the index of its row, in the shape of strings."""
-    distinct, index = np.unique(strings, return_inverse=True)
-    return _encoded(distinct.tolist(), end), index.reshape(np.shape(strings))
 
 
 @contextlib.contextmanager
@@ -281,11 +273,11 @@ def _stored(column: np.ndarray) -> np.ndarray:
 def _write_table(path: str, header, columns) -> None:
     """Write the header, then one row per cell of the shape the columns
     broadcast to, in C order.  Each column is a float array (written as
-    '%.16e'), a sequence of str or a Labels (written as is).  A float column
-    that holds a value for every row is rendered block by block, in blocks of
-    _BLOCK_VALUES dense float values; any other column is rendered once per
-    table, a float per stored value, a string per distinct value and a label
-    per label, and its rows are gathered block by block."""
+    '%.16e') or a Labels (written as is).  A float column that holds a value
+    for every row is rendered block by block, in blocks of _BLOCK_VALUES dense
+    float values; any other column is rendered once per table, a float per
+    stored value and a label per label, and its rows are gathered block by
+    block."""
     shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, Labels) else col)
                                   for col in columns))
     rows = math.prod(shape)
@@ -303,19 +295,16 @@ def _write_table(path: str, header, columns) -> None:
         else:
             col = np.broadcast_to(col, shape)
             stored = _stored(col)
-            if col.dtype.kind == "f" and stored.size == rows:
+            if stored.size == rows:
                 run = (parts.pop()[1].start if parts and parts[-1][0] is None
                        else width * len(dense))
                 dense.append(col.reshape(-1))
                 dense_ends.append(ord(end))
                 parts.append((None, slice(run, width * len(dense))))
                 continue
-            if col.dtype.kind == "f":
-                fields = _e16_fields(stored)
-                fields[:, -1] = ord(end)
-                index = np.arange(stored.size).reshape(stored.shape)
-            else:
-                fields, index = _text_fields(stored, end)
+            fields = _e16_fields(stored)
+            fields[:, -1] = ord(end)
+            index = np.arange(stored.size).reshape(stored.shape)
         # at most 4 bytes a row (1 for up to 256 fields), so at most 4 MB a
         # column at the 10**6-cell cap
         index = index.astype(np.min_scalar_type(len(fields) - 1), copy=False)
@@ -466,7 +455,8 @@ def cmd_oracle_compare(args) -> int:
     rel_err = np.abs(analytic_slope - oracle_slope) / np.maximum(
         np.maximum(np.abs(analytic_slope), np.abs(oracle_slope)), floor)
     _write_table(args.out, ("tau", "quantity", "analytic_slope", "oracle_slope", "rel_err"),
-                 (taus, np.array(ORACLE_QUANTITIES), analytic_slope, oracle_slope, rel_err))
+                 (taus, Labels(ORACLE_QUANTITIES, np.arange(len(ORACLE_QUANTITIES))),
+                  analytic_slope, oracle_slope, rel_err))
     worst = np.max(rel_err)  # NaN propagates
     all_ok = worst < args.tol
     print(f"oracle-compare: worst relative slope error {worst:.3e} "

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .boson_algebra import Monomial, OperatorPolynomial
 from .physics_config import CoherentAmplitude, PhysicalParams
 
 UNITARITY_TOL = 1e-10
@@ -143,21 +142,6 @@ def _lengths(params: PhysicalParams) -> tuple[float, float]:
             math.sqrt(params.hbar * params.mass * params.omega / 2.0))
 
 
-def ladder_ops(space: FockSpace) -> tuple[FockOperator, FockOperator]:
-    """Annihilation and creation matrices: a|n> = sqrt(n)|n-1>."""
-    a = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1).astype(complex)
-    return FockOperator(space, a), FockOperator(space, a.conj().T)
-
-
-def canonical_xp(space: FockSpace,
-                 params: PhysicalParams) -> tuple[FockOperator, FockOperator]:
-    """x = sqrt(hbar/2m w)(a + a^dag), p = i sqrt(hbar m w/2)(a^dag - a)."""
-    s, q, *_ = _quadrature_bands(space)
-    lx, lp = _lengths(params)
-    return (FockOperator(space, _matrix(lx * s, complex)),
-            FockOperator(space, _matrix(1j * lp * q, complex)))
-
-
 def _deformed_bands(s: np.ndarray, q: np.ndarray, q3: np.ndarray,
                     params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
     """Bands of x_hat = x (real) and p_hat = p + (beta/3) p^3 from the
@@ -165,19 +149,6 @@ def _deformed_bands(s: np.ndarray, q: np.ndarray, q3: np.ndarray,
     imaginary, at offsets +-1, +-3."""
     lx, lp = _lengths(params)
     return lx * s, 1j * (lp * q - (params.beta / 3.0) * lp ** 3 * q3)
-
-
-def deformed_ops(space: FockSpace,
-                 params: PhysicalParams) -> tuple[FockOperator, FockOperator]:
-    """Deformed pair x_hat = x, p_hat = p + (beta/3) p^3.
-
-    Satisfies [x_hat, p_hat] = i hbar (1 + beta p^2) exactly in the truncated
-    space away from the edge.
-    """
-    s, q, _, q3 = _quadrature_bands(space)
-    x_hat, p_hat = _deformed_bands(s, q, q3, params)
-    return (FockOperator(space, _matrix(x_hat, complex)),
-            FockOperator(space, _matrix(p_hat, complex)))
 
 
 def _oscillator_bands(s: np.ndarray, q2: np.ndarray,
@@ -273,14 +244,6 @@ def evolution_operator(eig: ParityEigensystem, t: float,
     return evolve(eig, np.eye(eig.eigenvalues.size), t, hbar)
 
 
-def heisenberg_evolve(op: FockOperator, h: FockOperator, t: float,
-                      hbar: float = 1.0) -> FockOperator:
-    """O(t) = U^dag O U with U = exp(-i H t / hbar): the Heisenberg picture,
-    kept as the reference the Schrodinger-picture oracle is tested against."""
-    u = evolution_operator(eigensystem(h), t, hbar)
-    return FockOperator(op.space, u.conj().T @ op.matrix @ u)
-
-
 def coherent_vector(alpha: complex | CoherentAmplitude,
                     space: FockSpace) -> CoherentVector:
     """First dim coefficients of exp(-|a|^2/2) a^n/sqrt(n!), renormalized.
@@ -324,13 +287,6 @@ def _keeps_no_norm(mod2: float, dim: int) -> bool:
                             - math.lgamma(dim)) < -50.0
 
 
-def expect(state: CoherentVector, op: FockOperator) -> complex:
-    if state.components.shape[0] != op.space.dim:
-        raise ValueError(
-            f"state dim {state.components.shape[0]} != operator dim {op.space.dim}")
-    return complex(np.vdot(state.components, op.matrix @ state.components))
-
-
 def variance_numeric(state: CoherentVector, op: FockOperator) -> float:
     """<O^2> - <O>^2 for Hermitian O."""
     return float(_variance(state.components, op.matrix @ state.components))
@@ -354,27 +310,6 @@ def _apply(bands: np.ndarray, v: np.ndarray, offsets: slice = slice(None)) -> np
     padded[..., BANDS:-BANDS] = v
     window = sliding_window_view(padded, n, axis=-1)[..., offsets, :]
     return (bands * window).sum(axis=-2)
-
-
-def monomial_matrix(space: FockSpace, mono: Monomial) -> np.ndarray:
-    """Matrix of a^dag^m a^n on the truncated space."""
-    a, adag = ladder_ops(space)
-    m, n = mono
-    out = np.eye(space.dim, dtype=complex)
-    for _ in range(m):
-        out = out @ adag.matrix
-    for _ in range(n):
-        out = out @ a.matrix
-    return out
-
-
-def polynomial_matrix(poly: OperatorPolynomial, space: FockSpace,
-                      g: float = 0.0) -> np.ndarray:
-    """Matrix of an exact graded polynomial, coefficients evaluated at g."""
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for mono, (c0, c1) in poly.terms.items():
-        out += (complex(c0) + g * complex(c1)) * monomial_matrix(space, mono)
-    return out
 
 
 def fock_dim_for(amplitude: CoherentAmplitude) -> int:

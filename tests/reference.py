@@ -1,0 +1,196 @@
+"""Reference routes the tests check the package against.
+
+Nothing in the package calls these: the evolved operators as graded
+polynomials of boson_algebra's ring (with complex coefficients), the ring's
+coherent-state expectations, and the dense truncated-Fock operators of the
+Heisenberg picture.  Each gives a second, independent way to the numbers the
+commands compute.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from gupsqueeze.analytic import _check_validity, _ladder_parts, _phase_table
+from gupsqueeze.boson_algebra import (
+    A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, Monomial, OperatorPolynomial,
+)
+from gupsqueeze.fock_oracle import (
+    CoherentVector, FockOperator, FockSpace, _deformed_bands, _lengths, _matrix,
+    _quadrature_bands, eigensystem, evolution_operator,
+)
+from gupsqueeze.physics_config import PhysicalParams
+
+# ---------------------------------------------------------------------------
+# the graded ring on complex entries
+
+
+def expectation(poly: OperatorPolynomial, alpha: complex) -> tuple[complex, complex]:
+    """Graded coherent-state expectation: <a^dag^m a^n> = conj(a)^m a^n."""
+    e0 = 0.0 + 0.0j
+    e1 = 0.0 + 0.0j
+    for (m, n), (c0, c1) in poly.terms.items():
+        w = alpha.conjugate() ** m * alpha ** n
+        e0 += c0 * w
+        e1 += c1 * w
+    return e0, e1
+
+
+def variance_graded(poly: OperatorPolynomial, alpha: complex) -> tuple[complex, complex]:
+    """Graded <P^2> - <P>^2 in a coherent state (P assumed Hermitian)."""
+    sq0, sq1 = expectation(poly @ poly, alpha)
+    m0, m1 = expectation(poly, alpha)
+    return sq0 - m0 * m0, sq1 - 2.0 * m0 * m1
+
+
+def max_abs_diff(p: OperatorPolynomial, q: OperatorPolynomial) -> float:
+    worst = 0.0
+    for mono in set(p.terms) | set(q.terms):
+        p0, p1 = p.coefficient(mono)
+        q0, q1 = q.coefficient(mono)
+        worst = max(worst, abs(p0 - q0), abs(p1 - q1))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# evolved operators as ring polynomials
+
+
+def evolved_annihilation(tau: float, g: float,
+                         strict: bool = True) -> dict[Monomial, complex]:
+    """Closed-form Heisenberg-evolved annihilation operator, first order in g,
+    as its coefficients over {a, a^dag, a^3, a^dag^3, a^dag a^2, a^dag^2 a}.
+
+    a(t) = e^{-i tau} a
+         + g [ -i tau e^{-i tau} (a + a^dag a^2) + i sin(tau) (a^dag + a^dag^2 a)
+               + (e^{-i tau} - e^{-3 i tau}) a^3 / 6
+               + (e^{-i tau} - e^{3 i tau}) a^dag^3 / 12 ]
+    """
+    _check_validity(tau, g, 0.0, strict)
+    return {mono: c0 + g * c1
+            for mono, (c0, c1) in _ladder_parts(tau, _phase_table(tau)).items()}
+
+
+def quadrature_polynomials(tau: float) -> tuple[OperatorPolynomial, OperatorPolynomial]:
+    """X1 = (a(t) + a(t)^dag)/2 and X2 = (a(t) - a(t)^dag)/2i."""
+    a_t = OperatorPolynomial(_ladder_parts(tau, _phase_table(tau)))
+    ad_t = a_t.adjoint()
+    x1 = (a_t + ad_t).scale(0.5)
+    x2 = (a_t - ad_t).scale(1.0 / 2.0j)
+    return x1, x2
+
+
+def evolved_position_momentum(
+        tau: float, g: float, params: PhysicalParams | None = None,
+        strict: bool = True) -> tuple[OperatorPolynomial, OperatorPolynomial]:
+    """Deformed x(t) and p(t) as graded normal-ordered polynomials.
+
+    Natural units unless params are given, in which case coefficients carry
+    sqrt(hbar/2m w) and sqrt(hbar m w/2).  The closed-form coefficient
+    functions below agree, through order g, with building sqrt(2)*X1 and
+    sqrt(2)*(X2 + (2/3) g X2^3) out of the evolved annihilation operator.
+    """
+    _check_validity(tau, g, 0.0, strict)
+    e = _phase_table(tau)
+    s = np.sin(tau)
+    x_first = {
+        A: -6.0 * e(2) * (-1.0 + e(2) + 2j * tau),
+        A_DAG: 12j * e(3) * (e(1) * tau + s),
+        A3: 2.0 * e(2) - 3.0 + e(4),
+        A_DAG_A2: -(12j * e(2) * tau + 12j * e(3) * s),
+        A_DAG2_A: 12j * e(4) * tau + 12j * e(3) * s,
+        A_DAG3: e(2) + 2.0 * e(4) - 3.0 * e(6),
+    }
+    p_first = {
+        A: 6.0 * e(2) * (1j * e(2) + 2.0 * tau),
+        A_DAG: 6.0 * e(2) * (-1j + 2.0 * e(2) * tau),
+        A_DAG_A2: 6j * e(4) + 12.0 * e(2) * tau,
+        A_DAG2_A: -6j * e(2) + 12.0 * e(4) * tau,
+        A3: 1j * (-3.0 + 2.0 * e(2) - e(4)),
+        A_DAG3: 1j * (e(2) - 2.0 * e(4) + 3.0 * e(6)),
+    }
+    phase = e(-3) / 12.0
+    x_t = OperatorPolynomial({
+        A: (e(-1), phase * x_first[A]),
+        A_DAG: (e(1), phase * x_first[A_DAG]),
+        **{m: (0.0, phase * x_first[m]) for m in (A3, A_DAG_A2, A_DAG2_A, A_DAG3)},
+    })
+    p_t = OperatorPolynomial({
+        A: (-1j * e(-1), -phase * p_first[A]),
+        A_DAG: (1j * e(1), -phase * p_first[A_DAG]),
+        **{m: (0.0, -phase * p_first[m]) for m in (A3, A_DAG_A2, A_DAG2_A, A_DAG3)},
+    })
+    if params is not None:
+        x_t = x_t.scale(math.sqrt(params.hbar / (2.0 * params.mass * params.omega)))
+        p_t = p_t.scale(math.sqrt(params.hbar * params.mass * params.omega / 2.0))
+    return x_t, p_t
+
+
+# ---------------------------------------------------------------------------
+# dense truncated-Fock operators
+
+
+def ladder_ops(space: FockSpace) -> tuple[FockOperator, FockOperator]:
+    """Annihilation and creation matrices: a|n> = sqrt(n)|n-1>."""
+    a = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1).astype(complex)
+    return FockOperator(space, a), FockOperator(space, a.conj().T)
+
+
+def canonical_xp(space: FockSpace,
+                 params: PhysicalParams) -> tuple[FockOperator, FockOperator]:
+    """x = sqrt(hbar/2m w)(a + a^dag), p = i sqrt(hbar m w/2)(a^dag - a)."""
+    s, q, *_ = _quadrature_bands(space)
+    lx, lp = _lengths(params)
+    return (FockOperator(space, _matrix(lx * s, complex)),
+            FockOperator(space, _matrix(1j * lp * q, complex)))
+
+
+def deformed_ops(space: FockSpace,
+                 params: PhysicalParams) -> tuple[FockOperator, FockOperator]:
+    """Deformed pair x_hat = x, p_hat = p + (beta/3) p^3.
+
+    Satisfies [x_hat, p_hat] = i hbar (1 + beta p^2) exactly in the truncated
+    space away from the edge.
+    """
+    s, q, _, q3 = _quadrature_bands(space)
+    x_hat, p_hat = _deformed_bands(s, q, q3, params)
+    return (FockOperator(space, _matrix(x_hat, complex)),
+            FockOperator(space, _matrix(p_hat, complex)))
+
+
+def heisenberg_evolve(op: FockOperator, h: FockOperator, t: float,
+                      hbar: float = 1.0) -> FockOperator:
+    """O(t) = U^dag O U with U = exp(-i H t / hbar): the Heisenberg picture,
+    kept as the reference the Schrodinger-picture oracle is tested against."""
+    u = evolution_operator(eigensystem(h), t, hbar)
+    return FockOperator(op.space, u.conj().T @ op.matrix @ u)
+
+
+def expect(state: CoherentVector, op: FockOperator) -> complex:
+    if state.components.shape[0] != op.space.dim:
+        raise ValueError(
+            f"state dim {state.components.shape[0]} != operator dim {op.space.dim}")
+    return complex(np.vdot(state.components, op.matrix @ state.components))
+
+
+def monomial_matrix(space: FockSpace, mono: Monomial) -> np.ndarray:
+    """Matrix of a^dag^m a^n on the truncated space."""
+    a, adag = ladder_ops(space)
+    m, n = mono
+    out = np.eye(space.dim, dtype=complex)
+    for _ in range(m):
+        out = out @ adag.matrix
+    for _ in range(n):
+        out = out @ a.matrix
+    return out
+
+
+def polynomial_matrix(poly: OperatorPolynomial, space: FockSpace,
+                      g: float = 0.0) -> np.ndarray:
+    """Matrix of an exact graded polynomial, coefficients evaluated at g."""
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for mono, (c0, c1) in poly.terms.items():
+        out += (complex(c0) + g * complex(c1)) * monomial_matrix(space, mono)
+    return out

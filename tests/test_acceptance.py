@@ -6,6 +6,8 @@ pinned here, not deferred; the oracle quantities, grids and budgets are the
 contract for this package.
 """
 
+import contextlib
+import io
 import math
 import time
 from fractions import Fraction
@@ -15,7 +17,7 @@ import pytest
 
 from gupsqueeze.analytic import (
     analytic_slopes, deformed_variances, quadrature_variances,
-    squeezing_deltas, squeezing_region_scan, uncertainty_product,
+    squeezing_deltas, uncertainty_product, variance_grid,
 )
 from gupsqueeze.boson_algebra import (
     A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, G_HAT_SCALE,
@@ -121,16 +123,11 @@ def test_criterion_3_minimum_uncertainty_identity():
     gammas = np.linspace(0.0, 2.0, 10)
     thetas = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
     gs = np.logspace(-8, -2, 10)
-    worst = 0.0
-    for tau in taus:
-        for gamma in gammas:
-            for theta in thetas:
-                amp = CoherentAmplitude(gamma=float(gamma), theta=float(theta))
-                for g in gs:
-                    product, bound = uncertainty_product(
-                        float(tau), float(g), amp, strict=False)
-                    worst = max(worst, abs(product - bound))
-    n = len(taus) * len(gammas) * len(thetas) * len(gs)
+    # one call on the open grid, as uncertainty-check makes it; each cell is
+    # bit for bit the record uncertainty_product returns at that point
+    grid = variance_grid(*np.meshgrid(taus, gammas, thetas, gs, indexing="ij", sparse=True))
+    worst = float(np.max(np.abs(grid["product"] - grid["gup_bound"])))
+    n = grid["product"].size
     report(3, f"product equals deformed bound on {n}-point grid",
            worst < 1e-12, f"worst |product - bound| = {worst:.2e}")
 
@@ -186,12 +183,16 @@ def test_criterion_5_oracle_agreement():
 # 6. squeezing exists where claimed
 
 
-def test_criterion_6_squeezing_existence():
+def test_criterion_6_squeezing_existence(tmp_path):
     surfaces_ok = True
-    for gamma in (1.0, 10.0):
-        scan = squeezing_region_scan(gamma)
-        surfaces_ok &= scan.any_negative_x and scan.any_negative_p
-        surfaces_ok &= scan.delta_x.min() < 0.0 and scan.delta_p.min() < 0.0
+    for figure in ("1", "2"):  # position and momentum
+        for gamma in ("1", "10"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["figure", "--id", figure, "--gamma", gamma,
+                             "--out", str(tmp_path / f"fig{figure}_{gamma}.csv")])
+            surfaces_ok &= code == 0 and stdout.getvalue().endswith(
+                "; negative cells: yes\n")
 
     preset = electron_preset()
     params, amp = preset.params, preset.amplitude

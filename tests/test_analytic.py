@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 from gupsqueeze import analytic
 from gupsqueeze.analytic import (
     ConsistencyError, SecularValidityError, SecularValidityWarning,
-    analytic_slopes, coherent_expectation, deformed_variances,
-    evolved_annihilation, evolved_ladder_polynomial, evolved_position_momentum,
-    ladder_taylor_check, quadrature_moments, quadrature_polynomials,
+    analytic_slopes, deformed_variances,
+    ladder_taylor_check, quadrature_moments,
     quadrature_variances, scaled_delta_p, scaled_delta_product, scaled_delta_x,
-    secular_scale, squeezing_deltas, squeezing_region_scan,
+    secular_scale, squeezing_deltas,
     uncertainty_product, variance_grid, variance_record,
 )
 from gupsqueeze.boson_algebra import (
@@ -23,6 +22,10 @@ from gupsqueeze.boson_algebra import (
 )
 from gupsqueeze.physics_config import (
     CoherentAmplitude, ConfigError, PhysicalParams, VarianceRecord,
+)
+from reference import (
+    evolved_annihilation, evolved_position_momentum, expectation, max_abs_diff,
+    quadrature_polynomials, variance_graded,
 )
 
 VACUUM = CoherentAmplitude()
@@ -66,9 +69,9 @@ def test_evolved_ladder_matches_evolved_matrix():
     numerically evolved annihilation matrix up to O(g^2) on the leading
     block (residual quarters when g halves)."""
     from gupsqueeze.fock_oracle import (
-        FockSpace, eigensystem, evolution_operator, hamiltonian, ladder_ops,
-        monomial_matrix,
+        FockSpace, eigensystem, evolution_operator, hamiltonian,
     )
+    from reference import ladder_ops, monomial_matrix
 
     tau = 1.3
     space = FockSpace(40)
@@ -173,8 +176,8 @@ def test_quadrature_variances_match_polynomial_engine():
     for tau in (0.4, 2.2, 7.9):
         x1, x2 = quadrature_polynomials(tau)
         for amp in (VACUUM, CoherentAmplitude(1.0, 0.7), CoherentAmplitude(2.0, 3.9)):
-            v1_0, v1_1 = x1.variance_graded(amp.alpha)
-            v2_0, v2_1 = x2.variance_graded(amp.alpha)
+            v1_0, v1_1 = variance_graded(x1, amp.alpha)
+            v2_0, v2_1 = variance_graded(x2, amp.alpha)
             g = 1e-3
             q = quadrature_variances(tau, g, amp, strict=False)
             assert q.var_x1 == pytest.approx(v1_0.real + g * v1_1.real, abs=1e-13)
@@ -189,10 +192,10 @@ def test_quadrature_variances_match_polynomial_engine():
 
 def test_evolved_position_momentum_undeformed():
     x_t, p_t = evolved_position_momentum(1.1, 0.0)
-    assert x_t.coefficient(A, 0.0) == pytest.approx(cmath.exp(-1.1j), abs=1e-15)
-    assert x_t.coefficient(A_DAG, 0.0) == pytest.approx(cmath.exp(1.1j), abs=1e-15)
-    assert p_t.coefficient(A, 0.0) == pytest.approx(-1j * cmath.exp(-1.1j), abs=1e-15)
-    assert p_t.coefficient(A_DAG, 0.0) == pytest.approx(1j * cmath.exp(1.1j), abs=1e-15)
+    assert x_t.coefficient(A)[0] == pytest.approx(cmath.exp(-1.1j), abs=1e-15)
+    assert x_t.coefficient(A_DAG)[0] == pytest.approx(cmath.exp(1.1j), abs=1e-15)
+    assert p_t.coefficient(A)[0] == pytest.approx(-1j * cmath.exp(-1.1j), abs=1e-15)
+    assert p_t.coefficient(A_DAG)[0] == pytest.approx(1j * cmath.exp(1.1j), abs=1e-15)
 
 
 def test_evolved_operators_at_time_zero_are_initial_operators():
@@ -203,8 +206,8 @@ def test_evolved_operators_at_time_zero_are_initial_operators():
     p0 = OperatorPolynomial({A: (-1j * SQRT_HALF, 0.0), A_DAG: (1j * SQRT_HALF, 0.0)})
     p0_cubed = p0 @ p0 @ p0
     expected_p = p0 + p0_cubed.scale(0.0, 1.0 / 3.0)  # + (g/3) p^3
-    assert x_t.max_abs_diff(x0) < 1e-15
-    assert p_t.max_abs_diff(expected_p) < 1e-15
+    assert max_abs_diff(x_t, x0) < 1e-15
+    assert max_abs_diff(p_t, expected_p) < 1e-15
 
 
 def test_evolved_operators_consistent_with_ladder_construction():
@@ -212,21 +215,19 @@ def test_evolved_operators_consistent_with_ladder_construction():
     sqrt(2)(X2 + (2/3) g X2^3) built from the evolved annihilation operator."""
     for tau in (0.7, 2.9, 6.1):
         x_t, p_t = evolved_position_momentum(tau, 0.3, strict=False)
-        a_t = evolved_ladder_polynomial(tau)
+        a_t = OperatorPolynomial(analytic._ladder_parts(tau, analytic._phase_table(tau)))
         ad_t = a_t.adjoint()
         x_built = a_t + ad_t           # in units sqrt(hbar / 2 m w)
         x2 = (a_t - ad_t).scale(1.0 / 2.0j)
         x2_cubed = x2 @ x2 @ x2
         p_built = x2.scale(2.0) + x2_cubed.scale(0.0, 4.0 / 3.0)
-        assert x_t.max_abs_diff(x_built) < 1e-12
-        assert p_t.max_abs_diff(p_built) < 1e-12
+        assert max_abs_diff(x_t, x_built) < 1e-12
+        assert max_abs_diff(p_t, p_built) < 1e-12
 
 
 def test_evolved_position_expectation_matches_oracle():
-    from gupsqueeze.fock_oracle import (
-        FockSpace, coherent_vector, deformed_ops, expect, hamiltonian,
-        heisenberg_evolve,
-    )
+    from gupsqueeze.fock_oracle import FockSpace, coherent_vector, hamiltonian
+    from reference import deformed_ops, expect, heisenberg_evolve
 
     g = 1e-5
     tau = 1.0
@@ -239,10 +240,9 @@ def test_evolved_position_expectation_matches_oracle():
     state = coherent_vector(amp, space)
     x_oracle = expect(state, heisenberg_evolve(x_hat, h, tau)).real
     p_oracle = expect(state, heisenberg_evolve(p_hat, h, tau)).real
-    assert coherent_expectation(x_t, amp, g).real == pytest.approx(
-        x_oracle, abs=1e-3 * g)
-    assert coherent_expectation(p_t, amp, g).real == pytest.approx(
-        p_oracle, abs=1e-3 * g)
+    for poly, oracle in ((x_t, x_oracle), (p_t, p_oracle)):
+        e0, e1 = expectation(poly, amp.alpha)
+        assert (e0 + g * e1).real == pytest.approx(oracle, abs=1e-3 * g)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +268,10 @@ def test_moments_match_polynomial_engine():
         for amp in (VACUUM, CoherentAmplitude(1.0, 0.9), CoherentAmplitude(2.5, 5.1)):
             a = amp.alpha
             m = quadrature_moments(tau, 0.0, amp, strict=False)
-            x1sq = (x1 @ x1).expectation(a)
-            x1mean = x1.expectation(a)
-            x2sq = (x2 @ x2).expectation(a)
-            x2mean = x2.expectation(a)
+            x1sq = expectation(x1 @ x1, a)
+            x1mean = expectation(x1, a)
+            x2sq = expectation(x2 @ x2, a)
+            x2mean = expectation(x2, a)
             for got, want in (
                 (m.x1_sq, x1sq),
                 (m.x1_mean_sq, (x1mean[0] ** 2, 2 * x1mean[0] * x1mean[1])),
@@ -292,8 +292,8 @@ def test_deformed_momentum_mean_square_engine_check():
         for amp in (VACUUM, CoherentAmplitude(1.7, 1.3)):
             a = amp.alpha
             m = quadrature_moments(tau, 0.0, amp, strict=False)
-            sq = x2_sq.expectation(a)
-            quart = x2_quart.expectation(a)
+            sq = expectation(x2_sq, a)
+            quart = expectation(x2_quart, a)
             want0 = 2.0 * sq[0].real
             want1 = 2.0 * sq[1].real + (8.0 / 3.0) * quart[0].real
             assert m.p_hat_sq[0] == pytest.approx(want0, abs=1e-12)
@@ -432,19 +432,16 @@ def test_deltas_equal_variance_offsets():
 
 
 def test_region_scan_squeezing_structure():
-    scan1 = squeezing_region_scan(1.0)
-    assert scan1.any_negative_x and scan1.any_negative_p
-    scan0 = squeezing_region_scan(0.0)
-    assert not scan0.any_negative_x     # 2 sin^2(tau) >= 0
-    assert scan0.any_negative_p         # 2 cos(2 tau) dips below zero
-    scan10 = squeezing_region_scan(10.0)
-    assert scan10.any_negative_x and scan10.any_negative_p
-    assert scan10.delta_x.min() < scan1.delta_x.min()
-
-
-def test_region_scan_resolution_guard():
-    with pytest.raises(ValueError):
-        squeezing_region_scan(1.0, resolution=(1, 50))
+    """The scaled deltas' sign structure on figure 1/2's default grid."""
+    tau, theta = np.meshgrid(np.linspace(0.0, 4.0 * math.pi, 200),
+                             np.linspace(0.0, 2.0 * math.pi, 100), indexing="ij", sparse=True)
+    x1, p1 = scaled_delta_x(tau, theta, 1.0), scaled_delta_p(tau, theta, 1.0)
+    assert (x1 < 0.0).any() and (p1 < 0.0).any()
+    assert not (scaled_delta_x(tau, theta, 0.0) < 0.0).any()  # 2 sin^2(tau) >= 0
+    assert (scaled_delta_p(tau, theta, 0.0) < 0.0).any()       # 2 cos(2 tau) dips below zero
+    x10 = scaled_delta_x(tau, theta, 10.0)
+    assert (x10 < 0.0).any() and (scaled_delta_p(tau, theta, 10.0) < 0.0).any()
+    assert x10.min() < x1.min()
 
 
 def test_scaled_delta_vectorization():

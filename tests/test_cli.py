@@ -312,6 +312,12 @@ def expected_csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def label_cells(column: cli.Labels, shape=None) -> list[str]:
+    """A Labels column's label in each cell, in C order."""
+    codes = np.broadcast_to(column.codes, shape or np.shape(column.codes))
+    return [column.labels[c] for c in codes.ravel().tolist()]
+
+
 def written(out, capsys) -> str:
     if out == "-":
         return capsys.readouterr().out
@@ -475,12 +481,13 @@ def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     x[:6] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1000000000000000.25]
     y = np.linspace(-1.0, 1.0, n)
-    labels = [("ok", "warn", "invalid", "", "\u03b8")[i % 5] for i in range(n)]
-    blank = [""] * n
+    labels = cli.Labels(("ok", "warn", "invalid", "", "\u03b8"), np.arange(n) % 5)
+    blank = cli.Labels(("",), np.zeros(n, np.int8))
     out = str(tmp_path / "table.csv") if to_file else "-"
     cli._write_table(out, ("x", "label", "y", "blank"), (x, labels, y, blank))
     assert written(out, capsys) == expected_csv(
-        ("x", "label", "y", "blank"), zip(x.tolist(), labels, y.tolist(), blank))
+        ("x", "label", "y", "blank"),
+        zip(x.tolist(), label_cells(labels), y.tolist(), label_cells(blank)))
 
 
 @pytest.mark.parametrize("dense", [1, 2, 7])
@@ -488,7 +495,7 @@ def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
 def test_write_table_block_edges(tmp_path, capsys, dense, offset):
     """A table of one block less a row, one block and one block and a row,
     where a block holds _BLOCK_VALUES // dense rows, beside a broadcast
-    float column, a Labels column and a text column."""
+    float column and two Labels columns."""
     n = cli._BLOCK_VALUES // dense + offset
     rng = np.random.default_rng(dense)
     floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
@@ -496,12 +503,13 @@ def test_write_table_block_edges(tmp_path, capsys, dense, offset):
     floats[0][:6] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1000000000000000.25]
     codes = rng.integers(0, 3, n).astype(np.int8)
     labels = ("ok", "", "\u03b8")
-    text = [("a", "bb", "")[i % 3] for i in range(n)]
+    text = cli.Labels(("a", "bb", ""), np.arange(n) % 3)
     header = ("scale", *(f"x{i}" for i in range(dense)), "label", "text")
     out = tmp_path / "table.csv"
     cli._write_table(str(out), header, (2.5, *floats, cli.Labels(labels, codes), text))
     assert written(out, capsys) == expected_csv(header, zip(
-        [2.5] * n, *(f.tolist() for f in floats), [labels[c] for c in codes], text))
+        [2.5] * n, *(f.tolist() for f in floats), [labels[c] for c in codes],
+        label_cells(text)))
 
 
 @pytest.mark.parametrize("widest", [False, True])
@@ -537,8 +545,11 @@ def open_axis(values, axis, ndim):
 
 def write_both_ways(tmp_path, capsys, to_file, header, columns) -> tuple[str, str]:
     """The table as given, then as dense 1-D columns, each as written."""
-    shape = np.broadcast_shapes(*(np.shape(col) for col in columns))
-    dense = [np.broadcast_to(col, shape).ravel() for col in columns]
+    shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, cli.Labels) else col)
+                                  for col in columns))
+    dense = [col._replace(codes=np.broadcast_to(col.codes, shape).ravel())
+             if isinstance(col, cli.Labels) else np.broadcast_to(col, shape).ravel()
+             for col in columns]
     texts = []
     for name, cols in (("open", columns), ("dense", dense)):
         out = str(tmp_path / f"{name}.csv") if to_file else "-"
@@ -556,27 +567,28 @@ def test_write_table_renders_each_stored_value_once(tmp_path, capsys, monkeypatc
     axes[0][:5] = [-0.0, 5e-324, math.inf, -math.nan, 1000000000000000.25]
     columns = [open_axis(a, i, 4) for i, a in enumerate(axes)]
     full = rng.standard_normal(OPEN_SHAPE)
-    labels = np.array(["ok", "warn", "invalid", "\u03b8"])[rng.integers(0, 4, OPEN_SHAPE)]
-    open_labels = open_axis(["a", "", "bb", "c", "\u03b8"], 1, 4)
+    labels = cli.Labels(("ok", "warn", "invalid", "\u03b8"), rng.integers(0, 4, OPEN_SHAPE))
+    open_labels = cli.Labels(("a", "", "bb", "c", "\u03b8"), open_axis(np.arange(5), 1, 4))
     header = ("tau", "label", "gamma", "theta", "full", "g", "open_label")
     table = (columns[0], labels, columns[1], columns[2], full, columns[3], open_labels)
     rendered, encoded = [], []
-    real, real_text = cli._e16_fields, cli._text_fields
+    real, real_encoded = cli._e16_fields, cli._encoded
     monkeypatch.setattr(cli, "_e16_fields",
                         lambda x: (rendered.append(np.size(x)), real(x))[1])
-    monkeypatch.setattr(cli, "_text_fields",
-                        lambda x, end: (encoded.append(np.size(x)), real_text(x, end))[1])
+    monkeypatch.setattr(cli, "_encoded",
+                        lambda x, end: (encoded.append(len(x)), real_encoded(x, end))[1])
     got, want = write_both_ways(tmp_path, capsys, to_file, header, table)
     assert got == want
     rows = math.prod(OPEN_SHAPE)
     assert want.count("\n") == rows + 1
     # the open table renders each axis value once, the dense one every cell
     assert sum(rendered) == sum(OPEN_SHAPE) + rows + 5 * rows
-    # each text column is encoded once per table, not once per block: the
-    # open table's labels and open labels, then the dense table's two
-    assert encoded == [rows, 5, rows, rows]
-    assert want == expected_csv(header, zip(*(np.broadcast_to(c, OPEN_SHAPE).ravel().tolist()
-                                              for c in table)))
+    # each label column is encoded once per table, not once per block, one
+    # string per label: the open table's two, then the dense table's two
+    assert encoded == [4, 5, 4, 5]
+    assert want == expected_csv(header, zip(*(
+        label_cells(c, OPEN_SHAPE) if isinstance(c, cli.Labels)
+        else np.broadcast_to(c, OPEN_SHAPE).ravel().tolist() for c in table)))
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -615,28 +627,21 @@ def test_sweep_keeps_the_grid_open(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("g, labels", [("1e-8,0.05,0.5", {"ok", "warn", "invalid"}),
                                        ("1e-8,1e-7", {"ok"})])
-def test_sweep_writes_validity_as_label_codes(tmp_path, monkeypatch, g, labels):
-    """The validity column goes to the writer as labels and codes, never
-    through _text_fields, and its bytes are those of the string column."""
+def test_sweep_writes_validity_as_label_codes(tmp_path, g, labels):
+    """The validity column goes to the writer as labels and codes, and each
+    row reads the label of its secular scale."""
     axes = {"tau": "0,12.5,25.0", "gamma": "0,1", "theta": "0,0.5", "g": g}
-    encoded = []
-    real = cli._text_fields
-    monkeypatch.setattr(cli, "_text_fields",
-                        lambda x, end: (encoded.append(np.size(x)), real(x, end))[1])
     out = tmp_path / "sweep.csv"
     assert main(["sweep", *(f"--{k}={v}" for k, v in axes.items()), "--out", str(out)]) == 0
-    assert encoded == []
     grid = analytic.variance_grid(*np.meshgrid(
         *([float(v) for v in values.split(",")] for values in axes.values()), indexing="ij"))
     secular = grid["secular"]
     validity = np.where(secular > analytic.SECULAR_REFUSE, "invalid",
                         np.where(secular > analytic.SECULAR_WARN, "warn", "ok"))
     assert set(validity.ravel().tolist()) == labels
-    strings = tmp_path / "strings.csv"
-    cli._write_table(str(strings), SWEEP_COLUMNS,
-                     [*(grid[name] for name in SWEEP_COLUMNS[:-1]), validity])
-    assert encoded == [validity.size]
-    assert out.read_bytes() == strings.read_bytes()
+    assert out.read_text() == expected_csv(SWEEP_COLUMNS, zip(
+        *(grid[name].ravel().tolist() for name in SWEEP_COLUMNS[:-1]),
+        validity.ravel().tolist()))
 
 
 def test_grid_limit_admits_exactly_max_cells():

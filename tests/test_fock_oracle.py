@@ -14,12 +14,15 @@ from gupsqueeze.analytic import analytic_slopes
 from gupsqueeze.cli import main
 from gupsqueeze.fock_oracle import (
     ORACLE_QUANTITIES, FockOperator, FockSpace,
-    OracleError, canonical_xp, coherent_vector, deformed_ops, eigensystem,
-    evolve, expect, fock_dim_for,
-    hamiltonian, heisenberg_evolve, ladder_ops, oracle_slopes,
+    OracleError, coherent_vector, eigensystem,
+    evolve, fock_dim_for,
+    hamiltonian, oracle_slopes,
     oracle_variances, slope_scale, truncation_audit, variance_numeric,
 )
 from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
+from reference import (
+    canonical_xp, deformed_ops, expect, heisenberg_evolve, ladder_ops,
+)
 
 NAT = PhysicalParams.natural
 
