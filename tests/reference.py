@@ -1,9 +1,10 @@
 """Reference routes the tests check the package against.
 
-Nothing in the package calls these: the evolved operators as graded
-polynomials of boson_algebra's ring (with complex coefficients), the ring's
-coherent-state expectations, and the dense truncated-Fock operators of the
-Heisenberg picture.  Each gives a second, independent way to the numbers the
+Nothing in the package calls these: the commutator as the difference of
+the ring's two products, the evolved operators as graded polynomials of
+boson_algebra's ring (with complex coefficients), the ring's coherent-state
+expectations, and the dense truncated-Fock operators of the Heisenberg
+picture.  Each gives a second, independent way to the numbers the
 commands compute.
 """
 
@@ -24,7 +25,12 @@ from gupsqueeze.fock_oracle import (
 from gupsqueeze.physics_config import PhysicalParams
 
 # ---------------------------------------------------------------------------
-# the graded ring on complex entries
+# the graded ring
+
+
+def reference_commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
+    """[P, Q] as PQ - QP: both products in full, then their difference."""
+    return (p @ q) - (q @ p)
 
 
 def expectation(poly: OperatorPolynomial, alpha: complex) -> tuple[complex, complex]:

@@ -1,6 +1,7 @@
 """Exact operator-algebra tests: normal ordering, commutators, the
 nested-commutator coefficient tables, and their closed-form resummations."""
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,15 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gupsqueeze import boson_algebra
 from gupsqueeze.boson_algebra import (
     A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, G_HAT_SCALE, IDENTITY,
-    OperatorPolynomial,
+    OperatorPolynomial, _chain,
     bch_bodies, closed_form_taylor, closed_form_value, collect_monomial_series,
-    commutator, hamiltonian_polynomial, monomial_product, verify_bch_collection,
+    commutator, hamiltonian_polynomial, monomial_commutator, monomial_product,
+    verify_bch_collection,
 )
 from gupsqueeze.analytic import _phase_table
 from gupsqueeze.fock_oracle import FockSpace
-from reference import max_abs_diff, monomial_matrix, polynomial_matrix
+from reference import (
+    max_abs_diff, monomial_matrix, polynomial_matrix, reference_commutator,
+)
 
 F = Fraction
 
@@ -202,6 +207,25 @@ def test_jacobi_identity_leading_order():
         assert total == OperatorPolynomial()
 
 
+def test_monomial_commutator_is_the_difference_of_products():
+    """Every pair of monomials with powers <= 6: the surviving Wick terms are
+    uv - vu, with no zero entry kept."""
+    monomials = list(itertools.product(range(7), repeat=2))
+    for u, v in itertools.product(monomials, repeat=2):
+        uv, vu = monomial_product(u, v), monomial_product(v, u)
+        difference = {mono: uv.get(mono, 0) - vu.get(mono, 0) for mono in uv | vu}
+        assert monomial_commutator(u, v) == {
+            mono: c for mono, c in difference.items() if c}, (u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 6), st.integers(1, 6))
+def test_commutator_equals_the_difference_of_products(rng, max_power, n_terms):
+    p = random_polynomial(rng, max_power, n_terms, graded=True)
+    q = random_polynomial(rng, max_power, n_terms, graded=True)
+    assert commutator(p, q) == reference_commutator(p, q)
+
+
 def test_no_order_g2_leakage():
     # two order-g factors multiply to zero in the truncated ring
     p = poly({A: (0, 1)})
@@ -296,6 +320,37 @@ def test_bch_term_coefficient_tables(depth):
     assert g1_coefficients(body) == DEPTH_TABLES[depth]
     # leading order is (-1)^k times a
     assert body.coefficient(A)[0] == F((-1) ** depth)
+
+
+def test_chain_through_depth_60_equals_the_reference_route():
+    """Every body of the chain the package builds, against the chain built
+    with PQ - QP."""
+    h = hamiltonian_polynomial()
+    body = OperatorPolynomial.monomial(A)
+    for k, built in enumerate(_chain(60)):
+        assert built == body, k
+        body = reference_commutator(h, body)
+
+
+def test_chain_of_depth_k_makes_k_commutators_and_no_products(monkeypatch):
+    calls = {"commutator": 0, "@": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    h = hamiltonian_polynomial()
+    # bch_bodies looks commutator up through the module global, as a tracer does
+    monkeypatch.setattr(boson_algebra, "commutator",
+                        counted("commutator", boson_algebra.commutator))
+    monkeypatch.setattr(OperatorPolynomial, "__matmul__",
+                        counted("@", OperatorPolynomial.__matmul__))
+    for k in (1, 12, 35):
+        calls.update({"commutator": 0, "@": 0})
+        list(bch_bodies(k, h, OperatorPolynomial.monomial(A)))
+        assert calls == {"commutator": k, "@": 0}
 
 
 def test_bch_adjoint_shadow():

@@ -54,6 +54,17 @@ def test_verify_bch_rejects_zero_order(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_bch_cap_admits_exactly_max_order(monkeypatch, capsys):
+    """The cap is inclusive; the chain itself is stubbed to depth 1, since
+    depth 10^4 takes seconds (the order above it is a bad-input case)."""
+    orders = []
+    real = cli.verify_bch_collection
+    monkeypatch.setattr(cli, "verify_bch_collection",
+                        lambda k_max: orders.append(k_max) or real(1))
+    assert main(["verify-bch", "--max-order", str(cli._MAX_BCH_ORDER)]) == 0
+    assert orders == [cli._MAX_BCH_ORDER]
+
+
 # ---------------------------------------------------------------------------
 # figure
 
@@ -727,6 +738,7 @@ def test_grid_limit_admits_exactly_max_cells():
     (["oracle-compare", "--tol", "0"], None, "--tol must be > 0"),
     (["oracle-compare", "--tau", *["1"] * 200001], None,
      "grid of 200001 x 5 cells is above 1000000"),
+    (["verify-bch", "--max-order", "10001"], None, "--max-order 10001 is above 10000"),
 ], ids=["dim-one", "tau-not-numeric", "config-jobs-is-unknown",
         "config-unknown-key", "config-list-and-triple", "config-partial-triple",
         "config-triple-not-numeric", "config-one-point", "config-empty-axis",
@@ -752,14 +764,14 @@ def test_grid_limit_admits_exactly_max_cells():
         "uncertainty-check-g-max-negative", "uncertainty-check-g-max-zero",
         "uncertainty-check-tol-nan", "uncertainty-check-tol-negative",
         "uncertainty-check-tol-zero", "oracle-tol-negative", "oracle-tol-zero",
-        "oracle-oversized-tau-list"])
+        "oracle-oversized-tau-list", "verify-bch-order-above-cap"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys, argv,
                                                  config, message):
     monkeypatch.chdir(tmp_path)  # figures 1-2 would suffix "-" into the cwd
     if config is not None:
         Path("input.cfg").write_text(config)
         argv = argv + ["--preset" if argv[0] == "figure" else "--config", "input.cfg"]
-    if argv[0] != "uncertainty-check" and "--out" not in argv:
+    if argv[0] not in ("uncertainty-check", "verify-bch") and "--out" not in argv:
         argv = argv + ["--out", "out.csv"]
     assert main(argv) == 2
     err = capsys.readouterr().err

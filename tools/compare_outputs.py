@@ -6,7 +6,8 @@ against ``--parent DIR``'s, and compares exit code, stdout, stderr and every
 file the command leaves in its directory, byte for byte.  The list covers
 the benchmark's inputs (sweeps at perfbench seeds 1-3, to a file and to
 stdout; figures 1-3; uncertainty-check; oracle-compare at both amplitudes),
-``preset``, ``verify-bch --max-order 12`` and a few bad inputs that exit 2.
+``preset``, ``verify-bch --max-order`` 12, 35 (the benchmark's depth) and
+60, and a few bad inputs that exit 2.
 
     python tools/compare_outputs.py --parent ../parent-checkout
     python tools/compare_outputs.py --parent DIR --only preset_stdout verify_bch_12
@@ -83,7 +84,8 @@ def cases() -> list[Case]:
                                  "--out", "oracle.csv")),
         Case("preset_stdout", ("preset",)),
         Case("preset_file", ("preset", "--omega-reading", "cyclic", "--out", "preset.cfg")),
-        Case("verify_bch_12", ("verify-bch", "--max-order", "12")),
+        *(Case(f"verify_bch_{order}", ("verify-bch", "--max-order", order))
+          for order in ("12", "35", "60")),
         Case("bad_sweep_nan", ("sweep", "--tau", "nan", "--out", "bad.csv")),
         Case("bad_sweep_config", ("sweep", "--config", "missing.cfg")),
         Case("bad_figure_gamma", ("figure", "--id", "1", "--gamma=-1", "--out", "bad.csv")),
