@@ -376,6 +376,12 @@ def _figure_surface(which: int, gamma: float, args) -> tuple[np.ndarray, ...]:
 
 
 def cmd_figure(args) -> int:
+    # each figure refuses the other's flag rather than ignore it
+    if args.id == 3 and args.gamma is not None:
+        raise ConfigError("figure 3 takes its amplitude from the preset; --gamma is "
+                          "for figures 1 and 2")
+    if args.id in (1, 2) and args.preset is not None:
+        raise ConfigError(f"figure {args.id} takes no preset; --preset is for figure 3")
     if args.id in (1, 2):
         explicit = args.gamma is not None
         if not explicit and args.out == "-":

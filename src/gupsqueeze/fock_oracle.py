@@ -15,6 +15,7 @@ basis, and states are kept far from the truncation edge (see fock_dim_for).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -372,10 +373,43 @@ def slope_scale(tau, gamma: float):
 
 
 # Taus per chunk of oracle_slopes' array pass, times the Fock dimension.  Its
-# largest arrays hold 36 complex numbers per (tau, number state), 4 quantities
-# times 9 bands, so each stays near 2.4 MB at any dimension; 5000 taus at
-# gamma = 10 ran no faster with 4 times larger chunks and took 20 MiB more.
+# largest arrays hold 16 complex numbers per (tau, number state), 4 quantities
+# times 4 odd bands, so each stays near 1 MB at any dimension.  With all 9
+# bands per quantity, 5000 taus at gamma = 10 ran no faster with 4 times
+# larger chunks and took 20 MiB more.
 _SLOPE_CHUNK_CELLS = 2 ** 12
+
+# Band rows by the parity of their offset (BANDS is even): H, p^4 and V sit at
+# the even offsets, the observables X1, X2, x_hat and p_hat at +-1, +-3.
+EVEN, ODD = PARITY
+
+# Fock dimensions whose slope tables a process keeps: a truncation audit
+# needs dim and 2 dim, so 4 serves two amplitudes in turn.
+_SLOPE_TABLES_KEPT = 4
+
+
+@functools.lru_cache(maxsize=_SLOPE_TABLES_KEPT)
+def _slope_operators(dim: int) -> tuple[np.ndarray, ...]:
+    """oracle_slopes' tables at one Fock dimension, read-only: the odd-offset
+    bands of X1, X2, x_hat and p_hat, those of d p_hat/dbeta = p^3/3, the
+    energies E of H0, and the gaps E[r+k] - E[r] and bands of V = p^4/3m at
+    the even offsets.
+
+    Keyed on dim alone, which holds only because oracle_slopes always works
+    at PhysicalParams.natural(0.0): the tables depend on nothing else."""
+    params = PhysicalParams.natural(0.0)
+    s, q, q2, q3 = _quadrature_bands(FockSpace(dim))
+    bands = np.stack([0.5 * s, 0.5j * q, *_deformed_bands(s, q, q3, params)])[:, ODD]
+    d_p_hat = (-1j * _lengths(params)[1] ** 3 / 3.0 * q3)[ODD]
+    h0, p4 = _oscillator_bands(s, q2, params)
+    energies = h0[BANDS]
+    gaps = (sliding_window_view(np.pad(energies, BANDS), dim) - energies)[EVEN]
+    v_bands = (p4 / (3.0 * params.mass))[EVEN]  # zero wherever a gap runs off the space
+    # copies, so the cache keeps none of the 9-band arrays these slice
+    tables = tuple(table.copy() for table in (bands, d_p_hat, energies, gaps, v_bands))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def oracle_slopes(tau, amplitude: CoherentAmplitude,
@@ -383,26 +417,19 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
     """d/dbeta at beta = 0 of all five oracle variances, natural units, shaped
     like tau, by linear response: no eigensolve, O(n) work per tau.  The taus
     run as one array pass, in chunks of at most _SLOPE_CHUNK_CELLS / n taus,
-    so memory stays bounded however many are given.
+    so memory stays bounded however many are given; the tables that depend
+    on the dimension alone are built once per process (_slope_operators).
 
     H0 is diagonal (energies E), so Duhamel's formula gives d(U psi)/dbeta =
     -i e^{-iEt} (W psi) exactly: W has the bands of V = p^4/3m times
     F(D, t) = int_0^t e^{-iDs} ds, D = E[r+k] - E[r].  Each variance slope is
-    2Re<O psi, d(O psi)> - 2<O> d<O>; d p_hat/dbeta = p^3/3 adds to d(O psi).
+    2Re<O psi, d(O psi)> - 2<O> d<O>; d p_hat/dbeta = p^3/3 adds to d(p_hat psi).
+    V is zero at odd offsets and the observables at even ones, so each is
+    applied on the other's offsets alone.
     """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    params = PhysicalParams.natural(0.0)
-    s, q, q2, q3 = _quadrature_bands(space)
-    bands = np.stack([0.5 * s, 0.5j * q, *_deformed_bands(s, q, q3, params)])
-    d_bands = np.zeros_like(bands)
-    d_bands[3] = -1j * _lengths(params)[1] ** 3 / 3.0 * q3
-    h0, p4 = _oscillator_bands(s, q2, params)
-    energies = h0[BANDS]
-    # V = p^4/3m is zero at odd offsets, so F is needed at the even ones only
-    even = slice(None, None, 2)
-    gaps = (sliding_window_view(np.pad(energies, BANDS), space.dim) - energies)[even]
-    v_bands = (p4 / (3.0 * params.mass))[even]  # zero wherever a gap runs off the space
+    bands, d_p_hat, energies, gaps, v_bands = _slope_operators(space.dim)
     psi = coherent_vector(amplitude, space).components
     taus = np.asarray(tau, dtype=float)
     flat = taus.reshape(-1)
@@ -420,9 +447,11 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
         t = t[:, :, None]
         # F(D, t) = t e^{-iDt/2} sinc(Dt/2pi), stable as D t -> 0
         f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
-        chi = -1j * phase * _apply(v_bands * f, psi, even)
-        o_psi, o_chi = _apply(bands, psi_t[:, None]), _apply(bands, chi[:, None])
-        d_o_psi = o_chi + _apply(d_bands, psi_t[:, None])
+        chi = -1j * phase * _apply(v_bands * f, psi, EVEN)
+        o_psi = _apply(bands, psi_t[:, None], ODD)
+        o_chi = _apply(bands, chi[:, None], ODD)
+        d_o_psi = o_chi.copy()
+        d_o_psi[:, 3] += _apply(d_p_hat, psi_t, ODD)
         bra = psi_t.conj()[:, :, None]
         mean = (o_psi @ bra)[..., 0].real
         d_mean = ((o_chi + d_o_psi) @ bra)[..., 0].real  # 2Re<psi, O chi> + <O'>

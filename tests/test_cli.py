@@ -726,6 +726,11 @@ def test_grid_limit_admits_exactly_max_cells():
     (["figure", "--id", "3", "--preset", "/nonexistent-dir/preset.txt"], None,
      "cannot load preset"),
     (["figure", "--id", "3"], "name = electron\n", "cannot load preset"),
+    (["figure", "--id", "3", "--gamma", "nan"], None, "--gamma is for figures 1 and 2"),
+    (["figure", "--id", "1", "--gamma", "1"], "name = electron\n",
+     "--preset is for figure 3"),
+    (["figure", "--id", "2", "--tau-points", "4", "--theta-points", "4"],
+     "name = electron\n", "--preset is for figure 3"),
     (["figure", "--id", "1", "--out", "-"], None, "--out - needs --gamma"),
     (["figure", "--id", "2", "--tau-points", "4", "--theta-points", "4", "--out", "-"],
      None, "--out - needs --gamma"),
@@ -760,6 +765,7 @@ def test_grid_limit_admits_exactly_max_cells():
         "sweep-oversized-product", "figure-1-unwritable-out", "figure-3-unwritable-out",
         "sweep-unwritable-out", "oracle-unwritable-out", "preset-unwritable-out",
         "figure-3-preset-missing", "figure-3-preset-malformed",
+        "figure-3-gamma", "figure-1-preset", "figure-2-default-gammas-preset",
         "figure-1-default-gammas-to-stdout", "figure-2-default-gammas-to-stdout",
         "uncertainty-check-g-max-negative", "uncertainty-check-g-max-zero",
         "uncertainty-check-tol-nan", "uncertainty-check-tol-negative",
@@ -923,6 +929,38 @@ def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys, 
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
+
+
+# perfbench's seed-1 oracle_compare amplitudes: Fock dimensions 41 and 229
+ORACLE_SMALL = ("--gamma", "0.9293750129474533", "--theta", "4.896301531456875", "--tau",
+                "0.6802076197161011", "1.4936911971276052", "2.966189425398554",
+                "3.1318953653235155")
+ORACLE_LARGE = ("--gamma", "9.935228099574964", "--theta", "2.4137944263264024", "--tau",
+                "0.4682085081608594", "2.012136264117072", "2.548639532620857",
+                "3.5317217520044237")
+
+
+def test_warm_oracle_compare_prints_and_writes_what_a_fresh_process_does(
+        monkeypatch, capsys, tmp_path):
+    """oracle_slopes keeps each Fock dimension's tables for the process, so
+    a later call at a dimension seen before starts warm: each call must
+    print and write the bytes a fresh process does."""
+    fock_oracle._slope_operators.cache_clear()
+    for n, options in enumerate((ORACLE_SMALL, ORACLE_LARGE, ORACLE_SMALL,
+                                 ORACLE_SMALL + ("--dim", "60"))):
+        argv = ["oracle-compare", *options, "--out", "oracle.csv"]
+        warm, fresh = tmp_path / f"warm{n}", tmp_path / f"fresh{n}"
+        warm.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(warm)
+        assert main(argv) == 0
+        done = subprocess.run([sys.executable, "-m", "gupsqueeze.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=fresh,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
+        assert capsys.readouterr().out == done.stdout
+        assert (warm / "oracle.csv").read_bytes() == (fresh / "oracle.csv").read_bytes()
+    assert fock_oracle._slope_operators.cache_info().hits == 2  # the small dims, again
 
 
 def test_closed_pipe_on_stdout_ends_quietly(tmp_path):

@@ -609,21 +609,47 @@ def test_batched_slopes_span_several_chunks_bit_for_bit():
 
 def test_slope_pass_makes_as_many_calls_for_40_taus_as_for_4(monkeypatch):
     """One array pass: the banded products and ladders do not grow with the
-    taus, and each band is laddered once."""
+    taus; each band is laddered once, on the dimension's first call, and not
+    again while its tables stay cached."""
+    names = ("_apply", "_ladder")
     counts = Counter()
-    for name in ("_apply", "_ladder"):
+    for name in names:
         def counted(*args, _real=getattr(fock_oracle, name), _name=name):
             counts[_name] += 1
             return _real(*args)
         monkeypatch.setattr(fock_oracle, name, counted)
     amp, space = CoherentAmplitude(gamma=1.0, theta=0.4), FockSpace(41)
 
-    def calls(n_taus):
+    def calls(n_taus, cold):
+        if cold:
+            fock_oracle._slope_operators.cache_clear()
         counts.clear()
         oracle_slopes(np.linspace(0.5, 4.0, n_taus), amp, space)
-        return dict(counts)
+        return {name: counts[name] for name in names}
 
-    assert calls(4) == calls(40) == {"_apply": 4, "_ladder": 7}
+    assert calls(4, cold=True) == calls(40, cold=True) == {"_apply": 4, "_ladder": 7}
+    assert calls(4, cold=False) == calls(40, cold=False) == {"_apply": 4, "_ladder": 0}
+
+
+def test_slope_tables_are_cached_read_only_and_bounded():
+    """A warm call gives the cold call's bits; the shared tables own their
+    data and refuse writes; the cache keeps at most _SLOPE_TABLES_KEPT
+    dimensions."""
+    amp, taus = CoherentAmplitude(gamma=2.0, theta=0.3), [-0.0, 0.5, 3.0]
+    fock_oracle._slope_operators.cache_clear()
+    cold = oracle_slopes(taus, amp, FockSpace(60))
+    assert fock_oracle._slope_operators.cache_info().misses == 1
+    assert_same_bits(oracle_slopes(taus, amp, FockSpace(60)), cold)
+    assert fock_oracle._slope_operators.cache_info().hits == 1
+    for table in fock_oracle._slope_operators(60):
+        assert table.base is None  # no larger array kept alive behind it
+        with pytest.raises(ValueError):
+            table[..., 0] = 1.0
+    kept = fock_oracle._slope_operators.cache_info().maxsize
+    for dim in range(2, 2 * kept + 3):
+        oracle_slopes(taus, amp, FockSpace(dim))
+    assert fock_oracle._slope_operators.cache_info().currsize <= kept
+    assert_same_bits(oracle_slopes(taus, amp, FockSpace(60)), cold)  # rebuilt
 
 
 def test_time_beyond_float_range_names_the_first_such_tau(capsys):

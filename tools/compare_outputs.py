@@ -6,8 +6,9 @@ against ``--parent DIR``'s, and compares exit code, stdout, stderr and every
 file the command leaves in its directory, byte for byte.  The list covers
 the benchmark's inputs (sweeps at perfbench seeds 1-3, to a file and to
 stdout; figures 1-3; uncertainty-check; oracle-compare at both amplitudes),
-``preset``, ``verify-bch --max-order`` 12, 35 (the benchmark's depth) and
-60, and a few bad inputs that exit 2.
+oracle-compare at a given ``--dim`` and in the vacuum, ``preset``,
+``verify-bch --max-order`` 12, 35 (the benchmark's depth) and 60, and a few
+bad inputs that exit 2.
 
     python tools/compare_outputs.py --parent ../parent-checkout
     python tools/compare_outputs.py --parent DIR --only preset_stdout verify_bch_12
@@ -82,6 +83,9 @@ def cases() -> list[Case]:
         Case("uncertainty_defaults", ("uncertainty-check",)),
         Case("oracle_defaults", ("oracle-compare", "--gamma", "1", "--theta", "0.785",
                                  "--out", "oracle.csv")),
+        Case("oracle_dim", ("oracle-compare", "--gamma", "2", "--theta", "0.3",
+                            "--dim", "60")),
+        Case("oracle_vacuum", ("oracle-compare", "--gamma", "0")),
         Case("preset_stdout", ("preset",)),
         Case("preset_file", ("preset", "--omega-reading", "cyclic", "--out", "preset.cfg")),
         *(Case(f"verify_bch_{order}", ("verify-bch", "--max-order", order))
@@ -89,6 +93,7 @@ def cases() -> list[Case]:
         Case("bad_sweep_nan", ("sweep", "--tau", "nan", "--out", "bad.csv")),
         Case("bad_sweep_config", ("sweep", "--config", "missing.cfg")),
         Case("bad_figure_gamma", ("figure", "--id", "1", "--gamma=-1", "--out", "bad.csv")),
+        Case("bad_figure3_gamma", ("figure", "--id", "3", "--gamma", "1", "--out", "bad.csv")),
         Case("bad_oracle_tol", ("oracle-compare", "--tol", "0")),
         Case("bad_uncertainty_tol", ("uncertainty-check", "--tol=-1")),
     ]
