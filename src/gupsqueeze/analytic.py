@@ -14,8 +14,9 @@ re-derives the coherent-state moments mechanically, and checks everything
 against the truncated-Fock oracle (see tests/reference.py).
 
 Validity: the first-order corrections contain secular terms linear in tau, so
-results degrade as |g|*tau*(1+gamma^2) grows.  Operations warn above 0.1 and
-refuse above 10 unless ``strict=False``.
+results degrade as |g|*tau*(1+gamma^2) grows.  ``validity_codes`` alone
+applies the thresholds: operations warn above 0.1 and refuse above 10 unless
+``strict=False``, and the sweep labels its rows by the same codes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .physics_config import (
 
 SECULAR_WARN = 0.1
 SECULAR_REFUSE = 10.0
+#: A secular scale's validity label, indexed by its code (see validity_codes).
+VALIDITY_LABELS = ("ok", "warn", "invalid")
 CROSS_CHECK_TOL = 1e-12
 
 CANONICAL_VAR_X1 = 0.25
@@ -56,15 +59,24 @@ def secular_scale(tau: float, g: float, gamma: float = 0.0) -> float:
     return abs(g) * abs(tau) * (1.0 + gamma * gamma)
 
 
+def validity_codes(secular):
+    """How many of SECULAR_WARN and SECULAR_REFUSE each secular scale
+    exceeds: 0, 1 or 2, an int8 index into VALIDITY_LABELS; array-generic."""
+    codes = np.greater(secular, SECULAR_WARN).astype(np.int8)
+    codes += np.greater(secular, SECULAR_REFUSE)
+    return codes
+
+
 def _check_validity(tau: float, g: float, gamma: float, strict: bool, stacklevel=3) -> None:
     scale = secular_scale(tau, g, gamma)
     if not strict:
         return
-    if scale > SECULAR_REFUSE:
+    code = validity_codes(scale)
+    if code == 2:
         raise SecularValidityError(
             f"secular scale {scale:.3g} > {SECULAR_REFUSE}; the first-order "
             "expansion has no validity here")
-    if scale > SECULAR_WARN:
+    if code == 1:
         warnings.warn(
             f"secular scale {scale:.3g} > {SECULAR_WARN}; first-order accuracy "
             "is degrading", SecularValidityWarning, stacklevel=stacklevel)

@@ -37,18 +37,12 @@ A_DAG3: Monomial = (3, 0)
 A_DAG_A2: Monomial = (1, 2)
 A_DAG2_A: Monomial = (2, 1)
 
-#: The six monomials carrying the first-order part of the evolved annihilation
-#: operator, in reporting order.
-EVOLVED_MONOMIALS: tuple[Monomial, ...] = (A, A_DAG, A3, A_DAG3, A_DAG_A2, A_DAG2_A)
 
-MONOMIAL_LABELS: dict[Monomial, str] = {
-    A: "a",
-    A_DAG: "adag",
-    A3: "a^3",
-    A_DAG3: "adag^3",
-    A_DAG_A2: "adag.a^2",
-    A_DAG2_A: "adag^2.a",
-}
+def _label(mono: Monomial) -> str:
+    """a^dag^m a^n as "adag^m.a^n", an exponent 1 dropped: "adag.a^2" for
+    (1, 2), "a" for (0, 1) and "1" for the identity."""
+    return ".".join(name if power == 1 else f"{name}^{power}"
+                    for name, power in zip(("adag", "a"), mono) if power) or "1"
 
 
 def monomial_product(left: Monomial, right: Monomial) -> dict[Monomial, int]:
@@ -151,7 +145,7 @@ class OperatorPolynomial:
         bits = []
         for mono in sorted(self.terms):
             c0, c1 = self.terms[mono]
-            bits.append(f"{MONOMIAL_LABELS.get(mono, mono)}: {c0!r} + g*{c1!r}")
+            bits.append(f"{_label(mono)}: {c0!r} + g*{c1!r}")
         return "OperatorPolynomial({" + ", ".join(bits) + "})"
 
 
@@ -251,7 +245,7 @@ def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
     """Order-g coefficient series of the six evolved monomials, all read off
     one nested-commutator chain of depth k_max."""
     bodies = _chain(k_max)
-    return {mono: _order1_series(bodies, mono) for mono in EVOLVED_MONOMIALS}
+    return {mono: _order1_series(bodies, mono) for mono in MONOMIAL_FORMS}
 
 
 #: The closed forms the collected coefficient series resum to, as (exact Taylor
@@ -294,7 +288,9 @@ def closed_form_value(form_id: str, tau, e):
     return value(tau, e)
 
 
-#: Closed form resumming each evolved monomial's order-g coefficient series.
+#: The six monomials carrying the first-order part of the evolved annihilation
+#: operator, in reporting order, each with the closed form (see _FORMS) that
+#: its order-g coefficient series resums to.
 MONOMIAL_FORMS: dict[Monomial, str] = {
     A: "drift",
     A_DAG: "sine",
@@ -307,9 +303,7 @@ MONOMIAL_FORMS: dict[Monomial, str] = {
 
 @dataclass(frozen=True)
 class MonomialVerification:
-    monomial: Monomial
     label: str
-    form_id: str
     verified_through: int
     first_mismatch: int | None
 
@@ -320,7 +314,6 @@ class MonomialVerification:
 
 @dataclass(frozen=True)
 class BchVerification:
-    k_max: int
     rows: tuple[MonomialVerification, ...]
 
     @property
@@ -337,14 +330,12 @@ def verify_bch_collection(k_max: int) -> BchVerification:
     """
     series = evolved_series(k_max)
     rows = []
-    for mono in EVOLVED_MONOMIALS:
-        form_id = MONOMIAL_FORMS[mono]
+    for mono, form_id in MONOMIAL_FORMS.items():
         expected = closed_form_taylor(form_id, k_max).coefficients
         first_mismatch = next(
             (k for k, (got, want) in enumerate(zip(series[mono].coefficients, expected))
              if got != want), None)
         verified = k_max if first_mismatch is None else first_mismatch - 1
         rows.append(MonomialVerification(
-            monomial=mono, label=MONOMIAL_LABELS[mono], form_id=form_id,
-            verified_through=verified, first_mismatch=first_mismatch))
-    return BchVerification(k_max=k_max, rows=tuple(rows))
+            label=_label(mono), verified_through=verified, first_mismatch=first_mismatch))
+    return BchVerification(rows=tuple(rows))

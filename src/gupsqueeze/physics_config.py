@@ -45,6 +45,8 @@ class PhysicalParams:
 
     beta has units of inverse momentum squared.  Physically beta >= 0; negative
     values are accepted because the finite-beta oracle tests evolve under them.
+    The SI restoration factors hbar/(m omega), hbar m omega and hbar^2 (see
+    to_natural) must come out > 0 and finite, or the units are a ConfigError.
     """
 
     mass: float = 1.0
@@ -59,6 +61,14 @@ class PhysicalParams:
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
         if not math.isfinite(self.beta):
             raise ConfigError(f"beta must be finite, got {self.beta!r}")
+        try:
+            usable = all(0.0 < f < math.inf for f in vars(_scale_factors(self)).values())
+        except (ZeroDivisionError, OverflowError):
+            usable = False
+        if not usable:
+            raise ConfigError(
+                "hbar/(m omega), hbar m omega and hbar^2 must be > 0 and finite; got "
+                f"hbar={self.hbar!r}, mass={self.mass!r}, omega={self.omega!r}")
 
     @property
     def g(self) -> float:
@@ -136,14 +146,18 @@ class ScaleFactors:
     product: float    # hbar^2
 
 
-def to_natural(params: PhysicalParams) -> tuple[float, ScaleFactors]:
-    """Reduce parameters to the dimensionless strength g plus restoration factors."""
-    factors = ScaleFactors(
+def _scale_factors(params: PhysicalParams) -> ScaleFactors:
+    """The restoration factors; m omega is computed before hbar is divided by it."""
+    return ScaleFactors(
         x_var=params.hbar / (params.mass * params.omega),
         p_var=params.hbar * params.mass * params.omega,
         product=params.hbar ** 2,
     )
-    return params.g, factors
+
+
+def to_natural(params: PhysicalParams) -> tuple[float, ScaleFactors]:
+    """Reduce parameters to the dimensionless strength g plus restoration factors."""
+    return params.g, _scale_factors(params)
 
 
 def from_natural(record: VarianceRecord, params: PhysicalParams) -> VarianceRecord:

@@ -1,0 +1,278 @@
+"""The CSV format every command writes: a header row, then each float in
+full-precision scientific notation and each label as is.
+
+A float field's bytes equal CPython's ``'%.16e' % x`` exactly.
+``write_table`` renders them with an exact numpy kernel (``_e16_fields``)
+in row blocks that hold ``_BLOCK_VALUES`` dense float values, so a block's
+row count follows the number of dense float columns; non-finite values,
+magnitudes outside [1e-280, 1e280), power-of-ten neighbours whose decimal
+exponent log10 misses, values within 1e-6 of a decimal rounding tie, and
+blocks of fewer than ``_KERNEL_MIN_VALUES`` floats go through ``'%.16e' %``
+one by one.  Columns need only broadcast to one shape, so a command hands
+over its grid open.  A float column with a value for every row is rendered
+block by block; any other column is rendered once per table, a float column
+broadcast over the grid once per stored value and a ``Labels`` column (its
+labels plus one code per cell) once per label, and its rows are gathered
+block by block by a flat row index.  Each block is laid out in one buffer
+and its NUL padding dropped in one pass.  ``csv_sink`` is where every
+command's bytes leave: a file, or stdout for "-".
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import math
+import sys
+from collections.abc import Sequence
+from typing import NamedTuple
+
+import numpy as np
+
+from .physics_config import ConfigError
+
+# Dense float values rendered per block: the kernel's fixed cost of about 75
+# numpy calls is spread over this many values (78 ns per value, against 120
+# at 2048; medians on a 2-core VM, numpy 2.4), and a block's arrays stay
+# under a megabyte.  A block holds _BLOCK_VALUES // (dense float columns)
+# rows: 1170 for a sweep's seven, 8192 for a figure's one.
+_BLOCK_VALUES = 8192
+
+# A rendered float field: 7 little-endian uint32 words, NUL where a byte is
+# absent.  Word 0 holds sign, leading digit and ".", words 1-4 the 16
+# fraction digits, words 5-6 "e", the exponent sign and 2 or 3 digits.
+_E16_WORDS = 7
+# Below this many values per call, formatting them one by one is faster than
+# the kernel's fixed per-call cost (crossover measured at 80-85 values: about
+# 115 us either way, 2-core VM, numpy 2.4).
+_KERNEL_MIN_VALUES = 80
+_POW10_MIN = -270  # 10**k for k = 16 - E, E the decimal exponent in range
+_POW10_MAX = 300
+_EXP_OFFSET = 300
+
+
+def _pack(*chars) -> np.ndarray:
+    """uint32 words holding up to four byte columns, first in the lowest byte;
+    stored as "<u4" they lie in memory in that order."""
+    word = np.zeros(np.broadcast(*chars).shape, np.uint32)
+    for shift, column in zip((0, 8, 16, 24), chars):
+        word |= np.asarray(column, np.uint32) << shift
+    return word
+
+
+def _split(a):
+    """Veltkamp split: a = hi + lo exactly, each half with 26 bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _e16_tables():
+    """Double-double 10**k, each half correctly rounded from the exact
+    rational num/den by int true division, as one row per k of (hi, lo, and
+    hi's Veltkamp halves); then the digit tables."""
+    pow_hi, pow_lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        pow_hi.append(num / den)
+        p, q = pow_hi[-1].as_integer_ratio()
+        pow_lo.append((num * q - p * den) / (den * q))
+    pow_hi, pow_lo = np.array(pow_hi), np.array(pow_lo)
+    powers = np.stack([pow_hi, pow_lo, *_split(pow_hi)], axis=1)
+    n = np.arange(10000, dtype=np.uint32)
+    quad = _pack(48 + n // 1000, 48 + n // 100 % 10, 48 + n // 10 % 10, 48 + n % 10)
+    # index 10 * negative + leading digit
+    s = np.arange(20)
+    head = _pack(np.where(s >= 10, ord("-"), 0), 48 + s % 10, ord("."))
+    # words 5 and 6, index exponent + _EXP_OFFSET; a 2-digit exponent leaves
+    # word 6 NUL
+    e = np.arange(-_EXP_OFFSET, _EXP_OFFSET)
+    m = np.abs(e)
+    wide = m >= 100
+    tail = (_pack(ord("e"), np.where(e < 0, ord("-"), ord("+")),
+                  np.where(wide, 48 + m // 100, 48 + m // 10 % 10),
+                  np.where(wide, 48 + m // 10 % 10, 48 + m % 10)),
+            _pack(np.where(wide, 48 + m % 10, 0)))
+    return powers, quad, head, tail
+
+
+def _digits(a, e):
+    """floor(a * 10**(16 - e)) as int64 and its fractional part, from an
+    exact two-product against the double-double power (error ~1e-31
+    relative), reusing its temporaries in place."""
+    powers, *_ = _e16_tables()
+    pow_hi, pow_lo, b_hi, b_lo = powers.take(16 - _POW10_MIN - e, axis=0).T
+    a_hi, a_lo = _split(a)
+    p = a * pow_hi
+    # err = ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in that order
+    err = a_hi * b_hi
+    err -= p
+    term = np.multiply(a_hi, b_lo, out=a_hi)
+    err += term
+    err += np.multiply(a_lo, b_hi, out=term)
+    err += np.multiply(a_lo, b_lo, out=term)
+    err += np.multiply(a, pow_lo, out=term)
+    whole = np.floor(p)
+    p -= whole
+    p += err  # the fraction and what the error carries across an integer
+    carry = np.floor(p)
+    p -= carry
+    d = whole.astype(np.int64)
+    d += carry.astype(np.int64)
+    return d, p
+
+
+def _e16_one_by_one(x) -> np.ndarray:
+    """'%.16e' % v through CPython for each value of x, as _e16_fields lays
+    it out: one NUL-padded row per value."""
+    return np.array([b"%.16e" % v for v in x.tolist()], dtype=f"S{4 * _E16_WORDS}"
+                    ).view(np.uint8).reshape(len(x), 4 * _E16_WORDS)
+
+
+def _e16_fields(x) -> np.ndarray:
+    """The bytes of '%.16e' % v for each float64 v in x, one NUL-padded row
+    of 4 * _E16_WORDS bytes per value."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size < _KERNEL_MIN_VALUES:
+        return _e16_one_by_one(x)
+    _, quad, head, tail = _e16_tables()
+    a = np.abs(x)
+    # in this range every product and split below stays normal and finite
+    vector = (a >= 1e-280) & (a < 1e280)
+    a[~vector] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d, frac = _digits(a, e)
+    # a d of 16 or 18 digits (log10 missed by one next to a power of ten), a
+    # true tie (it rounds half-even) and anything the product's error could
+    # carry across one half go one by one, like zero and the out-of-range
+    vector &= (d >= 10 ** 16) & (d < 10 ** 17)
+    frac -= 0.5
+    d += frac > 0.0
+    vector &= np.abs(frac, out=frac) > 1e-6
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    d *= vector  # zeros render as 0.0000000000000000e+00; the rest below
+    e *= vector
+    # d's 17 digits: the leading one, then two 8-digit halves of two 4-digit
+    # quads each, split by floor division (an int64 np.divmod costs about
+    # four floor divisions)
+    hi = d // 10 ** 8
+    d -= hi * 10 ** 8
+    lead = hi // 10 ** 8
+    hi -= lead * 10 ** 8
+    lead += 10 * np.signbit(x)
+    e += _EXP_OFFSET
+    fields = np.empty((x.size, _E16_WORDS), "<u4")
+    fields[:, 0] = head.take(lead)
+    for word, half in ((1, hi), (3, d)):
+        upper = half // 10 ** 4
+        half -= upper * 10 ** 4
+        fields[:, word] = quad.take(upper)
+        fields[:, word + 1] = quad.take(half)
+    for word, table in zip((5, 6), tail):
+        fields[:, word] = table.take(e)
+    out = fields.view(np.uint8)
+    slow = ~vector & (x != 0.0)
+    out[slow] = _e16_one_by_one(x[slow])
+    return out
+
+
+class Labels(NamedTuple):
+    """A text column, handed over as its labels and, per cell, the index of
+    its label: the writer encodes each label once and gathers rows by code,
+    with no sort over the cells."""
+
+    labels: Sequence[str]
+    codes: np.ndarray
+
+
+def _encoded(strings, end: bytes) -> np.ndarray:
+    """Each string's UTF-8 bytes and then end, one NUL-padded row each."""
+    encoded = np.array([text.encode() + end for text in strings], dtype=bytes)
+    return encoded.view(np.uint8).reshape(len(strings), encoded.itemsize)
+
+
+@contextlib.contextmanager
+def csv_sink(path: str):
+    """A function that writes bytes to path, or to stdout for "-".  A path
+    that cannot be opened or written, a FIFO whose reader left included, is
+    a ConfigError."""
+    if path == "-":
+        yield lambda data: sys.stdout.write(data.decode())
+        return
+    try:
+        with open(path, "wb") as stream:
+            yield stream.write
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}")
+
+
+def _stored(column: np.ndarray) -> np.ndarray:
+    """The values a column holds: each axis it is broadcast along (stride 0)
+    cut to length 1."""
+    return column[tuple(slice(None) if step else slice(0, 1)
+                        for step in column.strides)]
+
+
+def write_table(path: str, header, columns) -> None:
+    """Write the header, then one row per cell of the shape the columns
+    broadcast to, in C order.  Each column is a float array (written as
+    '%.16e') or a Labels (written as is).  A float column that holds a value
+    for every row is rendered block by block, in blocks of _BLOCK_VALUES dense
+    float values; any other column is rendered once per table, a float per
+    stored value and a label per label, and its rows are gathered block by
+    block."""
+    shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, Labels) else col)
+                                  for col in columns))
+    rows = math.prod(shape)
+    width = 4 * _E16_WORDS  # of a float field
+    # every field ends in its separator, "," or "\n" after the last column;
+    # a float field's is its last byte, as '%.16e' fills at most 24 of its 28
+    ends = [b","] * (len(columns) - 1) + [b"\n"]
+    dense, dense_ends = [], []  # the dense float columns' values, flat
+    # per run of adjacent dense float columns (None, its bytes in a rendered
+    # block row), per other column (fields, the flat row index of its field)
+    parts = []
+    for col, end in zip(columns, ends):
+        if isinstance(col, Labels):
+            fields, index = _encoded(col.labels, end), np.asarray(col.codes)
+        else:
+            col = np.broadcast_to(col, shape)
+            stored = _stored(col)
+            if stored.size == rows:
+                run = (parts.pop()[1].start if parts and parts[-1][0] is None
+                       else width * len(dense))
+                dense.append(col.reshape(-1))
+                dense_ends.append(ord(end))
+                parts.append((None, slice(run, width * len(dense))))
+                continue
+            fields = _e16_fields(stored)
+            fields[:, -1] = ord(end)
+            index = np.arange(stored.size).reshape(stored.shape)
+        # at most 4 bytes a row (1 for up to 256 fields), so at most 4 MB a
+        # column at the 10**6-cell cap
+        index = index.astype(np.min_scalar_type(len(fields) - 1), copy=False)
+        parts.append((fields, np.broadcast_to(index, shape).reshape(-1)))
+    step = _BLOCK_VALUES // max(len(dense), 1)
+    row_bytes = sum(data.stop - data.start if fields is None else fields.shape[1]
+                    for fields, data in parts)
+    table = np.empty((0, row_bytes), np.uint8)
+    with csv_sink(path) as write:
+        write((",".join(header) + "\n").encode())
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            if len(table) != stop - start:  # the first block, and a short last one
+                # every block is laid out in this one buffer, and its padding
+                # dropped by bytearray.translate, with no copy in between
+                buffer = bytearray((stop - start) * row_bytes)
+                table = np.frombuffer(buffer, np.uint8).reshape(stop - start, row_bytes)
+            if dense:  # one kernel call renders every dense float column's block
+                block = _e16_fields(np.stack([v[start:stop] for v in dense], axis=1)
+                                    ).reshape(stop - start, -1)
+                block[:, width - 1::width] = dense_ends
+            np.concatenate([block[:, data] if fields is None else
+                            fields.take(data[start:stop], axis=0) for fields, data in parts],
+                           axis=1, out=table)
+            write(buffer.translate(None, b"\0"))

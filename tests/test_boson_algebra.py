@@ -433,6 +433,12 @@ def test_verify_bch_collection_passes_order_6():
     assert all(row.verified_through == 6 for row in report.rows)
 
 
+def test_verify_bch_collection_reports_the_six_monomials_by_label_in_order():
+    """Each label is adag^m.a^n with an exponent 1 dropped, as verify-bch prints it."""
+    assert [row.label for row in verify_bch_collection(2).rows] == [
+        "a", "adag", "a^3", "adag^3", "adag.a^2", "adag^2.a"]
+
+
 def test_verify_bch_collection_passes_order_12():
     assert verify_bch_collection(12).all_passed
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gupsqueeze import analytic, cli, fock_oracle, physics_config
+from gupsqueeze import table as csv_table
 from gupsqueeze.analytic import variance_record
 from gupsqueeze.cli import FIGURE3_COLUMNS, SWEEP_COLUMNS, main
 from gupsqueeze.fock_oracle import (
@@ -25,6 +26,7 @@ from gupsqueeze.fock_oracle import (
 from gupsqueeze.physics_config import (
     CoherentAmplitude, ConfigError, PhysicalParams, electron_preset, to_natural,
 )
+from gupsqueeze.table import Labels
 
 
 def read_csv(path):
@@ -323,7 +325,7 @@ def expected_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def label_cells(column: cli.Labels, shape=None) -> list[str]:
+def label_cells(column: Labels, shape=None) -> list[str]:
     """A Labels column's label in each cell, in C order."""
     codes = np.broadcast_to(column.codes, shape or np.shape(column.codes))
     return [column.labels[c] for c in codes.ravel().tolist()]
@@ -413,9 +415,9 @@ def kernel_text(values) -> list[str]:
     short inputs are tiled so that the vectorised path, not the one-by-one
     path for small blocks, renders them."""
     values = np.asarray(values, dtype=np.float64)
-    tiled = np.tile(values, -(-cli._KERNEL_MIN_VALUES // len(values)))
+    tiled = np.tile(values, -(-csv_table._KERNEL_MIN_VALUES // len(values)))
     return [row.tobytes().replace(b"\0", b"").decode()
-            for row in cli._e16_fields(tiled)[:len(values)]]
+            for row in csv_table._e16_fields(tiled)[:len(values)]]
 
 
 def float_from_bits(bits: int) -> float:
@@ -487,15 +489,15 @@ def test_e16_kernel_matches_cpython_on_exact_ties():
 
 @pytest.mark.parametrize("to_file", [False, True])
 def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
-    n = 2 * (cli._BLOCK_VALUES // 2) + 1  # two dense float columns: three blocks
+    n = 2 * (csv_table._BLOCK_VALUES // 2) + 1  # two dense float columns: three blocks
     rng = np.random.default_rng(3)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     x[:6] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1000000000000000.25]
     y = np.linspace(-1.0, 1.0, n)
-    labels = cli.Labels(("ok", "warn", "invalid", "", "\u03b8"), np.arange(n) % 5)
-    blank = cli.Labels(("",), np.zeros(n, np.int8))
+    labels = Labels(("ok", "warn", "invalid", "", "\u03b8"), np.arange(n) % 5)
+    blank = Labels(("",), np.zeros(n, np.int8))
     out = str(tmp_path / "table.csv") if to_file else "-"
-    cli._write_table(out, ("x", "label", "y", "blank"), (x, labels, y, blank))
+    csv_table.write_table(out, ("x", "label", "y", "blank"), (x, labels, y, blank))
     assert written(out, capsys) == expected_csv(
         ("x", "label", "y", "blank"),
         zip(x.tolist(), label_cells(labels), y.tolist(), label_cells(blank)))
@@ -507,17 +509,17 @@ def test_write_table_block_edges(tmp_path, capsys, dense, offset):
     """A table of one block less a row, one block and one block and a row,
     where a block holds _BLOCK_VALUES // dense rows, beside a broadcast
     float column and two Labels columns."""
-    n = cli._BLOCK_VALUES // dense + offset
+    n = csv_table._BLOCK_VALUES // dense + offset
     rng = np.random.default_rng(dense)
     floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
               for _ in range(dense)]
     floats[0][:6] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1000000000000000.25]
     codes = rng.integers(0, 3, n).astype(np.int8)
     labels = ("ok", "", "\u03b8")
-    text = cli.Labels(("a", "bb", ""), np.arange(n) % 3)
+    text = Labels(("a", "bb", ""), np.arange(n) % 3)
     header = ("scale", *(f"x{i}" for i in range(dense)), "label", "text")
     out = tmp_path / "table.csv"
-    cli._write_table(str(out), header, (2.5, *floats, cli.Labels(labels, codes), text))
+    csv_table.write_table(str(out), header, (2.5, *floats, Labels(labels, codes), text))
     assert written(out, capsys) == expected_csv(header, zip(
         [2.5] * n, *(f.tolist() for f in floats), [labels[c] for c in codes],
         label_cells(text)))
@@ -537,7 +539,7 @@ def test_write_table_fields_all_of_one_width(tmp_path, capsys, widest):
     table = (draw(97)[:, None], draw(43)[None, :], draw(shape), draw(shape))
     header = ("u", "v", "w", "z")
     out = tmp_path / "table.csv"
-    cli._write_table(str(out), header, table)
+    csv_table.write_table(str(out), header, table)
     text = written(out, capsys)
     assert text == expected_csv(header, zip(*(np.broadcast_to(c, shape).ravel().tolist()
                                               for c in table)))
@@ -556,15 +558,15 @@ def open_axis(values, axis, ndim):
 
 def write_both_ways(tmp_path, capsys, to_file, header, columns) -> tuple[str, str]:
     """The table as given, then as dense 1-D columns, each as written."""
-    shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, cli.Labels) else col)
+    shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, Labels) else col)
                                   for col in columns))
     dense = [col._replace(codes=np.broadcast_to(col.codes, shape).ravel())
-             if isinstance(col, cli.Labels) else np.broadcast_to(col, shape).ravel()
+             if isinstance(col, Labels) else np.broadcast_to(col, shape).ravel()
              for col in columns]
     texts = []
     for name, cols in (("open", columns), ("dense", dense)):
         out = str(tmp_path / f"{name}.csv") if to_file else "-"
-        cli._write_table(out, header, cols)
+        csv_table.write_table(out, header, cols)
         texts.append(written(out, capsys))
     return texts[0], texts[1]
 
@@ -578,15 +580,15 @@ def test_write_table_renders_each_stored_value_once(tmp_path, capsys, monkeypatc
     axes[0][:5] = [-0.0, 5e-324, math.inf, -math.nan, 1000000000000000.25]
     columns = [open_axis(a, i, 4) for i, a in enumerate(axes)]
     full = rng.standard_normal(OPEN_SHAPE)
-    labels = cli.Labels(("ok", "warn", "invalid", "\u03b8"), rng.integers(0, 4, OPEN_SHAPE))
-    open_labels = cli.Labels(("a", "", "bb", "c", "\u03b8"), open_axis(np.arange(5), 1, 4))
+    labels = Labels(("ok", "warn", "invalid", "\u03b8"), rng.integers(0, 4, OPEN_SHAPE))
+    open_labels = Labels(("a", "", "bb", "c", "\u03b8"), open_axis(np.arange(5), 1, 4))
     header = ("tau", "label", "gamma", "theta", "full", "g", "open_label")
     table = (columns[0], labels, columns[1], columns[2], full, columns[3], open_labels)
     rendered, encoded = [], []
-    real, real_encoded = cli._e16_fields, cli._encoded
-    monkeypatch.setattr(cli, "_e16_fields",
+    real, real_encoded = csv_table._e16_fields, csv_table._encoded
+    monkeypatch.setattr(csv_table, "_e16_fields",
                         lambda x: (rendered.append(np.size(x)), real(x))[1])
-    monkeypatch.setattr(cli, "_encoded",
+    monkeypatch.setattr(csv_table, "_encoded",
                         lambda x, end: (encoded.append(len(x)), real_encoded(x, end))[1])
     got, want = write_both_ways(tmp_path, capsys, to_file, header, table)
     assert got == want
@@ -598,7 +600,7 @@ def test_write_table_renders_each_stored_value_once(tmp_path, capsys, monkeypatc
     # string per label: the open table's two, then the dense table's two
     assert encoded == [4, 5, 4, 5]
     assert want == expected_csv(header, zip(*(
-        label_cells(c, OPEN_SHAPE) if isinstance(c, cli.Labels)
+        label_cells(c, OPEN_SHAPE) if isinstance(c, Labels)
         else np.broadcast_to(c, OPEN_SHAPE).ravel().tolist() for c in table)))
 
 
@@ -624,10 +626,10 @@ def test_sweep_keeps_the_grid_open(tmp_path, monkeypatch):
     config.write_text("".join(f"{axis} = {', '.join(map(repr, values.tolist()))}\n"
                               for axis, values in axes.items()))
     tables, rendered = [], []
-    real_table, real_fields = analytic._phase_table, cli._e16_fields
+    real_table, real_fields = analytic._phase_table, csv_table._e16_fields
     monkeypatch.setattr(analytic, "_phase_table",
                         lambda tau: (tables.append(np.size(tau)), real_table(tau))[1])
-    monkeypatch.setattr(cli, "_e16_fields",
+    monkeypatch.setattr(csv_table, "_e16_fields",
                         lambda x: (rendered.append(np.size(x)), real_fields(x))[1])
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
@@ -655,6 +657,24 @@ def test_sweep_writes_validity_as_label_codes(tmp_path, g, labels):
         validity.ravel().tolist()))
 
 
+def test_validity_labels_and_the_record_policy_meet_at_the_thresholds(tmp_path):
+    """At tau 1 and gamma 0 the secular scale is g itself: a scale on a
+    threshold keeps the lower label, one ulp above it takes the next, and
+    the library warns and raises exactly where the sweep's labels change."""
+    gs = (0.1, math.nextafter(0.1, math.inf), 10.0, math.nextafter(10.0, math.inf))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--tau", "1", "--gamma", "0", "--theta", "0",
+                 "--g", ",".join(map(repr, gs)), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [r[-1] for r in rows] == ["ok", "warn", "warn", "invalid"]
+    variance_record(1.0, gs[0], 0.0)  # silent: any warning fails the suite
+    for g in gs[1:3]:
+        with pytest.warns(analytic.SecularValidityWarning):
+            variance_record(1.0, g, 0.0)
+    with pytest.raises(analytic.SecularValidityError):
+        variance_record(1.0, gs[3], 0.0)
+
+
 def test_grid_limit_admits_exactly_max_cells():
     cli._check_grid(1000, 1000)
     with pytest.raises(ConfigError, match="1000 x 1001 cells is above 1000000"):
@@ -680,6 +700,10 @@ def test_grid_limit_admits_exactly_max_cells():
     (["sweep"], "tau = 1.0\nhbar = x\nmass = 1\nomega = 1\n", "SI parameters"),
     (["sweep"], "tau = 1.0\nhbar = -1\nmass = 1\nomega = 1\n", "hbar"),
     (["sweep"], "tau 1.0\n", "expected 'key = value'"),
+    (["sweep"], "tau = 1\nhbar = 1\nmass = 1e-200\nomega = 1e-200\n", "hbar/(m omega)"),
+    (["sweep"], "tau = 1\nhbar = 1e-200\nmass = 1e200\nomega = 1e200\n", "hbar/(m omega)"),
+    (["sweep"], "tau = 1\nhbar = 1e200\nmass = 1\nomega = 1\n", "hbar^2"),
+    (["sweep"], b"\xff\xfe", "cannot read config"),
     (["sweep", "--config", "/nonexistent-dir/sweep.cfg"], None, "cannot read config"),
     (["sweep", "--tau", "1", "--gamma=-1"], None, "gamma >= 0"),
     (["sweep", "--tau", "1", "--gamma=nan"], None, "finite"),
@@ -726,6 +750,10 @@ def test_grid_limit_admits_exactly_max_cells():
     (["figure", "--id", "3", "--preset", "/nonexistent-dir/preset.txt"], None,
      "cannot load preset"),
     (["figure", "--id", "3"], "name = electron\n", "cannot load preset"),
+    (["figure", "--id", "3", "--tau-points", "4"], physics_config.preset_to_document(
+        electron_preset()).replace("mass = 9.1093837015e-31", "mass = 1e-300").replace(
+        "omega = 1000000000000.0", "omega = 1e-300"), "hbar/(m omega)"),
+    (["figure", "--id", "3"], b"\xff\xfe", "cannot load preset"),
     (["figure", "--id", "3", "--gamma", "nan"], None, "--gamma is for figures 1 and 2"),
     (["figure", "--id", "1", "--gamma", "1"], "name = electron\n",
      "--preset is for figure 3"),
@@ -749,7 +777,9 @@ def test_grid_limit_admits_exactly_max_cells():
         "config-triple-not-numeric", "config-one-point", "config-empty-axis",
         "theta-double-dash",
         "config-partial-si", "config-si-not-numeric", "config-negative-hbar",
-        "config-malformed-line", "config-unreadable", "gamma-negative",
+        "config-malformed-line", "config-si-factor-divides-by-zero",
+        "config-si-factors-leave-float-range", "config-si-hbar-squared-overflows",
+        "config-not-utf8", "config-unreadable", "gamma-negative",
         "gamma-nan", "theta-inf", "tau-nan", "g-inf", "record-overflows",
         "uncertainty-check-gamma-negative", "figure-3-tau-max-nan",
         "oracle-gamma-negative", "oracle-gamma-nan", "oracle-theta-inf",
@@ -765,6 +795,7 @@ def test_grid_limit_admits_exactly_max_cells():
         "sweep-oversized-product", "figure-1-unwritable-out", "figure-3-unwritable-out",
         "sweep-unwritable-out", "oracle-unwritable-out", "preset-unwritable-out",
         "figure-3-preset-missing", "figure-3-preset-malformed",
+        "figure-3-preset-si-factor-divides-by-zero", "figure-3-preset-not-utf8",
         "figure-3-gamma", "figure-1-preset", "figure-2-default-gammas-preset",
         "figure-1-default-gammas-to-stdout", "figure-2-default-gammas-to-stdout",
         "uncertainty-check-g-max-negative", "uncertainty-check-g-max-zero",
@@ -775,7 +806,8 @@ def test_bad_input_is_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys, a
                                                  config, message):
     monkeypatch.chdir(tmp_path)  # figures 1-2 would suffix "-" into the cwd
     if config is not None:
-        Path("input.cfg").write_text(config)
+        Path("input.cfg").write_bytes(config if isinstance(config, bytes)
+                                      else config.encode())
         argv = argv + ["--preset" if argv[0] == "figure" else "--config", "input.cfg"]
     if argv[0] not in ("uncertainty-check", "verify-bch") and "--out" not in argv:
         argv = argv + ["--out", "out.csv"]
@@ -879,6 +911,46 @@ def test_uncertainty_check_argv_fuzz_exits_0_1_or_2(g_min, g_max, tol, tau_max,
     if code == 2:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+# edge numbers, and magnitudes near 1e+-200 whose products leave the float range
+unit_numbers = edge_numbers | (st.floats(1e-210, 1e-190) | st.floats(1e190, 1e210)).map(repr)
+
+
+def assert_exit_0_or_2(argv, out):
+    """The command exits 0, or 2 with one error line and out not written."""
+    code, err = run_quietly(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hbar=unit_numbers, mass=unit_numbers, omega=unit_numbers)
+@example(hbar="1.0", mass="1e-200", omega="1e-200")  # m omega underflows to 0
+@example(hbar="1e-200", mass="1e+200", omega="1e+200")  # every factor 0 or inf
+def test_sweep_si_config_fuzz_exits_0_or_2(hbar, mass, omega):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "sweep.cfg"), os.path.join(tmp, "out.csv")
+        Path(config).write_text(f"tau = 0, 1\ngamma = 1\ntheta = 0.5\ng = 1e-3\n"
+                                f"hbar = {hbar}\nmass = {mass}\nomega = {omega}\n")
+        assert_exit_0_or_2(["sweep", "--config", config, "--out", out], out)
+
+
+PRESET_NUMBERS = ("mass", "omega", "hbar", "beta", "gamma", "theta")
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.tuples(*[unit_numbers] * len(PRESET_NUMBERS)))
+@example(values=("1e-300", "1e-300", "1.054571817e-34", "2.43478e+48", "1.0", "0.5"))
+def test_figure_3_preset_fuzz_exits_0_or_2(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        preset, out = os.path.join(tmp, "preset.cfg"), os.path.join(tmp, "out.csv")
+        Path(preset).write_text("name = fuzz\n" + "".join(
+            f"{key} = {value}\n" for key, value in zip(PRESET_NUMBERS, values)))
+        assert_exit_0_or_2(["figure", "--id", "3", "--preset", preset, "--tau-points", "3",
+                            "--out", out], out)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

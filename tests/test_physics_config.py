@@ -27,6 +27,18 @@ def test_params_validation():
         PhysicalParams(beta=float("nan"))
 
 
+@pytest.mark.parametrize("units", [
+    dict(mass=1e-200, omega=1e-200),  # m omega underflows to 0
+    dict(hbar=1e-200, mass=1e200, omega=1e200),  # every factor 0 or inf
+    dict(hbar=1e200),  # hbar^2 overflows
+    dict(hbar=1e-200),  # hbar^2 underflows to 0
+    dict(hbar=1e150, mass=1e200, omega=1e-300),  # hbar m overflows before omega is applied
+])
+def test_params_refuse_units_whose_restoration_factors_are_0_or_infinite(units):
+    with pytest.raises(ConfigError, match="must be > 0 and finite"):
+        PhysicalParams(**units)
+
+
 def test_g_is_recomputed_product():
     p = PhysicalParams(mass=2.0, omega=3.0, hbar=0.5, beta=1e-3)
     assert p.g == pytest.approx(2.0 * 3.0 * 0.5 * 1e-3, rel=1e-15)

@@ -6,9 +6,11 @@ against ``--parent DIR``'s, and compares exit code, stdout, stderr and every
 file the command leaves in its directory, byte for byte.  The list covers
 the benchmark's inputs (sweeps at perfbench seeds 1-3, to a file and to
 stdout; figures 1-3; uncertainty-check; oracle-compare at both amplitudes),
-oracle-compare at a given ``--dim`` and in the vacuum, ``preset``,
-``verify-bch --max-order`` 12, 35 (the benchmark's depth) and 60, and a few
-bad inputs that exit 2.
+oracle-compare at a given ``--dim`` and in the vacuum, ``preset``, figure 3
+from a preset file, a sweep over a min/max/points axis, ``verify-bch
+--max-order`` 12, 35 (the benchmark's depth) and 60, and bad inputs that
+exit 2: out-of-range options, SI units whose restoration factors are 0 or
+infinite, and a config or preset that is not UTF-8.
 
     python tools/compare_outputs.py --parent ../parent-checkout
     python tools/compare_outputs.py --parent DIR --only preset_stdout verify_bch_12
@@ -28,6 +30,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# a preset document for figure 3 other than the electron's
+OSCILLATOR_PRESET = ("name = oscillator\nmass = 1.0\nomega = 2.0\nhbar = 1.0\nbeta = 0.001\n"
+                     "gamma = 2.0\ntheta = 0.3\n")
 # what `python -m gupsqueeze.cli` would run, without needing an install
 ENTRY = "import sys; from gupsqueeze.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -36,7 +41,7 @@ ENTRY = "import sys; from gupsqueeze.cli import main; sys.exit(main(sys.argv[1:]
 class Case:
     name: str
     argv: tuple[str, ...]
-    inputs: tuple[tuple[str, str], ...] = ()  # (file name, text) written first
+    inputs: tuple[tuple[str, str | bytes], ...] = ()  # (file name, contents) written first
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,12 @@ def cases() -> list[Case]:
         Case("oracle_vacuum", ("oracle-compare", "--gamma", "0")),
         Case("preset_stdout", ("preset",)),
         Case("preset_file", ("preset", "--omega-reading", "cyclic", "--out", "preset.cfg")),
+        Case("figure3_preset", ("figure", "--id", "3", "--preset", "osc.cfg", "--tau-points",
+                                "40", "--out", "fig3.csv"),
+             (("osc.cfg", OSCILLATOR_PRESET),)),
+        Case("sweep_axis_triple", ("sweep", "--config", "triple.cfg", "--out", "sweep.csv"),
+             (("triple.cfg", "tau_min = 0\ntau_max = 12\ntau_points = 7\ngamma = 0, 1.5\n"
+                             "theta = 0.4\ng = 1e-4, 1e-2\n"),)),
         *(Case(f"verify_bch_{order}", ("verify-bch", "--max-order", order))
           for order in ("12", "35", "60")),
         Case("bad_sweep_nan", ("sweep", "--tau", "nan", "--out", "bad.csv")),
@@ -96,14 +107,26 @@ def cases() -> list[Case]:
         Case("bad_figure3_gamma", ("figure", "--id", "3", "--gamma", "1", "--out", "bad.csv")),
         Case("bad_oracle_tol", ("oracle-compare", "--tol", "0")),
         Case("bad_uncertainty_tol", ("uncertainty-check", "--tol=-1")),
+        Case("bad_oracle_dim_1", ("oracle-compare", "--dim", "1")),
+        Case("bad_oracle_dim_2049", ("oracle-compare", "--dim", "2049")),
+        Case("bad_verify_bch_order", ("verify-bch", "--max-order", "10001")),
+        Case("bad_si_zero_m_omega", ("sweep", "--config", "si.cfg"),
+             (("si.cfg", "tau = 1\nhbar = 1\nmass = 1e-200\nomega = 1e-200\n"),)),
+        Case("bad_si_factors_out_of_range", ("sweep", "--config", "si.cfg"),
+             (("si.cfg", "tau = 1\nhbar = 1e-200\nmass = 1e200\nomega = 1e200\n"),)),
+        Case("bad_config_not_utf8", ("sweep", "--config", "bin.cfg"),
+             (("bin.cfg", b"\xff\xfe"),)),
+        Case("bad_preset_not_utf8", ("figure", "--id", "3", "--preset", "bin.cfg", "--out",
+                                     "fig3.csv"), (("bin.cfg", b"\xff\xfe"),)),
     ]
 
 
 def run_case(tree: Path, case: Case) -> Result:
     """Run one command against tree's src in a fresh directory."""
     with tempfile.TemporaryDirectory() as work:
-        for name, text in case.inputs:
-            Path(work, name).write_text(text)
+        for name, contents in case.inputs:
+            Path(work, name).write_bytes(
+                contents if isinstance(contents, bytes) else contents.encode())
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
         done = subprocess.run([sys.executable, "-c", ENTRY, *case.argv], cwd=work,
                               env=env, capture_output=True, timeout=600)
