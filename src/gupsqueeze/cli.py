@@ -3,14 +3,16 @@ parameter sweeps, and oracle comparisons.
 
 This module parses the command line and runs the commands.  Each command
 checks its input, computes through the library and hands its header and
-columns to ``table.write_table``, which owns the CSV format.  A command
-returns exit code 0 only if every assertion it makes passed.  Figures are
-rendered elsewhere; this tool only produces their data surfaces.  ``main``
-is the one error boundary: a command raises ``ConfigError`` on bad input
-and the oracle ``OracleError`` on a failed gate, and ``main`` prints either
-as one ``error:`` line on stderr and returns 2.  A closed stdout ends a
-command quietly with exit code 141.  ``main`` builds its argument parser
-once per process and reuses it, so every parser default is immutable.
+columns to ``table.write_table``, which owns the CSV format, inside
+``table.csv_sink``, which owns what a failed command leaves on disk.  A
+command returns exit code 0 only if every assertion it makes passed.
+Figures are rendered elsewhere; this tool only produces their data
+surfaces.  ``main`` is the one error boundary: a command raises
+``ConfigError`` on bad input and the oracle ``OracleError`` on a failed
+gate, and ``main`` prints either as one ``error:`` line on stderr and
+returns 2.  A closed stdout ends a command quietly with exit code 141.
+``main`` builds its argument parser once per process and reuses it, so
+every parser default is immutable.
 """
 
 from __future__ import annotations
@@ -125,19 +127,16 @@ def cmd_figure(args) -> int:
             raise ConfigError(f"figure {args.id} without --gamma writes one file per "
                               f"default gamma; --out - needs --gamma")
         gammas = [args.gamma] if explicit else [1.0, 10.0]
-        # all or nothing: surfaces are checked first, a failed file removes earlier ones
+        # all or nothing: surfaces are checked first, and no staged file is
+        # renamed into place until every table is written
         surfaces = [_figure_surface(args.id, gamma, args) for gamma in gammas]
         path = Path(args.out)  # without --gamma, each stem ends in _gamma<gamma>
         outs = [args.out] if explicit else [
             str(path.with_name(f"{path.stem}_gamma{g:g}{path.suffix}")) for g in gammas]
-        for i, (out, table) in enumerate(zip(outs, surfaces)):
-            try:
-                write_table(out, ("tau", "theta", "delta_scaled"), table)
-            except BaseException:
-                for written in outs[:i]:
-                    with contextlib.suppress(OSError):
-                        Path(written).unlink()
-                raise
+        with contextlib.ExitStack() as stack:
+            writes = [stack.enter_context(csv_sink(out)) for out in outs]
+            for write, table in zip(writes, surfaces):
+                write_table(write, ("tau", "theta", "delta_scaled"), table)
         for gamma, out, (*_, surface) in zip(gammas, outs, surfaces):
             print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
                   f"negative cells: {'yes' if (surface < 0.0).any() else 'no'}")
@@ -160,9 +159,10 @@ def cmd_figure(args) -> int:
     _check_grid(args.tau_points)
     grid = analytic.variance_grid(np.linspace(0.0, args.tau_max, args.tau_points),
                                   amp.gamma, amp.theta, g, params)
-    write_table(args.out, FIGURE3_COLUMNS, (
-        grid["tau"], grid["var_x_hat"], var_x0, grid["var_p_hat"],
-        var_p0, grid["product"], var_x0 * var_p0))
+    with csv_sink(args.out) as write:
+        write_table(write, FIGURE3_COLUMNS, (
+            grid["tau"], grid["var_x_hat"], var_x0, grid["var_p_hat"],
+            var_p0, grid["product"], var_x0 * var_p0))
     print(f"figure 3 ({preset.name} preset, g={g:.6e}): wrote {args.out}")
     return 0
 
@@ -205,9 +205,10 @@ def cmd_oracle_compare(args) -> int:
     floor = 1e-12 * fock_oracle.slope_scale(taus, amplitude.gamma)
     rel_err = np.abs(analytic_slope - oracle_slope) / np.maximum(
         np.maximum(np.abs(analytic_slope), np.abs(oracle_slope)), floor)
-    write_table(args.out, ("tau", "quantity", "analytic_slope", "oracle_slope", "rel_err"),
-                (taus, Labels(ORACLE_QUANTITIES, np.arange(len(ORACLE_QUANTITIES))),
-                 analytic_slope, oracle_slope, rel_err))
+    with csv_sink(args.out) as write:
+        write_table(write, ("tau", "quantity", "analytic_slope", "oracle_slope", "rel_err"),
+                    (taus, Labels(ORACLE_QUANTITIES, np.arange(len(ORACLE_QUANTITIES))),
+                     analytic_slope, oracle_slope, rel_err))
     worst = np.max(rel_err)  # NaN propagates
     all_ok = worst < args.tol
     print(f"oracle-compare: worst relative slope error {worst:.3e} "
@@ -333,8 +334,9 @@ def cmd_sweep(args) -> int:
         *np.meshgrid(*(axes[axis] for axis in _SWEEP_AXES), indexing="ij", sparse=True),
         params=params)
     validity = Labels(analytic.VALIDITY_LABELS, analytic.validity_codes(grid["secular"]))
-    write_table(out, SWEEP_COLUMNS, [*(grid[name] for name in SWEEP_COLUMNS[:-1]),
-                                     validity])
+    with csv_sink(out) as write:
+        write_table(write, SWEEP_COLUMNS, [*(grid[name] for name in SWEEP_COLUMNS[:-1]),
+                                           validity])
     if out != "-":
         print(f"sweep: wrote {grid['secular'].size} rows to {out}")
     return 0

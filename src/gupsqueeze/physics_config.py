@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 # CODATA 2018
@@ -46,7 +47,8 @@ class PhysicalParams:
     beta has units of inverse momentum squared.  Physically beta >= 0; negative
     values are accepted because the finite-beta oracle tests evolve under them.
     The SI restoration factors hbar/(m omega), hbar m omega and hbar^2 (see
-    to_natural) must come out > 0 and finite, or the units are a ConfigError.
+    to_natural) must come out finite and normal (at least sys.float_info.min),
+    or the units are a ConfigError.
     """
 
     mass: float = 1.0
@@ -62,12 +64,15 @@ class PhysicalParams:
         if not math.isfinite(self.beta):
             raise ConfigError(f"beta must be finite, got {self.beta!r}")
         try:
-            usable = all(0.0 < f < math.inf for f in vars(_scale_factors(self)).values())
+            factors = vars(_scale_factors(self)).values()
         except (ZeroDivisionError, OverflowError):
-            usable = False
-        if not usable:
+            factors = (0.0,)
+        # a subnormal factor keeps too few digits for a %.16e column
+        if not all(sys.float_info.min <= f < math.inf for f in factors):
+            need = ("> 0 and finite" if not all(0.0 < f < math.inf for f in factors) else
+                    f"at least {sys.float_info.min!r}, the smallest normal float")
             raise ConfigError(
-                "hbar/(m omega), hbar m omega and hbar^2 must be > 0 and finite; got "
+                f"hbar/(m omega), hbar m omega and hbar^2 must be {need}; got "
                 f"hbar={self.hbar!r}, mass={self.mass!r}, omega={self.omega!r}")
 
     @property

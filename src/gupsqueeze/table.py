@@ -14,8 +14,11 @@ block by block; any other column is rendered once per table, a float column
 broadcast over the grid once per stored value and a ``Labels`` column (its
 labels plus one code per cell) once per label, and its rows are gathered
 block by block by a flat row index.  Each block is laid out in one buffer
-and its NUL padding dropped in one pass.  ``csv_sink`` is where every
-command's bytes leave: a file, or stdout for "-".
+and its NUL padding dropped in one pass.
+
+``csv_sink`` is where every command's bytes leave, and so the one place
+that decides what a failed command leaves on disk: a file appears whole or
+not at all.  ``write_table`` writes through the function it yields.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
+import stat
 import sys
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -196,16 +201,48 @@ def _encoded(strings, end: bytes) -> np.ndarray:
 
 @contextlib.contextmanager
 def csv_sink(path: str):
-    """A function that writes bytes to path, or to stdout for "-".  A path
-    that cannot be opened or written, a FIFO whose reader left included, is
-    a ConfigError."""
+    """A function that writes bytes to path, or to stdout for "-".
+
+    A path that does not exist, or that resolves to a regular file, is
+    staged: the bytes go to a sibling file unique to the process, which
+    replaces the resolved target (with an existing target's mode bits) when
+    the block exits cleanly and is removed on any exception, so a symlink
+    is written through.  Any other target (a FIFO, a device, a directory)
+    is opened directly, so a FIFO streams.  A path that cannot be opened or
+    written, a FIFO whose reader left included, is a ConfigError that names
+    path."""
     if path == "-":
         yield lambda data: sys.stdout.write(data.decode())
         return
+    real = os.path.realpath(path)
     try:
-        with open(path, "wb") as stream:
-            yield stream.write
+        mode = os.stat(real).st_mode
+    except OSError:
+        mode = None  # a new file; where its directory is missing, staging says so
+    try:
+        # "name/" names a directory, so it is opened as given and refused
+        if path.endswith(os.sep) or (mode is not None and not stat.S_ISREG(mode)):
+            with open(path, "wb") as stream:
+                yield stream.write
+            return
+        if mode is not None:  # a target open(path, "wb") refuses stays refused
+            os.close(os.open(real, os.O_WRONLY))
+        staged = os.path.join(os.path.dirname(real),
+                              f".{os.path.basename(real)}.{os.getpid()}.tmp")
+        fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as stream:
+                yield stream.write
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+            os.replace(staged, real)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(staged)
+            raise
     except OSError as exc:
+        if exc.filename is not None:  # the staged file's name means nothing to the user
+            exc = OSError(exc.errno, exc.strerror, path)
         raise ConfigError(f"cannot write {path!r}: {exc}")
 
 
@@ -216,14 +253,14 @@ def _stored(column: np.ndarray) -> np.ndarray:
                         for step in column.strides)]
 
 
-def write_table(path: str, header, columns) -> None:
-    """Write the header, then one row per cell of the shape the columns
+def write_table(write, header, columns) -> None:
+    """Pass the header, then one row per cell of the shape the columns
     broadcast to, in C order.  Each column is a float array (written as
     '%.16e') or a Labels (written as is).  A float column that holds a value
     for every row is rendered block by block, in blocks of _BLOCK_VALUES dense
     float values; any other column is rendered once per table, a float per
     stored value and a label per label, and its rows are gathered block by
-    block."""
+    block.  write takes bytes, as csv_sink's does."""
     shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, Labels) else col)
                                   for col in columns))
     rows = math.prod(shape)
@@ -259,20 +296,19 @@ def write_table(path: str, header, columns) -> None:
     row_bytes = sum(data.stop - data.start if fields is None else fields.shape[1]
                     for fields, data in parts)
     table = np.empty((0, row_bytes), np.uint8)
-    with csv_sink(path) as write:
-        write((",".join(header) + "\n").encode())
-        for start in range(0, rows, step):
-            stop = min(start + step, rows)
-            if len(table) != stop - start:  # the first block, and a short last one
-                # every block is laid out in this one buffer, and its padding
-                # dropped by bytearray.translate, with no copy in between
-                buffer = bytearray((stop - start) * row_bytes)
-                table = np.frombuffer(buffer, np.uint8).reshape(stop - start, row_bytes)
-            if dense:  # one kernel call renders every dense float column's block
-                block = _e16_fields(np.stack([v[start:stop] for v in dense], axis=1)
-                                    ).reshape(stop - start, -1)
-                block[:, width - 1::width] = dense_ends
-            np.concatenate([block[:, data] if fields is None else
-                            fields.take(data[start:stop], axis=0) for fields, data in parts],
-                           axis=1, out=table)
-            write(buffer.translate(None, b"\0"))
+    write((",".join(header) + "\n").encode())
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        if len(table) != stop - start:  # the first block, and a short last one
+            # every block is laid out in this one buffer, and its padding
+            # dropped by bytearray.translate, with no copy in between
+            buffer = bytearray((stop - start) * row_bytes)
+            table = np.frombuffer(buffer, np.uint8).reshape(stop - start, row_bytes)
+        if dense:  # one kernel call renders every dense float column's block
+            block = _e16_fields(np.stack([v[start:stop] for v in dense], axis=1)
+                                ).reshape(stop - start, -1)
+            block[:, width - 1::width] = dense_ends
+        np.concatenate([block[:, data] if fields is None else
+                        fields.take(data[start:stop], axis=0) for fields, data in parts],
+                       axis=1, out=table)
+        write(buffer.translate(None, b"\0"))

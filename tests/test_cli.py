@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import errno
 import importlib.util
 import io
 import math
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gupsqueeze import analytic, cli, fock_oracle, physics_config
 from gupsqueeze import table as csv_table
@@ -187,14 +189,14 @@ def test_oracle_compare_passes_where_slopes_vanish(tmp_path, gamma, theta):
 
 
 def test_oracle_compare_fails_on_a_slope_off_by_1e_6(tmp_path, monkeypatch):
-    slopes = fock_oracle.oracle_slopes
+    slopes = fock_oracle._slopes
 
-    def perturbed(tau, amplitude, space=None):
-        return {q: v * (1.0 + 1e-6) for q, v in slopes(tau, amplitude, space).items()}
+    def perturbed(tau, psi):
+        return {q: v * (1.0 + 1e-6) for q, v in slopes(tau, psi).items()}
 
     argv = ["oracle-compare", "--gamma", "1", "--theta", "1.1", "--tau", "0", "1",
             "--tol", "1e-7", "--out", str(tmp_path / "oracle.csv")]
-    monkeypatch.setattr(fock_oracle, "oracle_slopes", perturbed)
+    monkeypatch.setattr(fock_oracle, "_slopes", perturbed)
     assert main(argv) == 1
     _, rows = read_csv(tmp_path / "oracle.csv")
     at_one = [float(r[4]) for r in rows if float(r[0]) == 1.0]
@@ -497,7 +499,8 @@ def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
     labels = Labels(("ok", "warn", "invalid", "", "\u03b8"), np.arange(n) % 5)
     blank = Labels(("",), np.zeros(n, np.int8))
     out = str(tmp_path / "table.csv") if to_file else "-"
-    csv_table.write_table(out, ("x", "label", "y", "blank"), (x, labels, y, blank))
+    with csv_table.csv_sink(out) as write:
+        csv_table.write_table(write, ("x", "label", "y", "blank"), (x, labels, y, blank))
     assert written(out, capsys) == expected_csv(
         ("x", "label", "y", "blank"),
         zip(x.tolist(), label_cells(labels), y.tolist(), label_cells(blank)))
@@ -519,7 +522,8 @@ def test_write_table_block_edges(tmp_path, capsys, dense, offset):
     text = Labels(("a", "bb", ""), np.arange(n) % 3)
     header = ("scale", *(f"x{i}" for i in range(dense)), "label", "text")
     out = tmp_path / "table.csv"
-    csv_table.write_table(str(out), header, (2.5, *floats, Labels(labels, codes), text))
+    with csv_table.csv_sink(str(out)) as write:
+        csv_table.write_table(write, header, (2.5, *floats, Labels(labels, codes), text))
     assert written(out, capsys) == expected_csv(header, zip(
         [2.5] * n, *(f.tolist() for f in floats), [labels[c] for c in codes],
         label_cells(text)))
@@ -539,7 +543,8 @@ def test_write_table_fields_all_of_one_width(tmp_path, capsys, widest):
     table = (draw(97)[:, None], draw(43)[None, :], draw(shape), draw(shape))
     header = ("u", "v", "w", "z")
     out = tmp_path / "table.csv"
-    csv_table.write_table(str(out), header, table)
+    with csv_table.csv_sink(str(out)) as write:
+        csv_table.write_table(write, header, table)
     text = written(out, capsys)
     assert text == expected_csv(header, zip(*(np.broadcast_to(c, shape).ravel().tolist()
                                               for c in table)))
@@ -566,7 +571,8 @@ def write_both_ways(tmp_path, capsys, to_file, header, columns) -> tuple[str, st
     texts = []
     for name, cols in (("open", columns), ("dense", dense)):
         out = str(tmp_path / f"{name}.csv") if to_file else "-"
-        csv_table.write_table(out, header, cols)
+        with csv_table.csv_sink(out) as write:
+            csv_table.write_table(write, header, cols)
         texts.append(written(out, capsys))
     return texts[0], texts[1]
 
@@ -703,6 +709,8 @@ def test_grid_limit_admits_exactly_max_cells():
     (["sweep"], "tau = 1\nhbar = 1\nmass = 1e-200\nomega = 1e-200\n", "hbar/(m omega)"),
     (["sweep"], "tau = 1\nhbar = 1e-200\nmass = 1e200\nomega = 1e200\n", "hbar/(m omega)"),
     (["sweep"], "tau = 1\nhbar = 1e200\nmass = 1\nomega = 1\n", "hbar^2"),
+    (["sweep"], "tau = 1\ngamma = 1\ntheta = 0.5\ng = 1e-3\nhbar = 1e-160\nmass = 1\n"
+                "omega = 1\n", "smallest normal float"),
     (["sweep"], b"\xff\xfe", "cannot read config"),
     (["sweep", "--config", "/nonexistent-dir/sweep.cfg"], None, "cannot read config"),
     (["sweep", "--tau", "1", "--gamma=-1"], None, "gamma >= 0"),
@@ -779,6 +787,7 @@ def test_grid_limit_admits_exactly_max_cells():
         "config-partial-si", "config-si-not-numeric", "config-negative-hbar",
         "config-malformed-line", "config-si-factor-divides-by-zero",
         "config-si-factors-leave-float-range", "config-si-hbar-squared-overflows",
+        "config-si-hbar-squared-subnormal",
         "config-not-utf8", "config-unreadable", "gamma-negative",
         "gamma-nan", "theta-inf", "tau-nan", "g-inf", "record-overflows",
         "uncertainty-check-gamma-negative", "figure-3-tau-max-nan",
@@ -832,34 +841,73 @@ axis_strings = st.one_of(
     st.lists(numbers, min_size=1, max_size=3).map(",".join))
 
 
-@settings(max_examples=200, deadline=None)
-@given(axes=st.tuples(*[axis_strings] * 4))
-def test_sweep_axis_fuzz_exits_0_or_2(axes):
-    argv = ["sweep", "--out", os.devnull]
-    argv += [f"--{name}={value}"
-             for name, value in zip(("tau", "gamma", "theta", "g"), axes)]
+# --out targets: a new file, a regular file, a symlink to one, a directory,
+# a file in a missing directory, and a device
+OUT_KINDS = ("new", "existing", "symlink", "directory", "missing-directory", "devnull")
+
+
+def out_target(tmp: str, kind: str) -> str:
+    """An --out of this kind in tmp, with what it needs made first."""
+    if kind == "devnull":
+        return os.devnull
+    out = os.path.join(tmp, "out.csv")
+    if kind == "existing":
+        Path(out).write_bytes(b"an earlier table\n")
+        os.chmod(out, 0o640)
+    elif kind == "symlink":
+        os.mkdir(os.path.join(tmp, "data"))
+        Path(tmp, "data", "real.csv").write_bytes(b"an earlier table\n")
+        os.symlink(os.path.join("data", "real.csv"), out)
+    elif kind == "directory":
+        os.mkdir(out)
+    elif kind == "missing-directory":
+        out = os.path.join(tmp, "missing", "out.csv")
+    return out
+
+
+def assert_exit_0_or_2_leaving(argv, tmp, kind):
+    """The command exits 0, or 2 with one error line and tmp as it was; a
+    symlink stays one, and no staged file is left either way."""
+    before = listing(tmp)
     code, err = run_quietly(argv)
     assert code in (0, 2)
+    if kind == "missing-directory":
+        assert code == 2
     if code == 2:
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert listing(tmp) == before
+    if kind == "symlink":
+        assert os.path.islink(os.path.join(tmp, "out.csv"))
+    assert not staged_files(tmp)
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes=st.tuples(*[axis_strings] * 4), kind=st.sampled_from(OUT_KINDS))
+def test_sweep_axis_fuzz_exits_0_or_2(axes, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["sweep", "--out", out_target(tmp, kind)]
+        argv += [f"--{name}={value}"
+                 for name, value in zip(("tau", "gamma", "theta", "g"), axes)]
+        if assert_exit_0_or_2_leaving(argv, tmp, kind) == 0:
+            assert kind != "directory"
 
 
 @settings(max_examples=100, deadline=None)
 @given(fig=st.sampled_from(["1", "2"]), gamma=st.one_of(st.none(), numbers),
-       tau_max=numbers)
-@example(fig="1", gamma=None, tau_max="2.2975366850929185e+306")  # gamma 1 finite, 10 not
-def test_figure_argv_fuzz_exits_0_or_2(fig, gamma, tau_max):
+       tau_max=numbers, kind=st.sampled_from(OUT_KINDS))
+@example(fig="1", gamma=None, tau_max="2.2975366850929185e+306",  # gamma 1 finite, 10 not
+         kind="new")
+def test_figure_argv_fuzz_exits_0_or_2(fig, gamma, tau_max, kind):
+    # without --gamma the suffixed files land beside --out, so not in /dev
+    assume(gamma is not None or kind != "devnull")
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["figure", "--id", fig, f"--tau-max={tau_max}", "--tau-points", "3",
-                "--theta-points", "2", "--out", os.path.join(tmp, "out.csv")]
+                "--theta-points", "2", "--out", out_target(tmp, kind)]
         if gamma is not None:
             argv.append(f"--gamma={gamma}")
-        code, err = run_quietly(argv)
-        assert code in (0, 2)
-        if code == 2:
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert not os.listdir(tmp)
+        if assert_exit_0_or_2_leaving(argv, tmp, kind) == 0:
+            assert gamma is None or kind != "directory"
 
 
 def usual_or_any(low, high):
@@ -913,29 +961,37 @@ def test_uncertainty_check_argv_fuzz_exits_0_1_or_2(g_min, g_max, tol, tau_max,
         assert err.count("\n") == 1
 
 
-# edge numbers, and magnitudes near 1e+-200 whose products leave the float range
-unit_numbers = edge_numbers | (st.floats(1e-210, 1e-190) | st.floats(1e190, 1e210)).map(repr)
+# edge numbers, magnitudes near 1e+-200 whose products leave the float range,
+# and those near 1e-160 whose squares are subnormal
+unit_numbers = edge_numbers | (st.floats(1e-210, 1e-190) | st.floats(1e190, 1e210)
+                               | st.floats(1e-163, 1e-154)).map(repr)
 
 
-def assert_exit_0_or_2(argv, out):
+def assert_exit_0_or_2(argv, out) -> int:
     """The command exits 0, or 2 with one error line and out not written."""
     code, err = run_quietly(argv)
     assert code in (0, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not os.path.exists(out)
+    return code
 
 
 @settings(max_examples=100, deadline=None)
 @given(hbar=unit_numbers, mass=unit_numbers, omega=unit_numbers)
 @example(hbar="1.0", mass="1e-200", omega="1e-200")  # m omega underflows to 0
 @example(hbar="1e-200", mass="1e+200", omega="1e+200")  # every factor 0 or inf
+@example(hbar="1e-160", mass="1.0", omega="1.0")  # hbar^2 = 1e-320 is subnormal
 def test_sweep_si_config_fuzz_exits_0_or_2(hbar, mass, omega):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = os.path.join(tmp, "sweep.cfg"), os.path.join(tmp, "out.csv")
         Path(config).write_text(f"tau = 0, 1\ngamma = 1\ntheta = 0.5\ng = 1e-3\n"
                                 f"hbar = {hbar}\nmass = {mass}\nomega = {omega}\n")
-        assert_exit_0_or_2(["sweep", "--config", config, "--out", out], out)
+        if assert_exit_0_or_2(["sweep", "--config", config, "--out", out], out) == 0:
+            # every restoration factor was a normal float
+            h, m, w = float(hbar), float(mass), float(omega)
+            assert all(sys.float_info.min <= f < math.inf
+                       for f in (h / (m * w), h * m * w, h ** 2))
 
 
 PRESET_NUMBERS = ("mass", "omega", "hbar", "beta", "gamma", "theta")
@@ -1069,6 +1125,154 @@ def test_closed_fifo_out_is_one_error_line_and_exit_2(tmp_path):
     assert stdout == b""
     assert stderr.decode().startswith(f"error: cannot write {str(fifo)!r}: ")
     assert stderr.decode().count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# what a command leaves on disk: table.csv_sink stages every regular file
+
+# 30 x 3 x 5 x 10 = 4500 rows, four blocks of a sweep's seven dense columns
+BLOCKS_SWEEP = ["sweep", "--tau", ",".join(map(str, range(30))), "--gamma", "0,1,2",
+                "--theta", "0,1,3,4,5", "--g", ",".join(f"1e-{k}" for k in range(1, 11))]
+
+
+def listing(root) -> dict[str, tuple]:
+    """Every path under root: a file's bytes and mode bits, a symlink's
+    target, a directory as such."""
+    found = {}
+    for path in sorted(Path(root).rglob("*")):
+        name = str(path.relative_to(root))
+        if path.is_symlink():
+            found[name] = ("link", os.readlink(path))
+        elif path.is_dir():
+            found[name] = ("dir",)
+        else:
+            found[name] = (path.read_bytes(), stat.S_IMODE(path.stat().st_mode))
+    return found
+
+
+def staged_files(root) -> list[str]:
+    """csv_sink's staging files (".<name>.<pid>.tmp") anywhere under root."""
+    return [p.name for p in Path(root).rglob(".*.tmp")]
+
+
+def failing_after_one_block(error: BaseException):
+    """A write_table whose write raises error once the header and one block
+    have gone through."""
+    real = csv_table.write_table
+
+    def write_table(write, header, columns):
+        passed = []
+
+        def failing(data):
+            if len(passed) == 2:
+                raise error
+            passed.append(data)
+            write(data)
+        real(failing, header, columns)
+    return write_table
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                   KeyboardInterrupt()], ids=["enospc", "interrupt"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_write_failing_mid_table_leaves_the_target_as_it_was(tmp_path, monkeypatch,
+                                                               capsys, error, existing):
+    out = tmp_path / "sweep.csv"
+    if existing:
+        out.write_bytes(b"an earlier table\n")
+        out.chmod(0o640)
+    before = listing(tmp_path)
+    monkeypatch.setattr(cli, "write_table", failing_after_one_block(error))
+    argv = [*BLOCKS_SWEEP, "--out", str(out)]
+    if isinstance(error, OSError):
+        assert main(argv) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == (f"error: cannot write {str(out)!r}: "
+                       "[Errno 28] No space left on device\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert listing(tmp_path) == before
+    assert not staged_files(tmp_path)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_figure_default_gammas_rename_neither_file_unless_both_are_written(
+        tmp_path, monkeypatch, capsys, existing):
+    """The second table fails after the first is written whole: neither
+    target changes, and no "wrote" line is printed."""
+    if existing:
+        for g in ("1", "10"):
+            (tmp_path / f"fig_gamma{g}.csv").write_bytes(f"gamma {g}\n".encode())
+    before = listing(tmp_path)
+    real, tables = csv_table.write_table, []
+
+    def second_fails(write, header, columns):
+        tables.append(header)
+        if len(tables) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real(write, header, columns)
+    monkeypatch.setattr(cli, "write_table", second_fails)
+    assert main(["figure", "--id", "1", "--out", str(tmp_path / "fig.csv"),
+                 "--tau-points", "4", "--theta-points", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert listing(tmp_path) == before
+    assert not staged_files(tmp_path)
+
+
+BAD_TARGET_COMMANDS = {
+    "figure-1": ["figure", "--id", "1", "--gamma", "1", "--tau-points", "4",
+                 "--theta-points", "4"],
+    "figure-3": ["figure", "--id", "3", "--tau-points", "4"],
+    "sweep": ["sweep", "--tau", "1"],
+    "oracle-compare": ["oracle-compare", "--tau", "0.5"],
+    "preset": ["preset"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_TARGET_COMMANDS))
+@pytest.mark.parametrize("target", ["directory", "missing-directory", "trailing-slash"])
+def test_an_unwritable_target_is_one_error_line_and_leaves_the_directory_unchanged(
+        tmp_path, capsys, command, target):
+    """A name ending in "/" names a directory, so no out.csv is made for it."""
+    out = str(tmp_path / "out.csv")
+    if target == "directory":
+        os.mkdir(out)
+        Path(out, "inside.txt").write_bytes(b"kept\n")
+    elif target == "missing-directory":
+        out = str(tmp_path / "missing" / "out.csv")
+    else:
+        out += os.sep
+    before = listing(tmp_path)
+    assert main([*BAD_TARGET_COMMANDS[command], "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out!r}: ")
+    assert err.count("\n") == 1
+    assert listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("dangling", [False, True])
+def test_a_symlinked_target_is_written_through_and_the_link_kept(tmp_path, capsys,
+                                                                  dangling):
+    """The link points into another directory, where the staged file goes."""
+    (tmp_path / "data").mkdir()
+    real = tmp_path / "data" / "sweep.csv"
+    if not dangling:
+        real.write_bytes(b"an earlier table\n")
+        real.chmod(0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(Path("data") / "sweep.csv")
+    assert main([*BLOCKS_SWEEP, "--out", str(link)]) == 0
+    capsys.readouterr()
+    assert main([*BLOCKS_SWEEP, "--out", "-"]) == 0
+    assert real.read_bytes() == capsys.readouterr().out.encode()
+    assert os.readlink(link) == str(Path("data") / "sweep.csv")
+    if not dangling:
+        assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    assert sorted(listing(tmp_path)) == ["data", "data/sweep.csv", "link.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,18 @@ def test_params_refuse_units_whose_restoration_factors_are_0_or_infinite(units):
         PhysicalParams(**units)
 
 
+@pytest.mark.parametrize("units", [
+    dict(hbar=1e-160),  # hbar^2 = 1e-320
+    dict(hbar=1e-150, mass=1e-160),  # hbar m omega = 1e-310
+    dict(hbar=1e-150, mass=1e160),  # hbar/(m omega) = 1e-310
+])
+def test_params_refuse_subnormal_restoration_factors(units):
+    """Each case leaves exactly one factor below the normal range, at 1e-310
+    or 1e-320, where a %.16e column keeps about 9 significant digits or fewer."""
+    with pytest.raises(ConfigError, match="smallest normal float"):
+        PhysicalParams(**units)
+
+
 def test_g_is_recomputed_product():
     p = PhysicalParams(mass=2.0, omega=3.0, hbar=0.5, beta=1e-3)
     assert p.g == pytest.approx(2.0 * 3.0 * 0.5 * 1e-3, rel=1e-15)

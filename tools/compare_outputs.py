@@ -7,7 +7,9 @@ file the command leaves in its directory, byte for byte.  The list covers
 the benchmark's inputs (sweeps at perfbench seeds 1-3, to a file and to
 stdout; figures 1-3; uncertainty-check; oracle-compare at both amplitudes),
 oracle-compare at a given ``--dim`` and in the vacuum, ``preset``, figure 3
-from a preset file, a sweep over a min/max/points axis, ``verify-bch
+from a preset file, figure 1's default pair written over files already
+there (so a staged file left beside them would show in the listing), a
+sweep over a min/max/points axis, ``verify-bch
 --max-order`` 12, 35 (the benchmark's depth) and 60, and bad inputs that
 exit 2: out-of-range options, SI units whose restoration factors are 0 or
 infinite, and a config or preset that is not UTF-8.
@@ -82,6 +84,9 @@ def cases() -> list[Case]:
         Case("sweep_probe", ("sweep", "--tau", "10.105263157894736", "--gamma", "3.0",
                              "--theta", "0.6666666666666666", "--g", "5.0", "--out", "-")),
         Case("figure1_default_gammas", ("figure", "--id", "1", "--out", "fig.csv")),
+        Case("figure1_default_gammas_replace", ("figure", "--id", "1", "--out", "fig.csv"),
+             (("fig_gamma1.csv", "an earlier table\n"),
+              ("fig_gamma10.csv", "an earlier table\n"))),
         Case("figure2_stdout", ("figure", "--id", "2", "--gamma", "0", "--out", "-")),
         Case("figure3", ("figure", "--id", "3", "--out", "fig3.csv")),
         Case("figure3_stdout", ("figure", "--id", "3", "--tau-points", "50", "--out", "-")),
