@@ -253,72 +253,39 @@ def coherent_vector(alpha: complex | CoherentAmplitude,
     2), so nothing underflows; powers of two scale exactly, so in range this
     is the plain recursion bit for bit.  OracleError if no norm is kept."""
     amp = CoherentAmplitude.from_complex(alpha)
-    comps, shift, _ = _coherent_series(amp, space.dim)
-    return _normalised(comps, shift, amp)
-
-
-def _coherent_series(amp: CoherentAmplitude, dim: int) -> tuple[np.ndarray, int, int]:
-    """coherent_vector's recursion: its first dim coefficients times 2**shift,
-    unnormalised, then shift and the last n at which the recursion rescaled
-    (0 if it never did)."""
-    _check_keeps_norm(amp, dim)
     a = amp.alpha
-    half_mod2 = 0.5 * abs(a) ** 2
+    no_norm = OracleError(f"coherent state |alpha| = {amp.gamma:g} keeps no norm "
+                          f"in Fock dimension {space.dim}")
+    mod = abs(a)
+    if _keeps_no_norm(mod * mod, space.dim):  # mod * mod overflows to inf, ** raises
+        raise no_norm
+    half_mod2 = 0.5 * mod ** 2
     shift = max(0, math.ceil(half_mod2 / math.log(2.0)) - 1000)  # start >= 2**-1000
-    comps = np.empty(dim, dtype=complex)
+    comps = np.empty(space.dim, dtype=complex)
     comps[0] = math.exp(shift * math.log(2.0) - half_mod2)
-    rescaled = 0
-    for n in range(1, dim):
+    for n in range(1, space.dim):
         comps[n] = comps[n - 1] * a / math.sqrt(n)
         if abs(comps[n]) > 2.0 ** 400:  # keep the peak in range too
             comps[:n + 1] /= 2.0 ** 400
             shift -= 400
-            rescaled = n
-    return comps, shift, rescaled
-
-
-def _normalised(comps: np.ndarray, shift: int, amp: CoherentAmplitude) -> CoherentVector:
-    """The state whose coefficients times 2**shift are comps; OracleError if
-    no norm is kept."""
     norm_sq = float(np.vdot(comps, comps).real)
     loss = 1.0 - math.ldexp(norm_sq, -2 * shift)
     if not loss < 1.0:  # NaN too
-        raise _no_norm(amp, comps.size)
+        raise no_norm
     return CoherentVector(comps / math.sqrt(norm_sq), max(0.0, loss))
 
 
-def _audit_states(amp: CoherentAmplitude,
-                  dim: int) -> tuple[CoherentVector, CoherentVector]:
-    """coherent_vector at dim and at 2 dim, bit for bit, from one recursion:
-    up to n = dim - 1 the 2 dim recursion does what the dim one does, so
-    its unnormalised prefix is the dim state's, unless a rescale at n >= dim
-    divided that prefix too; then dim runs alone."""
-    _check_keeps_norm(amp, dim)  # the error names dim, not 2 dim
-    comps, shift, rescaled = _coherent_series(amp, 2 * dim)
-    small = ((comps[:dim].copy(), shift) if rescaled < dim
-             else _coherent_series(amp, dim)[:2])
-    return _normalised(*small, amp), _normalised(comps, shift, amp)
-
-
-def _no_norm(amp: CoherentAmplitude, dim: int) -> OracleError:
-    return OracleError(f"coherent state |alpha| = {amp.gamma:g} keeps no norm "
-                       f"in Fock dimension {dim}")
-
-
-def _check_keeps_norm(amp: CoherentAmplitude, dim: int) -> None:
-    """OracleError when the Poisson(|alpha|^2) weight of n < dim is below
-    e^-50, so 1 - weight rounds to 1: for |alpha|^2 > dim - 1 the weights
-    rise up to n = dim - 1 and their sum is at most dim times the last.
-    Decided before the recursion, whose exponent split loses its precision
-    (and 0.5|alpha|^2 its finiteness) at such amplitudes."""
-    mod = abs(amp.alpha)
-    mod2 = mod * mod  # overflows to inf, where ** raises
+def _keeps_no_norm(mod2: float, dim: int) -> bool:
+    """True when the Poisson(|alpha|^2) weight of n < dim is below e^-50,
+    so 1 - weight rounds to 1: for |alpha|^2 > dim - 1 the weights rise up
+    to n = dim - 1 and their sum is at most dim times the last.  Decided
+    before the recursion, whose exponent split loses its precision (and
+    0.5|alpha|^2 its finiteness) at such amplitudes."""
     last = dim - 1
     if not mod2 < math.inf:
-        raise _no_norm(amp, dim)
-    if mod2 > last and (math.log(dim) - mod2 + last * math.log(mod2)
-                        - math.lgamma(dim)) < -50.0:
-        raise _no_norm(amp, dim)
+        return True
+    return mod2 > last and (math.log(dim) - mod2 + last * math.log(mod2)
+                            - math.lgamma(dim)) < -50.0
 
 
 def variance_numeric(state: CoherentVector, op: FockOperator) -> float:
@@ -342,11 +309,8 @@ def _apply(bands: np.ndarray, v: np.ndarray, offsets: slice = slice(None)) -> np
     n = v.shape[-1]
     padded = np.zeros(v.shape[:-1] + (n + 2 * BANDS,), dtype=complex)
     padded[..., BANDS:-BANDS] = v
-    # band by band from 0, the adds a sum over the band axis makes, in order
-    out = np.zeros(np.broadcast_shapes(bands.shape[:-2] + (n,), v.shape), dtype=complex)
-    for band, start in zip(np.moveaxis(bands, -2, 0), range(2 * BANDS + 1)[offsets]):
-        out += band * padded[..., start:start + n]
-    return out
+    window = sliding_window_view(padded, n, axis=-1)[..., offsets, :]
+    return (bands * window).sum(axis=-2)
 
 
 def fock_dim_for(amplitude: CoherentAmplitude) -> int:
@@ -428,10 +392,8 @@ _SLOPE_TABLES_KEPT = 4
 def _slope_operators(dim: int) -> tuple[np.ndarray, ...]:
     """oracle_slopes' tables at one Fock dimension, read-only: the odd-offset
     bands of X1, X2, x_hat and p_hat, those of d p_hat/dbeta = p^3/3, the
-    energies E of H0, the gaps E[r+k] - E[r] at the even offsets as their
-    distinct values and each gap's index into them (E is n + 1/2 up to
-    rounding, so a band holds few distinct gaps: at most 27 up to dim
-    4096), and the bands of V = p^4/3m at the even offsets.
+    energies E of H0, and the gaps E[r+k] - E[r] and bands of V = p^4/3m at
+    the even offsets.
 
     Keyed on dim alone, which holds only because oracle_slopes always works
     at PhysicalParams.natural(0.0): the tables depend on nothing else."""
@@ -442,11 +404,9 @@ def _slope_operators(dim: int) -> tuple[np.ndarray, ...]:
     h0, p4 = _oscillator_bands(s, q2, params)
     energies = h0[BANDS]
     gaps = (sliding_window_view(np.pad(energies, BANDS), dim) - energies)[EVEN]
-    gap_values, gap_index = np.unique(gaps, return_inverse=True)
     v_bands = (p4 / (3.0 * params.mass))[EVEN]  # zero wherever a gap runs off the space
     # copies, so the cache keeps none of the 9-band arrays these slice
-    tables = tuple(table.copy() for table in (bands, d_p_hat, energies, gap_values,
-                                              gap_index.reshape(gaps.shape), v_bands))
+    tables = tuple(table.copy() for table in (bands, d_p_hat, energies, gaps, v_bands))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -469,17 +429,12 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
     """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    return _slopes(tau, coherent_vector(amplitude, space).components)
-
-
-def _slopes(tau, psi: np.ndarray) -> dict[str, float | np.ndarray]:
-    """oracle_slopes in the coherent state psi, at Fock dimension psi.size."""
-    dim = psi.size
-    bands, d_p_hat, energies, gap_values, gap_index, v_bands = _slope_operators(dim)
+    bands, d_p_hat, energies, gaps, v_bands = _slope_operators(space.dim)
+    psi = coherent_vector(amplitude, space).components
     taus = np.asarray(tau, dtype=float)
     flat = taus.reshape(-1)
     values = np.empty((flat.size, len(ORACLE_QUANTITIES)))
-    chunk = max(1, _SLOPE_CHUNK_CELLS // dim)
+    chunk = max(1, _SLOPE_CHUNK_CELLS // space.dim)
     for start in range(0, flat.size, chunk):
         # axes (tau, quantity or band, number state)
         t = flat[start:start + chunk, None]
@@ -489,10 +444,9 @@ def _slopes(tau, psi: np.ndarray) -> dict[str, float | np.ndarray]:
             raise OracleError(f"evolution operator lost unitarity: time "
                               f"{t[np.argmin(finite), 0]} is beyond the float range")
         psi_t = phase * psi
-        # F(D, t) = t e^{-iDt/2} sinc(Dt/2pi), stable as D t -> 0: elementwise,
-        # so taken once per distinct gap and gathered
-        f = (t * np.exp(-0.5j * gap_values * t)
-             * np.sinc(gap_values * t / (2.0 * np.pi)))[:, gap_index]
+        t = t[:, :, None]
+        # F(D, t) = t e^{-iDt/2} sinc(Dt/2pi), stable as D t -> 0
+        f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
         chi = -1j * phase * _apply(v_bands * f, psi, EVEN)
         o_psi = _apply(bands, psi_t[:, None], ODD)
         o_chi = _apply(bands, chi[:, None], ODD)
@@ -519,12 +473,11 @@ class TruncationAudit:
 def truncation_audit(space: FockSpace, amplitude: CoherentAmplitude, tau) -> TruncationAudit:
     """oracle_slopes at dim and at 2*dim, compared at every tau, each relative
     to the larger of its doubled-dimension value and slope_scale.  The slopes
-    at dim come back with the verdict, so a caller evaluates them once.  Both
-    coherent states come from one recursion (_audit_states), bit for bit
-    what coherent_vector gives at each dimension."""
-    small_state, big_state = _audit_states(amplitude, space.dim)
-    small, big = _slopes(tau, small_state.components), _slopes(tau, big_state.components)
+    at dim come back with the verdict, so a caller evaluates them once."""
+    small = oracle_slopes(tau, amplitude, space)
+    big_space = FockSpace(2 * space.dim)
+    big = oracle_slopes(tau, amplitude, big_space)
     scale = slope_scale(tau, amplitude.gamma)
     worst = float(np.max([np.abs(small[q] - big[q]) / np.maximum(np.abs(big[q]), scale)
                           for q in ORACLE_QUANTITIES]))  # NaN propagates
-    return TruncationAudit(2 * space.dim, worst, worst < AUDIT_TOL, small)
+    return TruncationAudit(big_space.dim, worst, worst < AUDIT_TOL, small)

@@ -17,16 +17,19 @@ block by block by a flat row index.  Each block is laid out in one buffer
 and its NUL padding dropped in one pass.
 
 ``csv_sink`` is where every command's bytes leave, and so the one place
-that decides what a failed command leaves on disk: a file appears whole or
-not at all.  ``write_table`` writes through the function it yields.
+that decides what a failed command leaves on disk: a regular file appears
+whole or not at all, and a FIFO or a device streams.  ``write_table``
+writes through the function it yields.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import math
 import os
+import shutil
 import stat
 import sys
 from collections.abc import Sequence
@@ -204,46 +207,110 @@ def csv_sink(path: str):
     """A function that writes bytes to path, or to stdout for "-".
 
     A path that does not exist, or that resolves to a regular file, is
-    staged: the bytes go to a sibling file unique to the process, which
-    replaces the resolved target (with an existing target's mode bits) when
-    the block exits cleanly and is removed on any exception, so a symlink
-    is written through.  Any other target (a FIFO, a device, a directory)
-    is opened directly, so a FIFO streams.  A path that cannot be opened or
-    written, a FIFO whose reader left included, is a ConfigError that names
-    path."""
+    staged: the bytes go to a new sibling file, which replaces the resolved
+    target (with an existing target's mode bits) when the block exits
+    cleanly and is removed on any exception, so a symlink is written
+    through.  Other targets are opened directly: a FIFO (so it streams) or
+    a device, a name through /proc (/dev/stdout, /dev/fd/N: a file some
+    process holds open), and a target beside which no file can be made.  A
+    target that refuses the rename, a file bind-mounted on its own, is
+    rewritten in place instead.
+
+    Each write is flushed.  A path that cannot be opened or written, a FIFO
+    whose reader left included, is a ConfigError that names path, raised
+    by the write that failed."""
     if path == "-":
         yield lambda data: sys.stdout.write(data.decode())
         return
-    real = os.path.realpath(path)
     try:
-        mode = os.stat(real).st_mode
-    except OSError:
-        mode = None  # a new file; where its directory is missing, staging says so
-    try:
-        # "name/" names a directory, so it is opened as given and refused
-        if path.endswith(os.sep) or (mode is not None and not stat.S_ISREG(mode)):
-            with open(path, "wb") as stream:
-                yield stream.write
-            return
-        if mode is not None:  # a target open(path, "wb") refuses stays refused
-            os.close(os.open(real, os.O_WRONLY))
-        staged = os.path.join(os.path.dirname(real),
-                              f".{os.path.basename(real)}.{os.getpid()}.tmp")
-        fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        stream, staged, real, mode = _open_sink(path)
+    except OSError as exc:
+        raise _cannot_write(path, exc)
+
+    def write(data: bytes) -> None:
         try:
-            with open(fd, "wb") as stream:
-                yield stream.write
-                if mode is not None:
-                    os.fchmod(fd, stat.S_IMODE(mode))
-            os.replace(staged, real)
-        except BaseException:
+            stream.write(data)
+            stream.flush()
+        except OSError as exc:  # named here, not by another sink it passes
+            raise _cannot_write(path, exc)
+
+    try:
+        yield write
+        if mode is not None:
+            os.fchmod(stream.fileno(), mode)
+        stream.close()
+        if staged is not None:
+            _rename(staged, real, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            stream.close()
+        if staged is not None:
             with contextlib.suppress(OSError):
                 os.unlink(staged)
-            raise
+        if isinstance(exc, OSError):
+            raise _cannot_write(path, exc)
+        raise
+
+
+def _cannot_write(path: str, exc: OSError) -> ConfigError:
+    if exc.filename is not None:  # a staged file's name means nothing to the user
+        exc = OSError(exc.errno, exc.strerror, path)
+    return ConfigError(f"cannot write {path!r}: {exc}")
+
+
+def _open_sink(path: str):
+    """csv_sink's stream, the staged file behind it and the target it will
+    replace (both None where path is opened directly), and the mode bits to
+    give the staged file (None for a new target)."""
+    real = _resolved(path)
+    if real is not None:
+        try:
+            mode = os.stat(real).st_mode
+        except OSError:
+            mode = None  # a new file; where its directory is missing, open says so
+        if mode is None or stat.S_ISREG(mode):
+            if mode is not None:  # a target open(path, "wb") refuses stays refused
+                os.close(os.open(path, os.O_WRONLY))
+                mode = stat.S_IMODE(mode)
+            # unique per attempt, so a file a killed run left never blocks one
+            staged = os.path.join(os.path.dirname(real), f".{os.path.basename(real)}."
+                                                         f"{os.urandom(4).hex()}.tmp")
+            with contextlib.suppress(OSError):  # else no file can be made beside it
+                fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                return open(fd, "wb"), staged, real, mode
+    return open(path, "wb"), None, None, None
+
+
+def _resolved(path: str) -> str | None:
+    """path with the symlinks it ends in followed, or None where it is to be
+    opened as given: a name ending in "/", "." or "..", a link in /proc
+    (/dev/stdout and /dev/fd/N lead there; such a link names an open file,
+    a pipe or a file a shell redirected to, whatever its text), or more
+    than 40 links.  Only the directory of a link is resolved: a path that
+    is no link already names its file's directory as the kernel reads it."""
+    for _ in range(40):
+        if os.path.basename(path) in ("", ".", ".."):
+            return None
+        if not os.path.islink(path):
+            return path
+        head = os.path.realpath(os.path.dirname(path))
+        if head == "/proc" or head.startswith("/proc/"):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    return None
+
+
+def _rename(staged: str, real: str, path: str) -> None:
+    """Move staged onto real, or copy its bytes into path in place where
+    real is a mount point (EBUSY, or EXDEV from another file system)."""
+    try:
+        os.replace(staged, real)
     except OSError as exc:
-        if exc.filename is not None:  # the staged file's name means nothing to the user
-            exc = OSError(exc.errno, exc.strerror, path)
-        raise ConfigError(f"cannot write {path!r}: {exc}")
+        if exc.errno not in (errno.EBUSY, errno.EXDEV):
+            raise
+        with open(staged, "rb") as source, open(path, "wb") as target:
+            shutil.copyfileobj(source, target)
+        os.unlink(staged)
 
 
 def _stored(column: np.ndarray) -> np.ndarray:

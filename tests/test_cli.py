@@ -189,14 +189,14 @@ def test_oracle_compare_passes_where_slopes_vanish(tmp_path, gamma, theta):
 
 
 def test_oracle_compare_fails_on_a_slope_off_by_1e_6(tmp_path, monkeypatch):
-    slopes = fock_oracle._slopes
+    slopes = fock_oracle.oracle_slopes
 
-    def perturbed(tau, psi):
-        return {q: v * (1.0 + 1e-6) for q, v in slopes(tau, psi).items()}
+    def perturbed(tau, amplitude, space=None):
+        return {q: v * (1.0 + 1e-6) for q, v in slopes(tau, amplitude, space).items()}
 
     argv = ["oracle-compare", "--gamma", "1", "--theta", "1.1", "--tau", "0", "1",
             "--tol", "1e-7", "--out", str(tmp_path / "oracle.csv")]
-    monkeypatch.setattr(fock_oracle, "_slopes", perturbed)
+    monkeypatch.setattr(fock_oracle, "oracle_slopes", perturbed)
     assert main(argv) == 1
     _, rows = read_csv(tmp_path / "oracle.csv")
     at_one = [float(r[4]) for r in rows if float(r[0]) == 1.0]
@@ -1151,7 +1151,7 @@ def listing(root) -> dict[str, tuple]:
 
 
 def staged_files(root) -> list[str]:
-    """csv_sink's staging files (".<name>.<pid>.tmp") anywhere under root."""
+    """csv_sink's staging files (".<name>.<random hex>.tmp") anywhere under root."""
     return [p.name for p in Path(root).rglob(".*.tmp")]
 
 
@@ -1273,6 +1273,137 @@ def test_a_symlinked_target_is_written_through_and_the_link_kept(tmp_path, capsy
     if not dangling:
         assert stat.S_IMODE(real.stat().st_mode) == 0o600
     assert sorted(listing(tmp_path)) == ["data", "data/sweep.csv", "link.csv"]
+
+
+def run_cli(argv, cwd, **popen) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "gupsqueeze.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=cwd,
+                          timeout=120, **popen)
+
+
+def test_out_dev_stdout_and_dev_fd_stream_to_a_pipe(tmp_path):
+    """/dev/stdout and /dev/fd/N lead through /proc to a pipe: written
+    directly, with the bytes "--out -" gives."""
+    argv = ["sweep", "--tau", "0,1,2", "--gamma", "0,1"]
+    dash = run_cli([*argv, "--out", "-"], tmp_path, capture_output=True)
+    assert dash.returncode == 0 and dash.stderr == b""
+    csv_bytes = dash.stdout.replace(b"sweep: wrote 6 rows to -\n", b"")
+    piped = run_cli([*argv, "--out", "/dev/stdout"], tmp_path, capture_output=True)
+    assert piped.returncode == 0 and piped.stderr == b""
+    assert piped.stdout == csv_bytes + b"sweep: wrote 6 rows to /dev/stdout\n"
+    read_end, write_end = os.pipe()
+    try:
+        done = run_cli([*argv, "--out", f"/dev/fd/{write_end}"], tmp_path,
+                       pass_fds=(write_end,), capture_output=True)
+        os.close(write_end)
+        with open(read_end, "rb") as reader:
+            assert reader.read() == csv_bytes
+    finally:
+        with contextlib.suppress(OSError):
+            os.close(write_end)
+    assert done.returncode == 0 and done.stderr == b""
+    assert not os.listdir(tmp_path)
+
+
+def test_out_dev_stdout_redirected_to_a_file_writes_that_file_in_place(tmp_path):
+    """The file a shell redirected stdout to is not replaced, so the
+    "wrote" line goes to the same file."""
+    target = tmp_path / "redirected.csv"
+    with open(target, "wb") as stdout:
+        inode = os.fstat(stdout.fileno()).st_ino
+        done = run_cli(["sweep", "--tau", "0,1", "--out", "/dev/stdout"], tmp_path,
+                       stdout=stdout, stderr=subprocess.PIPE)
+    assert done.returncode == 0 and done.stderr == b""
+    assert target.stat().st_ino == inode
+    assert b"sweep: wrote 2 rows to /dev/stdout\n" in target.read_bytes()
+    assert os.listdir(tmp_path) == ["redirected.csv"]
+
+
+def test_a_staging_name_left_by_a_killed_run_blocks_nothing(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    left = [tmp_path / f".out.csv.{os.getpid()}.tmp", tmp_path / ".out.csv.00000000.tmp"]
+    for path in left:
+        path.write_bytes(b"a killed run's rows\n")
+    assert main(["sweep", "--tau", "0,1", "--out", str(out)]) == 0
+    assert main(["sweep", "--tau", "0,1", "--out", "-"]) == 0
+    assert out.read_bytes().decode() in capsys.readouterr().out
+    assert sorted(staged_files(tmp_path)) == sorted(path.name for path in left)
+
+
+def test_a_target_with_no_room_for_a_staged_file_beside_it_is_written_in_place(
+        tmp_path, monkeypatch, capsys):
+    """Where the directory refuses a new file (EACCES; root is never refused,
+    so the refusal is simulated), a writable target is written as given."""
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an earlier table\n")
+    inode = out.stat().st_ino
+    real_open = os.open
+
+    def no_new_files(name, flags, *mode):
+        if flags & os.O_CREAT:
+            raise PermissionError(errno.EACCES, "Permission denied", name)
+        return real_open(name, flags, *mode)
+    monkeypatch.setattr(os, "open", no_new_files)
+    assert main([*BLOCKS_SWEEP, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert main([*BLOCKS_SWEEP, "--out", "-"]) == 0
+    assert out.read_bytes().decode() in capsys.readouterr().out
+    assert out.stat().st_ino == inode
+    assert not staged_files(tmp_path)
+
+
+def test_a_target_that_refuses_writes_stays_refused(tmp_path, monkeypatch, capsys):
+    """A read-only target in a writable directory is not replaced by a
+    staged file (the refusal is simulated, since root is never refused)."""
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an earlier table\n")
+    before = listing(tmp_path)
+    real_open = os.open
+
+    def read_only_target(name, flags, *mode):
+        if os.fspath(name) == str(out) and flags & (os.O_WRONLY | os.O_RDWR):
+            raise PermissionError(errno.EACCES, "Permission denied", name)
+        return real_open(name, flags, *mode)
+    monkeypatch.setattr(os, "open", read_only_target)
+    assert main(["sweep", "--tau", "0,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {str(out)!r}: "
+                                       f"[Errno 13] Permission denied: {str(out)!r}\n")
+    assert listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("code", [errno.EBUSY, errno.EXDEV])
+def test_a_target_that_cannot_be_replaced_is_rewritten_in_place(tmp_path, monkeypatch,
+                                                                capsys, code):
+    """A file bind-mounted on its own refuses a rename onto it (simulated)."""
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an earlier table\n")
+    inode = out.stat().st_ino
+
+    def refused(source, target):
+        raise OSError(code, os.strerror(code), source, target)
+    monkeypatch.setattr(os, "replace", refused)
+    assert main([*BLOCKS_SWEEP, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert main([*BLOCKS_SWEEP, "--out", "-"]) == 0
+    assert out.read_bytes().decode() in capsys.readouterr().out
+    assert out.stat().st_ino == inode
+    assert not staged_files(tmp_path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_figure_pair_names_the_first_file_when_it_fails(tmp_path, capsys):
+    """fig_gamma1.csv leads to /dev/full, so its first write fails: the error
+    names it, not the fig_gamma10.csv sink it passes on its way out, and
+    fig_gamma10.csv is not made."""
+    (tmp_path / "fig_gamma1.csv").symlink_to("/dev/full")
+    before = listing(tmp_path)
+    assert main(["figure", "--id", "1", "--out", str(tmp_path / "fig.csv"),
+                 "--tau-points", "4", "--theta-points", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: cannot write {str(tmp_path / 'fig_gamma1.csv')!r}: "
+                   "[Errno 28] No space left on device\n")
+    assert listing(tmp_path) == before
 
 
 # ---------------------------------------------------------------------------

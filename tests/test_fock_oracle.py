@@ -739,53 +739,6 @@ def test_truncation_audit_heuristic_dim_passes_for_displaced_state():
         np.testing.assert_array_equal(audit.slopes[q], slope)
 
 
-def rescaling_draw(gamma):
-    """gamma with a dim from 6 widths below its mean photon number to 4
-    above: from gamma 45 the recursion rescales by 2**-400 (at n = 1324 for
-    gamma 46, 2440 for 50), before dim or at or past it."""
-    return st.tuples(st.just(gamma), st.integers(int(gamma * (gamma - 6.0)),
-                                                 int(gamma * (gamma + 4.0))))
-
-
-@settings(max_examples=60, deadline=None)
-@given(gamma_dim=st.one_of(st.tuples(st.floats(0.0, 12.0), st.integers(2, 200)),
-                           st.floats(45.0, 50.0).flatmap(rescaling_draw)),
-       theta=st.floats(0.0, 2.0 * math.pi),
-       taus=st.lists(st.one_of(special_taus, st.floats(-20.0, 100.0)), min_size=1,
-                     max_size=3))
-@example(gamma_dim=(50.0, 2300), theta=0.3, taus=[0.5, 2.0])  # rescales at n >= dim
-@example(gamma_dim=(46.0, 2200), theta=1.0, taus=[0.5, 2.0])  # rescales at n < dim
-@example(gamma_dim=(45.2, 1400), theta=2.0, taus=[0.5])  # no norm at dim
-@example(gamma_dim=(1.0, 41), theta=0.4, taus=[1.0, 1e308])  # time beyond the float range
-def test_the_audit_states_and_slopes_equal_direct_calls_bit_for_bit(gamma_dim, theta,
-                                                                      taus):
-    """The audit's one recursion gives coherent_vector's states at dim and
-    2 dim, and its slopes and verdict are those of oracle_slopes at each."""
-    gamma, dim = gamma_dim
-    amp = CoherentAmplitude(gamma=gamma, theta=theta)
-
-    def states():
-        return [(v.components.tobytes(), v.truncation_loss)
-                for v in fock_oracle._audit_states(amp, dim)]
-
-    def direct_states():
-        return [(v.components.tobytes(), v.truncation_loss)
-                for v in (coherent_vector(amp, FockSpace(d)) for d in (dim, 2 * dim))]
-
-    assert outcome(states) == outcome(direct_states)
-    audit = outcome(truncation_audit, FockSpace(dim), amp, taus)
-    small = outcome(oracle_slopes, taus, amp, FockSpace(dim))
-    if isinstance(small, str):
-        assert audit == small
-        return
-    big = outcome(oracle_slopes, taus, amp, FockSpace(2 * dim))
-    assert_same_bits(audit.slopes, small)
-    worst = float(np.max([np.abs(small[q] - big[q]) / np.maximum(
-        np.abs(big[q]), slope_scale(taus, gamma)) for q in ORACLE_QUANTITIES]))
-    assert np.array(audit.max_rel_deviation).tobytes() == np.array(worst).tobytes()
-    assert (audit.dim_doubled, audit.passed) == (2 * dim, worst < fock_oracle.AUDIT_TOL)
-
-
 def test_truncation_audit_designed_failure():
     # |alpha|^2 = 4 > dim/4 = 2: state pressed against the truncation edge
     amp = CoherentAmplitude(gamma=2.0, theta=0.0)
@@ -795,13 +748,13 @@ def test_truncation_audit_designed_failure():
 
 
 def test_truncation_audit_fails_on_nan(monkeypatch):
-    slopes = fock_oracle._slopes
+    slopes = fock_oracle.oracle_slopes
 
-    def nan_at_doubled_dim(tau, psi):
-        values = slopes(tau, psi)
-        return {q: math.nan for q in values} if psi.size == 40 else values
+    def nan_at_doubled_dim(tau, amplitude, space=None):
+        values = slopes(tau, amplitude, space)
+        return {q: math.nan for q in values} if space.dim == 40 else values
 
-    monkeypatch.setattr(fock_oracle, "_slopes", nan_at_doubled_dim)
+    monkeypatch.setattr(fock_oracle, "oracle_slopes", nan_at_doubled_dim)
     audit = truncation_audit(FockSpace(20), CoherentAmplitude(), 2.0)
     assert not audit.passed
     assert math.isnan(audit.max_rel_deviation)
