@@ -6,19 +6,23 @@ strength g; products discard g^2 and higher, so the algebra is the quotient
 ring C[g]/(g^2).  The ring is generic in the entry type.  The exact route
 grades the Hamiltonian in g_hat = g/12, where every entry is a Python int, so
 the nested-commutator chain is integer arithmetic and its coefficient tables
-(121/3 is 484 in g_hat) come out as equalities, not float approximations;
-``Fraction`` appears only in the Taylor series read off the chain.  The
-tests also run the ring on complex entries, to derive coherent-state moments
-in floating point (see tests/reference.py).
+(121/3 is 484 in g_hat) come out as equalities, not float approximations.
+``verify_bch_collection`` compares those ints with integer closed forms
+(``_FORMS``, scaled by G_HAT_SCALE) body by body as the chain streams;
+``Fraction`` appears only in the public Taylor series.  The tests also run
+the ring on complex entries, to derive coherent-state moments in floating
+point (see tests/reference.py).
 
 ``@`` is the ring's product.  ``commutator`` does not build PQ and QP to
 subtract them: it sums, per pair of monomials, only the Wick terms of
 [u, v] that survive (``monomial_commutator``), since the fully ordered
-k = 0 terms of uv and vu cancel.  Both run one accumulate loop.
+k = 0 terms of uv and vu cancel.  Both run one accumulate loop, which reads
+each pair's expansion through one cache, so a chain expands each pair once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,6 +153,20 @@ class OperatorPolynomial:
         return "OperatorPolynomial({" + ", ".join(bits) + "})"
 
 
+# Pair expansions _accumulate keeps.  The exact chain meets 14 pairs (H's nine
+# monomials against a, and a^dag a against a(tau)'s other five) and building
+# H 20 more, so every pair a command meets stays; an entry holds at most
+# min(n1, m2) + 1 small ints.  A pair past the bound is recomputed.
+_PAIRS_KEPT = 1024
+
+
+@functools.lru_cache(maxsize=_PAIRS_KEPT)
+def _expansion_terms(expansion: Callable[[Monomial, Monomial], dict[Monomial, int]],
+                     left: Monomial, right: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """expansion(left, right) as (monomial, factor) pairs, computed once."""
+    return tuple(expansion(left, right).items())
+
+
 def _accumulate(p: OperatorPolynomial, q: OperatorPolynomial,
                 expansion: Callable[[Monomial, Monomial], dict[Monomial, int]],
                 ) -> OperatorPolynomial:
@@ -161,7 +179,7 @@ def _accumulate(p: OperatorPolynomial, q: OperatorPolynomial,
             c1 = p0 * q1 + p1 * q0
             if not (c0 or c1):
                 continue
-            for mono, factor in expansion(mono1, mono2).items():
+            for mono, factor in _expansion_terms(expansion, mono1, mono2):
                 prev = terms.get(mono)
                 if prev is None:
                     terms[mono] = (c0 * factor, c1 * factor)
@@ -224,11 +242,12 @@ class TaylorSeries:
         return total
 
 
-def _chain(k_max: int) -> list[OperatorPolynomial]:
-    """Bodies 0..k_max of the nested-commutator chain on a, int entries in g_hat."""
+def _chain(k_max: int) -> Iterator[OperatorPolynomial]:
+    """Bodies 0..k_max of the nested-commutator chain on a, int entries in
+    g_hat, one at a time; ValueError before any is built."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return list(bch_bodies(k_max, hamiltonian_polynomial(), OperatorPolynomial.monomial(A)))
+    return bch_bodies(k_max, hamiltonian_polynomial(), OperatorPolynomial.monomial(A))
 
 
 def _order1_series(bodies: list[OperatorPolynomial], mono: Monomial) -> TaylorSeries:
@@ -238,36 +257,43 @@ def _order1_series(bodies: list[OperatorPolynomial], mono: Monomial) -> TaylorSe
 
 def collect_monomial_series(mono: Monomial, k_max: int) -> TaylorSeries:
     """Order-g coefficients of ``mono`` across nested-commutator depths 0..k_max."""
-    return _order1_series(_chain(k_max), mono)
+    return _order1_series(list(_chain(k_max)), mono)
 
 
 def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
     """Order-g coefficient series of the six evolved monomials, all read off
     one nested-commutator chain of depth k_max."""
-    bodies = _chain(k_max)
+    bodies = list(_chain(k_max))
     return {mono: _order1_series(bodies, mono) for mono in MONOMIAL_FORMS}
 
 
-#: The closed forms the collected coefficient series resum to, as (exact Taylor
-#: coefficient c_k in the basis (i tau)^k / k!, value at real tau given the
-#: phases e(k) = e^{i k tau}):
-#: base   e^{-i tau}                     c_k = (-1)^k
-#: drift  -i tau e^{-i tau}              c_k = k (-1)^k
-#: sine   i sin tau                      c_k = 1 (k odd), 0 (k even)
-#: a3     (e^{-i tau} - e^{-3 i tau})/6  c_k = -(-1)^k (3^k - 1)/6
-#: adag3  (e^{-i tau} - e^{3 i tau})/12  c_k = -(3^k - (-1)^k)/12
-_FORMS: dict[str, tuple[Callable[[int], Fraction], Callable]] = {
-    "base": (lambda k: Fraction((-1) ** k), lambda tau, e: e(-1)),
-    "drift": (lambda k: Fraction(k * (-1) ** k), lambda tau, e: -1j * tau * e(-1)),
-    "sine": (lambda k: Fraction(k % 2), lambda tau, e: 1j * np.sin(tau)),
-    "a3": (lambda k: Fraction(-((-1) ** k) * (3 ** k - 1), 6),
+@functools.lru_cache(maxsize=1)
+def _power3(k: int) -> int:
+    """3^k, kept for the next rule that asks for the same k: a3 and adag3 do,
+    in turn, at every depth of a verification."""
+    return 3 ** k
+
+
+#: The closed forms the collected coefficient series resum to, as (the exact
+#: Taylor coefficient c_k in the basis (i tau)^k / k!, spelled as the int
+#: G_HAT_SCALE c_k: its denominators 1, 6 and 12 all divide 12; value at real
+#: tau given the phases e(k) = e^{i k tau}):
+#: base   e^{-i tau}                     G_HAT_SCALE c_k = 12 (-1)^k
+#: drift  -i tau e^{-i tau}              G_HAT_SCALE c_k = 12 k (-1)^k
+#: sine   i sin tau                      G_HAT_SCALE c_k = 12 (k odd), 0 (k even)
+#: a3     (e^{-i tau} - e^{-3 i tau})/6  G_HAT_SCALE c_k = -2 (-1)^k (3^k - 1)
+#: adag3  (e^{-i tau} - e^{3 i tau})/12  G_HAT_SCALE c_k = -(3^k - (-1)^k)
+_FORMS: dict[str, tuple[Callable[[int], int], Callable]] = {
+    "base": (lambda k: 12 * (-1) ** k, lambda tau, e: e(-1)),
+    "drift": (lambda k: 12 * k * (-1) ** k, lambda tau, e: -1j * tau * e(-1)),
+    "sine": (lambda k: 12 * (k % 2), lambda tau, e: 1j * np.sin(tau)),
+    "a3": (lambda k: -2 * (-1) ** k * (_power3(k) - 1),
            lambda tau, e: (e(-1) - e(-3)) / 6.0),
-    "adag3": (lambda k: Fraction(-(3 ** k - (-1) ** k), 12),
-              lambda tau, e: (e(-1) - e(3)) / 12.0),
+    "adag3": (lambda k: -(_power3(k) - (-1) ** k), lambda tau, e: (e(-1) - e(3)) / 12.0),
 }
 
 
-def _form(form_id: str) -> tuple[Callable[[int], Fraction], Callable]:
+def _form(form_id: str) -> tuple[Callable[[int], int], Callable]:
     if form_id not in _FORMS:
         raise ValueError(f"unknown form {form_id!r}; expected one of {tuple(_FORMS)}")
     return _FORMS[form_id]
@@ -278,7 +304,7 @@ def closed_form_taylor(form_id: str, k_max: int) -> TaylorSeries:
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     rule, _ = _form(form_id)
-    return TaylorSeries(tuple(rule(k) for k in range(k_max + 1)))
+    return TaylorSeries(tuple(Fraction(rule(k), G_HAT_SCALE) for k in range(k_max + 1)))
 
 
 def closed_form_value(form_id: str, tau, e):
@@ -325,17 +351,20 @@ def verify_bch_collection(k_max: int) -> BchVerification:
     """Check, exactly, that each evolved monomial's collected order-g series
     matches its closed-form Taylor coefficients through depth k_max.
 
-    A mismatch is reported per monomial (first offending depth), not raised:
-    it signals a transcription error in one of the two routes.
+    The chain streams: each body's int order-g coefficients are compared
+    with the integer closed forms (_FORMS) and dropped, so memory does not
+    grow with depth.  A mismatch is reported per monomial (first offending
+    depth), not raised: it signals a transcription error in one of the two
+    routes.
     """
-    series = evolved_series(k_max)
-    rows = []
-    for mono, form_id in MONOMIAL_FORMS.items():
-        expected = closed_form_taylor(form_id, k_max).coefficients
-        first_mismatch = next(
-            (k for k, (got, want) in enumerate(zip(series[mono].coefficients, expected))
-             if got != want), None)
-        verified = k_max if first_mismatch is None else first_mismatch - 1
-        rows.append(MonomialVerification(
-            label=_label(mono), verified_through=verified, first_mismatch=first_mismatch))
-    return BchVerification(rows=tuple(rows))
+    rules = {mono: _form(form_id)[0] for mono, form_id in MONOMIAL_FORMS.items()}
+    first_mismatch: dict[Monomial, int | None] = dict.fromkeys(rules)
+    for k, body in enumerate(_chain(k_max)):
+        for mono, rule in rules.items():
+            if first_mismatch[mono] is None and body.coefficient(mono)[1] != rule(k):
+                first_mismatch[mono] = k
+    return BchVerification(rows=tuple(
+        MonomialVerification(label=_label(mono),
+                             verified_through=k_max if k is None else k - 1,
+                             first_mismatch=k)
+        for mono, k in first_mismatch.items()))

@@ -32,7 +32,7 @@ from . import analytic, fock_oracle, physics_config
 from .boson_algebra import verify_bch_collection
 from .fock_oracle import ORACLE_QUANTITIES, FockSpace, OracleError
 from .physics_config import CoherentAmplitude, ConfigError, PhysicalParams
-from .table import Labels, csv_sink, write_table
+from .table import Labels, csv_sink, sink_target, write_table
 
 SWEEP_COLUMNS = (
     "tau", "gamma", "theta", "g",
@@ -76,8 +76,10 @@ def _check_grid(*sizes: int) -> None:
 
 
 # Deepest chain verify-bch builds, checked before anything is built.  The
-# chain's ints grow as 3^k and every body is kept, so its memory grows as
-# k^2: 10^4 takes about 2 s and 84 MiB peak RSS (2-core VM, Python 3.11).
+# chain's ints grow as 3^k, so its time grows as k^2; one body is kept at a
+# time.  At 10^4 a fresh interpreter takes 0.50-0.75 s (median 0.55 s of 5)
+# and 28.8 MiB peak RSS, about what the import alone takes (2-core VM,
+# Python 3.11).
 _MAX_BCH_ORDER = 10_000
 
 
@@ -123,16 +125,16 @@ def cmd_figure(args) -> int:
         raise ConfigError(f"figure {args.id} takes no preset; --preset is for figure 3")
     if args.id in (1, 2):
         explicit = args.gamma is not None
-        if not explicit and args.out == "-":
+        if not explicit and sink_target(args.out) == "-":
             raise ConfigError(f"figure {args.id} without --gamma writes one file per "
-                              f"default gamma; --out - needs --gamma")
+                              f"default gamma; --out {args.out} needs --gamma")
         gammas = [args.gamma] if explicit else [1.0, 10.0]
         # all or nothing: surfaces are checked first, and no staged file is
         # renamed into place until every table is written
         surfaces = [_figure_surface(args.id, gamma, args) for gamma in gammas]
         path = Path(args.out)  # without --gamma, each stem ends in _gamma<gamma>
-        outs = [args.out] if explicit else [
-            str(path.with_name(f"{path.stem}_gamma{g:g}{path.suffix}")) for g in gammas]
+        outs = [sink_target(out) for out in ([args.out] if explicit else [
+            str(path.with_name(f"{path.stem}_gamma{g:g}{path.suffix}")) for g in gammas])]
         with contextlib.ExitStack() as stack:
             writes = [stack.enter_context(csv_sink(out)) for out in outs]
             for write, table in zip(writes, surfaces):
@@ -159,11 +161,12 @@ def cmd_figure(args) -> int:
     _check_grid(args.tau_points)
     grid = analytic.variance_grid(np.linspace(0.0, args.tau_max, args.tau_points),
                                   amp.gamma, amp.theta, g, params)
-    with csv_sink(args.out) as write:
+    out = sink_target(args.out)
+    with csv_sink(out) as write:
         write_table(write, FIGURE3_COLUMNS, (
             grid["tau"], grid["var_x_hat"], var_x0, grid["var_p_hat"],
             var_p0, grid["product"], var_x0 * var_p0))
-    print(f"figure 3 ({preset.name} preset, g={g:.6e}): wrote {args.out}")
+    print(f"figure 3 ({preset.name} preset, g={g:.6e}): wrote {out}")
     return 0
 
 
@@ -330,6 +333,7 @@ def _sweep_inputs(args) -> tuple[dict[str, Sequence[float]], PhysicalParams | No
 
 def cmd_sweep(args) -> int:
     axes, params, out = _sweep_inputs(args)
+    out = sink_target(out)
     grid = analytic.variance_grid(
         *np.meshgrid(*(axes[axis] for axis in _SWEEP_AXES), indexing="ij", sparse=True),
         params=params)
@@ -356,10 +360,11 @@ _SWEEP_DEFAULTS = {
 
 def cmd_preset(args) -> int:
     preset = physics_config.electron_preset(omega_reading=args.omega_reading)
-    with csv_sink(args.out) as write:
+    out = sink_target(args.out)
+    with csv_sink(out) as write:
         write(physics_config.preset_to_document(preset).encode())
-    if args.out != "-":
-        print(f"preset: wrote {args.out}")
+    if out != "-":
+        print(f"preset: wrote {out}")
     return 0
 
 

@@ -19,7 +19,8 @@ and its NUL padding dropped in one pass.
 ``csv_sink`` is where every command's bytes leave, and so the one place
 that decides what a failed command leaves on disk: a regular file appears
 whole or not at all, and a FIFO or a device streams.  ``write_table``
-writes through the function it yields.
+writes through the function it yields.  ``sink_target`` names where a
+sink's bytes go, "-" for stdout, so a command's status line can follow it.
 """
 
 from __future__ import annotations
@@ -202,9 +203,25 @@ def _encoded(strings, end: bytes) -> np.ndarray:
     return encoded.view(np.uint8).reshape(len(strings), encoded.itemsize)
 
 
+def sink_target(path: str) -> str:
+    """"-" where csv_sink(path) writes to stdout, else path: path is "-" or
+    names the file stdout has open (/dev/stdout, /dev/fd/1, or the file a
+    shell redirected stdout to).  Opening that file a second time would
+    write at offset 0, under what stdout itself writes."""
+    if path != "-":
+        try:
+            target, stdout = os.stat(path), os.fstat(1)
+        except (OSError, ValueError):  # no such file, a bad name, or no stdout
+            return path
+        if (target.st_dev, target.st_ino) != (stdout.st_dev, stdout.st_ino):
+            return path
+    return "-"
+
+
 @contextlib.contextmanager
 def csv_sink(path: str):
-    """A function that writes bytes to path, or to stdout for "-".
+    """A function that writes bytes to path, or to stdout where sink_target
+    says "-".
 
     A path that does not exist, or that resolves to a regular file, is
     staged: the bytes go to a new sibling file, which replaces the resolved
@@ -219,7 +236,7 @@ def csv_sink(path: str):
     Each write is flushed.  A path that cannot be opened or written, a FIFO
     whose reader left included, is a ConfigError that names path, raised
     by the write that failed."""
-    if path == "-":
+    if sink_target(path) == "-":
         yield lambda data: sys.stdout.write(data.decode())
         return
     try:

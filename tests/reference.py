@@ -1,10 +1,11 @@
 """Reference routes the tests check the package against.
 
-Nothing in the package calls these: the commutator as the difference of
-the ring's two products, the evolved operators as graded polynomials of
-boson_algebra's ring (with complex coefficients), the ring's coherent-state
-expectations, and the dense truncated-Fock operators of the Heisenberg
-picture.  Each gives a second, independent way to the numbers the
+Nothing in the package calls these: the ring's product summed pair by
+pair from ``monomial_product`` with no cache, the commutator as the
+difference of two such products, the evolved operators as graded
+polynomials of boson_algebra's ring (with complex coefficients), the ring's
+coherent-state expectations, and the dense truncated-Fock operators of the
+Heisenberg picture.  Each gives a second, independent way to the numbers the
 commands compute.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 from gupsqueeze.analytic import _check_validity, _ladder_parts, _phase_table
 from gupsqueeze.boson_algebra import (
     A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, Monomial, OperatorPolynomial,
+    monomial_product,
 )
 from gupsqueeze.fock_oracle import (
     CoherentVector, FockOperator, FockSpace, _deformed_bands, _lengths, _matrix,
@@ -28,9 +30,22 @@ from gupsqueeze.physics_config import PhysicalParams
 # the graded ring
 
 
+def reference_product(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
+    """PQ as the sum over monomial pairs of each pair's graded coefficient
+    times its fresh monomial_product, g-truncated."""
+    total = OperatorPolynomial()
+    for mono1, (p0, p1) in p.terms.items():
+        for mono2, (q0, q1) in q.terms.items():
+            c0, c1 = p0 * q0, p0 * q1 + p1 * q0
+            total = total + OperatorPolynomial({
+                mono: (c0 * factor, c1 * factor)
+                for mono, factor in monomial_product(mono1, mono2).items()})
+    return total
+
+
 def reference_commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
     """[P, Q] as PQ - QP: both products in full, then their difference."""
-    return (p @ q) - (q @ p)
+    return reference_product(p, q) - reference_product(q, p)
 
 
 def expectation(poly: OperatorPolynomial, alpha: complex) -> tuple[complex, complex]:

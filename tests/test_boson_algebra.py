@@ -22,6 +22,7 @@ from gupsqueeze.analytic import _phase_table
 from gupsqueeze.fock_oracle import FockSpace
 from reference import (
     max_abs_diff, monomial_matrix, polynomial_matrix, reference_commutator,
+    reference_product,
 )
 
 F = Fraction
@@ -272,6 +273,24 @@ def test_jacobi_identity_graded(p, q, r):
     assert total == OperatorPolynomial()
 
 
+small_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(complex_rationals, complex_rationals),
+    max_size=4,
+).map(OperatorPolynomial)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polynomials, small_polynomials)
+def test_product_and_commutator_equal_the_reference_cold_and_warm(p, q):
+    """The pair cache changes no result: each expansion computed afresh
+    (cache cleared) and read back (cache warm)."""
+    boson_algebra._expansion_terms.cache_clear()
+    for _ in ("cold", "warm"):
+        assert p @ q == reference_product(p, q)
+        assert commutator(p, q) == reference_commutator(p, q)
+
+
 @settings(max_examples=30, deadline=None)
 @given(graded_polynomials, graded_polynomials)
 def test_float_product_matches_exact_product(p, q):
@@ -455,6 +474,35 @@ def test_verify_bch_collection_passes_past_64_bit_coefficients():
 
 def test_verify_bch_collection_trivial_order():
     assert verify_bch_collection(1).all_passed
+
+
+@pytest.mark.parametrize("form, labels", [
+    ("a3", {"a^3"}),
+    ("adag3", {"adag^3"}),
+    ("drift", {"a", "adag.a^2"}),
+    ("sine", {"adag", "adag^2.a"}),
+])
+def test_a_closed_form_off_at_one_order_fails_exactly_its_monomials(
+        monkeypatch, capsys, form, labels):
+    """A rule one unit of g_hat off at order 5 is the first mismatch of
+    every monomial that resums to it and of no other; verify-bch exits 1
+    and names them."""
+    rule, value = boson_algebra._FORMS[form]
+    monkeypatch.setitem(boson_algebra._FORMS, form,
+                        (lambda k: rule(k) + (k == 5), value))
+    report = verify_bch_collection(8)
+    assert {row.label: (row.first_mismatch, row.verified_through)
+            for row in report.rows} == {
+        row.label: ((5, 4) if row.label in labels else (None, 8)) for row in report.rows}
+    assert not report.all_passed
+
+    from gupsqueeze.cli import main
+    assert main(["verify-bch", "--max-order", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert sorted(line for line in out.splitlines() if "mismatch" in line) == sorted(
+        f"{label}, 4, mismatch_at_order_5" for label in labels)
+    failed = err.strip().removeprefix("FAILED: ")
+    assert err.startswith("FAILED: ") and set(failed.split(", ")) == labels
 
 
 def test_verify_bch_collection_rejects_bad_order():

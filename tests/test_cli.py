@@ -1282,15 +1282,17 @@ def run_cli(argv, cwd, **popen) -> subprocess.CompletedProcess:
 
 
 def test_out_dev_stdout_and_dev_fd_stream_to_a_pipe(tmp_path):
-    """/dev/stdout and /dev/fd/N lead through /proc to a pipe: written
-    directly, with the bytes "--out -" gives."""
+    """/dev/stdout is stdout's own pipe, so it is written as "--out -" is;
+    /dev/fd/N leads through /proc to another pipe, written directly with
+    the same bytes."""
     argv = ["sweep", "--tau", "0,1,2", "--gamma", "0,1"]
     dash = run_cli([*argv, "--out", "-"], tmp_path, capture_output=True)
     assert dash.returncode == 0 and dash.stderr == b""
-    csv_bytes = dash.stdout.replace(b"sweep: wrote 6 rows to -\n", b"")
+    csv_bytes = dash.stdout
+    assert csv_bytes.startswith(b"tau,") and b"wrote" not in csv_bytes
     piped = run_cli([*argv, "--out", "/dev/stdout"], tmp_path, capture_output=True)
     assert piped.returncode == 0 and piped.stderr == b""
-    assert piped.stdout == csv_bytes + b"sweep: wrote 6 rows to /dev/stdout\n"
+    assert piped.stdout == csv_bytes
     read_end, write_end = os.pipe()
     try:
         done = run_cli([*argv, "--out", f"/dev/fd/{write_end}"], tmp_path,
@@ -1305,18 +1307,42 @@ def test_out_dev_stdout_and_dev_fd_stream_to_a_pipe(tmp_path):
     assert not os.listdir(tmp_path)
 
 
-def test_out_dev_stdout_redirected_to_a_file_writes_that_file_in_place(tmp_path):
-    """The file a shell redirected stdout to is not replaced, so the
-    "wrote" line goes to the same file."""
-    target = tmp_path / "redirected.csv"
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--tau", "0,1"],
+    ["figure", "--id", "2", "--gamma", "1", "--tau-points", "3", "--theta-points", "2"],
+    ["figure", "--id", "3", "--tau-points", "3"],
+    ["oracle-compare", "--gamma", "0.5", "--tau", "1"],
+    ["preset"],
+], ids=["sweep", "figure2", "figure3", "oracle-compare", "preset"])
+def test_out_dev_stdout_redirected_to_a_file_writes_that_file_in_place(tmp_path, argv):
+    """/dev/stdout names the file a shell redirected stdout to, so the
+    command writes it as stdout, with the bytes "--out -" gives: the table
+    is not written over by the status line, and the file is not replaced."""
+    def redirected(name, out):
+        target = tmp_path / name
+        with open(target, "wb") as stdout:
+            inode = os.fstat(stdout.fileno()).st_ino
+            done = run_cli([*argv, "--out", out], tmp_path, stdout=stdout,
+                           stderr=subprocess.PIPE)
+        assert done.returncode == 0 and done.stderr == b""
+        assert target.stat().st_ino == inode
+        return target.read_bytes()
+
+    assert redirected("dev_stdout.out", "/dev/stdout") == redirected("dash.out", "-")
+    assert sorted(os.listdir(tmp_path)) == ["dash.out", "dev_stdout.out"]
+
+
+def test_figure_default_gammas_refuse_stdouts_own_file_as_they_refuse_dash(tmp_path):
+    """Without --gamma, figures 1-2 refuse any name of the file stdout has
+    open, as they refuse "-", rather than write files beside it."""
+    target = tmp_path / "fig.csv"
     with open(target, "wb") as stdout:
-        inode = os.fstat(stdout.fileno()).st_ino
-        done = run_cli(["sweep", "--tau", "0,1", "--out", "/dev/stdout"], tmp_path,
+        done = run_cli(["figure", "--id", "1", "--out", str(target)], tmp_path,
                        stdout=stdout, stderr=subprocess.PIPE)
-    assert done.returncode == 0 and done.stderr == b""
-    assert target.stat().st_ino == inode
-    assert b"sweep: wrote 2 rows to /dev/stdout\n" in target.read_bytes()
-    assert os.listdir(tmp_path) == ["redirected.csv"]
+    assert done.returncode == 2
+    assert done.stderr == (f"error: figure 1 without --gamma writes one file per default "
+                           f"gamma; --out {target} needs --gamma\n").encode()
+    assert os.listdir(tmp_path) == ["fig.csv"] and target.read_bytes() == b""
 
 
 def test_a_staging_name_left_by_a_killed_run_blocks_nothing(tmp_path, capsys):
