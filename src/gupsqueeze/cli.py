@@ -22,6 +22,7 @@ import contextlib
 import functools
 import math
 import os
+import stat
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -125,7 +126,11 @@ def cmd_figure(args) -> int:
         raise ConfigError(f"figure {args.id} takes no preset; --preset is for figure 3")
     if args.id in (1, 2):
         explicit = args.gamma is not None
-        if not explicit and sink_target(args.out) == "-":
+        # without --gamma, --out is a stem that each gamma's file is named by:
+        # "-" names no file, nor does a link or device that leads to stdout
+        # (/dev/stdout), though a regular file stdout was redirected to does
+        if not explicit and (args.out == "-" or (sink_target(args.out) == "-" and not
+                                                 stat.S_ISREG(os.lstat(args.out).st_mode))):
             raise ConfigError(f"figure {args.id} without --gamma writes one file per "
                               f"default gamma; --out {args.out} needs --gamma")
         gammas = [args.gamma] if explicit else [1.0, 10.0]
@@ -133,13 +138,13 @@ def cmd_figure(args) -> int:
         # renamed into place until every table is written
         surfaces = [_figure_surface(args.id, gamma, args) for gamma in gammas]
         path = Path(args.out)  # without --gamma, each stem ends in _gamma<gamma>
-        outs = [sink_target(out) for out in ([args.out] if explicit else [
-            str(path.with_name(f"{path.stem}_gamma{g:g}{path.suffix}")) for g in gammas])]
+        outs = [args.out] if explicit else [
+            str(path.with_name(f"{path.stem}_gamma{g:g}{path.suffix}")) for g in gammas]
         with contextlib.ExitStack() as stack:
-            writes = [stack.enter_context(csv_sink(out)) for out in outs]
-            for write, table in zip(writes, surfaces):
+            sinks = [stack.enter_context(csv_sink(out)) for out in outs]
+            for (write, _), table in zip(sinks, surfaces):
                 write_table(write, ("tau", "theta", "delta_scaled"), table)
-        for gamma, out, (*_, surface) in zip(gammas, outs, surfaces):
+        for gamma, (_, out), (*_, surface) in zip(gammas, sinks, surfaces):
             print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
                   f"negative cells: {'yes' if (surface < 0.0).any() else 'no'}")
         return 0
@@ -161,8 +166,7 @@ def cmd_figure(args) -> int:
     _check_grid(args.tau_points)
     grid = analytic.variance_grid(np.linspace(0.0, args.tau_max, args.tau_points),
                                   amp.gamma, amp.theta, g, params)
-    out = sink_target(args.out)
-    with csv_sink(out) as write:
+    with csv_sink(args.out) as (write, out):
         write_table(write, FIGURE3_COLUMNS, (
             grid["tau"], grid["var_x_hat"], var_x0, grid["var_p_hat"],
             var_p0, grid["product"], var_x0 * var_p0))
@@ -208,7 +212,7 @@ def cmd_oracle_compare(args) -> int:
     floor = 1e-12 * fock_oracle.slope_scale(taus, amplitude.gamma)
     rel_err = np.abs(analytic_slope - oracle_slope) / np.maximum(
         np.maximum(np.abs(analytic_slope), np.abs(oracle_slope)), floor)
-    with csv_sink(args.out) as write:
+    with csv_sink(args.out) as (write, _):
         write_table(write, ("tau", "quantity", "analytic_slope", "oracle_slope", "rel_err"),
                     (taus, Labels(ORACLE_QUANTITIES, np.arange(len(ORACLE_QUANTITIES))),
                      analytic_slope, oracle_slope, rel_err))
@@ -333,12 +337,11 @@ def _sweep_inputs(args) -> tuple[dict[str, Sequence[float]], PhysicalParams | No
 
 def cmd_sweep(args) -> int:
     axes, params, out = _sweep_inputs(args)
-    out = sink_target(out)
     grid = analytic.variance_grid(
         *np.meshgrid(*(axes[axis] for axis in _SWEEP_AXES), indexing="ij", sparse=True),
         params=params)
     validity = Labels(analytic.VALIDITY_LABELS, analytic.validity_codes(grid["secular"]))
-    with csv_sink(out) as write:
+    with csv_sink(out) as (write, out):
         write_table(write, SWEEP_COLUMNS, [*(grid[name] for name in SWEEP_COLUMNS[:-1]),
                                            validity])
     if out != "-":
@@ -360,8 +363,7 @@ _SWEEP_DEFAULTS = {
 
 def cmd_preset(args) -> int:
     preset = physics_config.electron_preset(omega_reading=args.omega_reading)
-    out = sink_target(args.out)
-    with csv_sink(out) as write:
+    with csv_sink(args.out) as (write, out):
         write(physics_config.preset_to_document(preset).encode())
     if out != "-":
         print(f"preset: wrote {out}")

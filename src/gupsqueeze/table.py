@@ -19,8 +19,8 @@ and its NUL padding dropped in one pass.
 ``csv_sink`` is where every command's bytes leave, and so the one place
 that decides what a failed command leaves on disk: a regular file appears
 whole or not at all, and a FIFO or a device streams.  ``write_table``
-writes through the function it yields.  ``sink_target`` names where a
-sink's bytes go, "-" for stdout, so a command's status line can follow it.
+writes through the function it yields; beside it, csv_sink yields where the
+bytes go, "-" for stdout, so a command's status line can follow it.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def sink_target(path: str) -> str:
 @contextlib.contextmanager
 def csv_sink(path: str):
     """A function that writes bytes to path, or to stdout where sink_target
-    says "-".
+    says "-", and sink_target(path): where its bytes go.
 
     A path that does not exist, or that resolves to a regular file, is
     staged: the bytes go to a new sibling file, which replaces the resolved
@@ -237,7 +237,7 @@ def csv_sink(path: str):
     whose reader left included, is a ConfigError that names path, raised
     by the write that failed."""
     if sink_target(path) == "-":
-        yield lambda data: sys.stdout.write(data.decode())
+        yield (lambda data: sys.stdout.write(data.decode())), "-"
         return
     try:
         stream, staged, real, mode = _open_sink(path)
@@ -252,7 +252,7 @@ def csv_sink(path: str):
             raise _cannot_write(path, exc)
 
     try:
-        yield write
+        yield write, path
         if mode is not None:
             os.fchmod(stream.fileno(), mode)
         stream.close()
@@ -344,7 +344,7 @@ def write_table(write, header, columns) -> None:
     for every row is rendered block by block, in blocks of _BLOCK_VALUES dense
     float values; any other column is rendered once per table, a float per
     stored value and a label per label, and its rows are gathered block by
-    block.  write takes bytes, as csv_sink's does."""
+    block.  write takes bytes, as the function csv_sink yields does."""
     shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, Labels) else col)
                                   for col in columns))
     rows = math.prod(shape)

@@ -64,7 +64,7 @@ def test_each_suite_runs_its_own_tree(ab_bench, other_tree):
     for side, suite in suites.items():
         assert suite.cli.__name__ == f"{PREFIX}{side}.cli"
         assert suite.analytic.__name__ == f"{PREFIX}{side}.analytic"
-    report, problems = ab_bench.run_workload(suites, "exact_algebra", 1, pairs=2, warmup=1)
+    report, problems = ab_bench.run_workload(suites, "exact_algebra", pairs=2, warmup=1)
     assert problems == []
     assert set(report["ops"]) == {"verify_bch", "ladder_taylor_check"}
     for result in (*report["ops"].values(), report["pass"]):

@@ -499,7 +499,7 @@ def test_write_table_spans_row_blocks(tmp_path, capsys, to_file):
     labels = Labels(("ok", "warn", "invalid", "", "\u03b8"), np.arange(n) % 5)
     blank = Labels(("",), np.zeros(n, np.int8))
     out = str(tmp_path / "table.csv") if to_file else "-"
-    with csv_table.csv_sink(out) as write:
+    with csv_table.csv_sink(out) as (write, _):
         csv_table.write_table(write, ("x", "label", "y", "blank"), (x, labels, y, blank))
     assert written(out, capsys) == expected_csv(
         ("x", "label", "y", "blank"),
@@ -522,7 +522,7 @@ def test_write_table_block_edges(tmp_path, capsys, dense, offset):
     text = Labels(("a", "bb", ""), np.arange(n) % 3)
     header = ("scale", *(f"x{i}" for i in range(dense)), "label", "text")
     out = tmp_path / "table.csv"
-    with csv_table.csv_sink(str(out)) as write:
+    with csv_table.csv_sink(str(out)) as (write, _):
         csv_table.write_table(write, header, (2.5, *floats, Labels(labels, codes), text))
     assert written(out, capsys) == expected_csv(header, zip(
         [2.5] * n, *(f.tolist() for f in floats), [labels[c] for c in codes],
@@ -543,7 +543,7 @@ def test_write_table_fields_all_of_one_width(tmp_path, capsys, widest):
     table = (draw(97)[:, None], draw(43)[None, :], draw(shape), draw(shape))
     header = ("u", "v", "w", "z")
     out = tmp_path / "table.csv"
-    with csv_table.csv_sink(str(out)) as write:
+    with csv_table.csv_sink(str(out)) as (write, _):
         csv_table.write_table(write, header, table)
     text = written(out, capsys)
     assert text == expected_csv(header, zip(*(np.broadcast_to(c, shape).ravel().tolist()
@@ -571,7 +571,7 @@ def write_both_ways(tmp_path, capsys, to_file, header, columns) -> tuple[str, st
     texts = []
     for name, cols in (("open", columns), ("dense", dense)):
         out = str(tmp_path / f"{name}.csv") if to_file else "-"
-        with csv_table.csv_sink(out) as write:
+        with csv_table.csv_sink(out) as (write, _):
             csv_table.write_table(write, header, cols)
         texts.append(written(out, capsys))
     return texts[0], texts[1]
@@ -1332,17 +1332,35 @@ def test_out_dev_stdout_redirected_to_a_file_writes_that_file_in_place(tmp_path,
     assert sorted(os.listdir(tmp_path)) == ["dash.out", "dev_stdout.out"]
 
 
-def test_figure_default_gammas_refuse_stdouts_own_file_as_they_refuse_dash(tmp_path):
-    """Without --gamma, figures 1-2 refuse any name of the file stdout has
-    open, as they refuse "-", rather than write files beside it."""
+def test_figure_default_gammas_refuse_dev_stdout_as_they_refuse_dash(tmp_path):
+    """Without --gamma, --out is a stem; /dev/stdout, a link to stdout's
+    pipe, names no file to put one beside, so it is refused as "-" is."""
+    argv = ["figure", "--id", "1", "--tau-points", "3", "--theta-points", "2"]
+    for out in ("-", "/dev/stdout"):
+        done = run_cli([*argv, "--out", out], tmp_path, capture_output=True)
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr == (f"error: figure 1 without --gamma writes one file per "
+                               f"default gamma; --out {out} needs --gamma\n").encode()
+    assert not os.listdir(tmp_path)
+
+
+def test_figure_default_gammas_take_the_file_stdout_is_redirected_to_as_a_stem(tmp_path):
+    """A regular file is a stem even where stdout was redirected to it: each
+    gamma's file is written beside it, and the status lines go to it."""
+    argv = ["figure", "--id", "1", "--tau-points", "3", "--theta-points", "2"]
     target = tmp_path / "fig.csv"
     with open(target, "wb") as stdout:
-        done = run_cli(["figure", "--id", "1", "--out", str(target)], tmp_path,
-                       stdout=stdout, stderr=subprocess.PIPE)
-    assert done.returncode == 2
-    assert done.stderr == (f"error: figure 1 without --gamma writes one file per default "
-                           f"gamma; --out {target} needs --gamma\n").encode()
-    assert os.listdir(tmp_path) == ["fig.csv"] and target.read_bytes() == b""
+        done = run_cli([*argv, "--out", "fig.csv"], tmp_path, stdout=stdout,
+                       stderr=subprocess.PIPE)
+    assert done.returncode == 0 and done.stderr == b""
+    assert sorted(os.listdir(tmp_path)) == ["fig.csv", "fig_gamma1.csv", "fig_gamma10.csv"]
+    lines = target.read_text().splitlines()
+    assert len(lines) == 2
+    for gamma, line in zip((1, 10), lines):
+        assert line.startswith(f"figure 1 gamma={gamma}: wrote fig_gamma{gamma}.csv; ")
+    for gamma in (1, 10):
+        assert (tmp_path / f"fig_gamma{gamma}.csv").read_text().startswith(
+            "tau,theta,delta_scaled\n")
 
 
 def test_a_staging_name_left_by_a_killed_run_blocks_nothing(tmp_path, capsys):

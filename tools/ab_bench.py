@@ -2,7 +2,7 @@
 
 Loads this tree's ``gupsqueeze`` and ``--parent DIR``'s under two package
 names, binds a copy of ``perfbench/suite.py`` to each, and runs every op of
-a workload (the benchmark's ops, on the inputs of its seed) on both trees in
+a workload (the benchmark's ops, on its seed-1 inputs) on both trees in
 turn, the side that goes first swapping every pass, after a warm-up that
 fills both trees' caches.  Each tree writes into its own work directory.
 Every op's output is checked as the benchmark checks it.
@@ -38,6 +38,7 @@ from pathlib import Path
 from types import ModuleType
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1  # the inputs perfbench/run.py builds by default
 SIDES = ("mine", "parent")
 SETUP_CODE = "import gupsqueeze.cli as c; c.build_parser()"
 
@@ -87,7 +88,7 @@ def paired(mine: list[float], parent: list[float]) -> dict:
             "mine_s": statistics.median(mine), "parent_s": statistics.median(parent)}
 
 
-def run_workload(suites: dict[str, ModuleType], workload: str, seed: int,
+def run_workload(suites: dict[str, ModuleType], workload: str,
                  pairs: int, warmup: int) -> tuple[dict, list[str]]:
     """Paired per-op and per-pass times of one workload, and the checks that
     failed (known failures left out)."""
@@ -97,7 +98,7 @@ def run_workload(suites: dict[str, ModuleType], workload: str, seed: int,
         ops = {}
         for side in SIDES:
             Path(work, side).mkdir()
-            ops[side] = suites[side].BUILDERS[workload](seed, Path(work, side)).ops
+            ops[side] = suites[side].BUILDERS[workload](SEED, Path(work, side)).ops
         for n in range(warmup + pairs):
             order = SIDES if n % 2 == 0 else SIDES[::-1]
             for i in range(len(ops["mine"])):
@@ -143,7 +144,6 @@ def main(argv=None) -> int:
                         help="the other tree (a checkout with a src/ directory)")
     parser.add_argument("--workload", nargs="+", default=None,
                         help="workloads to run (default: all of the benchmark's)")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=100, help="timed pairs per workload")
     parser.add_argument("--warmup", type=int, default=10, help="untimed pairs first")
     parser.add_argument("--setup-pairs", type=int, default=10,
@@ -161,11 +161,11 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"no such workload: {', '.join(sorted(unknown))}")
 
-    results: dict = {"seed": args.seed, "pairs": args.pairs, "warmup": args.warmup,
+    results: dict = {"seed": SEED, "pairs": args.pairs, "warmup": args.warmup,
                      "workloads": {}}
     problems = []
     for workload in workloads:
-        report, failed = run_workload(suites, workload, args.seed, args.pairs, args.warmup)
+        report, failed = run_workload(suites, workload, args.pairs, args.warmup)
         results["workloads"][workload] = report
         problems += failed
         for name, result in report["ops"].items():
