@@ -9,7 +9,8 @@ the nested-commutator chain is integer arithmetic and its coefficient tables
 (121/3 is 484 in g_hat) come out as equalities, not float approximations.
 ``verify_bch_collection`` compares those ints with integer closed forms
 (``_FORMS``, scaled by G_HAT_SCALE) body by body as the chain streams;
-``Fraction`` appears only in the public Taylor series.  The tests also run
+``TaylorSeries`` keeps the ints too, over one denominator, and builds
+``Fraction``s only when its ``coefficients`` are read.  The tests also run
 the ring on complex entries, to derive coherent-state moments in floating
 point (see tests/reference.py).
 
@@ -17,7 +18,10 @@ point (see tests/reference.py).
 subtract them: it sums, per pair of monomials, only the Wick terms of
 [u, v] that survive (``monomial_commutator``), since the fully ordered
 k = 0 terms of uv and vu cancel.  Both run one accumulate loop, which reads
-each pair's expansion through one cache, so a chain expands each pair once.
+each pair's expansion through one cache, so a process expands each pair
+once.  ``bch_bodies`` takes the image [H, m] once per chain for each
+monomial m its bodies hold and sums every next body from those images, so
+the chain on a calls ``commutator`` six times, whatever its depth.
 """
 
 from __future__ import annotations
@@ -153,9 +157,9 @@ class OperatorPolynomial:
         return "OperatorPolynomial({" + ", ".join(bits) + "})"
 
 
-# Pair expansions _accumulate keeps.  The exact chain meets 14 pairs (H's nine
-# monomials against a, and a^dag a against a(tau)'s other five) and building
-# H 20 more, so every pair a command meets stays; an entry holds at most
+# Pair expansions _accumulate keeps.  The exact chain meets 54 pairs (H's nine
+# monomials against each of a(tau)'s six, one image each) and building H 20
+# more, so every pair a command meets stays; an entry holds at most
 # min(n1, m2) + 1 small ints.  A pair past the bound is recomputed.
 _PAIRS_KEPT = 1024
 
@@ -215,30 +219,66 @@ def hamiltonian_polynomial() -> OperatorPolynomial:
 
 def bch_bodies(k_max: int, hamiltonian: OperatorPolynomial,
                operator: OperatorPolynomial) -> Iterator[OperatorPolynomial]:
-    """Yield nested-commutator bodies for k = 0..k_max, computed incrementally."""
+    """Yield nested-commutator bodies for k = 0..k_max, computed incrementally.
+
+    [H, body] is summed monomial by monomial: each term (b0 + b1 g) m of the
+    body adds (b0 + b1 g)[H, m], and the image [H, m] of each monomial the
+    chain meets is taken once per chain.  Where b0 = 0 only the order-0 part
+    of [H, m] is read, since g^2 drops the rest.  Each new entry is seeded
+    from its products, as ``_accumulate`` seeds it, so its zeros keep the
+    entries' type.
+    """
+    images: dict[Monomial, tuple[tuple, tuple]] = {}  # m -> [H, m], its order-0 part
     body = operator
     yield body
     for _ in range(k_max):
-        body = commutator(hamiltonian, body)
+        terms: dict[Monomial, tuple] = {}
+        for mono, (b0, b1) in body.terms.items():
+            image = images.get(mono)
+            if image is None:
+                graded = tuple(
+                    commutator(hamiltonian, OperatorPolynomial.monomial(mono)).terms.items())
+                image = images[mono] = (graded, tuple(
+                    (out, i0) for out, (i0, _) in graded if i0))
+            graded, order0 = image
+            if b0:
+                for out, (i0, i1) in graded:
+                    prev = terms.get(out)
+                    c1 = i0 * b1 + i1 * b0
+                    terms[out] = ((i0 * b0, c1) if prev is None
+                                  else (prev[0] + i0 * b0, prev[1] + c1))
+            else:
+                for out, i0 in order0:
+                    prev = terms.get(out)
+                    terms[out] = ((i0 * b0, i0 * b1) if prev is None
+                                  else (prev[0], prev[1] + i0 * b1))
+        body = OperatorPolynomial(terms)
         yield body
 
 
 @dataclass(frozen=True)
 class TaylorSeries:
-    """Exact rational coefficients c_k of a series sum_k c_k (i tau)^k / k!."""
+    """Exact rational coefficients c_k = numerators[k] / denominator of a
+    series sum_k c_k (i tau)^k / k!, kept as the chain's ints."""
 
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int = G_HAT_SCALE
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def evaluate(self, tau: float) -> complex:
-        """Numeric partial sum at real tau."""
+        """Numeric partial sum at real tau.  Int true division rounds
+        n / denominator correctly, as float(Fraction(n, denominator)) does."""
         total = 0.0 + 0.0j
         power = 1.0 + 0.0j
         fact = 1.0
-        for k, c in enumerate(self.coefficients):
+        for k, n in enumerate(self.numerators):
             if k > 0:
                 power *= 1j * tau
                 fact *= k
-            total += complex(c) * power / fact
+            total += complex(n / self.denominator) * power / fact
         return total
 
 
@@ -251,8 +291,7 @@ def _chain(k_max: int) -> Iterator[OperatorPolynomial]:
 
 
 def _order1_series(bodies: list[OperatorPolynomial], mono: Monomial) -> TaylorSeries:
-    return TaylorSeries(tuple(Fraction(body.coefficient(mono)[1], G_HAT_SCALE)
-                              for body in bodies))
+    return TaylorSeries(tuple(body.coefficient(mono)[1] for body in bodies))
 
 
 def collect_monomial_series(mono: Monomial, k_max: int) -> TaylorSeries:
@@ -304,7 +343,7 @@ def closed_form_taylor(form_id: str, k_max: int) -> TaylorSeries:
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     rule, _ = _form(form_id)
-    return TaylorSeries(tuple(Fraction(rule(k), G_HAT_SCALE) for k in range(k_max + 1)))
+    return TaylorSeries(tuple(rule(k) for k in range(k_max + 1)))
 
 
 def closed_form_value(form_id: str, tau, e):

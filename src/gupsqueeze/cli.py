@@ -78,9 +78,9 @@ def _check_grid(*sizes: int) -> None:
 
 # Deepest chain verify-bch builds, checked before anything is built.  The
 # chain's ints grow as 3^k, so its time grows as k^2; one body is kept at a
-# time.  At 10^4 a fresh interpreter takes 0.50-0.75 s (median 0.55 s of 5)
-# and 28.8 MiB peak RSS, about what the import alone takes (2-core VM,
-# Python 3.11).
+# time.  At 10^4 a fresh interpreter takes 0.43-0.50 s (median 0.48 s of 9;
+# the chain itself about 0.23 s) and 29 MiB peak RSS, about what the import
+# alone takes (2-core VM, Python 3.11).
 _MAX_BCH_ORDER = 10_000
 
 
@@ -145,8 +145,9 @@ def cmd_figure(args) -> int:
             for (write, _), table in zip(sinks, surfaces):
                 write_table(write, ("tau", "theta", "delta_scaled"), table)
         for gamma, (_, out), (*_, surface) in zip(gammas, sinks, surfaces):
-            print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
-                  f"negative cells: {'yes' if (surface < 0.0).any() else 'no'}")
+            if out != "-":
+                print(f"figure {args.id} gamma={gamma:g}: wrote {out}; "
+                      f"negative cells: {'yes' if (surface < 0.0).any() else 'no'}")
         return 0
 
     # figure 3: electron preset temporal curves, SI units
@@ -170,7 +171,8 @@ def cmd_figure(args) -> int:
         write_table(write, FIGURE3_COLUMNS, (
             grid["tau"], grid["var_x_hat"], var_x0, grid["var_p_hat"],
             var_p0, grid["product"], var_x0 * var_p0))
-    print(f"figure 3 ({preset.name} preset, g={g:.6e}): wrote {out}")
+    if out != "-":
+        print(f"figure 3 ({preset.name} preset, g={g:.6e}): wrote {out}")
     return 0
 
 

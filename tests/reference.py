@@ -2,7 +2,9 @@
 
 Nothing in the package calls these: the ring's product summed pair by
 pair from ``monomial_product`` with no cache, the commutator as the
-difference of two such products, the evolved operators as graded
+difference of two such products, the nested-commutator chain as the
+commutator of H with each whole body, a Taylor series summed from its
+``Fraction`` coefficients, the evolved operators as graded
 polynomials of boson_algebra's ring (with complex coefficients), the ring's
 coherent-state expectations, and the dense truncated-Fock operators of the
 Heisenberg picture.  Each gives a second, independent way to the numbers the
@@ -12,13 +14,14 @@ commands compute.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
 from gupsqueeze.analytic import _check_validity, _ladder_parts, _phase_table
 from gupsqueeze.boson_algebra import (
     A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, Monomial, OperatorPolynomial,
-    monomial_product,
+    commutator, evolved_series, monomial_product,
 )
 from gupsqueeze.fock_oracle import (
     CoherentVector, FockOperator, FockSpace, _deformed_bands, _lengths, _matrix,
@@ -46,6 +49,38 @@ def reference_product(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorP
 def reference_commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
     """[P, Q] as PQ - QP: both products in full, then their difference."""
     return reference_product(p, q) - reference_product(q, p)
+
+
+def reference_bch_bodies(k_max: int, hamiltonian: OperatorPolynomial,
+                         operator: OperatorPolynomial) -> Iterator[OperatorPolynomial]:
+    """Bodies 0..k_max of [H, [H, ..., [H, B]...]], each the commutator of H
+    with the whole previous body."""
+    body = operator
+    yield body
+    for _ in range(k_max):
+        body = commutator(hamiltonian, body)
+        yield body
+
+
+def reference_series_value(coefficients, tau: float) -> complex:
+    """sum_k c_k (i tau)^k / k!, each c_k read as complex(c_k)."""
+    total = 0.0 + 0.0j
+    power = 1.0 + 0.0j
+    fact = 1.0
+    for k, c in enumerate(coefficients):
+        if k > 0:
+            power *= 1j * tau
+            fact *= k
+        total += complex(c) * power / fact
+    return total
+
+
+def reference_ladder_taylor_check(tau: float, k_max: int) -> float:
+    """analytic.ladder_taylor_check with each series summed from its
+    Fraction coefficients."""
+    series = evolved_series(k_max)
+    return max(abs(reference_series_value(series[mono].coefficients, tau) - c1)
+               for mono, (_, c1) in _ladder_parts(tau, _phase_table(tau)).items())
 
 
 def expectation(poly: OperatorPolynomial, alpha: complex) -> tuple[complex, complex]:

@@ -3,6 +3,7 @@ identity, squeezing deltas, moment identities, validity policy."""
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from gupsqueeze.physics_config import (
 )
 from reference import (
     evolved_annihilation, evolved_position_momentum, expectation, max_abs_diff,
-    quadrature_polynomials, variance_graded,
+    quadrature_polynomials, reference_ladder_taylor_check, variance_graded,
 )
 
 VACUUM = CoherentAmplitude()
@@ -55,6 +56,18 @@ def test_closed_forms_match_exact_taylor_resummation():
     assert ladder_taylor_check(0.2, 12) < 1e-12
     # larger tau needs deeper collection (terms grow like (3 tau)^k / k!)
     assert ladder_taylor_check(2.0, 35) < 1e-12
+
+
+# the tau perfbench/suite.py's exact_inputs draws for seeds 1-10
+PERFBENCH_TAUS = [random.Random(f"exact_algebra/{seed}").uniform(0.5, 2.0)
+                  for seed in range(1, 11)]
+
+
+@pytest.mark.parametrize("k_max", [1, 12, 35])
+def test_ladder_taylor_check_keeps_every_bit_of_the_fraction_sums(k_max):
+    for tau in PERFBENCH_TAUS:
+        assert ladder_taylor_check(tau, k_max).hex() == \
+            reference_ladder_taylor_check(tau, k_max).hex(), tau
 
 
 def test_evolved_ladder_pairs_drift_and_sine_coefficients():

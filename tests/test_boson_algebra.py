@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gupsqueeze import boson_algebra
 from gupsqueeze.boson_algebra import (
     A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, G_HAT_SCALE, IDENTITY,
-    OperatorPolynomial, _chain,
+    OperatorPolynomial, TaylorSeries, _chain,
     bch_bodies, closed_form_taylor, closed_form_value, collect_monomial_series,
     commutator, hamiltonian_polynomial, monomial_commutator, monomial_product,
     verify_bch_collection,
@@ -21,8 +21,8 @@ from gupsqueeze.boson_algebra import (
 from gupsqueeze.analytic import _phase_table
 from gupsqueeze.fock_oracle import FockSpace
 from reference import (
-    max_abs_diff, monomial_matrix, polynomial_matrix, reference_commutator,
-    reference_product,
+    max_abs_diff, monomial_matrix, polynomial_matrix, reference_bch_bodies,
+    reference_commutator, reference_product, reference_series_value,
 )
 
 F = Fraction
@@ -351,7 +351,9 @@ def test_chain_through_depth_60_equals_the_reference_route():
         body = reference_commutator(h, body)
 
 
-def test_chain_of_depth_k_makes_k_commutators_and_no_products(monkeypatch):
+def test_chain_takes_one_commutator_per_monomial_it_meets_and_no_products(monkeypatch):
+    """The chain on a takes [H, a] at depth 1 and [H, m] for the other five
+    monomials of a(tau) at depth 2, and no commutator after that."""
     calls = {"commutator": 0, "@": 0}
 
     def counted(name, fn):
@@ -366,10 +368,52 @@ def test_chain_of_depth_k_makes_k_commutators_and_no_products(monkeypatch):
                         counted("commutator", boson_algebra.commutator))
     monkeypatch.setattr(OperatorPolynomial, "__matmul__",
                         counted("@", OperatorPolynomial.__matmul__))
-    for k in (1, 12, 35):
+    for k, images in ((1, 1), (2, 6), (12, 6), (35, 6)):
         calls.update({"commutator": 0, "@": 0})
         list(bch_bodies(k, h, OperatorPolynomial.monomial(A)))
-        assert calls == {"commutator": k, "@": 0}
+        assert calls == {"commutator": images, "@": 0}
+
+
+def chain_polynomials(entry, max_size):
+    """Polynomials of powers <= 2 with both orders drawn from ``entry``."""
+    return st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           st.tuples(entry, entry), max_size=max_size).map(OperatorPolynomial)
+
+
+small_ints = st.integers(-3, 3)
+# integer-valued complex entries keep every sum exact however it is grouped
+CHAIN_ENTRIES = {
+    "int": small_ints,
+    "gaussian_rational": complex_rationals,
+    "complex": st.builds(complex, small_ints, small_ints),
+}
+
+
+@st.composite
+def chain_inputs(draw):
+    entry = CHAIN_ENTRIES[draw(st.sampled_from(sorted(CHAIN_ENTRIES)))]
+    return draw(chain_polynomials(entry, 4)), draw(chain_polynomials(entry, 3))
+
+
+# an order-0 part off the diagonal (a^2 and a^dag^2 beside a^dag a) and a
+# body term with no order-0 part, whose order-0 image is then more than a
+# multiple of its own monomial
+OFF_DIAGONAL_H = OperatorPolynomial({(1, 1): (1, 0), (2, 0): (1, 2), (0, 2): (-1, 1),
+                                     (2, 2): (0, 3)})
+ORDER1_ONLY_OPERATOR = OperatorPolynomial({A: (1, 0), A_DAG_A2: (0, 1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_inputs())
+@example((OFF_DIAGONAL_H, ORDER1_ONLY_OPERATOR))
+@example((gaussian(OFF_DIAGONAL_H), gaussian(ORDER1_ONLY_OPERATOR)))
+@example((as_complex(OFF_DIAGONAL_H), as_complex(ORDER1_ONLY_OPERATOR)))
+def test_chain_equals_the_commutator_of_h_with_each_whole_body(inputs):
+    hamiltonian, operator = inputs
+    for k, (body, expected) in enumerate(zip(
+            bch_bodies(6, hamiltonian, operator),
+            reference_bch_bodies(6, hamiltonian, operator), strict=True)):
+        assert body == expected, k
 
 
 def test_bch_adjoint_shadow():
@@ -430,6 +474,26 @@ def test_taylor_series_evaluate_matches_closed_form():
         series = closed_form_taylor(form, 30)
         assert series.evaluate(0.7) == pytest.approx(
             closed_form_value(form, 0.7, _phase_table(0.7)), abs=1e-12)
+
+
+big_numerators = st.one_of(st.integers(-3 ** 40, 3 ** 40),
+                          st.integers(2 ** 53 + 1, 3 ** 40),
+                          st.integers(-3 ** 40, -2 ** 53 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(big_numerators, min_size=1, max_size=40), st.sampled_from([1, 6, 12]),
+       st.floats(-20.0, 20.0))
+def test_taylor_series_evaluate_keeps_every_bit_of_the_fraction_sum(numerators,
+                                                                     denominator, tau):
+    """Summing n / denominator gives the bits complex(Fraction) gives, past
+    the 53-bit float mantissa."""
+    series = TaylorSeries(tuple(numerators), denominator)
+    assert series.coefficients == tuple(F(n, denominator) for n in numerators)
+    value = series.evaluate(tau)
+    expected = reference_series_value(series.coefficients, tau)
+    assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(),
+                                                    expected.imag.hex())
 
 
 def test_base_series_matches_leading_order_collection():

@@ -365,11 +365,13 @@ def test_sweep_bytes_follow_the_format(tmp_path, capsys, si, to_file):
     assert written(out, capsys) == expected_csv(SWEEP_COLUMNS, zip(*columns, validity))
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
 @pytest.mark.parametrize("which", [1, 2])
-def test_figure_surface_bytes_follow_the_format(tmp_path, capsys, which):
-    out = tmp_path / "fig.csv"
+def test_figure_surface_bytes_follow_the_format(tmp_path, capsys, which, to_file):
+    """To stdout, the table is all a figure prints: no status line follows it."""
+    out = str(tmp_path / "fig.csv") if to_file else "-"
     assert main(["figure", "--id", str(which), "--gamma", "1.5", "--tau-max", "3.0",
-                 "--tau-points", "4", "--theta-points", "3", "--out", str(out)]) == 0
+                 "--tau-points", "4", "--theta-points", "3", "--out", out]) == 0
     tt, hh = np.meshgrid(np.linspace(0.0, 3.0, 4), np.linspace(0.0, 2.0 * math.pi, 3),
                          indexing="ij")
     fn = analytic.scaled_delta_x if which == 1 else analytic.scaled_delta_p
@@ -390,9 +392,7 @@ def test_figure_3_bytes_follow_the_format(capsys, tau_max):
     rows = [(tau, var_x, var_x0, var_p, var_p0, product, var_x0 * var_p0)
             for tau, var_x, var_p, product in zip(*(grid[name].tolist() for name in (
                 "tau", "var_x_hat", "var_p_hat", "product")))]
-    text = capsys.readouterr().out
-    assert text.startswith(expected_csv(FIGURE3_COLUMNS, rows))
-    assert text.count("\n") == len(rows) + 2  # table, then the "wrote" line
+    assert capsys.readouterr().out == expected_csv(FIGURE3_COLUMNS, rows)
 
 
 def test_oracle_compare_bytes_follow_the_format(capsys):

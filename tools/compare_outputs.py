@@ -10,10 +10,11 @@ oracle-compare at a given ``--dim`` and in the vacuum, ``preset``, figure 3
 from a preset file, figure 1's default pair written over files already
 there (so a staged file left beside them would show in the listing), a
 sweep over a min/max/points axis, ``verify-bch --max-order`` 12, 35 (the
-benchmark's depth), 60 and 1000 (coefficients far past 64 bits, every pair
-expansion read back from the cache, the chain streamed), and bad inputs
-that exit 2: out-of-range options, SI units whose restoration factors are 0
-or infinite, and a config or preset that is not UTF-8.
+benchmark's depth), 60 and 1000 (coefficients far past 64 bits, each
+monomial's image [H, m] taken once and read back at every depth, the chain
+streamed), and bad inputs that exit 2: out-of-range options, SI units whose
+restoration factors are 0 or infinite, and a config or preset that is not
+UTF-8.
 
     python tools/compare_outputs.py --parent ../parent-checkout
     python tools/compare_outputs.py --parent DIR --only preset_stdout verify_bch_12
