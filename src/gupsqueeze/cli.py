@@ -214,14 +214,15 @@ def cmd_oracle_compare(args) -> int:
     floor = 1e-12 * fock_oracle.slope_scale(taus, amplitude.gamma)
     rel_err = np.abs(analytic_slope - oracle_slope) / np.maximum(
         np.maximum(np.abs(analytic_slope), np.abs(oracle_slope)), floor)
-    with csv_sink(args.out) as (write, _):
+    with csv_sink(args.out) as (write, out):
         write_table(write, ("tau", "quantity", "analytic_slope", "oracle_slope", "rel_err"),
                     (taus, Labels(ORACLE_QUANTITIES, np.arange(len(ORACLE_QUANTITIES))),
                      analytic_slope, oracle_slope, rel_err))
     worst = np.max(rel_err)  # NaN propagates
     all_ok = worst < args.tol
     print(f"oracle-compare: worst relative slope error {worst:.3e} "
-          f"({'PASS' if all_ok else 'FAIL'} at {args.tol:g})")
+          f"({'PASS' if all_ok else 'FAIL'} at {args.tol:g})",
+          file=sys.stderr if out == "-" else sys.stdout)  # stdout holds the table alone
     return 0 if all_ok else 1
 
 

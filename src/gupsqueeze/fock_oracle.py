@@ -251,7 +251,9 @@ def coherent_vector(alpha: complex | CoherentAmplitude,
 
     The recursion runs on the coefficients times 2**shift (log space in base
     2), so nothing underflows; powers of two scale exactly, so in range this
-    is the plain recursion bit for bit.  OracleError if no norm is kept."""
+    is the plain recursion bit for bit.  It steps one complex128 scalar and
+    lists the coefficients, and a 2**-400 rescale divides the list as an
+    array.  OracleError if no norm is kept."""
     amp = CoherentAmplitude.from_complex(alpha)
     a = amp.alpha
     no_norm = OracleError(f"coherent state |alpha| = {amp.gamma:g} keeps no norm "
@@ -261,13 +263,16 @@ def coherent_vector(alpha: complex | CoherentAmplitude,
         raise no_norm
     half_mod2 = 0.5 * mod ** 2
     shift = max(0, math.ceil(half_mod2 / math.log(2.0)) - 1000)  # start >= 2**-1000
-    comps = np.empty(space.dim, dtype=complex)
-    comps[0] = math.exp(shift * math.log(2.0) - half_mod2)
-    for n in range(1, space.dim):
-        comps[n] = comps[n - 1] * a / math.sqrt(n)
-        if abs(comps[n]) > 2.0 ** 400:  # keep the peak in range too
-            comps[:n + 1] /= 2.0 ** 400
+    a, coeff = np.complex128(a), np.complex128(math.exp(shift * math.log(2.0) - half_mod2))
+    comps = [coeff]
+    for root in np.sqrt(np.arange(1, space.dim)).tolist():  # sqrt(n), as math.sqrt rounds it
+        coeff = coeff * a / root
+        comps.append(coeff)
+        if abs(coeff) > 2.0 ** 400:  # keep the peak in range too
+            comps = list(np.divide(comps, 2.0 ** 400))
+            coeff = comps[-1]
             shift -= 400
+    comps = np.array(comps)
     norm_sq = float(np.vdot(comps, comps).real)
     loss = 1.0 - math.ldexp(norm_sq, -2 * shift)
     if not loss < 1.0:  # NaN too
@@ -303,14 +308,16 @@ def _variance(psi: np.ndarray, o_psi: np.ndarray) -> np.ndarray:
 
 def _apply(bands: np.ndarray, v: np.ndarray, offsets: slice = slice(None)) -> np.ndarray:
     """M v from the bands of M (or of a stack of M), O(n) per M and vector:
-    (M v)[r] = sum_k M[r, r+k] v[r+k].  v may be a stack of vectors along
-    its leading axes, which broadcast against those of bands.  bands holds
-    the offsets -BANDS .. BANDS, or only those that offsets selects."""
+    (M v)[r] = sum_k M[r, r+k] v[r+k], one band slice at a time.  v may be
+    a stack of vectors along its leading axes, which broadcast against those
+    of bands.  bands holds the offsets -BANDS .. BANDS, or only those that
+    offsets selects."""
     n = v.shape[-1]
     padded = np.zeros(v.shape[:-1] + (n + 2 * BANDS,), dtype=complex)
     padded[..., BANDS:-BANDS] = v
-    window = sliding_window_view(padded, n, axis=-1)[..., offsets, :]
-    return (bands * window).sum(axis=-2)
+    terms = (bands[..., row, :] * padded[..., start:start + n]
+             for row, start in enumerate(range(2 * BANDS + 1)[offsets]))
+    return sum(terms, 0.0)  # from 0, in offset order, as sum(axis=-2) adds
 
 
 def fock_dim_for(amplitude: CoherentAmplitude) -> int:
@@ -373,8 +380,8 @@ def slope_scale(tau, gamma: float):
 
 
 # Taus per chunk of oracle_slopes' array pass, times the Fock dimension.  Its
-# largest arrays hold 16 complex numbers per (tau, number state), 4 quantities
-# times 4 odd bands, so each stays near 1 MB at any dimension.  With all 9
+# largest arrays hold 5 complex numbers per (tau, number state), V's even
+# bands times F, so each stays near 320 kB at any dimension.  With all 9
 # bands per quantity, 5000 taus at gamma = 10 ran no faster with 4 times
 # larger chunks and took 20 MiB more.
 _SLOPE_CHUNK_CELLS = 2 ** 12
@@ -392,8 +399,10 @@ _SLOPE_TABLES_KEPT = 4
 def _slope_operators(dim: int) -> tuple[np.ndarray, ...]:
     """oracle_slopes' tables at one Fock dimension, read-only: the odd-offset
     bands of X1, X2, x_hat and p_hat, those of d p_hat/dbeta = p^3/3, the
-    energies E of H0, and the gaps E[r+k] - E[r] and bands of V = p^4/3m at
-    the even offsets.
+    energies E of H0, the distinct gaps D = E[r+k] - E[r] at the even
+    offsets (ascending; a few dozen, against 5 per number state), the index
+    that gathers them into that (offset, number state) table, and the bands
+    of V = p^4/3m at the even offsets.
 
     Keyed on dim alone, which holds only because oracle_slopes always works
     at PhysicalParams.natural(0.0): the tables depend on nothing else."""
@@ -404,9 +413,11 @@ def _slope_operators(dim: int) -> tuple[np.ndarray, ...]:
     h0, p4 = _oscillator_bands(s, q2, params)
     energies = h0[BANDS]
     gaps = (sliding_window_view(np.pad(energies, BANDS), dim) - energies)[EVEN]
+    gaps, gap_index = np.unique(gaps, return_inverse=True)
     v_bands = (p4 / (3.0 * params.mass))[EVEN]  # zero wherever a gap runs off the space
-    # copies, so the cache keeps none of the 9-band arrays these slice
-    tables = tuple(table.copy() for table in (bands, d_p_hat, energies, gaps, v_bands))
+    # copies, so the cache keeps none of the arrays these slice
+    tables = tuple(table.copy() for table in (bands, d_p_hat, energies, gaps,
+                                              gap_index.reshape(v_bands.shape), v_bands))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -422,14 +433,15 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
 
     H0 is diagonal (energies E), so Duhamel's formula gives d(U psi)/dbeta =
     -i e^{-iEt} (W psi) exactly: W has the bands of V = p^4/3m times
-    F(D, t) = int_0^t e^{-iDs} ds, D = E[r+k] - E[r].  Each variance slope is
+    F(D, t) = int_0^t e^{-iDs} ds, D = E[r+k] - E[r], taken once per tau and
+    distinct gap and gathered into the bands.  Each variance slope is
     2Re<O psi, d(O psi)> - 2<O> d<O>; d p_hat/dbeta = p^3/3 adds to d(p_hat psi).
     V is zero at odd offsets and the observables at even ones, so each is
     applied on the other's offsets alone.
     """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    bands, d_p_hat, energies, gaps, v_bands = _slope_operators(space.dim)
+    bands, d_p_hat, energies, gaps, gap_index, v_bands = _slope_operators(space.dim)
     psi = coherent_vector(amplitude, space).components
     taus = np.asarray(tau, dtype=float)
     flat = taus.reshape(-1)
@@ -444,10 +456,9 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
             raise OracleError(f"evolution operator lost unitarity: time "
                               f"{t[np.argmin(finite), 0]} is beyond the float range")
         psi_t = phase * psi
-        t = t[:, :, None]
-        # F(D, t) = t e^{-iDt/2} sinc(Dt/2pi), stable as D t -> 0
+        # F(D, t) = t e^{-iDt/2} sinc(Dt/2pi), stable as D t -> 0, per distinct D
         f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
-        chi = -1j * phase * _apply(v_bands * f, psi, EVEN)
+        chi = -1j * phase * _apply(v_bands * np.take(f, gap_index, axis=1), psi, EVEN)
         o_psi = _apply(bands, psi_t[:, None], ODD)
         o_chi = _apply(bands, chi[:, None], ODD)
         d_o_psi = o_chi.copy()

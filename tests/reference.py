@@ -6,9 +6,9 @@ difference of two such products, the nested-commutator chain as the
 commutator of H with each whole body, a Taylor series summed from its
 ``Fraction`` coefficients, the evolved operators as graded
 polynomials of boson_algebra's ring (with complex coefficients), the ring's
-coherent-state expectations, and the dense truncated-Fock operators of the
-Heisenberg picture.  Each gives a second, independent way to the numbers the
-commands compute.
+coherent-state expectations, the dense truncated-Fock operators of the
+Heisenberg picture, and the coherent state's recursion on an array.  Each
+gives a second, independent way to the numbers the commands compute.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from gupsqueeze.boson_algebra import (
     commutator, evolved_series, monomial_product,
 )
 from gupsqueeze.fock_oracle import (
-    CoherentVector, FockOperator, FockSpace, _deformed_bands, _lengths, _matrix,
-    _quadrature_bands, eigensystem, evolution_operator,
+    CoherentVector, FockOperator, FockSpace, OracleError, _deformed_bands, _keeps_no_norm,
+    _lengths, _matrix, _quadrature_bands, eigensystem, evolution_operator,
 )
-from gupsqueeze.physics_config import PhysicalParams
+from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
 
 # ---------------------------------------------------------------------------
 # the graded ring
@@ -250,3 +250,35 @@ def polynomial_matrix(poly: OperatorPolynomial, space: FockSpace,
     for mono, (c0, c1) in poly.terms.items():
         out += (complex(c0) + g * complex(c1)) * monomial_matrix(space, mono)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the coherent state
+
+
+def reference_coherent_vector(alpha: complex | CoherentAmplitude,
+                              space: FockSpace) -> CoherentVector:
+    """fock_oracle.coherent_vector with its recursion written into a
+    complex array in place, each coefficient read back from the array, and
+    every 2**400 rescale applied to the array's filled prefix."""
+    amp = CoherentAmplitude.from_complex(alpha)
+    a = amp.alpha
+    no_norm = OracleError(f"coherent state |alpha| = {amp.gamma:g} keeps no norm "
+                          f"in Fock dimension {space.dim}")
+    mod = abs(a)
+    if _keeps_no_norm(mod * mod, space.dim):
+        raise no_norm
+    half_mod2 = 0.5 * mod ** 2
+    shift = max(0, math.ceil(half_mod2 / math.log(2.0)) - 1000)
+    comps = np.empty(space.dim, dtype=complex)
+    comps[0] = math.exp(shift * math.log(2.0) - half_mod2)
+    for n in range(1, space.dim):
+        comps[n] = comps[n - 1] * a / math.sqrt(n)
+        if abs(comps[n]) > 2.0 ** 400:
+            comps[:n + 1] /= 2.0 ** 400
+            shift -= 400
+    norm_sq = float(np.vdot(comps, comps).real)
+    loss = 1.0 - math.ldexp(norm_sq, -2 * shift)
+    if not loss < 1.0:
+        raise no_norm
+    return CoherentVector(comps / math.sqrt(norm_sq), max(0.0, loss))

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import math
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -409,7 +410,11 @@ def test_oracle_compare_bytes_follow_the_format(capsys):
             a, o = slopes_a[q], slopes_o[q][i]
             rows.append((tau, q, a, o, abs(a - o) / max(abs(a), abs(o), floor)))
     header = ("tau", "quantity", "analytic_slope", "oracle_slope", "rel_err")
-    assert capsys.readouterr().out.startswith(expected_csv(header, rows))
+    worst = max(row[4] for row in rows)
+    captured = capsys.readouterr()
+    assert captured.out == expected_csv(header, rows)  # the table alone
+    assert captured.err == (f"oracle-compare: worst relative slope error {worst:.3e} "
+                            f"(PASS at 0.001)\n")
 
 
 def kernel_text(values) -> list[str]:
@@ -1043,8 +1048,11 @@ def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys, 
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
     cli._parser.cache_clear()
     try:
-        for first, second in ((["oracle-compare", "--tau", "3"], ["oracle-compare"]),
-                              (["sweep", "--tau", "1"], ["sweep"])):
+        # oracle-compare writes its table to stdout and its verdict to stderr
+        for first, second, err in (
+                (["oracle-compare", "--tau", "3"], ["oracle-compare"],
+                 r"oracle-compare: worst relative slope error \S+ \(PASS at 0\.001\)\n"),
+                (["sweep", "--tau", "1"], ["sweep"], "")):
             assert main(first) == 0
             capsys.readouterr()
             assert main(second) == 0
@@ -1052,8 +1060,9 @@ def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys, 
                                    env={**os.environ, "PYTHONPATH": str(SRC)},
                                    cwd=tmp_path, capture_output=True, text=True,
                                    timeout=60)
-            assert fresh.returncode == 0 and fresh.stderr == ""
-            assert capsys.readouterr().out == fresh.stdout
+            assert fresh.returncode == 0 and re.fullmatch(err, fresh.stderr)
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
@@ -1317,18 +1326,26 @@ def test_out_dev_stdout_and_dev_fd_stream_to_a_pipe(tmp_path):
 def test_out_dev_stdout_redirected_to_a_file_writes_that_file_in_place(tmp_path, argv):
     """/dev/stdout names the file a shell redirected stdout to, so the
     command writes it as stdout, with the bytes "--out -" gives: the table
-    is not written over by the status line, and the file is not replaced."""
+    is not written over by the status line, and the file is not replaced.
+    oracle-compare's verdict goes to stderr then, so the file is the table."""
     def redirected(name, out):
         target = tmp_path / name
         with open(target, "wb") as stdout:
             inode = os.fstat(stdout.fileno()).st_ino
             done = run_cli([*argv, "--out", out], tmp_path, stdout=stdout,
                            stderr=subprocess.PIPE)
-        assert done.returncode == 0 and done.stderr == b""
+        assert done.returncode == 0
         assert target.stat().st_ino == inode
-        return target.read_bytes()
+        return target.read_bytes(), done.stderr
 
-    assert redirected("dev_stdout.out", "/dev/stdout") == redirected("dash.out", "-")
+    (table, err), dash = redirected("dev_stdout.out", "/dev/stdout"), redirected("dash.out", "-")
+    assert (table, err) == dash
+    if argv[0] == "oracle-compare":
+        assert table.startswith(b"tau,quantity,") and table.count(b"\n") == 1 + 5
+        assert re.fullmatch(rb"oracle-compare: worst relative slope error \S+ "
+                            rb"\(PASS at 0\.001\)\n", err)
+    else:
+        assert err == b""
     assert sorted(os.listdir(tmp_path)) == ["dash.out", "dev_stdout.out"]
 
 

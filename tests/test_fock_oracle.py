@@ -22,6 +22,7 @@ from gupsqueeze.fock_oracle import (
 from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
 from reference import (
     canonical_xp, deformed_ops, expect, heisenberg_evolve, ladder_ops,
+    reference_coherent_vector,
 )
 
 NAT = PhysicalParams.natural
@@ -91,6 +92,30 @@ def test_coherent_state_beyond_the_float_range_raises(gamma):
     # recursion lost its precision (OverflowError, NaN or a wrong vector)
     with pytest.raises(OracleError, match="keeps no norm"):
         coherent_vector(CoherentAmplitude(gamma=gamma), FockSpace(20))
+
+
+def coherent_outcome(make, amplitude, space):
+    """The components' bytes and the truncation loss's bits, or the
+    message of the OracleError raised."""
+    try:
+        state = make(amplitude, space)
+    except OracleError as exc:
+        return str(exc)
+    return state.components.tobytes(), state.truncation_loss.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.one_of(st.floats(0.0, 12.0), st.floats(44.0, 50.0)),
+       theta=st.floats(0.0, 2.0 * math.pi),
+       dim=st.one_of(st.integers(2, 400), st.integers(1200, 4500)))
+@example(gamma=46.0, theta=0.3, dim=2048)  # rescaled by 2**-400 at n = 1324
+@example(gamma=50.0, theta=2.0, dim=4500)  # rescaled twice
+@example(gamma=46.0, theta=0.3, dim=1200)  # keeps no norm
+@example(gamma=10.0, theta=0.0, dim=5)  # keeps no norm, small
+def test_coherent_vector_equals_the_array_recursion_bit_for_bit(gamma, theta, dim):
+    amp, space = CoherentAmplitude(gamma=gamma, theta=theta), FockSpace(dim)
+    assert (coherent_outcome(coherent_vector, amp, space)
+            == coherent_outcome(reference_coherent_vector, amp, space))
 
 
 def test_canonical_xp_ground_state_variance():
@@ -587,6 +612,8 @@ special_taus = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2.0, 1e-300, 1e308]
 @example(gamma=1.0, theta=0.4, dim=41, taus=[0.0, -0.0, -2.0, 5e-324], form="2-d")
 @example(gamma=1.0, theta=0.4, dim=41, taus=[-0.0], form="scalar")
 @example(gamma=2.0, theta=1.0, dim=30, taus=[1.0, 1e308, -1e308], form="list")
+@example(gamma=9.95, theta=2.4, dim=229, taus=[0.3, 1.2, 2.5, 4.0], form="list")
+@example(gamma=9.95, theta=2.4, dim=458, taus=[0.47, 2.0, 2.55, 3.53], form="2-d")
 def test_batched_slopes_equal_the_per_tau_reference_bit_for_bit(gamma, theta, dim, taus,
                                                                 form):
     tau = {"scalar": taus[0], "list": taus,
@@ -641,10 +668,18 @@ def test_slope_tables_are_cached_read_only_and_bounded():
     assert fock_oracle._slope_operators.cache_info().misses == 1
     assert_same_bits(oracle_slopes(taus, amp, FockSpace(60)), cold)
     assert fock_oracle._slope_operators.cache_info().hits == 1
-    for table in fock_oracle._slope_operators(60):
+    tables = fock_oracle._slope_operators(60)
+    for table in tables:
         assert table.base is None  # no larger array kept alive behind it
         with pytest.raises(ValueError):
             table[..., 0] = 1.0
+    # each (even offset, number state) gap is read from the distinct gaps
+    _, _, energies, gaps, gap_index, v_bands = tables
+    full = (sliding_window_view(np.pad(energies, fock_oracle.BANDS), 60) - energies)[
+        fock_oracle.EVEN]
+    assert gaps.size == np.unique(full).size < full.size
+    assert gap_index.shape == v_bands.shape == full.shape
+    assert gaps[gap_index].tobytes() == full.tobytes()
     kept = fock_oracle._slope_operators.cache_info().maxsize
     for dim in range(2, 2 * kept + 3):
         oracle_slopes(taus, amp, FockSpace(dim))

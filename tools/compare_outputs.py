@@ -6,15 +6,16 @@ against ``--parent DIR``'s, and compares exit code, stdout, stderr and every
 file the command leaves in its directory, byte for byte.  The list covers
 the benchmark's inputs (sweeps at perfbench seeds 1-3, to a file and to
 stdout; figures 1-3; uncertainty-check; oracle-compare at both amplitudes),
-oracle-compare at a given ``--dim`` and in the vacuum, ``preset``, figure 3
-from a preset file, figure 1's default pair written over files already
-there (so a staged file left beside them would show in the listing), a
-sweep over a min/max/points axis, ``verify-bch --max-order`` 12, 35 (the
-benchmark's depth), 60 and 1000 (coefficients far past 64 bits, each
-monomial's image [H, m] taken once and read back at every depth, the chain
-streamed), and bad inputs that exit 2: out-of-range options, SI units whose
-restoration factors are 0 or infinite, and a config or preset that is not
-UTF-8.
+oracle-compare at a given ``--dim``, in the vacuum, at 40 taus (several
+slope chunks) and at gamma 46 (the coherent recursion's rescale, exit 2),
+``preset``, figure 3 from a preset file, figure 1's default pair written
+over files already there (so a staged file left beside them would show in
+the listing), a sweep over a min/max/points axis, ``verify-bch
+--max-order`` 12, 35 (the benchmark's depth), 60 and 1000 (coefficients far
+past 64 bits, each monomial's image [H, m] taken once and read back at every
+depth, the chain streamed), and bad inputs that exit 2: out-of-range
+options, SI units whose restoration factors are 0 or infinite, and a config
+or preset that is not UTF-8.
 
     python tools/compare_outputs.py --parent ../parent-checkout
     python tools/compare_outputs.py --parent DIR --only preset_stdout verify_bch_12
@@ -98,6 +99,12 @@ def cases() -> list[Case]:
         Case("oracle_dim", ("oracle-compare", "--gamma", "2", "--theta", "0.3",
                             "--dim", "60")),
         Case("oracle_vacuum", ("oracle-compare", "--gamma", "0")),
+        # 40 taus: 3 slope chunks at dim 229, 5 at 458
+        Case("oracle_many_taus", ("oracle-compare", "--gamma", "9.95", "--theta", "2.4",
+                                  "--tau", *(repr(0.1 * k) for k in range(1, 41)))),
+        # the coherent recursion rescales by 2**-400 at n = 1324, at dim and 2 dim
+        Case("oracle_rescale", ("oracle-compare", "--gamma", "46", "--dim", "2048",
+                                "--tau", "1")),
         Case("preset_stdout", ("preset",)),
         Case("preset_file", ("preset", "--omega-reading", "cyclic", "--out", "preset.cfg")),
         Case("figure3_preset", ("figure", "--id", "3", "--preset", "osc.cfg", "--tau-points",
