@@ -167,6 +167,12 @@ def cmd_figure(args) -> int:
     _check_grid(args.tau_points)
     grid = analytic.variance_grid(np.linspace(0.0, args.tau_max, args.tau_points),
                                   amp.gamma, amp.theta, g, params)
+    invalid = np.flatnonzero(analytic.validity_codes(grid["secular"]) == 2)
+    if invalid.size:  # the sweep labels such rows invalid; a figure has no label
+        i = invalid[0]
+        raise ConfigError(f"figure 3 at tau={grid['tau'][i]:g}: secular scale "
+                          f"{grid['secular'][i]:.3g} > {analytic.SECULAR_REFUSE:g}; the "
+                          "first-order expansion has no validity here")
     with csv_sink(args.out) as (write, out):
         write_table(write, FIGURE3_COLUMNS, (
             grid["tau"], grid["var_x_hat"], var_x0, grid["var_p_hat"],

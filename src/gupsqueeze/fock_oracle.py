@@ -56,10 +56,6 @@ class FockOperator:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match dim {n}")
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        scale = max(np.abs(self.matrix).max(), 1.0)
-        return np.abs(self.matrix - self.matrix.conj().T).max() <= tol * scale
-
 
 @dataclass(frozen=True, eq=False)
 class CoherentVector:
@@ -69,32 +65,22 @@ class CoherentVector:
     truncation_loss: float
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianEigensystem:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruction_error(self, matrix: np.ndarray) -> float:
-        v = self.eigenvectors
-        rebuilt = (v * self.eigenvalues) @ v.conj().T
-        return float(np.abs(rebuilt - matrix).max())
-
-
 # Number states of each parity: H couples n only to n, n +- 2, n +- 4.
 PARITY = (slice(0, None, 2), slice(1, None, 2))
 
 
 @dataclass(frozen=True, eq=False)
 class ParityEigensystem:
-    """Real eigensystems of the even (|0>, |2>, ..) and odd (|1>, |3>, ..)
-    blocks of a real symmetric operator that keeps number parity."""
+    """Real eigensystems, each an (eigenvalues, eigenvectors) pair, of the
+    even (|0>, |2>, ..) and odd (|1>, |3>, ..) blocks of a real symmetric
+    operator that keeps number parity."""
 
-    blocks: tuple[HermitianEigensystem, HermitianEigensystem]
+    blocks: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """The whole spectrum, ascending."""
-        return np.sort(np.concatenate([b.eigenvalues for b in self.blocks]))
+        return np.sort(np.concatenate([values for values, _ in self.blocks]))
 
 
 # Operators are built from their bands: bands[BANDS + k, r] = M[r, r + k].
@@ -143,33 +129,30 @@ def _lengths(params: PhysicalParams) -> tuple[float, float]:
             math.sqrt(params.hbar * params.mass * params.omega / 2.0))
 
 
-def _deformed_bands(s: np.ndarray, q: np.ndarray, q3: np.ndarray,
-                    params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of x_hat = x (real) and p_hat = p + (beta/3) p^3 from the
-    quadrature bands s, q and q^3, where p^3 = -i lp^3 q^3: purely
-    imaginary, at offsets +-1, +-3."""
+def _model(space: FockSpace, params: PhysicalParams) -> tuple[np.ndarray, ...]:
+    """The deformed oscillator H = H0 + beta V, observed through x_hat = x and
+    p_hat = p + beta p^3/3: the one place its terms are spelled.  Returns the
+    bands of the observables X1 = (a + a^dag)/2, X2 = (a - a^dag)/2i, x_hat
+    and p_hat, stacked (at offsets +-1, +-3); of d p_hat/dbeta = p^3/3; of
+    H0 = p^2/2m + m w^2 x^2/2 (diagonal up to rounding); and of V = p^4/3m.
+    p = i lp q, so p^3 = -i lp^3 q^3 is purely imaginary."""
+    s, q, q2, q3 = _quadrature_bands(space)
     lx, lp = _lengths(params)
-    return lx * s, 1j * (lp * q - (params.beta / 3.0) * lp ** 3 * q3)
-
-
-def _oscillator_bands(s: np.ndarray, q2: np.ndarray,
-                      params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of H0 = p^2/2m + m w^2 x^2 / 2 (diagonal up to rounding) and p^4
-    from the quadrature bands s and q^2."""
-    lx, lp = _lengths(params)
+    d_p_hat = -1j * lp ** 3 / 3.0 * q3
+    p_hat = 1j * lp * q + params.beta * d_p_hat
+    observables = np.stack([0.5 * s, 0.5j * q, lx * s, p_hat])
     p2 = -lp ** 2 * q2
-    p4 = -lp ** 2 * _ladder(_ladder(p2, -1.0), -1.0)
     h0 = (p2 / (2.0 * params.mass)
           + 0.5 * params.mass * params.omega ** 2 * lx ** 2 * _ladder(s, 1.0))
-    return h0, p4
+    v = -lp ** 2 * _ladder(_ladder(p2, -1.0), -1.0) / (3.0 * params.mass)
+    return observables, d_p_hat, h0, v
 
 
 def hamiltonian(space: FockSpace, params: PhysicalParams) -> FockOperator:
-    """H = p^2/2m + m w^2 x^2 / 2 + beta p^4 / 3m: real symmetric, at
-    offsets 0, +-2, +-4, built from its bands."""
-    s, _, q2, _ = _quadrature_bands(space)
-    h0, p4 = _oscillator_bands(s, q2, params)
-    h = h0 + (params.beta / (3.0 * params.mass)) * p4
+    """H = H0 + beta V (see _model): real symmetric, at offsets 0, +-2, +-4,
+    built from its bands."""
+    _, _, h0, v = _model(space, params)
+    h = h0 + params.beta * v
     n = space.dim
     for k in range(1, min(BANDS, n - 1) + 1):  # scrub rounding asymmetry
         upper, lower = h[BANDS + k, :n - k], h[BANDS - k, k:]
@@ -181,9 +164,10 @@ def eigensystem(op: FockOperator) -> ParityEigensystem:
     """Eigendecomposition of a real symmetric operator that keeps number
     parity, as H does: one float64 eigh per parity block, each audited for
     orthonormal eigenvectors (the unitarity gate) and for reconstruction."""
-    if not op.is_hermitian(tol=1e-10):
-        raise OracleError("eigendecomposition requested for non-Hermitian matrix")
     matrix = op.matrix
+    scale = max(np.abs(matrix).max(), 1.0)
+    if not np.abs(matrix - matrix.conj().T).max() <= 1e-10 * scale:
+        raise OracleError("eigendecomposition requested for non-Hermitian matrix")
     if np.iscomplexobj(matrix):
         if np.any(matrix.imag):
             raise OracleError("eigendecomposition requested for a matrix with "
@@ -193,18 +177,17 @@ def eigensystem(op: FockOperator) -> ParityEigensystem:
     if np.any(matrix[even, odd]) or np.any(matrix[odd, even]):
         raise OracleError("eigendecomposition requested for a matrix that "
                           "couples even and odd number states")
-    scale = max(float(matrix.max()), float(-matrix.min()), 1.0)
     blocks = []
     for rows in PARITY:
         block = matrix[rows, rows]
-        eig = HermitianEigensystem(*np.linalg.eigh(block))
-        v = eig.eigenvectors
-        defect = np.abs(v.T @ v - np.eye(v.shape[1])).max()
+        values, vectors = np.linalg.eigh(block)
+        defect = np.abs(vectors.T @ vectors - np.eye(values.size)).max()
         if not defect <= UNITARITY_TOL:
             raise OracleError(f"eigenvectors lost unitarity: defect {defect:.2e}")
-        if not eig.reconstruction_error(block) <= RECONSTRUCTION_TOL * scale:
+        rebuilt = (vectors * values) @ vectors.T
+        if not np.abs(rebuilt - block).max() <= RECONSTRUCTION_TOL * scale:
             raise OracleError("eigendecomposition failed the reconstruction audit")
-        blocks.append(eig)
+        blocks.append((values, vectors))
     return ParityEigensystem(tuple(blocks))
 
 
@@ -220,9 +203,8 @@ def evolve(eig: ParityEigensystem, vectors: np.ndarray, t: float,
         raise OracleError(f"evolution operator lost unitarity: time {t} is not finite")
     vectors = np.asarray(vectors)
     out = np.empty(vectors.shape, dtype=complex)
-    for rows, block in zip(PARITY, eig.blocks):
-        v = block.eigenvectors
-        phase = np.exp(-1j * block.eigenvalues * t / hbar)
+    for rows, (values, v) in zip(PARITY, eig.blocks):
+        phase = np.exp(-1j * values * t / hbar)
         coeff = _real_matmul(v.T, vectors[rows])
         out[rows] = _real_matmul(v, (phase * coeff.T).T)  # phase per row
     before = np.linalg.norm(vectors, axis=0)
@@ -344,10 +326,7 @@ def oracle_variances(tau, amplitude: CoherentAmplitude, params: PhysicalParams,
     """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    s, q, _, q3 = _quadrature_bands(space)
-    x_hat, p_hat = _deformed_bands(s, q, q3, params)
-    # bands of X1 = (a + a^dag)/2, X2 = (a - a^dag)/2i, x_hat, p_hat
-    bands = np.stack([0.5 * s, 0.5j * q, x_hat, p_hat])
+    bands = _model(space, params)[0]
     eig = eigensystem(hamiltonian(space, params))
     psi = coherent_vector(amplitude, space).components
 
@@ -406,17 +385,13 @@ def _slope_operators(dim: int) -> tuple[np.ndarray, ...]:
 
     Keyed on dim alone, which holds only because oracle_slopes always works
     at PhysicalParams.natural(0.0): the tables depend on nothing else."""
-    params = PhysicalParams.natural(0.0)
-    s, q, q2, q3 = _quadrature_bands(FockSpace(dim))
-    bands = np.stack([0.5 * s, 0.5j * q, *_deformed_bands(s, q, q3, params)])[:, ODD]
-    d_p_hat = (-1j * _lengths(params)[1] ** 3 / 3.0 * q3)[ODD]
-    h0, p4 = _oscillator_bands(s, q2, params)
+    bands, d_p_hat, h0, v = _model(FockSpace(dim), PhysicalParams.natural(0.0))
     energies = h0[BANDS]
     gaps = (sliding_window_view(np.pad(energies, BANDS), dim) - energies)[EVEN]
     gaps, gap_index = np.unique(gaps, return_inverse=True)
-    v_bands = (p4 / (3.0 * params.mass))[EVEN]  # zero wherever a gap runs off the space
+    v_bands = v[EVEN]  # zero wherever a gap runs off the space
     # copies, so the cache keeps none of the arrays these slice
-    tables = tuple(table.copy() for table in (bands, d_p_hat, energies, gaps,
+    tables = tuple(table.copy() for table in (bands[:, ODD], d_p_hat[ODD], energies, gaps,
                                               gap_index.reshape(v_bands.shape), v_bands))
     for table in tables:
         table.flags.writeable = False

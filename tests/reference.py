@@ -24,7 +24,7 @@ from gupsqueeze.boson_algebra import (
     commutator, evolved_series, monomial_product,
 )
 from gupsqueeze.fock_oracle import (
-    CoherentVector, FockOperator, FockSpace, OracleError, _deformed_bands, _keeps_no_norm,
+    CoherentVector, FockOperator, FockSpace, OracleError, _keeps_no_norm,
     _lengths, _matrix, _quadrature_bands, eigensystem, evolution_operator,
 )
 from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
@@ -211,8 +211,9 @@ def deformed_ops(space: FockSpace,
     space away from the edge.
     """
     s, q, _, q3 = _quadrature_bands(space)
-    x_hat, p_hat = _deformed_bands(s, q, q3, params)
-    return (FockOperator(space, _matrix(x_hat, complex)),
+    lx, lp = _lengths(params)
+    p_hat = 1j * (lp * q - (params.beta / 3.0) * lp ** 3 * q3)  # p^3 = -i lp^3 q^3
+    return (FockOperator(space, _matrix(lx * s, complex)),
             FockOperator(space, _matrix(p_hat, complex)))
 
 

@@ -71,3 +71,25 @@ def test_each_suite_runs_its_own_tree(ab_bench, other_tree):
         ratio = result["ratio"]
         assert 0.0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
         assert result["mine_s"] > 0.0 and result["parent_s"] > 0.0
+
+
+def test_setup_pairs_run_each_tree_from_its_own_like_copy(ab_bench, other_tree, monkeypatch):
+    """Each side runs from a copy of its own package: the two copies are
+    siblings with paths of equal length, and neither is the original tree."""
+    (other_tree / "src" / "gupsqueeze" / "parent_marker").write_text("")
+    runs = {"mine": [], "parent": []}  # (PYTHONPATH, cwd) of each start
+
+    def record(argv, env, cwd, **kwargs):
+        path = Path(env["PYTHONPATH"])
+        side = "parent" if (path / "gupsqueeze" / "parent_marker").exists() else "mine"
+        runs[side].append((path, Path(cwd)))
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", record)
+    ab_bench.run_setup({"mine": ROOT, "parent": other_tree}, pairs=3)
+    assert [len(r) for r in runs.values()] == [4, 4]  # an unmeasured start each first
+    (mine,), (parent,) = (set(r) for r in runs.values())
+    for path, cwd in (mine, parent):
+        assert path == cwd / "src" and cwd not in (ROOT, other_tree)
+        assert not cwd.exists()  # removed once the pairs ran
+    assert mine[1] != parent[1] and mine[1].parent == parent[1].parent
+    assert len(str(mine[1])) == len(str(parent[1]))

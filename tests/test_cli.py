@@ -140,6 +140,28 @@ def test_figure_3_accepts_preset_file(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("preset, argv, message", [
+    ("name = p\nmass = 1\nomega = 1\nhbar = 1\nbeta = 0.5\ngamma = 3\ntheta = 0.3\n",
+     ["--tau-points", "4"], "figure 3 at tau=4.18879: secular scale 20.9 > 10; "),
+    (None, ["--tau-max", "1e5", "--tau-points", "3"],
+     "figure 3 at tau=50000: secular scale 23.4 > 10; "),
+], ids=["preset", "electron"])
+def test_figure_3_refuses_rows_past_the_validity_limit(tmp_path, capsys, preset, argv,
+                                                       message):
+    """A row whose secular scale is above SECULAR_REFUSE, which the sweep
+    labels invalid, fails the whole figure before any file is opened."""
+    if preset is not None:
+        (tmp_path / "p.cfg").write_text(preset)
+        argv = [*argv, "--preset", str(tmp_path / "p.cfg")]
+    out = tmp_path / "fig3.csv"
+    assert main(["figure", "--id", "3", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_figure_invalid_id(capsys):
     with pytest.raises(SystemExit):
         main(["figure", "--id", "9", "--out", "x.csv"])
@@ -1010,8 +1032,13 @@ def test_figure_3_preset_fuzz_exits_0_or_2(values):
         preset, out = os.path.join(tmp, "preset.cfg"), os.path.join(tmp, "out.csv")
         Path(preset).write_text("name = fuzz\n" + "".join(
             f"{key} = {value}\n" for key, value in zip(PRESET_NUMBERS, values)))
-        assert_exit_0_or_2(["figure", "--id", "3", "--preset", preset, "--tau-points", "3",
-                            "--out", out], out)
+        if assert_exit_0_or_2(["figure", "--id", "3", "--preset", preset, "--tau-points",
+                               "3", "--out", out], out) == 0:
+            loaded = physics_config.preset_from_document(Path(preset).read_text())
+            _, rows = read_csv(out)
+            assert all(analytic.secular_scale(float(row[0]), loaded.params.g,
+                                              loaded.amplitude.gamma)
+                       <= analytic.SECULAR_REFUSE for row in rows)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -327,8 +327,7 @@ def test_eigensystem_orthonormality_gate(monkeypatch):
 
 
 def test_eigensystem_reconstruction_gate_fails_on_nan(monkeypatch):
-    monkeypatch.setattr(fock_oracle.HermitianEigensystem, "reconstruction_error",
-                        lambda self, matrix: math.nan)
+    monkeypatch.setattr(fock_oracle, "RECONSTRUCTION_TOL", math.nan)
     with pytest.raises(OracleError, match="reconstruction"):
         eigensystem(hamiltonian(FockSpace(10), NAT()))
 
@@ -543,19 +542,53 @@ def test_oracle_slopes_never_calls_eigensystem(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "oracle.csv")]) == 0
 
 
+def test_both_passes_read_one_model(monkeypatch, tmp_path):
+    """V scaled by 1.5 in _model alone: the slopes leave the closed forms,
+    and the dense finite-beta pass moves with them, so its central
+    difference still matches them."""
+    model = fock_oracle._model
+
+    def scaled(space, params):
+        observables, d_p_hat, h0, v = model(space, params)
+        return observables, d_p_hat, h0, 1.5 * v
+
+    fock_oracle._slope_operators.cache_clear()
+    monkeypatch.setattr(fock_oracle, "_model", scaled)
+    try:
+        assert main(["oracle-compare", "--gamma", "1", "--theta", "0.4", "--tau", "1", "2",
+                     "--out", str(tmp_path / "oracle.csv")]) == 1
+        amp = CoherentAmplitude(gamma=1.0, theta=0.4)
+        space, taus, step = FockSpace(fock_dim_for(amp)), [0.5, 2.0, 4.0], 1e-4
+        assert space.dim == 41
+        up, down = (oracle_variances(taus, amp, NAT(g), space) for g in (step, -step))
+        slopes = oracle_slopes(taus, amp, space)
+        for q in ORACLE_QUANTITIES:
+            np.testing.assert_allclose((up[q] - down[q]) / (2.0 * step), slopes[q],
+                                       rtol=1e-3, err_msg=q)
+    finally:
+        fock_oracle._slope_operators.cache_clear()  # tables of the scaled model
+
+
 def reference_slopes(tau, amplitude, space):
     """oracle_slopes as it ran before its array pass: one Python step per tau,
-    F(D, t) on every offset.  Kept to pin the array pass's bits."""
+    F(D, t) on every offset.  Kept to pin the array pass's bits.  The model's
+    bands are spelled here, not read from fock_oracle._model, so this pins
+    the model too."""
     edge = fock_oracle.BANDS
     params = NAT(0.0)
+    ladder = fock_oracle._ladder
     s, q, q2, q3 = fock_oracle._quadrature_bands(space)
-    bands = np.stack([0.5 * s, 0.5j * q, *fock_oracle._deformed_bands(s, q, q3, params)])
+    lx, lp = fock_oracle._lengths(params)
+    p_hat = 1j * (lp * q - (params.beta / 3.0) * lp ** 3 * q3)
+    bands = np.stack([0.5 * s, 0.5j * q, lx * s, p_hat])
     d_bands = np.zeros_like(bands)
-    d_bands[3] = -1j * fock_oracle._lengths(params)[1] ** 3 / 3.0 * q3
-    h0, p4 = fock_oracle._oscillator_bands(s, q2, params)
+    d_bands[3] = -1j * lp ** 3 / 3.0 * q3
+    p2 = -lp ** 2 * q2
+    h0 = (p2 / (2.0 * params.mass)
+          + 0.5 * params.mass * params.omega ** 2 * lx ** 2 * ladder(s, 1.0))
     energies = h0[edge]
     gaps = sliding_window_view(np.pad(energies, edge), space.dim) - energies
-    v_bands = p4 / (3.0 * params.mass)
+    v_bands = -lp ** 2 * ladder(ladder(p2, -1.0), -1.0) / (3.0 * params.mass)
     psi = coherent_vector(amplitude, space).components
 
     def apply(m, v):

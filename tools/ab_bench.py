@@ -11,8 +11,8 @@ For each op, and for each pass (the sum of its ops), it prints the median
 ratio of paired times, this tree over the parent, with its quartiles and
 both sides' median seconds.  Interleaved fresh-interpreter pairs do the
 same for the set-up (import and parser build, as ``perfbench/run.py``'s
-``setup_s``).  Peak memory cannot be paired in one process and is left to
-the benchmark.
+``setup_s``), each tree's package copied into one of two like directories.
+Peak memory cannot be paired in one process and is left to the benchmark.
 
     python tools/ab_bench.py --parent ../parent-checkout
     python tools/ab_bench.py --parent . --workload exact_algebra --pairs 300  # A/A
@@ -29,6 +29,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -119,16 +120,24 @@ def run_workload(suites: dict[str, ModuleType], workload: str,
 
 def run_setup(trees: dict[str, Path], pairs: int) -> dict:
     """Paired wall times of fresh interpreters importing each tree's cli and
-    building its parser; one unmeasured start per tree first."""
+    building its parser.  Each tree's package (without its bytecode) is
+    copied into one of two sibling directories whose paths have the same
+    length, and runs from there, so the pairs compare code and not where it
+    lies; one unmeasured start per side byte-compiles both copies alike."""
     times = {side: [] for side in SIDES}
-    for n in range(pairs + 1):
-        for side in SIDES if n % 2 == 0 else SIDES[::-1]:
-            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
-            start = time.perf_counter()
-            subprocess.run([sys.executable, "-c", SETUP_CODE], env=env, cwd=trees[side],
-                           check=True, stdout=subprocess.DEVNULL)
-            if n:
-                times[side].append(time.perf_counter() - start)
+    with tempfile.TemporaryDirectory() as work:
+        copies = {side: Path(work, f"tree{i}") for i, side in enumerate(SIDES)}
+        for side, copy in copies.items():
+            shutil.copytree(trees[side] / "src" / "gupsqueeze", copy / "src" / "gupsqueeze",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        for n in range(pairs + 1):
+            for side in SIDES if n % 2 == 0 else SIDES[::-1]:
+                env = {**os.environ, "PYTHONPATH": str(copies[side] / "src")}
+                start = time.perf_counter()
+                subprocess.run([sys.executable, "-c", SETUP_CODE], env=env,
+                               cwd=copies[side], check=True, stdout=subprocess.DEVNULL)
+                if n:
+                    times[side].append(time.perf_counter() - start)
     return paired(times["mine"], times["parent"])
 
 
