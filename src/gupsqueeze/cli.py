@@ -42,9 +42,10 @@ SWEEP_COLUMNS = (
 )
 
 # Largest Fock dimension oracle-compare accepts, given or heuristic.  Its
-# slopes need no dense matrix, but the heuristic dimension grows as gamma^2
-# and the truncation audit doubles it, so the cap is what bounds one
-# command's arrays and time for any --gamma or --dim.
+# slopes need no dense matrix, but the heuristic dimension grows as gamma^2,
+# and where fock_oracle.truncation_bound does not certify the truncation (a
+# small --dim) the audit's second pass doubles it, so the cap is what bounds
+# one command's arrays and time for any --gamma or --dim.
 _MAX_FOCK_DIM = 2048
 
 FIGURE3_COLUMNS = (

@@ -369,8 +369,9 @@ _SLOPE_CHUNK_CELLS = 2 ** 12
 # the even offsets, the observables X1, X2, x_hat and p_hat at +-1, +-3.
 EVEN, ODD = PARITY
 
-# Fock dimensions whose slope tables a process keeps: a truncation audit
-# needs dim and 2 dim, so 4 serves two amplitudes in turn.
+# Fock dimensions whose slope tables a process keeps: a certified truncation
+# audit (see truncation_bound) needs dim alone, so 4 serves four amplitudes
+# in turn; an uncertified one needs dim and 2 dim as well.
 _SLOPE_TABLES_KEPT = 4
 
 
@@ -448,22 +449,79 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
     return _by_quantity(values.reshape(taus.shape + (len(ORACLE_QUANTITIES),)))
 
 
+# The slopes at dim and at 2 dim differ only through the coherent state's
+# weight at n >= dim - _TRUNCATION_REACH (see truncation_bound).
+_TRUNCATION_REACH = 10
+
+
+def _poisson_tail(mod2: float, start: int) -> float:
+    """An upper bound on P(n >= start) for n ~ Poisson(mod2): the first term,
+    taken in log space with lgamma as _keeps_no_norm does, times the
+    geometric series of the term ratio mod2/(n + 1) <= mod2/(start + 1).  1
+    where that ratio is not below 1; exactly 0 in the vacuum."""
+    if start <= 0:
+        return 1.0
+    if mod2 == 0.0:
+        return 0.0
+    ratio = mod2 / (start + 1)
+    if not ratio < 1.0:  # inf too
+        return 1.0
+    first = math.exp(start * math.log(mod2) - mod2 - math.lgamma(start + 1))
+    return min(1.0, first / (1.0 - ratio))
+
+
+def truncation_bound(dim: int, amplitude: CoherentAmplitude) -> float:
+    """An a priori bound on |oracle_slopes at dim - oracle_slopes at 2 dim|
+    / slope_scale, for every quantity and tau (exact arithmetic).
+
+    Each slope is built from quadratic forms <psi|B|psi>, or products of two:
+    B is at most O O W (O an observable; W has V's bands times F, so
+    |W| <= |t| |V|), 6 ladder steps in all.  A product of truncated ladders
+    keeps the untruncated entry wherever no path of its steps leaves
+    n <= dim - 2 (H0's top energy is the one truncated), so the forms at dim
+    and 2 dim share every entry with both ends below dim - 4, and a B that
+    reaches 6 bands couples that block to the rest only through
+    n >= dim - _TRUNCATION_REACH.  With T the Poisson(|alpha|^2) mass there,
+    each form moves by at most 10 T |B|, renormalisation included.  On 2 dim
+    = M states |x_hat|, |p_hat| <= sqrt(2M), |p^3/3| <= (2M)^1.5/3 and
+    |V| <= 4M^2/3; the product's slope, the largest, then moves by at most
+    T (8960/3 M^4 |t| + 960 M^3) <= T 8960/3 M^4 (1 + |t|), and slope_scale's
+    (1 + |t|) cancels.  Not T's square root: the band structure keeps both
+    ends of every changed term in the tail."""
+    mod2 = amplitude.gamma * amplitude.gamma
+    tail = _poisson_tail(mod2, dim - _TRUNCATION_REACH)
+    return tail * (8960.0 / 3.0) * (2.0 * dim) ** 4 / (1.0 + mod2) ** 2
+
+
 @dataclass(frozen=True, eq=False)
 class TruncationAudit:
+    """oracle_slopes at dim with the verdict on its truncation.  bound is
+    truncation_bound's; where it is below AUDIT_TOL and every slope is
+    finite, the truncation is certified without a second pass and
+    max_rel_deviation is None.  Otherwise max_rel_deviation is the deviation
+    measured against the slopes at dim_doubled."""
+
     dim_doubled: int
-    max_rel_deviation: float
+    bound: float
+    max_rel_deviation: float | None
     passed: bool
     slopes: dict[str, float | np.ndarray]  # oracle_slopes at dim
 
 
 def truncation_audit(space: FockSpace, amplitude: CoherentAmplitude, tau) -> TruncationAudit:
-    """oracle_slopes at dim and at 2*dim, compared at every tau, each relative
-    to the larger of its doubled-dimension value and slope_scale.  The slopes
-    at dim come back with the verdict, so a caller evaluates them once."""
+    """oracle_slopes at dim, certified by truncation_bound where it is below
+    AUDIT_TOL and the slopes are finite (a NaN still fails the audit).
+    Elsewhere, for example at a small --dim, the slopes at dim and 2*dim are
+    compared at every tau, each relative to the larger of its
+    doubled-dimension value and slope_scale.  The slopes at dim come back
+    with the verdict, so a caller evaluates them once."""
     small = oracle_slopes(tau, amplitude, space)
+    bound = truncation_bound(space.dim, amplitude)
     big_space = FockSpace(2 * space.dim)
+    if bound < AUDIT_TOL and all(np.isfinite(small[q]).all() for q in ORACLE_QUANTITIES):
+        return TruncationAudit(big_space.dim, bound, None, True, small)
     big = oracle_slopes(tau, amplitude, big_space)
     scale = slope_scale(tau, amplitude.gamma)
     worst = float(np.max([np.abs(small[q] - big[q]) / np.maximum(np.abs(big[q]), scale)
                           for q in ORACLE_QUANTITIES]))  # NaN propagates
-    return TruncationAudit(big_space.dim, worst, worst < AUDIT_TOL, small)
+    return TruncationAudit(big_space.dim, bound, worst, worst < AUDIT_TOL, small)

@@ -230,7 +230,9 @@ def test_oracle_compare_truncation_failure(tmp_path, capsys):
     code = main(["oracle-compare", "--gamma", "2", "--dim", "8",
                  "--tau", "1.0", "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "truncation audit FAILED" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle: truncation audit FAILED at dim=8: ")
+    assert err.endswith(" (vs dim=16); increase --dim\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1126,9 @@ def test_warm_oracle_compare_prints_and_writes_what_a_fresh_process_does(
         assert done.returncode == 0 and done.stderr == ""
         assert capsys.readouterr().out == done.stdout
         assert (warm / "oracle.csv").read_bytes() == (fresh / "oracle.csv").read_bytes()
-    assert fock_oracle._slope_operators.cache_info().hits == 2  # the small dims, again
+    # misses 41, 229 and 60 (each certified, so no 2 dim tables); the one hit
+    # is the third call's dim 41
+    assert fock_oracle._slope_operators.cache_info().hits == 1
 
 
 def test_closed_pipe_on_stdout_ends_quietly(tmp_path):

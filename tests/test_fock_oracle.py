@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gupsqueeze import fock_oracle
@@ -17,7 +17,8 @@ from gupsqueeze.fock_oracle import (
     OracleError, coherent_vector, eigensystem,
     evolve, fock_dim_for,
     hamiltonian, oracle_slopes,
-    oracle_variances, slope_scale, truncation_audit, variance_numeric,
+    oracle_variances, slope_scale, truncation_audit, truncation_bound,
+    variance_numeric,
 )
 from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
 from reference import (
@@ -795,6 +796,7 @@ def test_oracle_slope_pipeline_converges_for_displaced_state():
 def test_truncation_audit_vacuum_passes_small_dim():
     audit = truncation_audit(FockSpace(20), CoherentAmplitude(), [0.5, 6.0])
     assert audit.passed
+    assert audit.bound == 0.0 and audit.max_rel_deviation is None  # no tail at all
 
 
 def test_truncation_audit_heuristic_dim_passes_for_displaced_state():
@@ -812,20 +814,99 @@ def test_truncation_audit_designed_failure():
     amp = CoherentAmplitude(gamma=2.0, theta=0.0)
     audit = truncation_audit(FockSpace(8), amp, 2.0)
     assert not audit.passed
+    assert audit.bound >= fock_oracle.AUDIT_TOL
     assert audit.max_rel_deviation > 1e-3
 
 
-def test_truncation_audit_fails_on_nan(monkeypatch):
+def nan_at_dim(monkeypatch, dim):
+    """oracle_slopes patched to give NaN slopes at one Fock dimension."""
     slopes = fock_oracle.oracle_slopes
 
-    def nan_at_doubled_dim(tau, amplitude, space=None):
+    def patched(tau, amplitude, space=None):
         values = slopes(tau, amplitude, space)
-        return {q: math.nan for q in values} if space.dim == 40 else values
+        return {q: math.nan for q in values} if space.dim == dim else values
 
-    monkeypatch.setattr(fock_oracle, "oracle_slopes", nan_at_doubled_dim)
-    audit = truncation_audit(FockSpace(20), CoherentAmplitude(), 2.0)
+    monkeypatch.setattr(fock_oracle, "oracle_slopes", patched)
+
+
+def test_truncation_audit_fails_on_nan(monkeypatch):
+    # uncertified (bound 7.7e-4) but passing (deviation 3e-16) without the NaN
+    amp, space = CoherentAmplitude(gamma=2.0, theta=0.3), FockSpace(36)
+    audit = truncation_audit(space, amp, 2.0)
+    assert audit.passed and audit.bound >= fock_oracle.AUDIT_TOL
+    nan_at_dim(monkeypatch, 72)
+    audit = truncation_audit(space, amp, 2.0)
     assert not audit.passed
     assert math.isnan(audit.max_rel_deviation)
+
+
+def test_truncation_audit_fails_on_nan_where_certified(monkeypatch, tmp_path, capsys):
+    """A non-finite slope at a certified dimension still fails the audit, so
+    oracle-compare exits 2 on the oracle gate, not 1 on a NaN error."""
+    nan_at_dim(monkeypatch, 20)
+    audit = truncation_audit(FockSpace(20), CoherentAmplitude(), 2.0)
+    assert audit.bound == 0.0 and not audit.passed
+    assert math.isnan(audit.max_rel_deviation)
+    nan_at_dim(monkeypatch, 41)
+    assert main(["oracle-compare", "--gamma", "1", "--theta", "0.4",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: oracle: truncation audit FAILED at dim=41: max relative deviation "
+        "nan (vs dim=82); increase --dim\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_every_heuristic_dim_up_to_gamma_40_is_certified():
+    for gamma in np.linspace(0.0, 40.0, 801):
+        amp = CoherentAmplitude(gamma=float(gamma))
+        assert truncation_bound(fock_dim_for(amp), amp) < fock_oracle.AUDIT_TOL, gamma
+
+
+def test_certified_oracle_compare_takes_the_slopes_once(monkeypatch, tmp_path):
+    dims = []
+    slopes = fock_oracle.oracle_slopes
+
+    def recorded(tau, amplitude, space=None):
+        dims.append(space.dim)
+        return slopes(tau, amplitude, space)
+
+    monkeypatch.setattr(fock_oracle, "oracle_slopes", recorded)
+    out = str(tmp_path / "x.csv")
+    assert main(["oracle-compare", "--gamma", "1", "--theta", "0.4", "--out", out]) == 0
+    assert main(["oracle-compare", "--gamma", "40", "--tau", "1", "--out", out]) == 0
+    assert main(["oracle-compare", "--gamma", "2", "--theta", "0.3", "--dim", "36",
+                 "--out", out]) == 0
+    assert dims == [41, 2030, 36, 72]
+
+
+# the rounding both passes leave in a slope, relative to slope_scale; the
+# bound is on the slopes in exact arithmetic
+ROUNDING = 1e-13
+
+
+@settings(max_examples=120, deadline=None)
+@given(gamma=st.floats(0.0, 12.0), theta=st.floats(0.0, 2.0 * math.pi),
+       taus=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=3),
+       share=st.floats(0.02, 1.2))
+@example(gamma=0.0, theta=0.0, taus=[0.3, 40.0], share=0.02)
+@example(gamma=1.0, theta=0.4, taus=[2.0], share=12 / 41)
+@example(gamma=2.0, theta=0.3, taus=[2.0, -7.5], share=36 / 54)
+@example(gamma=5.0, theta=1.0, taus=[7.5], share=12 / 105)
+@example(gamma=10.0, theta=0.4, taus=[0.3, 40.0], share=40 / 230)
+@example(gamma=10.0, theta=0.4, taus=[2.0], share=172 / 230)
+def test_truncation_bound_holds_at_every_dim(gamma, theta, taus, share):
+    """|slopes at dim - slopes at 2 dim| / slope_scale <= truncation_bound,
+    at dims from far below the heuristic to above it, certified or not."""
+    amp = CoherentAmplitude(gamma=gamma, theta=theta)
+    dim = max(2, round(share * fock_dim_for(amp)))
+    try:
+        small = oracle_slopes(taus, amp, FockSpace(dim))
+    except OracleError:  # the state keeps no norm at dim
+        assume(False)
+    big = oracle_slopes(taus, amp, FockSpace(2 * dim))
+    scale = slope_scale(np.asarray(taus), gamma)
+    deviation = max(np.max(np.abs(small[q] - big[q]) / scale) for q in ORACLE_QUANTITIES)
+    assert deviation <= truncation_bound(dim, amp) + ROUNDING
 
 
 def test_fock_dim_heuristic():

@@ -6,8 +6,10 @@ against ``--parent DIR``'s, and compares exit code, stdout, stderr and every
 file the command leaves in its directory, byte for byte.  The list covers
 the benchmark's inputs (sweeps at perfbench seeds 1-3, to a file and to
 stdout; figures 1-3; uncertainty-check; oracle-compare at both amplitudes),
-oracle-compare at a given ``--dim``, in the vacuum, at 40 taus (several
-slope chunks) and at gamma 46 (the coherent recursion's rescale, exit 2),
+oracle-compare at a given ``--dim`` (certified, and one that only the
+comparison at twice the dimension passes), in the vacuum, at 40 taus
+(several slope chunks), at gamma 40 (certified near the 2048 cap), at taus
+up to 1e11 and at gamma 46 (the coherent recursion's rescale, exit 2),
 ``preset``, figure 3 from a preset file, figure 1's default pair written
 over files already there (so a staged file left beside them would show in
 the listing), a sweep over a min/max/points axis, ``verify-bch
@@ -98,7 +100,15 @@ def cases() -> list[Case]:
                                  "--out", "oracle.csv")),
         Case("oracle_dim", ("oracle-compare", "--gamma", "2", "--theta", "0.3",
                             "--dim", "60")),
+        # the truncation bound (7.7e-4) does not certify dim 36, so the
+        # audit runs its second pass at 72, and passes
+        Case("oracle_uncertified_dim", ("oracle-compare", "--gamma", "2", "--theta", "0.3",
+                                         "--dim", "36")),
         Case("oracle_vacuum", ("oracle-compare", "--gamma", "0")),
+        Case("oracle_gamma40", ("oracle-compare", "--gamma", "40", "--theta", "1.1",
+                                "--tau", "0.5", "2", "7")),
+        Case("oracle_large_tau", ("oracle-compare", "--gamma", "1", "--theta", "0.4",
+                                  "--tau", "1e8", "1e10", "1e11")),
         # 40 taus: 3 slope chunks at dim 229, 5 at 458
         Case("oracle_many_taus", ("oracle-compare", "--gamma", "9.95", "--theta", "2.4",
                                   "--tau", *(repr(0.1 * k) for k in range(1, 41)))),
