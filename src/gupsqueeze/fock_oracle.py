@@ -378,21 +378,30 @@ _SLOPE_TABLES_KEPT = 4
 @functools.lru_cache(maxsize=_SLOPE_TABLES_KEPT)
 def _slope_operators(dim: int) -> tuple[np.ndarray, ...]:
     """oracle_slopes' tables at one Fock dimension, read-only: the odd-offset
-    bands of X1, X2, x_hat and p_hat, those of d p_hat/dbeta = p^3/3, the
-    energies E of H0, the distinct gaps D = E[r+k] - E[r] at the even
-    offsets (ascending; a few dozen, against 5 per number state), the index
-    that gathers them into that (offset, number state) table, and the bands
-    of V = p^4/3m at the even offsets.
+    bands of X1, X2, x_hat and p_hat, those of d p_hat/dbeta = p^3/3, twice
+    the energies E of H0 (ints, as floats), the distinct gaps D = E[r+k] - E[r]
+    at the even offsets (ascending; at most 17, against 5 per number state),
+    the index that gathers them into that (offset, number state) table, and
+    the bands of V = p^4/3m at the even offsets.
+
+    H0's energies are half-integers, n + 1/2 and (dim - 1)/2 for the
+    truncated top state, but its bands give them only to rounding (1.7e-13
+    at dim 458); they are snapped to the half-integers here, so every gap is
+    exact and no phase carries that rounding.  OracleError if one is 1e-9 or
+    more from its snap.
 
     Keyed on dim alone, which holds only because oracle_slopes always works
     at PhysicalParams.natural(0.0): the tables depend on nothing else."""
     bands, d_p_hat, h0, v = _model(FockSpace(dim), PhysicalParams.natural(0.0))
-    energies = h0[BANDS]
+    two_e = np.rint(2.0 * h0[BANDS])
+    if not np.abs(2.0 * h0[BANDS] - two_e).max() < 1e-9:
+        raise OracleError("the energies of H0 are not half-integers")
+    energies = 0.5 * two_e
     gaps = (sliding_window_view(np.pad(energies, BANDS), dim) - energies)[EVEN]
     gaps, gap_index = np.unique(gaps, return_inverse=True)
     v_bands = v[EVEN]  # zero wherever a gap runs off the space
     # copies, so the cache keeps none of the arrays these slice
-    tables = tuple(table.copy() for table in (bands[:, ODD], d_p_hat[ODD], energies, gaps,
+    tables = tuple(table.copy() for table in (bands[:, ODD], d_p_hat[ODD], two_e, gaps,
                                               gap_index.reshape(v_bands.shape), v_bands))
     for table in tables:
         table.flags.writeable = False
@@ -407,7 +416,10 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
     so memory stays bounded however many are given; the tables that depend
     on the dimension alone are built once per process (_slope_operators).
 
-    H0 is diagonal (energies E), so Duhamel's formula gives d(U psi)/dbeta =
+    H0 is diagonal (energies E, half-integers), so U = e^{-iEt} = w^{2E} with
+    w = e^{-it/2}, taken as e^{i 2E arg w}: exp reduces t/2 exactly, so
+    arg w lies in (-pi, pi], no E t is rounded, and the phases' rounding
+    does not grow with t.  Duhamel's formula gives d(U psi)/dbeta =
     -i e^{-iEt} (W psi) exactly: W has the bands of V = p^4/3m times
     F(D, t) = int_0^t e^{-iDs} ds, D = E[r+k] - E[r], taken once per tau and
     distinct gap and gathered into the bands.  Each variance slope is
@@ -417,7 +429,7 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
     """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    bands, d_p_hat, energies, gaps, gap_index, v_bands = _slope_operators(space.dim)
+    bands, d_p_hat, two_e, gaps, gap_index, v_bands = _slope_operators(space.dim)
     psi = coherent_vector(amplitude, space).components
     taus = np.asarray(tau, dtype=float)
     flat = taus.reshape(-1)
@@ -426,14 +438,14 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
     for start in range(0, flat.size, chunk):
         # axes (tau, quantity or band, number state)
         t = flat[start:start + chunk, None]
-        phase = np.exp(-1j * energies * t)
-        finite = np.isfinite(phase).all(axis=-1)
+        # F(D, t) = t e^{-iDt/2} sinc(Dt/2pi), stable as D t -> 0, per distinct D
+        f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
+        finite = np.isfinite(f).all(axis=-1)
         if not finite.all():  # NaN t too
             raise OracleError(f"evolution operator lost unitarity: time "
                               f"{t[np.argmin(finite), 0]} is beyond the float range")
+        phase = np.exp(1j * (two_e * np.angle(np.exp(-0.5j * t))))  # w^{2E}
         psi_t = phase * psi
-        # F(D, t) = t e^{-iDt/2} sinc(Dt/2pi), stable as D t -> 0, per distinct D
-        f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
         chi = -1j * phase * _apply(v_bands * np.take(f, gap_index, axis=1), psi, EVEN)
         o_psi = _apply(bands, psi_t[:, None], ODD)
         o_chi = _apply(bands, chi[:, None], ODD)

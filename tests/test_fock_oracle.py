@@ -574,7 +574,8 @@ def reference_slopes(tau, amplitude, space):
     """oracle_slopes as it ran before its array pass: one Python step per tau,
     F(D, t) on every offset.  Kept to pin the array pass's bits.  The model's
     bands are spelled here, not read from fock_oracle._model, so this pins
-    the model too."""
+    the model too.  H0's energies are snapped to half-integers and e^{-iEt}
+    is w^{2E} = e^{i 2E arg w}, w = e^{-it/2}, as in the array pass."""
     edge = fock_oracle.BANDS
     params = NAT(0.0)
     ladder = fock_oracle._ladder
@@ -587,7 +588,9 @@ def reference_slopes(tau, amplitude, space):
     p2 = -lp ** 2 * q2
     h0 = (p2 / (2.0 * params.mass)
           + 0.5 * params.mass * params.omega ** 2 * lx ** 2 * ladder(s, 1.0))
-    energies = h0[edge]
+    two_e = np.rint(2.0 * h0[edge])
+    assert np.abs(2.0 * h0[edge] - two_e).max() < 1e-9
+    energies = 0.5 * two_e
     gaps = sliding_window_view(np.pad(energies, edge), space.dim) - energies
     v_bands = -lp ** 2 * ladder(ladder(p2, -1.0), -1.0) / (3.0 * params.mass)
     psi = coherent_vector(amplitude, space).components
@@ -598,12 +601,12 @@ def reference_slopes(tau, amplitude, space):
         return (m * sliding_window_view(padded, v.shape[0])).sum(axis=-2)
 
     def at(t):
-        phase = np.exp(-1j * energies * t)
-        if not np.isfinite(phase).all():
+        f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
+        if not np.isfinite(f).all():
             raise OracleError(f"evolution operator lost unitarity: time {t} "
                               "is beyond the float range")
+        phase = np.exp(1j * (two_e * np.angle(np.exp(-0.5j * t))))
         psi_t = phase * psi
-        f = t * np.exp(-0.5j * gaps * t) * np.sinc(gaps * t / (2.0 * np.pi))
         chi = -1j * phase * apply(v_bands * f, psi)
         o_psi, o_chi = apply(bands, psi_t), apply(bands, chi)
         d_o_psi = o_chi + apply(d_bands, psi_t)
@@ -708,7 +711,8 @@ def test_slope_tables_are_cached_read_only_and_bounded():
         with pytest.raises(ValueError):
             table[..., 0] = 1.0
     # each (even offset, number state) gap is read from the distinct gaps
-    _, _, energies, gaps, gap_index, v_bands = tables
+    _, _, two_e, gaps, gap_index, v_bands = tables
+    energies = 0.5 * two_e
     full = (sliding_window_view(np.pad(energies, fock_oracle.BANDS), 60) - energies)[
         fock_oracle.EVEN]
     assert gaps.size == np.unique(full).size < full.size
@@ -719,6 +723,43 @@ def test_slope_tables_are_cached_read_only_and_bounded():
         oracle_slopes(taus, amp, FockSpace(dim))
     assert fock_oracle._slope_operators.cache_info().currsize <= kept
     assert_same_bits(oracle_slopes(taus, amp, FockSpace(60)), cold)  # rebuilt
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 3.0])
+def test_oracle_compare_passes_at_large_tau(gamma, tmp_path, capsys):
+    """The product's slope is var_x_hat s_p_hat + var_p_hat s_x_hat, two terms
+    of size tau (1 + gamma^2)^2 that cancel to O(1), so at tau = 1e8 it needs
+    phases that do not round E t.  Its analytic value is 1.249 at gamma 1."""
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle-compare", "--gamma", repr(gamma), "--theta", "0.4",
+                 "--tau", "1e8", "1e10", "1e11", "--out", str(out)]) == 0
+    assert "PASS at 0.001" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 15
+    if gamma == 1.0:
+        product = next(r for r in rows if r[:2] == ["1.0000000000000000e+08", "product"])
+        assert float(product[2]) == pytest.approx(1.2492105, abs=1e-7)
+        assert float(product[4]) < 1e-6
+
+
+def test_slope_tables_refuse_energies_off_the_half_integers(monkeypatch):
+    """The slope pass snaps H0's energies to half-integers; a model whose
+    energies are not half-integers is refused, not snapped."""
+    model = fock_oracle._model
+
+    def shifted(space, params):
+        observables, d_p_hat, h0, v = model(space, params)
+        h0 = h0.copy()
+        h0[fock_oracle.BANDS] += 1e-6
+        return observables, d_p_hat, h0, v
+
+    fock_oracle._slope_operators.cache_clear()
+    monkeypatch.setattr(fock_oracle, "_model", shifted)
+    try:
+        with pytest.raises(OracleError, match="not half-integers"):
+            oracle_slopes(1.0, CoherentAmplitude(), FockSpace(12))
+    finally:
+        fock_oracle._slope_operators.cache_clear()
 
 
 def test_time_beyond_float_range_names_the_first_such_tau(capsys):
