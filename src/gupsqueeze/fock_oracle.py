@@ -529,11 +529,11 @@ def truncation_audit(space: FockSpace, amplitude: CoherentAmplitude, tau) -> Tru
     with the verdict, so a caller evaluates them once."""
     small = oracle_slopes(tau, amplitude, space)
     bound = truncation_bound(space.dim, amplitude)
-    big_space = FockSpace(2 * space.dim)
+    dim_doubled = 2 * space.dim
     if bound < AUDIT_TOL and all(np.isfinite(small[q]).all() for q in ORACLE_QUANTITIES):
-        return TruncationAudit(big_space.dim, bound, None, True, small)
-    big = oracle_slopes(tau, amplitude, big_space)
+        return TruncationAudit(dim_doubled, bound, None, True, small)
+    big = oracle_slopes(tau, amplitude, FockSpace(dim_doubled))
     scale = slope_scale(tau, amplitude.gamma)
     worst = float(np.max([np.abs(small[q] - big[q]) / np.maximum(np.abs(big[q]), scale)
                           for q in ORACLE_QUANTITIES]))  # NaN propagates
-    return TruncationAudit(big_space.dim, bound, worst, worst < AUDIT_TOL, small)
+    return TruncationAudit(dim_doubled, bound, worst, worst < AUDIT_TOL, small)

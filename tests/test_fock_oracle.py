@@ -871,7 +871,7 @@ def nan_at_dim(monkeypatch, dim):
 
 
 def test_truncation_audit_fails_on_nan(monkeypatch):
-    # uncertified (bound 7.7e-4) but passing (deviation 3e-16) without the NaN
+    # uncertified (bound 7.7e-4) but passing (deviation 1.9e-16) without the NaN
     amp, space = CoherentAmplitude(gamma=2.0, theta=0.3), FockSpace(36)
     audit = truncation_audit(space, amp, 2.0)
     assert audit.passed and audit.bound >= fock_oracle.AUDIT_TOL

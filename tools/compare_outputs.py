@@ -109,7 +109,7 @@ def cases() -> list[Case]:
                                 "--tau", "0.5", "2", "7")),
         Case("oracle_large_tau", ("oracle-compare", "--gamma", "1", "--theta", "0.4",
                                   "--tau", "1e8", "1e10", "1e11")),
-        # 40 taus: 3 slope chunks at dim 229, 5 at 458
+        # 40 taus: 3 slope chunks at dim 229 (certified, so none at 458)
         Case("oracle_many_taus", ("oracle-compare", "--gamma", "9.95", "--theta", "2.4",
                                   "--tau", *(repr(0.1 * k) for k in range(1, 41)))),
         # the coherent recursion rescales by 2**-400 at n = 1324, at dim and 2 dim
