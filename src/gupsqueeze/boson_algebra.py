@@ -20,8 +20,13 @@ subtract them: it sums, per pair of monomials, only the Wick terms of
 k = 0 terms of uv and vu cancel.  Both run one accumulate loop, which reads
 each pair's expansion through one cache, so a process expands each pair
 once.  ``bch_bodies`` takes the image [H, m] once per chain for each
-monomial m its bodies hold and sums every next body from those images, so
-the chain on a calls ``commutator`` six times, whatever its depth.
+monomial m its bodies hold and sums every next body from those images.  The
+chain on a never leaves seven int coordinates (a at order 0, the six
+MONOMIAL_FORMS monomials at order g), so ``verify_bch_collection``,
+``evolved_series`` and ``collect_monomial_series`` step those seven ints
+with a linear map read off body 1 of ``bch_bodies`` (``_step_map``): a
+process calls ``commutator`` six times for them, on the first chain,
+whatever its depth.
 """
 
 from __future__ import annotations
@@ -223,10 +228,13 @@ def bch_bodies(k_max: int, hamiltonian: OperatorPolynomial,
 
     [H, body] is summed monomial by monomial: each term (b0 + b1 g) m of the
     body adds (b0 + b1 g)[H, m], and the image [H, m] of each monomial the
-    chain meets is taken once per chain.  Where b0 = 0 only the order-0 part
-    of [H, m] is read, since g^2 drops the rest.  Each new entry is seeded
-    from its products, as ``_accumulate`` seeds it, so its zeros keep the
-    entries' type.
+    chain meets is taken once per chain, so the chain on a calls
+    ``commutator`` six times, whatever its depth.  Where b0 = 0 only the
+    order-0 part of [H, m] is read, since g^2 drops the rest.  Each new entry
+    is seeded from its products, as ``_accumulate`` seeds it, so its zeros
+    keep the entries' type.  This is the generic chain, on any H and
+    operator; the package's own chain on a steps its coordinates instead
+    (``_step_map``), and the tests hold the two equal.
     """
     images: dict[Monomial, tuple[tuple, tuple]] = {}  # m -> [H, m], its order-0 part
     body = operator
@@ -280,30 +288,6 @@ class TaylorSeries:
                 fact *= k
             total += complex(n / self.denominator) * power / fact
         return total
-
-
-def _chain(k_max: int) -> Iterator[OperatorPolynomial]:
-    """Bodies 0..k_max of the nested-commutator chain on a, int entries in
-    g_hat, one at a time; ValueError before any is built."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return bch_bodies(k_max, hamiltonian_polynomial(), OperatorPolynomial.monomial(A))
-
-
-def _order1_series(bodies: list[OperatorPolynomial], mono: Monomial) -> TaylorSeries:
-    return TaylorSeries(tuple(body.coefficient(mono)[1] for body in bodies))
-
-
-def collect_monomial_series(mono: Monomial, k_max: int) -> TaylorSeries:
-    """Order-g coefficients of ``mono`` across nested-commutator depths 0..k_max."""
-    return _order1_series(list(_chain(k_max)), mono)
-
-
-def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
-    """Order-g coefficient series of the six evolved monomials, all read off
-    one nested-commutator chain of depth k_max."""
-    bodies = list(_chain(k_max))
-    return {mono: _order1_series(bodies, mono) for mono in MONOMIAL_FORMS}
 
 
 @functools.lru_cache(maxsize=1)
@@ -365,6 +349,83 @@ MONOMIAL_FORMS: dict[Monomial, str] = {
     A_DAG2_A: "sine",
 }
 
+#: Where each MONOMIAL_FORMS monomial's order-g coefficient sits among the
+#: chain's seven coordinates; coordinate 0 is a's order-0 coefficient.
+_ORDER1_AT: dict[Monomial, int] = {mono: j for j, mono in enumerate(MONOMIAL_FORMS, 1)}
+
+
+class ChainSpanError(ArithmeticError):
+    """An image [H, m] of the exact chain has a term outside its seven
+    coordinates, so the chain on a is not the step map those coordinates
+    assume."""
+
+
+@functools.cache
+def _step_map() -> tuple[tuple[int, int, int], ...]:
+    """The chain on a as a constant linear map L on its seven int coordinates,
+    as (target, source, factor) triples: body k+1 holds, at each target, the
+    sum of factor * (body k at source).
+
+    L is read off body 1 of ``bch_bodies`` for each MONOMIAL_FORMS monomial
+    m, the image [H, m]: g m goes to the order-0 part of [H, m] times g, and
+    a itself, the one coordinate at order 0, to all of [H, a].  So a process
+    takes six commutators, on the first call.  ChainSpanError if an image
+    reaches a term that no coordinate holds.
+    """
+    hamiltonian = hamiltonian_polynomial()
+    triples = []
+
+    def add(mono: Monomial, out: Monomial, order: int, source: int, factor: int):
+        target = _ORDER1_AT.get(out) if order else (0 if out == A else None)
+        if target is None:
+            raise ChainSpanError(f"[H, {_label(mono)}] has an order-{order} "
+                                 f"{_label(out)} term, outside the chain's seven "
+                                 f"coordinates")
+        triples.append((target, source, factor))
+
+    for mono, source in _ORDER1_AT.items():
+        _, image = bch_bodies(1, hamiltonian, OperatorPolynomial.monomial(mono))
+        for out, (i0, i1) in image.terms.items():
+            if i0:
+                add(mono, out, 1, source, i0)
+            if mono == A:
+                for order, factor in enumerate((i0, i1)):
+                    if factor:
+                        add(mono, out, order, 0, factor)
+    return tuple(triples)
+
+
+def _coordinates(k_max: int) -> Iterator[list[int]]:
+    """Bodies 0..k_max of the nested-commutator chain on a, int entries in
+    g_hat, one at a time as their seven coordinates (see _step_map);
+    ValueError before any is built."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    step = _step_map()
+    state = [1, 0, 0, 0, 0, 0, 0]
+    yield state
+    for _ in range(k_max):
+        nxt = [0] * 7
+        for target, source, factor in step:
+            nxt[target] += factor * state[source]
+        state = nxt
+        yield state
+
+
+def collect_monomial_series(mono: Monomial, k_max: int) -> TaylorSeries:
+    """Order-g coefficients of ``mono`` across nested-commutator depths 0..k_max;
+    zero for a monomial the chain never reaches."""
+    at = _ORDER1_AT.get(mono)
+    return TaylorSeries(tuple(0 if at is None else state[at]
+                              for state in _coordinates(k_max)))
+
+
+def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
+    """Order-g coefficient series of the six evolved monomials, all read off
+    one nested-commutator chain of depth k_max."""
+    columns = tuple(zip(*_coordinates(k_max)))
+    return {mono: TaylorSeries(columns[at]) for mono, at in _ORDER1_AT.items()}
+
 
 @dataclass(frozen=True)
 class MonomialVerification:
@@ -390,17 +451,18 @@ def verify_bch_collection(k_max: int) -> BchVerification:
     """Check, exactly, that each evolved monomial's collected order-g series
     matches its closed-form Taylor coefficients through depth k_max.
 
-    The chain streams: each body's int order-g coefficients are compared
-    with the integer closed forms (_FORMS) and dropped, so memory does not
-    grow with depth.  A mismatch is reported per monomial (first offending
-    depth), not raised: it signals a transcription error in one of the two
-    routes.
+    The chain streams on its seven int coordinates (see _step_map): each
+    body's order-g coefficients are compared with the integer closed forms
+    (_FORMS) and dropped, so memory does not grow with depth.  A mismatch is
+    reported per monomial (first offending depth), not raised: it signals a
+    transcription error in one of the two routes.
     """
-    rules = {mono: _form(form_id)[0] for mono, form_id in MONOMIAL_FORMS.items()}
+    rules = {mono: (_ORDER1_AT[mono], _form(form_id)[0])
+             for mono, form_id in MONOMIAL_FORMS.items()}
     first_mismatch: dict[Monomial, int | None] = dict.fromkeys(rules)
-    for k, body in enumerate(_chain(k_max)):
-        for mono, rule in rules.items():
-            if first_mismatch[mono] is None and body.coefficient(mono)[1] != rule(k):
+    for k, state in enumerate(_coordinates(k_max)):
+        for mono, (at, rule) in rules.items():
+            if first_mismatch[mono] is None and state[at] != rule(k):
                 first_mismatch[mono] = k
     return BchVerification(rows=tuple(
         MonomialVerification(label=_label(mono),

@@ -79,8 +79,8 @@ def _check_grid(*sizes: int) -> None:
 
 # Deepest chain verify-bch builds, checked before anything is built.  The
 # chain's ints grow as 3^k, so its time grows as k^2; one body is kept at a
-# time.  At 10^4 a fresh interpreter takes 0.43-0.50 s (median 0.48 s of 9;
-# the chain itself about 0.23 s) and 29 MiB peak RSS, about what the import
+# time.  At 10^4 a fresh interpreter takes 0.39-0.61 s (median 0.41 s of 9;
+# the chain itself about 0.2 s) and 29 MiB peak RSS, about what the import
 # alone takes (2-core VM, Python 3.11).
 _MAX_BCH_ORDER = 10_000
 
@@ -202,8 +202,8 @@ def cmd_oracle_compare(args) -> int:
         except OverflowError:  # gamma^2 beyond the float range
             dim = math.inf
     if dim > _MAX_FOCK_DIM:
-        raise ConfigError(f"Fock dimension {dim} is above {_MAX_FOCK_DIM} "
-                          f"(the truncation audit doubles it)")
+        raise ConfigError(f"Fock dimension {dim} is above {_MAX_FOCK_DIM}, the "
+                          f"largest oracle-compare takes")
     if dim < 2:
         raise ConfigError(f"--dim: Fock dimension must be >= 2, got {dim}")
     audit = fock_oracle.truncation_audit(FockSpace(dim), amplitude, args.tau)

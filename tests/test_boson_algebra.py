@@ -3,6 +3,7 @@ nested-commutator coefficient tables, and their closed-form resummations."""
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from gupsqueeze import boson_algebra
 from gupsqueeze.boson_algebra import (
     A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, G_HAT_SCALE, IDENTITY,
-    OperatorPolynomial, TaylorSeries, _chain,
+    OperatorPolynomial, TaylorSeries,
     bch_bodies, closed_form_taylor, closed_form_value, collect_monomial_series,
     commutator, hamiltonian_polynomial, monomial_commutator, monomial_product,
     verify_bch_collection,
@@ -346,7 +347,7 @@ def test_chain_through_depth_60_equals_the_reference_route():
     with PQ - QP."""
     h = hamiltonian_polynomial()
     body = OperatorPolynomial.monomial(A)
-    for k, built in enumerate(_chain(60)):
+    for k, built in enumerate(bch_bodies(60, h, body)):
         assert built == body, k
         body = reference_commutator(h, body)
 
@@ -372,6 +373,91 @@ def test_chain_takes_one_commutator_per_monomial_it_meets_and_no_products(monkey
         calls.update({"commutator": 0, "@": 0})
         list(bch_bodies(k, h, OperatorPolynomial.monomial(A)))
         assert calls == {"commutator": images, "@": 0}
+
+
+@pytest.fixture
+def cold_step_map():
+    """The chain's step map unbuilt before the test and after it, so a patched
+    Hamiltonian or commutator reaches no other test."""
+    boson_algebra._step_map.cache_clear()
+    yield
+    boson_algebra._step_map.cache_clear()
+
+
+def coordinate_body(state):
+    """The body whose seven chain coordinates are ``state``: a at order 0,
+    the six MONOMIAL_FORMS monomials at order 1, and no other term."""
+    terms = {mono: (0, state[at]) for mono, at in boson_algebra._ORDER1_AT.items()}
+    terms[A] = (state[0], state[1])
+    return OperatorPolynomial(terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 60))
+@example(1)
+@example(60)
+def test_coordinates_are_the_chain_at_every_depth(k_max):
+    """Each body bch_bodies builds on a is the one its seven coordinates
+    spell: the same entries, and no term outside them."""
+    h = hamiltonian_polynomial()
+    for k, (state, body) in enumerate(zip(
+            boson_algebra._coordinates(k_max),
+            bch_bodies(k_max, h, OperatorPolynomial.monomial(A)), strict=True)):
+        assert coordinate_body(state) == body, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), min_size=7, max_size=7))
+def test_step_map_steps_any_body_in_the_coordinates(state):
+    """L is linear on the whole span, not only on the states a reaches."""
+    stepped = [0] * 7
+    for target, source, factor in boson_algebra._step_map():
+        stepped[target] += factor * state[source]
+    _, body = bch_bodies(1, hamiltonian_polynomial(), coordinate_body(state))
+    assert coordinate_body(stepped) == body
+
+
+def test_step_map_has_thirteen_int_entries():
+    """[H, a] reaches all seven coordinates, and g m goes to (m's dagger
+    power - its annihilation power) g m for each of the six monomials."""
+    step = boson_algebra._step_map()
+    assert len(step) == 13 == len({(t, s) for t, s, _ in step})
+    assert all(type(factor) is int for _, _, factor in step)
+    diagonal = {(t, s): f for t, s, f in step if t == s and t}
+    assert diagonal == {(at, at): m - n for (m, n), at in boson_algebra._ORDER1_AT.items()}
+
+
+@pytest.mark.parametrize("hamiltonian, leak", [
+    # [adag^2 a^2, a] = -2 adag a^2 lands at order 0, where only a is a coordinate
+    (OperatorPolynomial({(1, 1): (1, 0), (2, 2): (1, 0)}), "order-0 adag.a^2"),
+    # [adag^3 a^3, a] = -3 adag^2 a^3 lands at order 1 on no MONOMIAL_FORMS monomial
+    (OperatorPolynomial({(1, 1): (1, 0), (3, 3): (0, 1)}), "order-1 adag^2.a^3"),
+])
+def test_step_map_refuses_images_outside_the_coordinates(cold_step_map, monkeypatch,
+                                                         hamiltonian, leak):
+    monkeypatch.setattr(boson_algebra, "hamiltonian_polynomial", lambda: hamiltonian)
+    with pytest.raises(boson_algebra.ChainSpanError, match=rf"\[H, a\] has an {re.escape(leak)} "):
+        verify_bch_collection(3)
+
+
+def test_chain_takes_six_commutators_per_process(cold_step_map, monkeypatch):
+    """The first chain builds the step map from six images; no later chain,
+    at any depth or through any entry point, takes another commutator."""
+    calls = []
+    real = boson_algebra.commutator
+    monkeypatch.setattr(boson_algebra, "commutator",
+                        lambda p, q: calls.append(q) or real(p, q))
+    assert verify_bch_collection(12).all_passed
+    assert len(calls) == 6
+    assert verify_bch_collection(35).all_passed
+    boson_algebra.evolved_series(35)
+    collect_monomial_series(A3, 20)
+    assert len(calls) == 6
+
+
+def test_hamiltonian_polynomial_is_a_fresh_object_each_call():
+    assert hamiltonian_polynomial() is not hamiltonian_polynomial()
+    assert hamiltonian_polynomial() == hamiltonian_polynomial()
 
 
 def chain_polynomials(entry, max_size):

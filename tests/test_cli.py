@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gupsqueeze import analytic, cli, fock_oracle, physics_config
+from gupsqueeze import analytic, boson_algebra, cli, fock_oracle, physics_config
 from gupsqueeze import table as csv_table
 from gupsqueeze.analytic import variance_record
 from gupsqueeze.cli import FIGURE3_COLUMNS, SWEEP_COLUMNS, main
@@ -68,6 +68,20 @@ def test_verify_bch_cap_admits_exactly_max_order(monkeypatch, capsys):
                         lambda k_max: orders.append(k_max) or real(1))
     assert main(["verify-bch", "--max-order", str(cli._MAX_BCH_ORDER)]) == 0
     assert orders == [cli._MAX_BCH_ORDER]
+
+
+@pytest.mark.parametrize("entry", range(13))
+def test_verify_bch_fails_on_a_changed_step_map_factor(monkeypatch, capsys, entry):
+    """verify-bch steps the chain with the step map, so one factor of its
+    13 off by one fails it, whichever the factor."""
+    step = boson_algebra._step_map()
+    target, source, factor = step[entry]
+    changed = (*step[:entry], (target, source, factor + 1), *step[entry + 1:])
+    monkeypatch.setattr(boson_algebra, "_step_map", lambda: changed)
+    assert main(["verify-bch", "--max-order", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert "mismatch_at_order_" in out
+    assert err.startswith("FAILED: ")
 
 
 # ---------------------------------------------------------------------------

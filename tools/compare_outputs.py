@@ -13,9 +13,9 @@ up to 1e11 and at gamma 46 (the coherent recursion's rescale, exit 2),
 ``preset``, figure 3 from a preset file, figure 1's default pair written
 over files already there (so a staged file left beside them would show in
 the listing), a sweep over a min/max/points axis, ``verify-bch
---max-order`` 12, 35 (the benchmark's depth), 60 and 1000 (coefficients far
-past 64 bits, each monomial's image [H, m] taken once and read back at every
-depth, the chain streamed), and bad inputs that exit 2: out-of-range
+--max-order`` 1 (the least depth), 12, 35 (the benchmark's depth), 60, 1000
+and 10000 (the cap, where the chain's integers are largest: coefficients far
+past 64 bits, the chain streamed), and bad inputs that exit 2: out-of-range
 options, SI units whose restoration factors are 0 or infinite, and a config
 or preset that is not UTF-8.
 
@@ -124,7 +124,7 @@ def cases() -> list[Case]:
              (("triple.cfg", "tau_min = 0\ntau_max = 12\ntau_points = 7\ngamma = 0, 1.5\n"
                              "theta = 0.4\ng = 1e-4, 1e-2\n"),)),
         *(Case(f"verify_bch_{order}", ("verify-bch", "--max-order", order))
-          for order in ("12", "35", "60", "1000")),
+          for order in ("1", "12", "35", "60", "1000", "10000")),
         Case("bad_sweep_nan", ("sweep", "--tau", "nan", "--out", "bad.csv")),
         Case("bad_sweep_config", ("sweep", "--config", "missing.cfg")),
         Case("bad_figure_gamma", ("figure", "--id", "1", "--gamma=-1", "--out", "bad.csv")),
