@@ -17,16 +17,14 @@ point (see tests/reference.py).
 ``@`` is the ring's product.  ``commutator`` does not build PQ and QP to
 subtract them: it sums, per pair of monomials, only the Wick terms of
 [u, v] that survive (``monomial_commutator``), since the fully ordered
-k = 0 terms of uv and vu cancel.  Both run one accumulate loop, which reads
-each pair's expansion through one cache, so a process expands each pair
-once.  ``bch_bodies`` takes the image [H, m] once per chain for each
-monomial m its bodies hold and sums every next body from those images.  The
-chain on a never leaves seven int coordinates (a at order 0, the six
-MONOMIAL_FORMS monomials at order g), so ``verify_bch_collection``,
-``evolved_series`` and ``collect_monomial_series`` step those seven ints
-with a linear map read off body 1 of ``bch_bodies`` (``_step_map``): a
-process calls ``commutator`` six times for them, on the first chain,
-whatever its depth.
+k = 0 terms of uv and vu cancel.  Both run one accumulate loop over the
+pairs.  ``bch_bodies`` is the generic chain, each body the commutator of H
+with the one before.  The chain on a never leaves seven int coordinates (a
+at order 0, the six MONOMIAL_FORMS monomials at order g), so
+``verify_bch_collection``, ``evolved_series`` and
+``collect_monomial_series`` step those seven ints with a linear map read
+off body 1 of ``bch_bodies`` (``_step_map``): a process calls
+``commutator`` six times for them, on the first chain, whatever its depth.
 """
 
 from __future__ import annotations
@@ -162,20 +160,6 @@ class OperatorPolynomial:
         return "OperatorPolynomial({" + ", ".join(bits) + "})"
 
 
-# Pair expansions _accumulate keeps.  The exact chain meets 54 pairs (H's nine
-# monomials against each of a(tau)'s six, one image each) and building H 20
-# more, so every pair a command meets stays; an entry holds at most
-# min(n1, m2) + 1 small ints.  A pair past the bound is recomputed.
-_PAIRS_KEPT = 1024
-
-
-@functools.lru_cache(maxsize=_PAIRS_KEPT)
-def _expansion_terms(expansion: Callable[[Monomial, Monomial], dict[Monomial, int]],
-                     left: Monomial, right: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """expansion(left, right) as (monomial, factor) pairs, computed once."""
-    return tuple(expansion(left, right).items())
-
-
 def _accumulate(p: OperatorPolynomial, q: OperatorPolynomial,
                 expansion: Callable[[Monomial, Monomial], dict[Monomial, int]],
                 ) -> OperatorPolynomial:
@@ -188,7 +172,7 @@ def _accumulate(p: OperatorPolynomial, q: OperatorPolynomial,
             c1 = p0 * q1 + p1 * q0
             if not (c0 or c1):
                 continue
-            for mono, factor in _expansion_terms(expansion, mono1, mono2):
+            for mono, factor in expansion(mono1, mono2).items():
                 prev = terms.get(mono)
                 if prev is None:
                     terms[mono] = (c0 * factor, c1 * factor)
@@ -224,43 +208,15 @@ def hamiltonian_polynomial() -> OperatorPolynomial:
 
 def bch_bodies(k_max: int, hamiltonian: OperatorPolynomial,
                operator: OperatorPolynomial) -> Iterator[OperatorPolynomial]:
-    """Yield nested-commutator bodies for k = 0..k_max, computed incrementally.
-
-    [H, body] is summed monomial by monomial: each term (b0 + b1 g) m of the
-    body adds (b0 + b1 g)[H, m], and the image [H, m] of each monomial the
-    chain meets is taken once per chain, so the chain on a calls
-    ``commutator`` six times, whatever its depth.  Where b0 = 0 only the
-    order-0 part of [H, m] is read, since g^2 drops the rest.  Each new entry
-    is seeded from its products, as ``_accumulate`` seeds it, so its zeros
-    keep the entries' type.  This is the generic chain, on any H and
-    operator; the package's own chain on a steps its coordinates instead
-    (``_step_map``), and the tests hold the two equal.
+    """Yield nested-commutator bodies for k = 0..k_max, each [H, previous
+    body].  This is the generic chain, on any H and operator; the package's
+    own chain on a steps its coordinates instead (``_step_map``), and the
+    tests hold the two equal.
     """
-    images: dict[Monomial, tuple[tuple, tuple]] = {}  # m -> [H, m], its order-0 part
     body = operator
     yield body
     for _ in range(k_max):
-        terms: dict[Monomial, tuple] = {}
-        for mono, (b0, b1) in body.terms.items():
-            image = images.get(mono)
-            if image is None:
-                graded = tuple(
-                    commutator(hamiltonian, OperatorPolynomial.monomial(mono)).terms.items())
-                image = images[mono] = (graded, tuple(
-                    (out, i0) for out, (i0, _) in graded if i0))
-            graded, order0 = image
-            if b0:
-                for out, (i0, i1) in graded:
-                    prev = terms.get(out)
-                    c1 = i0 * b1 + i1 * b0
-                    terms[out] = ((i0 * b0, c1) if prev is None
-                                  else (prev[0] + i0 * b0, prev[1] + c1))
-            else:
-                for out, i0 in order0:
-                    prev = terms.get(out)
-                    terms[out] = ((i0 * b0, i0 * b1) if prev is None
-                                  else (prev[0], prev[1] + i0 * b1))
-        body = OperatorPolynomial(terms)
+        body = commutator(hamiltonian, body)
         yield body
 
 
@@ -290,33 +246,26 @@ class TaylorSeries:
         return total
 
 
-@functools.lru_cache(maxsize=1)
-def _power3(k: int) -> int:
-    """3^k, kept for the next rule that asks for the same k: a3 and adag3 do,
-    in turn, at every depth of a verification."""
-    return 3 ** k
-
-
 #: The closed forms the collected coefficient series resum to, as (the exact
 #: Taylor coefficient c_k in the basis (i tau)^k / k!, spelled as the int
-#: G_HAT_SCALE c_k: its denominators 1, 6 and 12 all divide 12; value at real
-#: tau given the phases e(k) = e^{i k tau}):
+#: G_HAT_SCALE c_k, whose denominators 1, 6 and 12 all divide 12, by a rule of
+#: k and p3 = 3^k, a power its callers step; value at real tau given the
+#: phases e(k) = e^{i k tau}):
 #: base   e^{-i tau}                     G_HAT_SCALE c_k = 12 (-1)^k
 #: drift  -i tau e^{-i tau}              G_HAT_SCALE c_k = 12 k (-1)^k
 #: sine   i sin tau                      G_HAT_SCALE c_k = 12 (k odd), 0 (k even)
 #: a3     (e^{-i tau} - e^{-3 i tau})/6  G_HAT_SCALE c_k = -2 (-1)^k (3^k - 1)
 #: adag3  (e^{-i tau} - e^{3 i tau})/12  G_HAT_SCALE c_k = -(3^k - (-1)^k)
-_FORMS: dict[str, tuple[Callable[[int], int], Callable]] = {
-    "base": (lambda k: 12 * (-1) ** k, lambda tau, e: e(-1)),
-    "drift": (lambda k: 12 * k * (-1) ** k, lambda tau, e: -1j * tau * e(-1)),
-    "sine": (lambda k: 12 * (k % 2), lambda tau, e: 1j * np.sin(tau)),
-    "a3": (lambda k: -2 * (-1) ** k * (_power3(k) - 1),
-           lambda tau, e: (e(-1) - e(-3)) / 6.0),
-    "adag3": (lambda k: -(_power3(k) - (-1) ** k), lambda tau, e: (e(-1) - e(3)) / 12.0),
+_FORMS: dict[str, tuple[Callable[[int, int], int], Callable]] = {
+    "base": (lambda k, p3: 12 * (-1) ** k, lambda tau, e: e(-1)),
+    "drift": (lambda k, p3: 12 * k * (-1) ** k, lambda tau, e: -1j * tau * e(-1)),
+    "sine": (lambda k, p3: 12 * (k % 2), lambda tau, e: 1j * np.sin(tau)),
+    "a3": (lambda k, p3: -2 * (-1) ** k * (p3 - 1), lambda tau, e: (e(-1) - e(-3)) / 6.0),
+    "adag3": (lambda k, p3: -(p3 - (-1) ** k), lambda tau, e: (e(-1) - e(3)) / 12.0),
 }
 
 
-def _form(form_id: str) -> tuple[Callable[[int], int], Callable]:
+def _form(form_id: str) -> tuple[Callable[[int, int], int], Callable]:
     if form_id not in _FORMS:
         raise ValueError(f"unknown form {form_id!r}; expected one of {tuple(_FORMS)}")
     return _FORMS[form_id]
@@ -327,7 +276,12 @@ def closed_form_taylor(form_id: str, k_max: int) -> TaylorSeries:
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     rule, _ = _form(form_id)
-    return TaylorSeries(tuple(rule(k) for k in range(k_max + 1)))
+    numerators = []
+    p3 = 1
+    for k in range(k_max + 1):
+        numerators.append(rule(k, p3))
+        p3 *= 3
+    return TaylorSeries(tuple(numerators))
 
 
 def closed_form_value(form_id: str, tau, e):
@@ -460,10 +414,12 @@ def verify_bch_collection(k_max: int) -> BchVerification:
     rules = {mono: (_ORDER1_AT[mono], _form(form_id)[0])
              for mono, form_id in MONOMIAL_FORMS.items()}
     first_mismatch: dict[Monomial, int | None] = dict.fromkeys(rules)
+    p3 = 1
     for k, state in enumerate(_coordinates(k_max)):
         for mono, (at, rule) in rules.items():
-            if first_mismatch[mono] is None and state[at] != rule(k):
+            if first_mismatch[mono] is None and state[at] != rule(k, p3):
                 first_mismatch[mono] = k
+        p3 *= 3
     return BchVerification(rows=tuple(
         MonomialVerification(label=_label(mono),
                              verified_through=k_max if k is None else k - 1,

@@ -79,9 +79,9 @@ def _check_grid(*sizes: int) -> None:
 
 # Deepest chain verify-bch builds, checked before anything is built.  The
 # chain's ints grow as 3^k, so its time grows as k^2; one body is kept at a
-# time.  At 10^4 a fresh interpreter takes 0.39-0.61 s (median 0.41 s of 9;
-# the chain itself about 0.2 s) and 29 MiB peak RSS, about what the import
-# alone takes (2-core VM, Python 3.11).
+# time.  At 10^4 a fresh byte-compiled interpreter takes 0.27-0.32 s (median
+# 0.28 s of 9; the check itself about 0.06 s) and 29 MiB peak RSS, about what
+# the import alone takes (2-core VM, Python 3.11).
 _MAX_BCH_ORDER = 10_000
 
 

@@ -1,7 +1,7 @@
 """Reference routes the tests check the package against.
 
 Nothing in the package calls these: the ring's product summed pair by
-pair from ``monomial_product`` with no cache, the commutator as the
+pair as whole polynomials from ``monomial_product``, the commutator as the
 difference of two such products, the nested-commutator chain as the
 commutator of H with each whole body, a Taylor series summed from its
 ``Fraction`` coefficients, the evolved operators as graded

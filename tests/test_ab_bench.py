@@ -46,7 +46,7 @@ def test_two_trees_load_as_distinct_packages_with_identical_output(
         assert Path(package.cli.__file__).is_relative_to(root / "src")
         assert package.cli.analytic is package.analytic
     assert mine.cli is not parent.cli
-    assert mine.boson_algebra._expansion_terms is not parent.boson_algebra._expansion_terms
+    assert mine.boson_algebra._step_map is not parent.boson_algebra._step_map
 
     written = []
     for package in (mine, parent):

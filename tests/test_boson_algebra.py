@@ -284,12 +284,10 @@ small_polynomials = st.dictionaries(
 @settings(max_examples=40, deadline=None)
 @given(small_polynomials, small_polynomials)
 def test_product_and_commutator_equal_the_reference_cold_and_warm(p, q):
-    """The pair cache changes no result: each expansion computed afresh
-    (cache cleared) and read back (cache warm)."""
-    boson_algebra._expansion_terms.cache_clear()
-    for _ in ("cold", "warm"):
-        assert p @ q == reference_product(p, q)
-        assert commutator(p, q) == reference_commutator(p, q)
+    """Each pair is expanded afresh on every call, so one check covers a
+    cold process and a warm one."""
+    assert p @ q == reference_product(p, q)
+    assert commutator(p, q) == reference_commutator(p, q)
 
 
 @settings(max_examples=30, deadline=None)
@@ -350,29 +348,6 @@ def test_chain_through_depth_60_equals_the_reference_route():
     for k, built in enumerate(bch_bodies(60, h, body)):
         assert built == body, k
         body = reference_commutator(h, body)
-
-
-def test_chain_takes_one_commutator_per_monomial_it_meets_and_no_products(monkeypatch):
-    """The chain on a takes [H, a] at depth 1 and [H, m] for the other five
-    monomials of a(tau) at depth 2, and no commutator after that."""
-    calls = {"commutator": 0, "@": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    h = hamiltonian_polynomial()
-    # bch_bodies looks commutator up through the module global, as a tracer does
-    monkeypatch.setattr(boson_algebra, "commutator",
-                        counted("commutator", boson_algebra.commutator))
-    monkeypatch.setattr(OperatorPolynomial, "__matmul__",
-                        counted("@", OperatorPolynomial.__matmul__))
-    for k, images in ((1, 1), (2, 6), (12, 6), (35, 6)):
-        calls.update({"commutator": 0, "@": 0})
-        list(bch_bodies(k, h, OperatorPolynomial.monomial(A)))
-        assert calls == {"commutator": images, "@": 0}
 
 
 @pytest.fixture
@@ -441,18 +416,30 @@ def test_step_map_refuses_images_outside_the_coordinates(cold_step_map, monkeypa
 
 
 def test_chain_takes_six_commutators_per_process(cold_step_map, monkeypatch):
-    """The first chain builds the step map from six images; no later chain,
-    at any depth or through any entry point, takes another commutator."""
-    calls = []
-    real = boson_algebra.commutator
-    monkeypatch.setattr(boson_algebra, "commutator",
-                        lambda p, q: calls.append(q) or real(p, q))
+    """The first chain builds H from 20 pair products and the step map from
+    six images, 54 pair commutators (H's nine monomials against each of
+    a(tau)'s six); no later chain, at any depth or through any entry point,
+    takes another commutator or expands another pair."""
+    calls = dict.fromkeys(("commutator", "monomial_commutator", "monomial_product"), 0)
+
+    def counted(name):
+        real = getattr(boson_algebra, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    # the chain and the ring look these up through the module globals, as a tracer does
+    for name in calls:
+        monkeypatch.setattr(boson_algebra, name, counted(name))
+    cold = {"commutator": 6, "monomial_commutator": 54, "monomial_product": 20}
     assert verify_bch_collection(12).all_passed
-    assert len(calls) == 6
+    assert calls == cold
     assert verify_bch_collection(35).all_passed
     boson_algebra.evolved_series(35)
     collect_monomial_series(A3, 20)
-    assert len(calls) == 6
+    assert calls == cold
 
 
 def test_hamiltonian_polynomial_is_a_fresh_object_each_call():
@@ -539,7 +526,7 @@ def test_closed_form_taylor_base():
     assert series.coefficients == (F(1), F(-1), F(1), F(-1))
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", [*range(1, 9), 35, 60])
 def test_closed_form_a3_adag3_general_term(k):
     a3_k = closed_form_taylor("a3", k).coefficients[k]
     adag3_k = closed_form_taylor("adag3", k).coefficients[k]
@@ -639,7 +626,7 @@ def test_a_closed_form_off_at_one_order_fails_exactly_its_monomials(
     and names them."""
     rule, value = boson_algebra._FORMS[form]
     monkeypatch.setitem(boson_algebra._FORMS, form,
-                        (lambda k: rule(k) + (k == 5), value))
+                        (lambda k, p3: rule(k, p3) + (k == 5), value))
     report = verify_bch_collection(8)
     assert {row.label: (row.first_mismatch, row.verified_through)
             for row in report.rows} == {
