@@ -460,14 +460,21 @@ def scaled_delta_x(tau, theta, gamma):
 
 
 def scaled_delta_p(tau, theta, gamma):
-    """Momentum-variance excess, stripped of hbar^2 m^2 w^2 beta / 4."""
+    """Momentum-variance excess, stripped of hbar^2 m^2 w^2 beta / 4:
+    2 cos 2tau + gamma^2 (4 cos 2tau - 3 cos(2tau - 2theta)
+    - cos(2tau + 2theta) + 4 tau sin(2tau - 2theta)).
+
+    As in scaled_delta_x, the trig runs on the tau and theta axes and the
+    angle sums are expanded on the grid.
+    """
     tau = np.asarray(tau, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    return (2.0 * np.cos(2.0 * tau) + gamma * gamma * (
-        4.0 * np.cos(2.0 * tau)
-        - 3.0 * np.cos(2.0 * tau - 2.0 * theta)
-        - np.cos(2.0 * tau + 2.0 * theta)
-        + 4.0 * tau * np.sin(2.0 * tau - 2.0 * theta)))
+    c, s = np.cos(2.0 * tau), np.sin(2.0 * tau)
+    c_theta, s_theta = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    return (2.0 * c + gamma * gamma * (
+        4.0 * c * (1.0 - c_theta)
+        - 2.0 * s * s_theta
+        + 4.0 * tau * (s * c_theta - c * s_theta)))
 
 
 def scaled_delta_product(tau, theta, gamma):

@@ -14,17 +14,15 @@ the nested-commutator chain is integer arithmetic and its coefficient tables
 the ring on complex entries, to derive coherent-state moments in floating
 point (see tests/reference.py).
 
-``@`` is the ring's product.  ``commutator`` does not build PQ and QP to
-subtract them: it sums, per pair of monomials, only the Wick terms of
-[u, v] that survive (``monomial_commutator``), since the fully ordered
-k = 0 terms of uv and vu cancel.  Both run one accumulate loop over the
-pairs.  ``bch_bodies`` is the generic chain, each body the commutator of H
-with the one before.  The chain on a never leaves seven int coordinates (a
-at order 0, the six MONOMIAL_FORMS monomials at order g), so
-``verify_bch_collection``, ``evolved_series`` and
-``collect_monomial_series`` step those seven ints with a linear map read
-off body 1 of ``bch_bodies`` (``_step_map``): a process calls
-``commutator`` six times for them, on the first chain, whatever its depth.
+``@`` is the ring's product, the bilinear extension of one Wick formula
+(``monomial_product``), and ``commutator`` is PQ - QP.  ``bch_bodies`` is
+the generic chain, each body the commutator of H with the one before.  The
+chain on a never leaves seven int coordinates (a at order 0, the six
+MONOMIAL_FORMS monomials at order g), so ``verify_bch_collection``,
+``evolved_series`` and ``collect_monomial_series`` step those seven ints
+with a linear map read off body 1 of ``bch_bodies`` (``_step_map``): a
+process calls ``commutator`` six times for them, on the first chain,
+whatever its depth.
 """
 
 from __future__ import annotations
@@ -73,26 +71,6 @@ def monomial_product(left: Monomial, right: Monomial) -> dict[Monomial, int]:
     return out
 
 
-def monomial_commutator(left: Monomial, right: Monomial) -> dict[Monomial, int]:
-    """Integer expansion of [a^dag^m1 a^n1, a^dag^m2 a^n2] in normal order.
-
-    uv and vu expand onto the same monomials a^dag^(m1+m2-k) a^(n1+n2-k)
-    (see monomial_product), and their k = 0 terms are equal, so
-        [u, v] = sum_{k>=1} (C(n1,k) C(m2,k) - C(n2,k) C(m1,k)) k!
-                 a^dag^(m1+m2-k) a^(n1+n2-k),
-    with the zero factors left out.
-    """
-    m1, n1 = left
-    m2, n2 = right
-    out: dict[Monomial, int] = {}
-    for k in range(1, max(min(n1, m2), min(n2, m1)) + 1):
-        coeff = ((math.comb(n1, k) * math.comb(m2, k) - math.comb(n2, k) * math.comb(m1, k))
-                 * math.factorial(k))
-        if coeff:
-            out[(m1 + m2 - k, n1 + n2 - k)] = coeff
-    return out
-
-
 class OperatorPolynomial:
     """Finite sum of normal-ordered monomials with graded coefficients.
 
@@ -137,8 +115,22 @@ class OperatorPolynomial:
             m: (c0 * s0, c0 * s1 + c1 * s0) for m, (c0, c1) in self.terms.items()})
 
     def __matmul__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        """Operator product, normal ordered, g-truncated."""
-        return _accumulate(self, other, monomial_product)
+        """Operator product, normal ordered, g-truncated: the sum over monomial
+        pairs (u of self, v of other) of coeff_u coeff_v monomial_product(u, v)."""
+        terms: dict[Monomial, tuple] = {}
+        for mono1, (p0, p1) in self.terms.items():
+            for mono2, (q0, q1) in other.terms.items():
+                c0 = p0 * q0
+                c1 = p0 * q1 + p1 * q0
+                if not (c0 or c1):
+                    continue
+                for mono, factor in monomial_product(mono1, mono2).items():
+                    prev = terms.get(mono)
+                    if prev is None:
+                        terms[mono] = (c0 * factor, c1 * factor)
+                    else:
+                        terms[mono] = (prev[0] + c0 * factor, prev[1] + c1 * factor)
+        return OperatorPolynomial(terms)
 
     def adjoint(self) -> "OperatorPolynomial":
         return OperatorPolynomial({
@@ -160,31 +152,9 @@ class OperatorPolynomial:
         return "OperatorPolynomial({" + ", ".join(bits) + "})"
 
 
-def _accumulate(p: OperatorPolynomial, q: OperatorPolynomial,
-                expansion: Callable[[Monomial, Monomial], dict[Monomial, int]],
-                ) -> OperatorPolynomial:
-    """Sum over monomial pairs (u of p, v of q) of coeff_u coeff_v times
-    expansion(u, v), g-truncated: the bilinear extension of ``expansion``."""
-    terms: dict[Monomial, tuple] = {}
-    for mono1, (p0, p1) in p.terms.items():
-        for mono2, (q0, q1) in q.terms.items():
-            c0 = p0 * q0
-            c1 = p0 * q1 + p1 * q0
-            if not (c0 or c1):
-                continue
-            for mono, factor in expansion(mono1, mono2).items():
-                prev = terms.get(mono)
-                if prev is None:
-                    terms[mono] = (c0 * factor, c1 * factor)
-                else:
-                    terms[mono] = (prev[0] + c0 * factor, prev[1] + c1 * factor)
-    return OperatorPolynomial(terms)
-
-
 def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
-    """[P, Q] = PQ - QP, normal ordered, g-truncated, summed pair by pair
-    from the surviving Wick terms of each monomial commutator."""
-    return _accumulate(p, q, monomial_commutator)
+    """[P, Q] = PQ - QP, normal ordered, g-truncated."""
+    return p @ q - q @ p
 
 
 #: g / g_hat: the exact chain is graded in g_hat = g/12, where it has int entries.

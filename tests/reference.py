@@ -6,7 +6,8 @@ difference of two such products, the nested-commutator chain as the
 commutator of H with each whole body, a Taylor series summed from its
 ``Fraction`` coefficients, the evolved operators as graded
 polynomials of boson_algebra's ring (with complex coefficients), the ring's
-coherent-state expectations, the dense truncated-Fock operators of the
+coherent-state expectations, figure 2's surface with its angle sums taken
+whole on the broadcast grid, the dense truncated-Fock operators of the
 Heisenberg picture, and the coherent state's recursion on an array.  Each
 gives a second, independent way to the numbers the commands compute.
 """
@@ -182,6 +183,18 @@ def evolved_position_momentum(
         x_t = x_t.scale(math.sqrt(params.hbar / (2.0 * params.mass * params.omega)))
         p_t = p_t.scale(math.sqrt(params.hbar * params.mass * params.omega / 2.0))
     return x_t, p_t
+
+
+def reference_scaled_delta_p(tau, theta, gamma):
+    """analytic.scaled_delta_p with cos and sin of 2tau, 2tau - 2theta and
+    2tau + 2theta each taken on the broadcast grid."""
+    tau = np.asarray(tau, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    return (2.0 * np.cos(2.0 * tau) + gamma * gamma * (
+        4.0 * np.cos(2.0 * tau)
+        - 3.0 * np.cos(2.0 * tau - 2.0 * theta)
+        - np.cos(2.0 * tau + 2.0 * theta)
+        + 4.0 * tau * np.sin(2.0 * tau - 2.0 * theta)))
 
 
 # ---------------------------------------------------------------------------

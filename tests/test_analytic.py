@@ -26,7 +26,8 @@ from gupsqueeze.physics_config import (
 )
 from reference import (
     evolved_annihilation, evolved_position_momentum, expectation, max_abs_diff,
-    quadrature_polynomials, reference_ladder_taylor_check, variance_graded,
+    quadrature_polynomials, reference_ladder_taylor_check, reference_scaled_delta_p,
+    variance_graded,
 )
 
 VACUUM = CoherentAmplitude()
@@ -630,6 +631,27 @@ def test_open_axes_name_the_same_first_failing_point(axes, positions, params):
         dense = _grid_outcome(failing, params, sparse=False)
         assert dense[0] is ConsistencyError
         assert _grid_outcome(failing, params, sparse=True) == dense
+
+
+# tau and theta out to 1e4, where the rounding of 2 tau itself is ~2e-12
+long_axis = st.lists(st.floats(-1e4, 1e4) | st.just(-0.0), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=long_axis, theta=long_axis, gamma=gammas)
+def test_scaled_delta_p_on_axes_matches_the_grid_spelling(tau, theta, gamma):
+    """Figure 2's surface, trig on the axes and angle sums expanded, is the
+    broadcast-grid spelling to 4 eps times the phase's size max(1, |tau|,
+    |theta|) times the size 2 + gamma^2 (8 + 4|tau|) its terms reach; a dense
+    grid gives the open one's cells bit for bit."""
+    t, th = np.meshgrid(tau, theta, indexing="ij", sparse=True)
+    got = scaled_delta_p(t, th, gamma)
+    scale = ((2.0 + gamma * gamma * (8.0 + 4.0 * np.abs(t)))
+             * np.maximum(1.0, np.maximum(np.abs(t), np.abs(th))))
+    error = np.abs(got - reference_scaled_delta_p(t, th, gamma))
+    assert (error <= 4.0 * np.finfo(float).eps * scale).all()
+    dense = scaled_delta_p(*np.meshgrid(tau, theta, indexing="ij"), gamma)
+    assert dense.tobytes() == np.ascontiguousarray(got).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gupsqueeze import fock_oracle
-from gupsqueeze.analytic import analytic_slopes
+from gupsqueeze.analytic import analytic_slopes, secular_scale, validity_codes
 from gupsqueeze.cli import main
 from gupsqueeze.fock_oracle import (
     ORACLE_QUANTITIES, FockOperator, FockSpace,
@@ -441,6 +441,29 @@ def test_variance_matches_first_order_formula_at_small_g():
     assert abs(r1_full) < 1e-8 and abs(r2_full) < 1e-8
     assert r1_full / r1_half == pytest.approx(4.0, rel=1e-2)
     assert r2_full / r2_half == pytest.approx(4.0, rel=1e-2)
+
+
+def test_ok_label_holds_first_order_to_a_measured_bound():
+    """On a grid of points the validity label reads ok (secular scale
+    g tau (1 + gamma^2) up to SECULAR_WARN), the oracle's x_hat and p_hat
+    variances at g are their g = 0 values plus g times the analytic slope
+    to within 0.05 g (1 + gamma^2)^2 (1 + tau).  The error over g (1 + gamma^2)^2
+    (1 + tau) peaks at 0.0028 at scale 0.01 and at 0.023 at scale 0.1, about
+    half the bound at the warn threshold."""
+    taus = (1.0, 4.0, 12.0)
+    for gamma in (0.0, 1.0, 3.0):
+        amp = CoherentAmplitude(gamma=gamma, theta=0.4)
+        space = FockSpace(fock_dim_for(amp) + 40)
+        base = oracle_variances(taus, amp, NAT(0.0), space)
+        for i, tau in enumerate(taus):
+            slopes = analytic_slopes(tau, amp)
+            for scale in (0.01, 0.1):
+                g = scale / (tau * (1.0 + gamma * gamma))
+                assert validity_codes(secular_scale(tau, g, gamma)) == 0
+                var = oracle_variances(tau, amp, NAT(g), space)
+                for q in ("var_x_hat", "var_p_hat"):
+                    error = abs(var[q] - base[q][i] - g * slopes[q])
+                    assert error <= 0.05 * g * slope_scale(tau, gamma), (gamma, tau, scale, q)
 
 
 def heisenberg_variances(tau, amplitude, params, space):

@@ -6,6 +6,7 @@ against ``--parent DIR``'s, and compares exit code, stdout, stderr and every
 file the command leaves in its directory, byte for byte.  The list covers
 the benchmark's inputs (sweeps at perfbench seeds 1-3, to a file and to
 stdout; figures 1-3; uncertainty-check; oracle-compare at both amplitudes),
+figure 2 out to tau = 1e4 (where its phases' rounding is largest),
 oracle-compare at a given ``--dim`` (certified, and one that only the
 comparison at twice the dimension passes), in the vacuum, at 40 taus
 (several slope chunks), at gamma 40 (certified near the 2048 cap), at taus
@@ -93,6 +94,8 @@ def cases() -> list[Case]:
              (("fig_gamma1.csv", "an earlier table\n"),
               ("fig_gamma10.csv", "an earlier table\n"))),
         Case("figure2_stdout", ("figure", "--id", "2", "--gamma", "0", "--out", "-")),
+        Case("figure2_tau_1e4", ("figure", "--id", "2", "--gamma", "3.7", "--tau-max", "1e4",
+                                 "--out", "fig2.csv")),
         Case("figure3", ("figure", "--id", "3", "--out", "fig3.csv")),
         Case("figure3_stdout", ("figure", "--id", "3", "--tau-points", "50", "--out", "-")),
         Case("uncertainty_defaults", ("uncertainty-check",)),
