@@ -33,7 +33,7 @@ from . import analytic, fock_oracle, physics_config
 from .boson_algebra import verify_bch_collection
 from .fock_oracle import ORACLE_QUANTITIES, FockSpace, OracleError
 from .physics_config import CoherentAmplitude, ConfigError, PhysicalParams
-from .table import Labels, csv_sink, sink_target, write_table
+from .table import Labels, csv_sink, csv_sinks, sink_target, write_table
 
 SWEEP_COLUMNS = (
     "tau", "gamma", "theta", "g",
@@ -141,8 +141,7 @@ def cmd_figure(args) -> int:
         path = Path(args.out)  # without --gamma, each stem ends in _gamma<gamma>
         outs = [args.out] if explicit else [
             str(path.with_name(f"{path.stem}_gamma{g:g}{path.suffix}")) for g in gammas]
-        with contextlib.ExitStack() as stack:
-            sinks = [stack.enter_context(csv_sink(out)) for out in outs]
+        with csv_sinks(outs) as sinks:
             for (write, _), table in zip(sinks, surfaces):
                 write_table(write, ("tau", "theta", "delta_scaled"), table)
         for gamma, (_, out), (*_, surface) in zip(gammas, sinks, surfaces):

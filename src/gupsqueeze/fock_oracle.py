@@ -288,17 +288,21 @@ def _variance(psi: np.ndarray, o_psi: np.ndarray) -> np.ndarray:
     return second - mean * mean
 
 
-def _apply(bands: np.ndarray, v: np.ndarray, offsets: slice = slice(None)) -> np.ndarray:
+# The rows of a full band table: row BANDS + k holds offset k.
+_BAND_ROWS = range(2 * BANDS + 1)
+
+
+def _apply(bands: np.ndarray, v: np.ndarray, rows=_BAND_ROWS) -> np.ndarray:
     """M v from the bands of M (or of a stack of M), O(n) per M and vector:
     (M v)[r] = sum_k M[r, r+k] v[r+k], one band slice at a time.  v may be
     a stack of vectors along its leading axes, which broadcast against those
-    of bands.  bands holds the offsets -BANDS .. BANDS, or only those that
-    offsets selects."""
+    of bands.  bands holds the band rows given by rows (offset + BANDS, in
+    order): all of them, or only those of the offsets where M is not zero."""
     n = v.shape[-1]
     padded = np.zeros(v.shape[:-1] + (n + 2 * BANDS,), dtype=complex)
     padded[..., BANDS:-BANDS] = v
-    terms = (bands[..., row, :] * padded[..., start:start + n]
-             for row, start in enumerate(range(2 * BANDS + 1)[offsets]))
+    terms = (bands[..., i, :] * padded[..., start:start + n]
+             for i, start in enumerate(rows))
     return sum(terms, 0.0)  # from 0, in offset order, as sum(axis=-2) adds
 
 
@@ -377,12 +381,20 @@ _SLOPE_TABLES_KEPT = 4
 
 @functools.lru_cache(maxsize=_SLOPE_TABLES_KEPT)
 def _slope_operators(dim: int) -> tuple[np.ndarray, ...]:
-    """oracle_slopes' tables at one Fock dimension, read-only: the odd-offset
-    bands of X1, X2, x_hat and p_hat, those of d p_hat/dbeta = p^3/3, twice
-    the energies E of H0 (ints, as floats), the distinct gaps D = E[r+k] - E[r]
-    at the even offsets (ascending; at most 17, against 5 per number state),
-    the index that gathers them into that (offset, number state) table, and
-    the bands of V = p^4/3m at the even offsets.
+    """oracle_slopes' tables at one Fock dimension, read-only: the bands of
+    X1, X2, x_hat and p_hat at the odd offsets where one of them is not zero,
+    and those offsets' band rows (offset + BANDS); the bands of d p_hat/dbeta
+    = p^3/3 at all four odd offsets; twice the energies E of H0 (ints, as
+    floats); the distinct gaps D = E[r+k] - E[r] at the even offsets
+    (ascending; at most 17, against 5 per number state), the index that
+    gathers them into that (offset, number state) table; and the bands of
+    V = p^4/3m at the even offsets.
+
+    At beta = 0, p_hat = p, so every observable is linear in a and a^dag:
+    their rows at +-3 are zero and are dropped, and each observable is
+    applied on +-1 alone.  The rows kept are read from the bands, so a model
+    whose observables reach +-3 keeps them.  p^3/3 reaches +-3 and keeps
+    all four.
 
     H0's energies are half-integers, n + 1/2 and (dim - 1)/2 for the
     truncated top state, but its bands give them only to rounding (1.7e-13
@@ -400,9 +412,11 @@ def _slope_operators(dim: int) -> tuple[np.ndarray, ...]:
     gaps = (sliding_window_view(np.pad(energies, BANDS), dim) - energies)[EVEN]
     gaps, gap_index = np.unique(gaps, return_inverse=True)
     v_bands = v[EVEN]  # zero wherever a gap runs off the space
+    observed = np.array([row for row in _BAND_ROWS[ODD] if bands[:, row].any()])
     # copies, so the cache keeps none of the arrays these slice
-    tables = tuple(table.copy() for table in (bands[:, ODD], d_p_hat[ODD], two_e, gaps,
-                                              gap_index.reshape(v_bands.shape), v_bands))
+    tables = tuple(table.copy() for table in (
+        bands[:, observed], observed, d_p_hat[ODD], two_e, gaps,
+        gap_index.reshape(v_bands.shape), v_bands))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -425,11 +439,13 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
     distinct gap and gathered into the bands.  Each variance slope is
     2Re<O psi, d(O psi)> - 2<O> d<O>; d p_hat/dbeta = p^3/3 adds to d(p_hat psi).
     V is zero at odd offsets and the observables at even ones, so each is
-    applied on the other's offsets alone.
+    applied on the other's offsets alone, and the observables only on the
+    odd offsets _slope_operators keeps.
     """
     if space is None:
         space = FockSpace(fock_dim_for(amplitude))
-    bands, d_p_hat, two_e, gaps, gap_index, v_bands = _slope_operators(space.dim)
+    bands, observed, d_p_hat, two_e, gaps, gap_index, v_bands = _slope_operators(space.dim)
+    observed = observed.tolist()
     psi = coherent_vector(amplitude, space).components
     taus = np.asarray(tau, dtype=float)
     flat = taus.reshape(-1)
@@ -446,11 +462,12 @@ def oracle_slopes(tau, amplitude: CoherentAmplitude,
                               f"{t[np.argmin(finite), 0]} is beyond the float range")
         phase = np.exp(1j * (two_e * np.angle(np.exp(-0.5j * t))))  # w^{2E}
         psi_t = phase * psi
-        chi = -1j * phase * _apply(v_bands * np.take(f, gap_index, axis=1), psi, EVEN)
-        o_psi = _apply(bands, psi_t[:, None], ODD)
-        o_chi = _apply(bands, chi[:, None], ODD)
+        chi = -1j * phase * _apply(v_bands * np.take(f, gap_index, axis=1), psi,
+                                   _BAND_ROWS[EVEN])
+        o_psi = _apply(bands, psi_t[:, None], observed)
+        o_chi = _apply(bands, chi[:, None], observed)
         d_o_psi = o_chi.copy()
-        d_o_psi[:, 3] += _apply(d_p_hat, psi_t, ODD)
+        d_o_psi[:, 3] += _apply(d_p_hat, psi_t, _BAND_ROWS[ODD])
         bra = psi_t.conj()[:, :, None]
         mean = (o_psi @ bra)[..., 0].real
         d_mean = ((o_chi + d_o_psi) @ bra)[..., 0].real  # 2Re<psi, O chi> + <O'>

@@ -1,8 +1,11 @@
 """The CSV format every command writes: a header row, then each float in
 full-precision scientific notation and each label as is.
 
-A float field's bytes equal CPython's ``'%.16e' % x`` exactly.
-``write_table`` renders them with an exact numpy kernel (``_e16_fields``)
+A float field's bytes equal CPython's ``'%.16e' % x`` exactly.  A table of
+fewer than ``_TABLE_MIN_FIELDS`` fields (rows times columns; 256, near the
+measured crossover) is written row by row, each row formatted by one
+per-table ``'%'`` template, so that no byte differs.  ``write_table``
+renders every larger table with an exact numpy kernel (``_e16_fields``)
 in row blocks that hold ``_BLOCK_VALUES`` dense float values, so a block's
 row count follows the number of dense float columns; non-finite values,
 magnitudes outside [1e-280, 1e280), power-of-ten neighbours whose decimal
@@ -18,7 +21,9 @@ and its NUL padding dropped in one pass.
 
 ``csv_sink`` is where every command's bytes leave, and so the one place
 that decides what a failed command leaves on disk: a regular file appears
-whole or not at all, and a FIFO or a device streams.  ``write_table``
+whole or not at all, and a FIFO or a device streams.  ``csv_sinks`` does
+the same for several files at once, and closes every staged file before
+it renames any.  ``write_table``
 writes through the function it yields; beside it, csv_sink yields where the
 bytes go, "-" for stdout, so a command's status line can follow it.
 """
@@ -55,6 +60,13 @@ _E16_WORDS = 7
 # the kernel's fixed per-call cost (crossover measured at 80-85 values: about
 # 115 us either way, 2-core VM, numpy 2.4).
 _KERNEL_MIN_VALUES = 80
+# Tables of fewer fields (rows times columns) than this are formatted row by
+# row with '%': there the block path's fixed cost of about 100 us is the
+# larger.  Crossover measured at about 260 fields for oracle-compare's 5
+# columns (250: x0.97, 275: x1.05), 190 for a figure's 3 and 480 for a
+# sweep's 12 (medians, 2-core VM, numpy 2.4); the 100-field tables of four
+# taus are written 1.6 times as fast.
+_TABLE_MIN_FIELDS = 256
 _POW10_MIN = -270  # 10**k for k = 16 - E, E the decimal exponent in range
 _POW10_MAX = 300
 _EXP_OFFSET = 300
@@ -236,37 +248,87 @@ def csv_sink(path: str):
     Each write is flushed.  A path that cannot be opened or written, a FIFO
     whose reader left included, is a ConfigError that names path, raised
     by the write that failed."""
-    if sink_target(path) == "-":
-        yield (lambda data: sys.stdout.write(data.decode())), "-"
-        return
-    try:
-        stream, staged, real, mode = _open_sink(path)
-    except OSError as exc:
-        raise _cannot_write(path, exc)
+    with csv_sinks([path]) as (sink,):
+        yield sink
 
-    def write(data: bytes) -> None:
-        try:
-            stream.write(data)
-            stream.flush()
-        except OSError as exc:  # named here, not by another sink it passes
-            raise _cannot_write(path, exc)
 
+@contextlib.contextmanager
+def csv_sinks(paths: Sequence[str]):
+    """csv_sink for several paths at once: one (write, target) pair per path.
+    When the block exits cleanly, every staged file is given its mode bits
+    and closed before any is renamed into place, so a failure before the
+    renames leaves every target as it was.  On any exception every staged
+    file is removed; an OSError the block raises is named by the last path
+    that is not stdout."""
+    sinks = []
     try:
-        yield write, path
-        if mode is not None:
-            os.fchmod(stream.fileno(), mode)
-        stream.close()
-        if staged is not None:
-            _rename(staged, real, path)
+        for path in paths:
+            sinks.append(_Sink(path))
+        yield [(sink.write, sink.target) for sink in sinks]
+        for sink in sinks:
+            sink.close()
+        for sink in sinks:
+            sink.replace()
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            stream.close()
-        if staged is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(staged)
-        if isinstance(exc, OSError):
-            raise _cannot_write(path, exc)
+        for sink in sinks:
+            sink.discard()
+        files = [sink.path for sink in sinks if sink.stream is not None]
+        if isinstance(exc, OSError) and files:
+            raise _cannot_write(files[-1], exc)
         raise
+
+
+class _Sink:
+    """One path of csv_sinks: where its bytes go ("-" for stdout) and, for
+    any other target, the stream, the staged file behind it and the target
+    it replaces (see _open_sink).  Each step turns an OSError into a
+    ConfigError that names path."""
+
+    def __init__(self, path: str):
+        self.path, self.target = path, sink_target(path)
+        self.stream = self.staged = None
+        if self.target != "-":
+            try:
+                self.stream, self.staged, self.real, self.mode = _open_sink(path)
+            except OSError as exc:
+                raise _cannot_write(path, exc)
+
+    def write(self, data: bytes) -> None:
+        if self.stream is None:
+            sys.stdout.write(data.decode())
+            return
+        try:
+            self.stream.write(data)
+            self.stream.flush()
+        except OSError as exc:  # named here, not by another sink it passes
+            raise _cannot_write(self.path, exc)
+
+    def close(self) -> None:
+        """Give a staged file the target's mode bits, and close the stream."""
+        if self.stream is not None:
+            try:
+                if self.mode is not None:
+                    os.fchmod(self.stream.fileno(), self.mode)
+                self.stream.close()
+            except OSError as exc:
+                raise _cannot_write(self.path, exc)
+
+    def replace(self) -> None:
+        """Move the closed staged file into place."""
+        if self.staged is not None:
+            try:
+                _rename(self.staged, self.real, self.path)
+            except OSError as exc:
+                raise _cannot_write(self.path, exc)
+
+    def discard(self) -> None:
+        """Close the stream and remove the staged file, quietly."""
+        if self.stream is not None:
+            with contextlib.suppress(OSError):
+                self.stream.close()
+        if self.staged is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self.staged)
 
 
 def _cannot_write(path: str, exc: OSError) -> ConfigError:
@@ -337,10 +399,31 @@ def _stored(column: np.ndarray) -> np.ndarray:
                         for step in column.strides)]
 
 
+def _rows_text(shape, columns) -> bytes:
+    """The table's rows, each formatted by '%' from one per-table template:
+    '%.16e' for a float column and '%s' for a label column's encoded label."""
+    def flat(values):  # broadcast only where needed: it costs 2 us a column
+        values = values if values.shape == shape else np.broadcast_to(values, shape)
+        return values.reshape(-1).tolist()
+
+    cells = []
+    for col in columns:
+        if isinstance(col, Labels):
+            encoded = [label.encode() for label in col.labels]
+            cells.append([encoded[code] for code in flat(np.asarray(col.codes))])
+        else:
+            cells.append(flat(np.asarray(col, np.float64)))
+    template = b",".join(b"%s" if isinstance(col, Labels) else b"%.16e"
+                         for col in columns) + b"\n"
+    return b"".join([template % row for row in zip(*cells)])
+
+
 def write_table(write, header, columns) -> None:
     """Pass the header, then one row per cell of the shape the columns
     broadcast to, in C order.  Each column is a float array (written as
-    '%.16e') or a Labels (written as is).  A float column that holds a value
+    '%.16e') or a Labels (written as is).  A table of fewer than
+    _TABLE_MIN_FIELDS fields goes row by row (_rows_text), with the header
+    in one write.  In a larger table a float column that holds a value
     for every row is rendered block by block, in blocks of _BLOCK_VALUES dense
     float values; any other column is rendered once per table, a float per
     stored value and a label per label, and its rows are gathered block by
@@ -348,6 +431,10 @@ def write_table(write, header, columns) -> None:
     shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, Labels) else col)
                                   for col in columns))
     rows = math.prod(shape)
+    head = (",".join(header) + "\n").encode()
+    if rows * len(columns) < _TABLE_MIN_FIELDS:
+        write(head + _rows_text(shape, columns))
+        return
     width = 4 * _E16_WORDS  # of a float field
     # every field ends in its separator, "," or "\n" after the last column;
     # a float field's is its last byte, as '%.16e' fills at most 24 of its 28
@@ -380,7 +467,7 @@ def write_table(write, header, columns) -> None:
     row_bytes = sum(data.stop - data.start if fields is None else fields.shape[1]
                     for fields, data in parts)
     table = np.empty((0, row_bytes), np.uint8)
-    write((",".join(header) + "\n").encode())
+    write(head)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         if len(table) != stop - start:  # the first block, and a short last one

@@ -8,7 +8,8 @@ commutator of H with each whole body, a Taylor series summed from its
 polynomials of boson_algebra's ring (with complex coefficients), the ring's
 coherent-state expectations, figure 2's surface with its angle sums taken
 whole on the broadcast grid, the dense truncated-Fock operators of the
-Heisenberg picture, and the coherent state's recursion on an array.  Each
+Heisenberg picture, the coherent state's recursion on an array, and a
+table's CSV bytes formatted row by row with ``'%.16e' %``.  Each
 gives a second, independent way to the numbers the commands compute.
 """
 
@@ -29,6 +30,7 @@ from gupsqueeze.fock_oracle import (
     _lengths, _matrix, _quadrature_bands, eigensystem, evolution_operator,
 )
 from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
+from gupsqueeze.table import Labels
 
 # ---------------------------------------------------------------------------
 # the graded ring
@@ -296,3 +298,28 @@ def reference_coherent_vector(alpha: complex | CoherentAmplitude,
     if not loss < 1.0:
         raise no_norm
     return CoherentVector(comps / math.sqrt(norm_sq), max(0.0, loss))
+
+
+# ---------------------------------------------------------------------------
+# the CSV table
+
+
+def reference_table(header, columns) -> bytes:
+    """table.write_table's bytes, one cell at a time: the header, then a row
+    per cell of the shape the columns broadcast to, in C order, each float
+    as '%.16e' % x and each Labels cell as its label, joined by "," and
+    ended by "\\n"."""
+    shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, Labels) else col)
+                                  for col in columns))
+    cells = []
+    for col in columns:
+        if isinstance(col, Labels):
+            codes = np.broadcast_to(col.codes, shape).ravel().tolist()
+            cells.append([col.labels[code] for code in codes])
+        else:
+            values = np.broadcast_to(np.asarray(col, dtype=float), shape).ravel().tolist()
+            cells.append(["%.16e" % x for x in values])
+    lines = [",".join(header)]
+    for row in zip(*cells):
+        lines.append(",".join(row))
+    return "".join(line + "\n" for line in lines).encode()

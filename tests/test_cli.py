@@ -30,6 +30,7 @@ from gupsqueeze.physics_config import (
     CoherentAmplitude, ConfigError, PhysicalParams, electron_preset, to_natural,
 )
 from gupsqueeze.table import Labels
+from reference import reference_table
 
 
 def read_csv(path):
@@ -530,6 +531,79 @@ def test_e16_kernel_matches_cpython_on_exact_ties():
     rng = np.random.default_rng(7)
     values = (2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, size=10 ** 4) + 1) / 4.0
     assert kernel_text(values) == ["%.16e" % v for v in values.tolist()]
+
+
+# values that take a path of their own in the kernel or in '%': zeros,
+# non-finite values, subnormals, 3-digit exponents, the kernel's range ends,
+# and exact decimal rounding ties (m/4, m odd, between 1e15 and 2.25e15)
+SPECIAL_VALUES = np.array([
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, -1.5e-310, 1e-150, -3.7e-205,
+    1e250, -6.02e123, 1.7976931348623157e308, 1e-280, np.nextafter(1e280, 0.0),
+    1000000000000000.25, 1500000000000000.75, -2000000000000001.25, 1e23,
+    9.999999999999999e22, 1e16, 1.0, np.nextafter(1.0, 0.0), -900000.0])
+
+
+def random_values(rng, shape) -> np.ndarray:
+    """Floats of the given shape: special values, random bit patterns and
+    random decimal magnitudes, in equal measure."""
+    size = math.prod(shape)
+    pool = np.stack([
+        rng.choice(SPECIAL_VALUES, size),
+        rng.integers(0, 2 ** 64, size, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(size) * 10.0 ** rng.integers(-320, 308, size)])
+    return pool[rng.integers(0, 3, size), np.arange(size)].reshape(shape)
+
+
+@st.composite
+def open_tables(draw):
+    """A header and columns for write_table: a grid of 1 to 3 axes, and 1 to
+    6 columns, each a float column broadcast along a random subset of the
+    axes (dense, open or a scalar) or a Labels column, so that the table's
+    fields fall on both sides of table._TABLE_MIN_FIELDS."""
+    ndim = draw(st.integers(1, 3))
+    tail = draw(st.lists(st.integers(1, 4), min_size=ndim - 1, max_size=ndim - 1))
+    n_columns = draw(st.integers(1, 6))
+    most = 3 * csv_table._TABLE_MIN_FIELDS // (n_columns * math.prod(tail))
+    shape = (draw(st.integers(1, max(1, most))), *tail)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(n_columns):
+        along = draw(st.lists(st.booleans(), min_size=ndim, max_size=ndim))
+        lead = draw(st.integers(0, ndim))  # leading axes left to broadcasting
+        col_shape = tuple(n if keep else 1 for n, keep in zip(shape, along))[lead:]
+        if draw(st.booleans()):
+            columns.append(random_values(rng, col_shape))
+        else:
+            labels = draw(st.lists(st.text(st.characters(blacklist_characters="\0"),
+                                           max_size=5), min_size=1, max_size=4))
+            columns.append(Labels(labels, rng.integers(0, len(labels), col_shape)))
+    return tuple(f"c{i}" for i in range(n_columns)), tuple(columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=open_tables())
+def test_write_table_equals_the_row_by_row_reference_on_both_paths(table):
+    header, columns = table
+    chunks = []
+    csv_table.write_table(chunks.append, header, columns)
+    assert b"".join(chunks) == reference_table(header, columns)
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_write_table_calls_the_kernel_from_its_threshold_on(monkeypatch, below):
+    """Fewer fields (rows times columns) than _TABLE_MIN_FIELDS go row by
+    row, without the kernel; at the threshold the kernel renders them."""
+    rows = csv_table._TABLE_MIN_FIELDS - below  # one column
+    columns = (random_values(np.random.default_rng(rows), (rows,)),)
+    calls = []
+    real = csv_table._e16_fields
+    monkeypatch.setattr(csv_table, "_e16_fields", lambda x: (calls.append(np.size(x)),
+                                                             real(x))[1])
+    chunks = []
+    csv_table.write_table(chunks.append, ("x",), columns)
+    assert b"".join(chunks) == reference_table(("x",), columns)
+    assert calls == ([] if below else [rows])
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -1273,6 +1347,32 @@ def test_figure_default_gammas_rename_neither_file_unless_both_are_written(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert listing(tmp_path) == before
+    assert not staged_files(tmp_path)
+
+
+def test_figure_default_gammas_close_both_files_before_renaming_either(
+        tmp_path, monkeypatch, capsys):
+    """Both tables are written whole, but fig_gamma1.csv's staged file cannot
+    take the target's mode bits: neither target changes, and no staged file
+    is left."""
+    for g in ("1", "10"):
+        (tmp_path / f"fig_gamma{g}.csv").write_bytes(f"gamma {g}\n".encode())
+    before = listing(tmp_path)
+    real_fchmod = os.fchmod
+
+    def refuse_gamma1(fd, mode):
+        inode = os.fstat(fd).st_ino
+        if any(p.stat().st_ino == inode for p in tmp_path.glob(".fig_gamma1.csv.*.tmp")):
+            raise PermissionError(errno.EPERM, "Operation not permitted")
+        real_fchmod(fd, mode)
+    monkeypatch.setattr(os, "fchmod", refuse_gamma1)
+    assert main(["figure", "--id", "1", "--out", str(tmp_path / "fig.csv"),
+                 "--tau-points", "4", "--theta-points", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: cannot write {str(tmp_path / 'fig_gamma1.csv')!r}: "
+                   "[Errno 1] Operation not permitted\n")
     assert listing(tmp_path) == before
     assert not staged_files(tmp_path)
 

@@ -593,6 +593,28 @@ def test_both_passes_read_one_model(monkeypatch, tmp_path):
         fock_oracle._slope_operators.cache_clear()  # tables of the scaled model
 
 
+def test_oracle_compare_fails_when_p_hat_takes_beta_over_2(monkeypatch, tmp_path, capsys):
+    """p_hat = p + beta p^3/2 in _model alone (d p_hat/dbeta scaled by 3/2):
+    the slopes leave the closed forms, and oracle-compare says FAIL."""
+    model = fock_oracle._model
+
+    def mutated(space, params):
+        observables, d_p_hat, h0, v = model(space, params)
+        return observables, 1.5 * d_p_hat, h0, v
+
+    fock_oracle._slope_operators.cache_clear()
+    monkeypatch.setattr(fock_oracle, "_model", mutated)
+    try:
+        assert main(["oracle-compare", "--gamma", "1", "--theta", "0.4",
+                     "--out", str(tmp_path / "oracle.csv")]) == 1
+    finally:
+        fock_oracle._slope_operators.cache_clear()  # tables of the mutated model
+    line = capsys.readouterr().out
+    assert line.startswith("oracle-compare: worst relative slope error ")
+    assert line.endswith(" (FAIL at 0.001)\n")
+    assert float(line.split()[5]) > 1.0
+
+
 def reference_slopes(tau, amplitude, space):
     """oracle_slopes as it ran before its array pass: one Python step per tau,
     F(D, t) on every offset.  Kept to pin the array pass's bits.  The model's
@@ -720,8 +742,8 @@ def test_slope_pass_makes_as_many_calls_for_40_taus_as_for_4(monkeypatch):
 
 def test_slope_tables_are_cached_read_only_and_bounded():
     """A warm call gives the cold call's bits; the shared tables own their
-    data and refuse writes; the cache keeps at most _SLOPE_TABLES_KEPT
-    dimensions."""
+    data and refuse writes, and hold no all-zero band row of the
+    observables; the cache keeps at most _SLOPE_TABLES_KEPT dimensions."""
     amp, taus = CoherentAmplitude(gamma=2.0, theta=0.3), [-0.0, 0.5, 3.0]
     fock_oracle._slope_operators.cache_clear()
     cold = oracle_slopes(taus, amp, FockSpace(60))
@@ -733,8 +755,13 @@ def test_slope_tables_are_cached_read_only_and_bounded():
         assert table.base is None  # no larger array kept alive behind it
         with pytest.raises(ValueError):
             table[..., 0] = 1.0
+    bands, observed, d_p_hat, two_e, gaps, gap_index, v_bands = tables
+    # the observables keep only the odd offsets where one of them is not
+    # zero: +-1 at beta = 0, where p_hat = p; p^3/3 keeps all four
+    assert all(bands[:, i].any() for i in range(bands.shape[1]))
+    assert observed.tolist() == [fock_oracle.BANDS - 1, fock_oracle.BANDS + 1]
+    assert bands.shape == (4, 2, 60) and d_p_hat.shape == (4, 60)
     # each (even offset, number state) gap is read from the distinct gaps
-    _, _, two_e, gaps, gap_index, v_bands = tables
     energies = 0.5 * two_e
     full = (sliding_window_view(np.pad(energies, fock_oracle.BANDS), 60) - energies)[
         fock_oracle.EVEN]

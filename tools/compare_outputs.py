@@ -8,12 +8,15 @@ the benchmark's inputs (sweeps at perfbench seeds 1-3, to a file and to
 stdout; figures 1-3; uncertainty-check; oracle-compare at both amplitudes),
 figure 2 out to tau = 1e4 (where its phases' rounding is largest),
 oracle-compare at a given ``--dim`` (certified, and one that only the
-comparison at twice the dimension passes), in the vacuum, at 40 taus
+comparison at twice the dimension passes), in the vacuum, at 10 and 11
+taus (a table just below and just above the fields where the writer leaves
+its row-by-row path for its block kernel), at 40 taus
 (several slope chunks), at gamma 40 (certified near the 2048 cap), at taus
 up to 1e11 and at gamma 46 (the coherent recursion's rescale, exit 2),
 ``preset``, figure 3 from a preset file, figure 1's default pair written
 over files already there (so a staged file left beside them would show in
-the listing), a sweep over a min/max/points axis, ``verify-bch
+the listing), a sweep over a min/max/points axis, a 2 x 2 sweep (written
+row by row), ``verify-bch
 --max-order`` 1 (the least depth), 12, 35 (the benchmark's depth), 60, 1000
 and 10000 (the cap, where the chain's integers are largest: coefficients far
 past 64 bits, the chain streamed), and bad inputs that exit 2: out-of-range
@@ -112,6 +115,10 @@ def cases() -> list[Case]:
                                 "--tau", "0.5", "2", "7")),
         Case("oracle_large_tau", ("oracle-compare", "--gamma", "1", "--theta", "0.4",
                                   "--tau", "1e8", "1e10", "1e11")),
+        # 10 taus make 250 fields, written row by row; 11 make 275, by the kernel
+        *(Case(f"oracle_{n}_taus", ("oracle-compare", "--gamma", "1.3", "--theta", "0.2",
+                                    "--tau", *(repr(0.37 * k) for k in range(1, n + 1))))
+          for n in (10, 11)),
         # 40 taus: 3 slope chunks at dim 229 (certified, so none at 458)
         Case("oracle_many_taus", ("oracle-compare", "--gamma", "9.95", "--theta", "2.4",
                                   "--tau", *(repr(0.1 * k) for k in range(1, 41)))),
@@ -126,6 +133,8 @@ def cases() -> list[Case]:
         Case("sweep_axis_triple", ("sweep", "--config", "triple.cfg", "--out", "sweep.csv"),
              (("triple.cfg", "tau_min = 0\ntau_max = 12\ntau_points = 7\ngamma = 0, 1.5\n"
                              "theta = 0.4\ng = 1e-4, 1e-2\n"),)),
+        Case("sweep_2x2", ("sweep", "--tau", "0.5,7", "--gamma", "0,2.5", "--theta", "1.2",
+                           "--g", "0.01", "--out", "-")),
         *(Case(f"verify_bch_{order}", ("verify-bch", "--max-order", order))
           for order in ("1", "12", "35", "60", "1000", "10000")),
         Case("bad_sweep_nan", ("sweep", "--tau", "nan", "--out", "bad.csv")),
