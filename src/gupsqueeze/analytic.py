@@ -346,7 +346,10 @@ def variance_grid(tau, gamma, theta, g,
     quadrature-moment route and each delta against its variance minus the
     canonical value, to 1e-12 of the rounding-error scale, in natural units;
     a ConsistencyError names the first failing point in grid order.  Negative
-    gamma, non-finite values and overflowing records raise ConfigError.
+    gamma, non-finite values and overflowing records raise ConfigError.  Each
+    check first runs as one test over the whole grid: the per-cell masks, and
+    the audits' rounding-error scales (never below 1), are built only where
+    that test finds a cell that needs them, here a gap above 1e-12 itself.
     """
     tau, gamma, theta, g = axes = [np.asarray(v, dtype=float)
                                    for v in (tau, gamma, theta, g)]
@@ -383,34 +386,38 @@ def variance_grid(tau, gamma, theta, g,
     def failing(mask) -> np.ndarray:
         return np.flatnonzero(np.broadcast_to(mask, shape))
 
-    finite = reduce(np.logical_and, map(np.isfinite, (*columns.values(), var_p_alt)))
-    bad = failing((gamma < 0.0) | ~finite)
-    if bad.size:
-        raise ConfigError(f"(tau, gamma, theta, g) = {point(bad[0])}: need gamma >= 0, "
-                          "finite values and a record within the float range")
+    # each per-cell mask is built only where a whole-array test finds a cell
+    # that fails, to name the first such point
+    values = (*columns.values(), var_p_alt)
+    if (gamma < 0.0).any() or not all(np.isfinite(v).all() for v in values):
+        bad = failing((gamma < 0.0) | ~reduce(np.logical_and, map(np.isfinite, values)))
+        if bad.size:
+            raise ConfigError(f"(tau, gamma, theta, g) = {point(bad[0])}: need gamma >= 0, "
+                              "finite values and a record within the float range")
 
-    # Rounding-error scales: first-order terms reach |g| (1 + |tau|)(1 + gamma^2),
-    # the quadrature moments carry one more factor 1 + gamma^2, and a phase such
-    # as e^{i k tau} or cos(2 tau - 2 theta) is off by eps max(|tau|, |theta|).
-    terms = secular_scale(1.0 + np.abs(tau), g, gamma)
-    phase = _largest(tau, theta)
-    audits = (
-        ("momentum variance", var_p, var_p_alt, _largest(
-            var_p, 2.0 * g * x2_sq1, 2.0 * g * x2_mean_sq1,
-            (1.0 + gamma * gamma) * (1.0 + terms))),
-        ("delta_x", d_x, var_x - 0.5, _largest(d_x, var_x - 0.5, terms)),
-        ("delta_p", d_p, var_p - 0.5, _largest(d_p, var_p - 0.5, terms)),
-        ("delta_product", d_prod, product - 0.25,
-         _largest(d_prod, product - 0.25, terms)),
-    )
-    failed = [~(np.abs(a - b) <= CROSS_CHECK_TOL * phase * scale)
-              for _, a, b, scale in audits]
-    bad = failing(reduce(np.logical_or, failed))
-    if bad.size:
-        name, a, b, _ = next(audit for audit, f in zip(audits, failed) if at(f, bad[0]))
-        raise ConsistencyError(
-            f"{name} routes disagree at (tau, gamma, theta, g) = {point(bad[0])}: "
-            f"{at(a, bad[0])!r} vs {at(b, bad[0])!r}")
+    audits = (("momentum variance", var_p, var_p_alt), ("delta_x", d_x, var_x - 0.5),
+              ("delta_p", d_p, var_p - 0.5), ("delta_product", d_prod, product - 0.25))
+    gaps = [np.abs(a - b) for _, a, b in audits]
+    # Every tolerance below is CROSS_CHECK_TOL times scales of at least 1 (none
+    # is NaN once the values are finite), so gaps within CROSS_CHECK_TOL pass
+    # without them.  Rounding-error scales: first-order terms reach
+    # |g| (1 + |tau|)(1 + gamma^2), the quadrature moments carry one more
+    # factor 1 + gamma^2, and a phase such as e^{i k tau} or
+    # cos(2 tau - 2 theta) is off by eps max(|tau|, |theta|).
+    if not all((gap <= CROSS_CHECK_TOL).all() for gap in gaps):
+        terms = secular_scale(1.0 + np.abs(tau), g, gamma)
+        phase = _largest(tau, theta)
+        scales = (_largest(var_p, 2.0 * g * x2_sq1, 2.0 * g * x2_mean_sq1,
+                           (1.0 + gamma * gamma) * (1.0 + terms)),
+                  *(_largest(a, b, terms) for _, a, b in audits[1:]))
+        failed = [~(gap <= CROSS_CHECK_TOL * phase * scale)
+                  for gap, scale in zip(gaps, scales)]
+        bad = failing(reduce(np.logical_or, failed))
+        if bad.size:
+            name, a, b = next(audit for audit, f in zip(audits, failed) if at(f, bad[0]))
+            raise ConsistencyError(
+                f"{name} routes disagree at (tau, gamma, theta, g) = {point(bad[0])}: "
+                f"{at(a, bad[0])!r} vs {at(b, bad[0])!r}")
     return {name: np.broadcast_to(col, shape) for name, col in columns.items()}
 
 

@@ -11,13 +11,15 @@ row count follows the number of dense float columns; non-finite values,
 magnitudes outside [1e-280, 1e280), power-of-ten neighbours whose decimal
 exponent log10 misses, values within 1e-6 of a decimal rounding tie, and
 blocks of fewer than ``_KERNEL_MIN_VALUES`` floats go through ``'%.16e' %``
-one by one.  Columns need only broadcast to one shape, so a command hands
-over its grid open.  A float column with a value for every row is rendered
-block by block; any other column is rendered once per table, a float column
-broadcast over the grid once per stored value and a ``Labels`` column (its
-labels plus one code per cell) once per label, and its rows are gathered
-block by block by a flat row index.  Each block is laid out in one buffer
-and its NUL padding dropped in one pass.
+one by one.  The kernel builds the mask of each such condition only where
+one test over the whole block finds a value that meets it.  Columns need
+only broadcast to one shape, so a command hands over its grid open.  A
+float column with a value for every row is rendered block by block; any
+other column is rendered once per table, the float columns broadcast over
+the grid once per stored value, all in one kernel call, and a ``Labels``
+column (its labels plus one code per cell) once per label, and its rows
+are gathered block by block by a flat row index.  Each block is laid out
+in one buffer and its NUL padding dropped in one pass.
 
 ``csv_sink`` is where every command's bytes leave, and so the one place
 that decides what a failed command leaves on disk: a regular file appears
@@ -52,10 +54,14 @@ from .physics_config import ConfigError
 # rows: 1170 for a sweep's seven, 8192 for a figure's one.
 _BLOCK_VALUES = 8192
 
-# A rendered float field: 7 little-endian uint32 words, NUL where a byte is
-# absent.  Word 0 holds sign, leading digit and ".", words 1-4 the 16
-# fraction digits, words 5-6 "e", the exponent sign and 2 or 3 digits.
-_E16_WORDS = 7
+# A rendered float field's bytes, NUL where a byte is absent: sign, leading
+# digit and "." in 0-2, the 16 fraction digits in 3-18, "e", the exponent
+# sign and 2 or 3 digits in 19-23, and 24 left for the writer's separator.
+# Each byte is filled in some field ('%.16e' fills at most 24), so the writer
+# lays out and drops no padding that every field carries: with 28-byte
+# fields a sweep or figure command took 1.07-1.10 times as long (paired
+# medians, 2-core VM, numpy 2.4).
+_E16_WIDTH = 25
 # Below this many values per call, formatting them one by one is faster than
 # the kernel's fixed per-call cost (crossover measured at 80-85 values: about
 # 115 us either way, 2-core VM, numpy 2.4).
@@ -106,15 +112,15 @@ def _e16_tables():
     # index 10 * negative + leading digit
     s = np.arange(20)
     head = _pack(np.where(s >= 10, ord("-"), 0), 48 + s % 10, ord("."))
-    # words 5 and 6, index exponent + _EXP_OFFSET; a 2-digit exponent leaves
-    # word 6 NUL
+    # bytes 19-22 and 23-24, index exponent + _EXP_OFFSET; a 2-digit
+    # exponent leaves byte 23 NUL
     e = np.arange(-_EXP_OFFSET, _EXP_OFFSET)
     m = np.abs(e)
     wide = m >= 100
     tail = (_pack(ord("e"), np.where(e < 0, ord("-"), ord("+")),
                   np.where(wide, 48 + m // 100, 48 + m // 10 % 10),
                   np.where(wide, 48 + m // 10 % 10, 48 + m % 10)),
-            _pack(np.where(wide, 48 + m % 10, 0)))
+            np.where(wide, 48 + m % 10, 0).astype("<u2"))
     return powers, quad, head, tail
 
 
@@ -147,35 +153,46 @@ def _digits(a, e):
 def _e16_one_by_one(x) -> np.ndarray:
     """'%.16e' % v through CPython for each value of x, as _e16_fields lays
     it out: one NUL-padded row per value."""
-    return np.array([b"%.16e" % v for v in x.tolist()], dtype=f"S{4 * _E16_WORDS}"
-                    ).view(np.uint8).reshape(len(x), 4 * _E16_WORDS)
+    return np.array([b"%.16e" % v for v in x.tolist()], dtype=f"S{_E16_WIDTH}"
+                    ).view(np.uint8).reshape(len(x), _E16_WIDTH)
 
 
 def _e16_fields(x) -> np.ndarray:
     """The bytes of '%.16e' % v for each float64 v in x, one NUL-padded row
-    of 4 * _E16_WORDS bytes per value."""
+    of _E16_WIDTH bytes per value."""
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size < _KERNEL_MIN_VALUES:
         return _e16_one_by_one(x)
     _, quad, head, tail = _e16_tables()
+    # The vector path needs each value in [1e-280, 1e280) (there every
+    # product and split below stays normal and finite), a d of 17 digits
+    # (log10 misses by one next to a power of ten), and no fraction within
+    # 1e-6 of a half (a true tie rounds half-even, and the product's error
+    # could carry a near one across).  Each condition is first one test over
+    # the whole array; a per-value mask is built only where some value fails
+    # it, and the values a mask excludes go one by one, zeros excepted.
+    masks = []
     a = np.abs(x)
-    # in this range every product and split below stays normal and finite
-    vector = (a >= 1e-280) & (a < 1e280)
-    a[~vector] = 1.0
+    if not (a.min() >= 1e-280 and a.max() < 1e280):  # NaN fails both
+        masks.append((a >= 1e-280) & (a < 1e280))
+        a[~masks[0]] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
     d, frac = _digits(a, e)
-    # a d of 16 or 18 digits (log10 missed by one next to a power of ten), a
-    # true tie (it rounds half-even) and anything the product's error could
-    # carry across one half go one by one, like zero and the out-of-range
-    vector &= (d >= 10 ** 16) & (d < 10 ** 17)
+    if not (d.min() >= 10 ** 16 and d.max() < 10 ** 17):
+        masks.append((d >= 10 ** 16) & (d < 10 ** 17))
     frac -= 0.5
     d += frac > 0.0
-    vector &= np.abs(frac, out=frac) > 1e-6
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    e += carry
-    d *= vector  # zeros render as 0.0000000000000000e+00; the rest below
-    e *= vector
+    np.abs(frac, out=frac)
+    if not frac.min() > 1e-6:
+        masks.append(frac > 1e-6)
+    if d.max() >= 10 ** 17:  # 17 nines rounded up: carry into the exponent
+        carry = d == 10 ** 17
+        d[carry] = 10 ** 16
+        e += carry
+    if masks:
+        vector = functools.reduce(np.logical_and, masks)
+        d *= vector  # zeros render as 0.0000000000000000e+00; the rest below
+        e *= vector
     # d's 17 digits: the leading one, then two 8-digit halves of two 4-digit
     # quads each, split by floor division (an int64 np.divmod costs about
     # four floor divisions)
@@ -185,34 +202,55 @@ def _e16_fields(x) -> np.ndarray:
     hi -= lead * 10 ** 8
     lead += 10 * np.signbit(x)
     e += _EXP_OFFSET
-    fields = np.empty((x.size, _E16_WORDS), "<u4")
-    fields[:, 0] = head.take(lead)
-    for word, half in ((1, hi), (3, d)):
+    out = np.empty((x.size, _E16_WIDTH), np.uint8)
+
+    def put(offset: int, values: np.ndarray) -> None:
+        """values, one per field, stored from byte offset on (unaligned)."""
+        np.ndarray(x.size, values.dtype, out, offset, (_E16_WIDTH,))[...] = values
+
+    put(0, head.take(lead))  # its fourth byte, 3, is overwritten next
+    for offset, half in ((3, hi), (11, d)):
         upper = half // 10 ** 4
         half -= upper * 10 ** 4
-        fields[:, word] = quad.take(upper)
-        fields[:, word + 1] = quad.take(half)
-    for word, table in zip((5, 6), tail):
-        fields[:, word] = table.take(e)
-    out = fields.view(np.uint8)
-    slow = ~vector & (x != 0.0)
-    out[slow] = _e16_one_by_one(x[slow])
+        put(offset, quad.take(upper))
+        put(offset + 4, quad.take(half))
+    for offset, table in zip((19, 23), tail):
+        put(offset, table.take(e))
+    if masks:
+        slow = ~vector & (x != 0.0)
+        out[slow] = _e16_one_by_one(x[slow])
     return out
 
 
 class Labels(NamedTuple):
     """A text column, handed over as its labels and, per cell, the index of
     its label: the writer encodes each label once and gathers rows by code,
-    with no sort over the cells."""
+    with no sort over the cells.  write_table refuses a label that UTF-8
+    cannot encode or that holds a NUL with a ValueError naming it."""
 
     labels: Sequence[str]
     codes: np.ndarray
 
 
-def _encoded(strings, end: bytes) -> np.ndarray:
-    """Each string's UTF-8 bytes and then end, one NUL-padded row each."""
-    encoded = np.array([text.encode() + end for text in strings], dtype=bytes)
-    return encoded.view(np.uint8).reshape(len(strings), encoded.itemsize)
+def _label_bytes(labels) -> list[bytes]:
+    """Each label's UTF-8 bytes.  A label that UTF-8 cannot encode, or that
+    holds a NUL (which the block path drops with its padding), is a
+    ValueError that names it."""
+    encoded = []
+    for label in labels:
+        try:
+            encoded.append(label.encode())
+        except UnicodeEncodeError:
+            raise ValueError(f"label {label!r} is not encodable as UTF-8") from None
+        if b"\0" in encoded[-1]:
+            raise ValueError(f"label {label!r} holds a NUL")
+    return encoded
+
+
+def _encoded(labels, end: bytes) -> np.ndarray:
+    """Each label's UTF-8 bytes and then end, one NUL-padded row each."""
+    encoded = np.array([text + end for text in _label_bytes(labels)], dtype=bytes)
+    return encoded.view(np.uint8).reshape(len(labels), encoded.itemsize)
 
 
 def sink_target(path: str) -> str:
@@ -409,7 +447,7 @@ def _rows_text(shape, columns) -> bytes:
     cells = []
     for col in columns:
         if isinstance(col, Labels):
-            encoded = [label.encode() for label in col.labels]
+            encoded = _label_bytes(col.labels)
             cells.append([encoded[code] for code in flat(np.asarray(col.codes))])
         else:
             cells.append(flat(np.asarray(col, np.float64)))
@@ -421,13 +459,15 @@ def _rows_text(shape, columns) -> bytes:
 def write_table(write, header, columns) -> None:
     """Pass the header, then one row per cell of the shape the columns
     broadcast to, in C order.  Each column is a float array (written as
-    '%.16e') or a Labels (written as is).  A table of fewer than
+    '%.16e') or a Labels (written as is; see Labels for the labels it
+    refuses, before anything is written).  A table of fewer than
     _TABLE_MIN_FIELDS fields goes row by row (_rows_text), with the header
     in one write.  In a larger table a float column that holds a value
     for every row is rendered block by block, in blocks of _BLOCK_VALUES dense
     float values; any other column is rendered once per table, a float per
-    stored value and a label per label, and its rows are gathered block by
-    block.  write takes bytes, as the function csv_sink yields does."""
+    stored value (every such column's in one kernel call) and a label per
+    label, and its rows are gathered block by block.  write takes bytes, as
+    the function csv_sink yields does."""
     shape = np.broadcast_shapes(*(np.shape(col.codes if isinstance(col, Labels) else col)
                                   for col in columns))
     rows = math.prod(shape)
@@ -435,30 +475,34 @@ def write_table(write, header, columns) -> None:
     if rows * len(columns) < _TABLE_MIN_FIELDS:
         write(head + _rows_text(shape, columns))
         return
-    width = 4 * _E16_WORDS  # of a float field
+    width = _E16_WIDTH  # of a float field
     # every field ends in its separator, "," or "\n" after the last column;
-    # a float field's is its last byte, as '%.16e' fills at most 24 of its 28
+    # a float field's is its last byte, as '%.16e' fills at most 24 of its 25
     ends = [b","] * (len(columns) - 1) + [b"\n"]
     dense, dense_ends = [], []  # the dense float columns' values, flat
     # per run of adjacent dense float columns (None, its bytes in a rendered
     # block row), per other column (fields, the flat row index of its field)
     parts = []
-    for col, end in zip(columns, ends):
-        if isinstance(col, Labels):
+    stored = [None if isinstance(col, Labels) else _stored(np.broadcast_to(col, shape))
+              for col in columns]
+    once = [values for values in stored if values is not None and values.size < rows]
+    if once:  # every float column rendered once per table, in one kernel call
+        rendered = iter(np.split(_e16_fields(np.concatenate([v.reshape(-1) for v in once])),
+                                 np.cumsum([v.size for v in once[:-1]])))
+    for col, values, end in zip(columns, stored, ends):
+        if values is None:
             fields, index = _encoded(col.labels, end), np.asarray(col.codes)
+        elif values.size == rows:
+            run = (parts.pop()[1].start if parts and parts[-1][0] is None
+                   else width * len(dense))
+            dense.append(values.reshape(-1))
+            dense_ends.append(ord(end))
+            parts.append((None, slice(run, width * len(dense))))
+            continue
         else:
-            col = np.broadcast_to(col, shape)
-            stored = _stored(col)
-            if stored.size == rows:
-                run = (parts.pop()[1].start if parts and parts[-1][0] is None
-                       else width * len(dense))
-                dense.append(col.reshape(-1))
-                dense_ends.append(ord(end))
-                parts.append((None, slice(run, width * len(dense))))
-                continue
-            fields = _e16_fields(stored)
+            fields = next(rendered)
             fields[:, -1] = ord(end)
-            index = np.arange(stored.size).reshape(stored.shape)
+            index = np.arange(values.size).reshape(values.shape)
         # at most 4 bytes a row (1 for up to 256 fields), so at most 4 MB a
         # column at the 10**6-cell cap
         index = index.astype(np.min_scalar_type(len(fields) - 1), copy=False)

@@ -21,6 +21,7 @@ from gupsqueeze.analytic import (
 from gupsqueeze.boson_algebra import (
     A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, OperatorPolynomial,
 )
+from gupsqueeze.cli import main
 from gupsqueeze.physics_config import (
     CoherentAmplitude, ConfigError, PhysicalParams, VarianceRecord,
 )
@@ -547,6 +548,39 @@ def test_audit_names_the_first_failing_point_in_grid_order(monkeypatch):
     first = r"delta_x routes disagree at .* = \(0\.5, 0\.0, 0\.0, 0\.01\)"
     with pytest.raises(ConsistencyError, match=first):
         variance_grid(np.array([0.0, 0.5, 1.0]), 0.0, 0.0, 0.01)
+
+
+def perfbench_sweep(seed: int):
+    """The sweep perfbench/suite.py's closed_form_inputs draws: 25 x 8 x 5 x
+    10 stratified axes (g in log space) and its SI parameters."""
+    rng = random.Random(f"closed_form_grid/{seed}")
+
+    def stratified(n, lo, hi):
+        return [lo + (i + rng.random()) * (hi - lo) / n for i in range(n)]
+
+    axes = (stratified(25, 0.0, 4.0 * math.pi), stratified(8, 0.0, 3.0),
+            stratified(5, 0.0, 2.0 * math.pi), [10.0 ** e for e in stratified(10, -5.0, 0.0)])
+    hbar, mass, omega = (rng.uniform(0.5, 2.0) for _ in range(3))
+    return axes, PhysicalParams(mass, omega, hbar, 0.0)
+
+
+def test_audit_scales_are_built_only_where_a_gap_exceeds_the_tolerance(monkeypatch,
+                                                                        capsys):
+    """Where every audit gap is within CROSS_CHECK_TOL no tolerance scale is
+    needed, as on the benchmark's grids; the probe's momentum gap of about
+    1.3e-12 needs its scales, and passes by them."""
+    calls = []
+    real = analytic._largest
+    monkeypatch.setattr(analytic, "_largest", lambda *terms: (calls.append(len(terms)),
+                                                              real(*terms))[1])
+    axes, params = perfbench_sweep(1)
+    variance_grid(*np.meshgrid(*axes, indexing="ij", sparse=True), params=params)
+    assert main(["uncertainty-check"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert calls == []
+    grid = variance_grid(*PROBE_POINT)
+    assert calls == [2, 4, 3, 3, 3]
+    assert grid["secular"] > analytic.SECULAR_REFUSE
 
 
 def test_variance_grid_rejects_bad_points_by_name():

@@ -533,6 +533,41 @@ def test_e16_kernel_matches_cpython_on_exact_ties():
     assert kernel_text(values) == ["%.16e" % v for v in values.tolist()]
 
 
+# values that meet one of the kernel's slow-path conditions: zeros,
+# non-finite values, magnitudes outside its range, exact decimal ties (.25
+# rounds down half-even, .75 up), 1e-14 (its 17 digits round up into the
+# next power of ten) and a d of 16 digits, where log10 rounds up to 16
+RARE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 1e300,
+               1000000000000000.25, 1000000000000000.75, 1e-14,
+               float(np.nextafter(1e16, 0.0))]
+# a fixed draw of ordinary values: none meets any of those conditions
+ORDINARY_VALUES = (np.random.default_rng(31).uniform(1.0, 10.0, csv_table._BLOCK_VALUES)
+                   * 10.0 ** (np.arange(csv_table._BLOCK_VALUES) % 25 - 20))
+
+
+def test_e16_kernel_renders_the_ordinary_block_without_a_mask(monkeypatch):
+    """ORDINARY_VALUES meet no slow-path condition, so the kernel builds no
+    mask and sends no value one by one."""
+    one_by_one = []
+    real = csv_table._e16_one_by_one
+    monkeypatch.setattr(csv_table, "_e16_one_by_one",
+                        lambda x: (one_by_one.append(len(x)), real(x))[1])
+    assert kernel_text(ORDINARY_VALUES) == ["%.16e" % v for v in ORDINARY_VALUES.tolist()]
+    assert one_by_one == []
+
+
+@pytest.mark.parametrize("value", RARE_VALUES, ids=repr)
+@settings(max_examples=12, deadline=None)
+@given(index=st.integers(0, csv_table._BLOCK_VALUES - 1))
+def test_e16_kernel_renders_one_rare_value_among_ordinary_ones(value, index):
+    """The kernel tests each slow-path condition once over the whole array
+    and builds a per-value mask only where some value meets it: one rare
+    value planted among the ordinary ones must still take its own path."""
+    values = ORDINARY_VALUES.copy()
+    values[index] = value
+    assert kernel_text(values) == ["%.16e" % v for v in values.tolist()]
+
+
 # values that take a path of their own in the kernel or in '%': zeros,
 # non-finite values, subnormals, 3-digit exponents, the kernel's range ends,
 # and exact decimal rounding ties (m/4, m odd, between 1e15 and 2.25e15)
@@ -555,6 +590,10 @@ def random_values(rng, shape) -> np.ndarray:
     return pool[rng.integers(0, 3, size), np.arange(size)].reshape(shape)
 
 
+# what a label may hold: write_table refuses a NUL and a lone surrogate
+LABEL_CHARACTERS = st.characters(exclude_categories=("Cs",), exclude_characters="\0")
+
+
 @st.composite
 def open_tables(draw):
     """A header and columns for write_table: a grid of 1 to 3 axes, and 1 to
@@ -575,8 +614,8 @@ def open_tables(draw):
         if draw(st.booleans()):
             columns.append(random_values(rng, col_shape))
         else:
-            labels = draw(st.lists(st.text(st.characters(blacklist_characters="\0"),
-                                           max_size=5), min_size=1, max_size=4))
+            labels = draw(st.lists(st.text(LABEL_CHARACTERS, max_size=5),
+                                   min_size=1, max_size=4))
             columns.append(Labels(labels, rng.integers(0, len(labels), col_shape)))
     return tuple(f"c{i}" for i in range(n_columns)), tuple(columns)
 
@@ -588,6 +627,19 @@ def test_write_table_equals_the_row_by_row_reference_on_both_paths(table):
     chunks = []
     csv_table.write_table(chunks.append, header, columns)
     assert b"".join(chunks) == reference_table(header, columns)
+
+
+@pytest.mark.parametrize("rows", [2, 300])
+@pytest.mark.parametrize("label, reason", [("a\0b", "holds a NUL"),
+                                           ("\ud800", "is not encodable as UTF-8")])
+def test_write_table_refuses_a_label_on_both_paths(rows, label, reason):
+    """A 2-row table goes row by row and a 300-row one by blocks: both
+    refuse the label by name and write nothing."""
+    columns = (np.linspace(0.0, 1.0, rows), Labels(("ok", label), np.arange(rows) % 2))
+    chunks = []
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r} {reason}")):
+        csv_table.write_table(chunks.append, ("x", "label"), columns)
+    assert chunks == []
 
 
 @pytest.mark.parametrize("below", [True, False])
@@ -717,7 +769,9 @@ def test_write_table_renders_each_stored_value_once(tmp_path, capsys, monkeypatc
     assert got == want
     rows = math.prod(OPEN_SHAPE)
     assert want.count("\n") == rows + 1
-    # the open table renders each axis value once, the dense one every cell
+    # the open table renders each axis value once, all four axes in its
+    # first kernel call, and the dense one every cell
+    assert rendered[0] == sum(OPEN_SHAPE)
     assert sum(rendered) == sum(OPEN_SHAPE) + rows + 5 * rows
     # each label column is encoded once per table, not once per block, one
     # string per label: the open table's two, then the dense table's two
@@ -729,7 +783,7 @@ def test_write_table_renders_each_stored_value_once(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("to_file", [False, True])
 def test_write_table_takes_a_figure_shaped_table(tmp_path, capsys, to_file):
-    # 120 taus go through the vector kernel, 40 thetas one by one
+    # 120 taus and 40 thetas, rendered once per table in one kernel call
     tau = np.linspace(0.0, 4.0 * math.pi, 120)
     theta = np.linspace(0.0, 2.0 * math.pi, 40)
     surface = analytic.scaled_delta_x(tau[:, None], theta[None, :], 1.5)

@@ -15,8 +15,10 @@ its row-by-row path for its block kernel), at 40 taus
 up to 1e11 and at gamma 46 (the coherent recursion's rescale, exit 2),
 ``preset``, figure 3 from a preset file, figure 1's default pair written
 over files already there (so a staged file left beside them would show in
-the listing), a sweep over a min/max/points axis, a 2 x 2 sweep (written
-row by row), ``verify-bch
+the listing), a sweep over a min/max/points axis, a 3200-row sweep whose
+every dense block holds zeros, -0.0 and values below 1e-280 (the float
+kernel's rare paths among ordinary values), a 2 x 2 sweep (written row by
+row), ``verify-bch
 --max-order`` 1 (the least depth), 12, 35 (the benchmark's depth), 60, 1000
 and 10000 (the cap, where the chain's integers are largest: coefficients far
 past 64 bits, the chain streamed), and bad inputs that exit 2: out-of-range
@@ -133,6 +135,10 @@ def cases() -> list[Case]:
         Case("sweep_axis_triple", ("sweep", "--config", "triple.cfg", "--out", "sweep.csv"),
              (("triple.cfg", "tau_min = 0\ntau_max = 12\ntau_points = 7\ngamma = 0, 1.5\n"
                              "theta = 0.4\ng = 1e-4, 1e-2\n"),)),
+        # 3200 rows: zeros, -0.0 and deltas below 1e-280 in every dense block
+        Case("sweep_rare_values", ("sweep", "--config", "rare.cfg", "--out", "sweep.csv"),
+             (("rare.cfg", "tau_min = 0\ntau_max = 12\ntau_points = 400\ngamma = 0, 1.5\n"
+                           "theta = 0.3\ng = 0, -0.0, 1e-290, 1e-3\n"),)),
         Case("sweep_2x2", ("sweep", "--tau", "0.5,7", "--gamma", "0,2.5", "--theta", "1.2",
                            "--g", "0.01", "--out", "-")),
         *(Case(f"verify_bch_{order}", ("verify-bch", "--max-order", order))
