@@ -27,7 +27,9 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .boson_algebra import A, MONOMIAL_FORMS, Monomial, closed_form_value, evolved_series
+from .boson_algebra import (
+    A, G_HAT_SCALE, MONOMIAL_FORMS, Monomial, _coordinates, closed_form_value,
+)
 from .physics_config import (
     CoherentAmplitude, ConfigError, PhysicalParams, VarianceRecord, from_natural,
 )
@@ -102,10 +104,23 @@ def _ladder_parts(tau, e) -> dict[Monomial, tuple]:
 
 def ladder_taylor_check(tau: float, k_max: int = 12) -> float:
     """Max deviation between the six closed-form order-g coefficients and the
-    exact collected coefficient series summed through depth k_max."""
-    series = evolved_series(k_max)
-    return max(abs(series[mono].evaluate(tau) - c1)
-               for mono, (_, c1) in _ladder_parts(tau, _phase_table(tau)).items())
+    exact collected coefficient series summed through depth k_max.
+
+    The six series are summed at tau as the chain streams, whose coordinates
+    1-6 hold the MONOMIAL_FORMS monomials' order-g entries in g_hat; each term
+    is the one TaylorSeries.evaluate adds, and the power and factorial are
+    stepped once per depth for all six."""
+    totals = [0.0 + 0.0j] * len(MONOMIAL_FORMS)
+    power = 1.0 + 0.0j
+    fact = 1.0
+    for k, state in enumerate(_coordinates(k_max)):
+        if k:
+            power *= 1j * tau
+            fact *= k
+        totals = [total + n / G_HAT_SCALE * power / fact
+                  for total, n in zip(totals, state[1:])]
+    return max(abs(total - c1) for total, (_, c1) in
+               zip(totals, _ladder_parts(tau, _phase_table(tau)).values()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ point (see tests/reference.py).
 the generic chain, each body the commutator of H with the one before.  The
 chain on a never leaves seven int coordinates (a at order 0, the six
 MONOMIAL_FORMS monomials at order g), so ``verify_bch_collection``,
-``evolved_series`` and ``collect_monomial_series`` step those seven ints
-with a linear map read off body 1 of ``bch_bodies`` (``_step_map``): a
-process calls ``commutator`` six times for them, on the first chain,
-whatever its depth.
+``collect_monomial_series`` and ``analytic.ladder_taylor_check`` step those
+seven ints with a linear map read off body 1 of ``bch_bodies``
+(``_step_map``, streamed by ``_coordinates``): a process calls
+``commutator`` six times for them, on the first chain, whatever its depth.
 """
 
 from __future__ import annotations
@@ -212,30 +212,30 @@ class TaylorSeries:
             if k > 0:
                 power *= 1j * tau
                 fact *= k
-            total += complex(n / self.denominator) * power / fact
+            total += n / self.denominator * power / fact
         return total
 
 
 #: The closed forms the collected coefficient series resum to, as (the exact
 #: Taylor coefficient c_k in the basis (i tau)^k / k!, spelled as the int
 #: G_HAT_SCALE c_k, whose denominators 1, 6 and 12 all divide 12, by a rule of
-#: k and p3 = 3^k, a power its callers step; value at real tau given the
-#: phases e(k) = e^{i k tau}):
-#: base   e^{-i tau}                     G_HAT_SCALE c_k = 12 (-1)^k
-#: drift  -i tau e^{-i tau}              G_HAT_SCALE c_k = 12 k (-1)^k
+#: k, s = (-1)^k and p3 = 3^k, the sign and power its callers step; value at
+#: real tau given the phases e(k) = e^{i k tau}):
+#: base   e^{-i tau}                     G_HAT_SCALE c_k = 12 s
+#: drift  -i tau e^{-i tau}              G_HAT_SCALE c_k = 12 k s
 #: sine   i sin tau                      G_HAT_SCALE c_k = 12 (k odd), 0 (k even)
-#: a3     (e^{-i tau} - e^{-3 i tau})/6  G_HAT_SCALE c_k = -2 (-1)^k (3^k - 1)
-#: adag3  (e^{-i tau} - e^{3 i tau})/12  G_HAT_SCALE c_k = -(3^k - (-1)^k)
-_FORMS: dict[str, tuple[Callable[[int, int], int], Callable]] = {
-    "base": (lambda k, p3: 12 * (-1) ** k, lambda tau, e: e(-1)),
-    "drift": (lambda k, p3: 12 * k * (-1) ** k, lambda tau, e: -1j * tau * e(-1)),
-    "sine": (lambda k, p3: 12 * (k % 2), lambda tau, e: 1j * np.sin(tau)),
-    "a3": (lambda k, p3: -2 * (-1) ** k * (p3 - 1), lambda tau, e: (e(-1) - e(-3)) / 6.0),
-    "adag3": (lambda k, p3: -(p3 - (-1) ** k), lambda tau, e: (e(-1) - e(3)) / 12.0),
+#: a3     (e^{-i tau} - e^{-3 i tau})/6  G_HAT_SCALE c_k = -2 s (p3 - 1)
+#: adag3  (e^{-i tau} - e^{3 i tau})/12  G_HAT_SCALE c_k = -(p3 - s)
+_FORMS: dict[str, tuple[Callable[[int, int, int], int], Callable]] = {
+    "base": (lambda k, s, p3: 12 * s, lambda tau, e: e(-1)),
+    "drift": (lambda k, s, p3: 12 * k * s, lambda tau, e: -1j * tau * e(-1)),
+    "sine": (lambda k, s, p3: 12 * (k % 2), lambda tau, e: 1j * np.sin(tau)),
+    "a3": (lambda k, s, p3: -2 * s * (p3 - 1), lambda tau, e: (e(-1) - e(-3)) / 6.0),
+    "adag3": (lambda k, s, p3: -(p3 - s), lambda tau, e: (e(-1) - e(3)) / 12.0),
 }
 
 
-def _form(form_id: str) -> tuple[Callable[[int, int], int], Callable]:
+def _form(form_id: str) -> tuple[Callable[[int, int, int], int], Callable]:
     if form_id not in _FORMS:
         raise ValueError(f"unknown form {form_id!r}; expected one of {tuple(_FORMS)}")
     return _FORMS[form_id]
@@ -247,10 +247,10 @@ def closed_form_taylor(form_id: str, k_max: int) -> TaylorSeries:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     rule, _ = _form(form_id)
     numerators = []
-    p3 = 1
+    s, p3 = 1, 1
     for k in range(k_max + 1):
-        numerators.append(rule(k, p3))
-        p3 *= 3
+        numerators.append(rule(k, s, p3))
+        s, p3 = -s, 3 * p3
     return TaylorSeries(tuple(numerators))
 
 
@@ -272,6 +272,9 @@ MONOMIAL_FORMS: dict[Monomial, str] = {
     A_DAG_A2: "drift",
     A_DAG2_A: "sine",
 }
+
+#: The MONOMIAL_FORMS monomials' labels, in reporting order (see _label).
+_MONOMIAL_LABELS: tuple[str, ...] = tuple(map(_label, MONOMIAL_FORMS))
 
 #: Where each MONOMIAL_FORMS monomial's order-g coefficient sits among the
 #: chain's seven coordinates; coordinate 0 is a's order-0 coefficient.
@@ -344,13 +347,6 @@ def collect_monomial_series(mono: Monomial, k_max: int) -> TaylorSeries:
                               for state in _coordinates(k_max)))
 
 
-def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
-    """Order-g coefficient series of the six evolved monomials, all read off
-    one nested-commutator chain of depth k_max."""
-    columns = tuple(zip(*_coordinates(k_max)))
-    return {mono: TaylorSeries(columns[at]) for mono, at in _ORDER1_AT.items()}
-
-
 @dataclass(frozen=True)
 class MonomialVerification:
     label: str
@@ -381,17 +377,17 @@ def verify_bch_collection(k_max: int) -> BchVerification:
     reported per monomial (first offending depth), not raised: it signals a
     transcription error in one of the two routes.
     """
-    rules = {mono: (_ORDER1_AT[mono], _form(form_id)[0])
-             for mono, form_id in MONOMIAL_FORMS.items()}
-    first_mismatch: dict[Monomial, int | None] = dict.fromkeys(rules)
-    p3 = 1
+    rules = [(_ORDER1_AT[mono], _form(form_id)[0])
+             for mono, form_id in MONOMIAL_FORMS.items()]
+    first_mismatch: list[int | None] = [None] * len(rules)
+    s, p3 = 1, 1
     for k, state in enumerate(_coordinates(k_max)):
-        for mono, (at, rule) in rules.items():
-            if first_mismatch[mono] is None and state[at] != rule(k, p3):
-                first_mismatch[mono] = k
-        p3 *= 3
+        for j, (at, rule) in enumerate(rules):
+            if state[at] != rule(k, s, p3) and first_mismatch[j] is None:
+                first_mismatch[j] = k
+        s, p3 = -s, 3 * p3
     return BchVerification(rows=tuple(
-        MonomialVerification(label=_label(mono),
+        MonomialVerification(label=label,
                              verified_through=k_max if k is None else k - 1,
                              first_mismatch=k)
-        for mono, k in first_mismatch.items()))
+        for label, k in zip(_MONOMIAL_LABELS, first_mismatch)))

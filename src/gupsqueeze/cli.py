@@ -79,8 +79,8 @@ def _check_grid(*sizes: int) -> None:
 
 # Deepest chain verify-bch builds, checked before anything is built.  The
 # chain's ints grow as 3^k, so its time grows as k^2; one body is kept at a
-# time.  At 10^4 a fresh byte-compiled interpreter takes 0.27-0.32 s (median
-# 0.28 s of 9; the check itself about 0.06 s) and 29 MiB peak RSS, about what
+# time.  At 10^4 a fresh byte-compiled interpreter takes 0.18-0.30 s (median
+# 0.27 s of 15; the check itself about 0.07 s) and 29 MiB peak RSS, about what
 # the import alone takes (2-core VM, Python 3.11).
 _MAX_BCH_ORDER = 10_000
 
@@ -89,9 +89,9 @@ def cmd_verify_bch(args) -> int:
     if args.max_order > _MAX_BCH_ORDER:
         raise ConfigError(f"--max-order {args.max_order} is above {_MAX_BCH_ORDER}")
     report = verify_bch_collection(args.max_order)
-    for row in report.rows:
-        status = "ok" if row.passed else f"mismatch_at_order_{row.first_mismatch}"
-        print(f"{row.label}, {row.verified_through}, {status}")
+    print("\n".join(f"{row.label}, {row.verified_through}, " + (
+        "ok" if row.passed else f"mismatch_at_order_{row.first_mismatch}")
+        for row in report.rows))
     if not report.all_passed:
         bad = [r.label for r in report.rows if not r.passed]
         print(f"FAILED: {', '.join(bad)}", file=sys.stderr)
@@ -477,16 +477,37 @@ _EXIT_CLOSED_PIPE = 128 + 13
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses: built on the first call, then reused.  argparse
-    hands the same default objects to every parse, so each is immutable."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser main uses, and its subcommands' parsers by name: built on
+    the first call, then reused.  argparse hands the same default objects to
+    every parse, so each is immutable."""
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if action.dest == "command")
+    return parser, commands
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, parsed once.  The
+    full parser hands everything after the command to the command's own
+    parser, so that parser alone parses it; anything else, and any argument
+    left over, goes through the full parser, which prints its usage and
+    error."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command; the only code that prints ``error:`` or returns 2.
     A closed stdout ends the command quietly with _EXIT_CLOSED_PIPE."""
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         with np.errstate(all="ignore"):  # every non-finite value fails a check
             code = args.func(args)

@@ -3,8 +3,9 @@
 Nothing in the package calls these: the ring's product summed pair by
 pair as whole polynomials from ``monomial_product``, the commutator as the
 difference of two such products, the nested-commutator chain as the
-commutator of H with each whole body, a Taylor series summed from its
-``Fraction`` coefficients, the evolved operators as graded
+commutator of H with each whole body, the six evolved monomials' series
+collected whole off one chain before any is summed, a Taylor series summed
+from its ``Fraction`` coefficients, the evolved operators as graded
 polynomials of boson_algebra's ring (with complex coefficients), the ring's
 coherent-state expectations, figure 2's surface with its angle sums taken
 whole on the broadcast grid, the dense truncated-Fock operators of the
@@ -22,8 +23,8 @@ import numpy as np
 
 from gupsqueeze.analytic import _check_validity, _ladder_parts, _phase_table
 from gupsqueeze.boson_algebra import (
-    A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, Monomial, OperatorPolynomial,
-    commutator, evolved_series, monomial_product,
+    _ORDER1_AT, A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, Monomial, OperatorPolynomial,
+    TaylorSeries, _coordinates, commutator, monomial_product,
 )
 from gupsqueeze.fock_oracle import (
     CoherentVector, FockOperator, FockSpace, OracleError, _keeps_no_norm,
@@ -76,6 +77,13 @@ def reference_series_value(coefficients, tau: float) -> complex:
             fact *= k
         total += complex(c) * power / fact
     return total
+
+
+def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
+    """Order-g coefficient series of the six evolved monomials, all read off
+    one nested-commutator chain of depth k_max."""
+    columns = tuple(zip(*_coordinates(k_max)))
+    return {mono: TaylorSeries(columns[at]) for mono, at in _ORDER1_AT.items()}
 
 
 def reference_ladder_taylor_check(tau: float, k_max: int) -> float:

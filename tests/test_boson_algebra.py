@@ -18,7 +18,7 @@ from gupsqueeze.boson_algebra import (
     commutator, hamiltonian_polynomial, monomial_product,
     verify_bch_collection,
 )
-from gupsqueeze.analytic import _phase_table
+from gupsqueeze.analytic import _phase_table, ladder_taylor_check
 from gupsqueeze.fock_oracle import FockSpace
 from reference import (
     max_abs_diff, monomial_matrix, polynomial_matrix, reference_bch_bodies,
@@ -425,7 +425,7 @@ def test_chain_takes_six_commutators_per_process(cold_step_map, monkeypatch):
     assert verify_bch_collection(12).all_passed
     assert calls == cold
     assert verify_bch_collection(35).all_passed
-    boson_algebra.evolved_series(35)
+    ladder_taylor_check(1.5, 35)
     collect_monomial_series(A3, 20)
     assert calls == cold
 
@@ -529,6 +529,11 @@ def test_closed_form_unknown_id():
         closed_form_value("nope", 1.0, _phase_table(1.0))
 
 
+def test_closed_form_taylor_refuses_k_max_below_1():
+    with pytest.raises(ValueError, match=r"^k_max must be >= 1, got 0$"):
+        closed_form_taylor("base", 0)
+
+
 def test_taylor_series_evaluate_matches_closed_form():
     # partial sums converge to the closed-form values
     for form in ("base", "drift", "sine", "a3", "adag3"):
@@ -614,7 +619,7 @@ def test_a_closed_form_off_at_one_order_fails_exactly_its_monomials(
     and names them."""
     rule, value = boson_algebra._FORMS[form]
     monkeypatch.setitem(boson_algebra._FORMS, form,
-                        (lambda k, p3: rule(k, p3) + (k == 5), value))
+                        (lambda k, s, p3: rule(k, s, p3) + (k == 5), value))
     report = verify_bch_collection(8)
     assert {row.label: (row.first_mismatch, row.verified_through)
             for row in report.rows} == {

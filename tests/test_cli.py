@@ -477,7 +477,7 @@ POWERS_OF_TEN = [float(f"1e{k}") for k in range(-323, 309)]
 @given(x=st.integers(0, 2 ** 64 - 1).map(float_from_bits))
 @example(x=1000000000000000.25)  # an exact decimal tie: rounds half-even
 @example(x=1e23)
-@example(x=1e-14)  # its 17 digits round up to 10**17: the carry
+@example(x=1e-14)  # its 17 digits round up to 10**17 (log10 reads -14: one by one)
 @example(x=1e-6)  # below 10**-6, so floor(log10) is one too high
 @example(x=9.999999999999999e22)
 @example(x=1e16)
@@ -565,6 +565,20 @@ def test_e16_kernel_renders_one_rare_value_among_ordinary_ones(value, index):
     value planted among the ordinary ones must still take its own path."""
     values = ORDINARY_VALUES.copy()
     values[index] = value
+    assert kernel_text(values) == ["%.16e" % v for v in values.tolist()]
+
+
+def test_e16_kernel_carries_digits_rounded_up_into_the_next_power_of_ten(monkeypatch):
+    """The double nearest 1e-79 lies 1.1e-18 below it, so its 17 digits
+    round up to 1.0000000000000000e-79.  numpy's log10 reads it as -79 and
+    the kernel sends it one by one; with log10 one ulp low, floor gives -80,
+    the digits round up to 10**17, and the kernel carries them into the
+    exponent."""
+    log10 = np.log10
+    monkeypatch.setattr(csv_table.np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+    rng = np.random.default_rng(79)
+    values = ORDINARY_VALUES.copy()
+    values[rng.choice(values.size, 12, replace=False)] = rng.choice([1e-79, -1e-79], 12)
     assert kernel_text(values) == ["%.16e" % v for v in values.tolist()]
 
 
@@ -1239,6 +1253,37 @@ def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys, 
     assert len(built) == 1
 
 
+def parse_outcome(parse, argv, capsys):
+    """A parse's namespace, or the exit code it raised, with what it printed."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"], ["verify"], ["-h", "sweep"],
+    ["verify-bch", "--max-order", "2", "--bogus"],
+    ["verify-bch", "--max-order", "2", "extra"],
+    ["verify-bch"], ["verify-bch", "--max-order", "two"], ["verify-bch", "--max-order", "0"],
+    ["oracle-compare", "--gamma", "wide"], ["figure", "--id", "4", "--out", "-"],
+    ["preset", "--omega-reading", "sideways"], ["sweep", "-h"], ["verify-bch", "--help"],
+    ["--", "verify-bch", "--max-order", "2"], ["verify-bch", "--", "--max-order", "2"],
+    ["verify-bch", "--max-order=3"], ["verify-bch", "--max", "3"],
+    ["oracle-compare", "--gamma", "-1.5", "--tau", "-2", "-0.5", "--dim=-3"],
+    ["oracle-compare", "--tau", "1", "--tau", "2", "--tol", "1e-4", "--tol", "1e-5"],
+    ["sweep", "--tau=--", "--jobs", "2"], ["figure", "--id", "3", "--out", "f.csv"],
+    ["oracle-compare"],
+], ids=repr)
+def test_main_parses_as_the_full_parser_does(capsys, argv):
+    """main hands a command's arguments to that command's parser alone: each
+    argv must give the namespace, or the exit code, stdout and stderr, that
+    a fresh full parser gives."""
+    assert parse_outcome(cli._parse, argv, capsys) == parse_outcome(
+        cli.build_parser().parse_args, argv, capsys)
+
+
 # perfbench's seed-1 oracle_compare amplitudes: Fock dimensions 41 and 229
 ORACLE_SMALL = ("--gamma", "0.9293750129474533", "--theta", "4.896301531456875", "--tau",
                 "0.6802076197161011", "1.4936911971276052", "2.966189425398554",
@@ -1646,6 +1691,26 @@ def test_a_target_that_cannot_be_replaced_is_rewritten_in_place(tmp_path, monkey
     monkeypatch.undo()
     assert main([*BLOCKS_SWEEP, "--out", "-"]) == 0
     assert out.read_bytes().decode() in capsys.readouterr().out
+    assert out.stat().st_ino == inode
+    assert not staged_files(tmp_path)
+
+
+def test_a_rename_refused_for_another_reason_is_one_error_line(tmp_path, monkeypatch,
+                                                               capsys):
+    """A rename refused with an errno other than EBUSY or EXDEV (EACCES,
+    simulated) is not worked round: the error names the target, which keeps
+    its bytes and inode, and the staged file is removed."""
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an earlier table\n")
+    inode = out.stat().st_ino
+
+    def refused(source, target):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), source, target)
+    monkeypatch.setattr(os, "replace", refused)
+    assert main(["sweep", "--tau", "0,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {str(out)!r}: "
+                                       f"[Errno 13] Permission denied: {str(out)!r}\n")
+    assert out.read_bytes() == b"an earlier table\n"
     assert out.stat().st_ino == inode
     assert not staged_files(tmp_path)
 

@@ -14,7 +14,7 @@ from gupsqueeze.analytic import analytic_slopes, secular_scale, validity_codes
 from gupsqueeze.cli import main
 from gupsqueeze.fock_oracle import (
     ORACLE_QUANTITIES, FockOperator, FockSpace,
-    OracleError, coherent_vector, eigensystem,
+    OracleError, ParityEigensystem, coherent_vector, eigensystem,
     evolve, fock_dim_for,
     hamiltonian, oracle_slopes,
     oracle_variances, slope_scale, truncation_audit, truncation_bound,
@@ -305,6 +305,20 @@ def test_evolution_operator_fails_on_non_finite_time():
         for vectors in (np.eye(space.dim), coherent_vector(0.5, space).components):
             with pytest.raises(OracleError, match="unitarity"):
                 evolve(eig, vectors, t)
+
+
+def test_evolution_fails_on_eigenvectors_that_stretch_a_vector():
+    """Even-block eigenvectors 2 * eye(2) multiply the even half of a unit
+    vector by 4, so its norm goes 1 -> sqrt(8.5), a defect of 1.92."""
+    eig = ParityEigensystem(((np.ones(2), 2.0 * np.eye(2)), (np.ones(2), np.eye(2))))
+    with pytest.raises(OracleError,
+                       match=r"^evolution operator lost unitarity: defect 1\.92e\+00$"):
+        evolve(eig, np.full(4, 0.5), 1.0)
+
+
+def test_fock_operator_refuses_a_matrix_of_another_dimension():
+    with pytest.raises(ValueError, match=r"^matrix shape \(2, 2\) does not match dim 3$"):
+        FockOperator(FockSpace(3), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf])

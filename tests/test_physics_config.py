@@ -193,6 +193,19 @@ def test_preset_document_round_trip():
     assert back.annotations == preset.annotations
 
 
+def test_preset_document_rejects_a_non_numeric_value():
+    doc = preset_to_document(electron_preset())
+    mass = "\n".join("mass = heavy" if line.startswith("mass ") else line
+                     for line in doc.splitlines())
+    assert mass != doc
+    with pytest.raises(ConfigError, match="^non-numeric preset value: "):
+        preset_from_document(mass)
+
+
+def test_round_significant_keeps_zero():
+    assert round_significant(0.0, 6) == 0.0
+
+
 def test_parse_flat_document():
     fields = parse_flat_document("a = 1\n# comment\n\nb = two words # trailing\n")
     assert fields == {"a": "1", "b": "two words"}

@@ -21,9 +21,11 @@ kernel's rare paths among ordinary values), a 2 x 2 sweep (written row by
 row), ``verify-bch
 --max-order`` 1 (the least depth), 12, 35 (the benchmark's depth), 60, 1000
 and 10000 (the cap, where the chain's integers are largest: coefficients far
-past 64 bits, the chain streamed), and bad inputs that exit 2: out-of-range
+past 64 bits, the chain streamed), bad inputs that exit 2: out-of-range
 options, SI units whose restoration factors are 0 or infinite, and a config
-or preset that is not UTF-8.
+or preset that is not UTF-8, and the parser's own output: no arguments, an
+unknown command, a missing required option, a stray argument and a
+command's ``-h``.
 
     python tools/compare_outputs.py --parent ../parent-checkout
     python tools/compare_outputs.py --parent DIR --only preset_stdout verify_bch_12
@@ -160,6 +162,12 @@ def cases() -> list[Case]:
              (("bin.cfg", b"\xff\xfe"),)),
         Case("bad_preset_not_utf8", ("figure", "--id", "3", "--preset", "bin.cfg", "--out",
                                      "fig3.csv"), (("bin.cfg", b"\xff\xfe"),)),
+        # the parser's own usage, help and error text
+        Case("parse_no_arguments", ()),
+        Case("parse_unknown_command", ("nope",)),
+        Case("parse_missing_option", ("verify-bch",)),
+        Case("parse_extra_argument", ("verify-bch", "--max-order", "2", "extra")),
+        Case("parse_command_help", ("verify-bch", "-h")),
     ]
 
 
