@@ -107,9 +107,11 @@ def ladder_taylor_check(tau: float, k_max: int = 12) -> float:
     exact collected coefficient series summed through depth k_max.
 
     The six series are summed at tau as the chain streams, whose coordinates
-    1-6 hold the MONOMIAL_FORMS monomials' order-g entries in g_hat; each term
-    is the one TaylorSeries.evaluate adds, and the power and factorial are
-    stepped once per depth for all six."""
+    1-6 hold the MONOMIAL_FORMS monomials' order-g entries in g_hat, and the
+    power and factorial are stepped once per depth for all six.  Int true
+    division rounds n / G_HAT_SCALE correctly, as float(Fraction(n,
+    G_HAT_SCALE)) does, so each term keeps the bits of its exact coefficient
+    however far the chain's ints pass 2^53."""
     totals = [0.0 + 0.0j] * len(MONOMIAL_FORMS)
     power = 1.0 + 0.0j
     fact = 1.0
@@ -220,10 +222,6 @@ class QuadratureMoments:
     p_hat_sq: tuple[float, float]
     #: largest imaginary residue discarded across the five moments
     residual_imag: float
-
-    def at(self, name: str, g: float) -> float:
-        c0, c1 = getattr(self, name)
-        return c0 + g * c1
 
 
 def quadrature_moments(tau: float, g: float, alpha,

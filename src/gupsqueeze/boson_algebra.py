@@ -9,10 +9,10 @@ the nested-commutator chain is integer arithmetic and its coefficient tables
 (121/3 is 484 in g_hat) come out as equalities, not float approximations.
 ``verify_bch_collection`` compares those ints with integer closed forms
 (``_FORMS``, scaled by G_HAT_SCALE) body by body as the chain streams;
-``TaylorSeries`` keeps the ints too, over one denominator, and builds
-``Fraction``s only when its ``coefficients`` are read.  The tests also run
-the ring on complex entries, to derive coherent-state moments in floating
-point (see tests/reference.py).
+``closed_form_taylor`` and ``collect_monomial_series`` hand out the same
+numbers as exact ``Fraction``s, each int over G_HAT_SCALE.  The tests also
+run the ring on complex entries, to derive coherent-state moments in
+floating point (see tests/reference.py).
 
 ``@`` is the ring's product, the bilinear extension of one Wick formula
 (``monomial_product``), and ``commutator`` is PQ - QP.  ``bch_bodies`` is
@@ -92,10 +92,6 @@ class OperatorPolynomial:
         """The bare monomial, with int entries (1, 0)."""
         return cls({mono: (1, 0)})
 
-    def coefficient(self, mono: Monomial) -> tuple:
-        """The graded pair of ``mono``, (0, 0) if absent."""
-        return self.terms.get(mono, (0, 0))
-
     def __add__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         terms = dict(self.terms)
         for mono, (q0, q1) in other.terms.items():
@@ -131,11 +127,6 @@ class OperatorPolynomial:
                     else:
                         terms[mono] = (prev[0] + c0 * factor, prev[1] + c1 * factor)
         return OperatorPolynomial(terms)
-
-    def adjoint(self) -> "OperatorPolynomial":
-        return OperatorPolynomial({
-            (n, m): (c0.conjugate(), c1.conjugate())
-            for (m, n), (c0, c1) in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorPolynomial):
@@ -190,32 +181,6 @@ def bch_bodies(k_max: int, hamiltonian: OperatorPolynomial,
         yield body
 
 
-@dataclass(frozen=True)
-class TaylorSeries:
-    """Exact rational coefficients c_k = numerators[k] / denominator of a
-    series sum_k c_k (i tau)^k / k!, kept as the chain's ints."""
-
-    numerators: tuple[int, ...]
-    denominator: int = G_HAT_SCALE
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
-
-    def evaluate(self, tau: float) -> complex:
-        """Numeric partial sum at real tau.  Int true division rounds
-        n / denominator correctly, as float(Fraction(n, denominator)) does."""
-        total = 0.0 + 0.0j
-        power = 1.0 + 0.0j
-        fact = 1.0
-        for k, n in enumerate(self.numerators):
-            if k > 0:
-                power *= 1j * tau
-                fact *= k
-            total += n / self.denominator * power / fact
-        return total
-
-
 #: The closed forms the collected coefficient series resum to, as (the exact
 #: Taylor coefficient c_k in the basis (i tau)^k / k!, spelled as the int
 #: G_HAT_SCALE c_k, whose denominators 1, 6 and 12 all divide 12, by a rule of
@@ -241,17 +206,17 @@ def _form(form_id: str) -> tuple[Callable[[int, int, int], int], Callable]:
     return _FORMS[form_id]
 
 
-def closed_form_taylor(form_id: str, k_max: int) -> TaylorSeries:
-    """Exact Taylor coefficients of a closed form (see _FORMS) through k_max."""
+def closed_form_taylor(form_id: str, k_max: int) -> tuple[Fraction, ...]:
+    """Exact Taylor coefficients c_0..c_k_max of a closed form (see _FORMS)."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     rule, _ = _form(form_id)
-    numerators = []
+    coefficients = []
     s, p3 = 1, 1
     for k in range(k_max + 1):
-        numerators.append(rule(k, s, p3))
+        coefficients.append(Fraction(rule(k, s, p3), G_HAT_SCALE))
         s, p3 = -s, 3 * p3
-    return TaylorSeries(tuple(numerators))
+    return tuple(coefficients)
 
 
 def closed_form_value(form_id: str, tau, e):
@@ -339,12 +304,12 @@ def _coordinates(k_max: int) -> Iterator[list[int]]:
         yield state
 
 
-def collect_monomial_series(mono: Monomial, k_max: int) -> TaylorSeries:
-    """Order-g coefficients of ``mono`` across nested-commutator depths 0..k_max;
-    zero for a monomial the chain never reaches."""
+def collect_monomial_series(mono: Monomial, k_max: int) -> tuple[Fraction, ...]:
+    """Exact order-g coefficients of ``mono`` across nested-commutator depths
+    0..k_max; zero for a monomial the chain never reaches."""
     at = _ORDER1_AT.get(mono)
-    return TaylorSeries(tuple(0 if at is None else state[at]
-                              for state in _coordinates(k_max)))
+    return tuple(Fraction(0 if at is None else state[at], G_HAT_SCALE)
+                 for state in _coordinates(k_max))
 
 
 @dataclass(frozen=True)

@@ -128,10 +128,14 @@ def cmd_figure(args) -> int:
     if args.id in (1, 2):
         explicit = args.gamma is not None
         # without --gamma, --out is a stem that each gamma's file is named by:
-        # "-" names no file, nor does a link or device that leads to stdout
-        # (/dev/stdout), though a regular file stdout was redirected to does
-        if not explicit and (args.out == "-" or (sink_target(args.out) == "-" and not
-                                                 stat.S_ISREG(os.lstat(args.out).st_mode))):
+        # "-" names no file, nor does a base name "", "." or ".." (each gamma's
+        # file would land elsewhere, or nowhere), nor a link or device that
+        # leads to stdout (/dev/stdout), though a regular file stdout was
+        # redirected to does
+        if not explicit and (args.out == "-"
+                             or os.path.basename(args.out) in ("", ".", "..")
+                             or (sink_target(args.out) == "-"
+                                 and not stat.S_ISREG(os.lstat(args.out).st_mode))):
             raise ConfigError(f"figure {args.id} without --gamma writes one file per "
                               f"default gamma; --out {args.out} needs --gamma")
         gammas = [args.gamma] if explicit else [1.0, 10.0]

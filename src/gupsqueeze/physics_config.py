@@ -189,25 +189,6 @@ class Preset:
     amplitude: CoherentAmplitude
     annotations: dict = field(default_factory=dict)
 
-    def beta0_at_source_precision(self) -> float:
-        """beta0 under the preset's own momentum convention, rounded to the
-        six significant digits the stored beta carries."""
-        convention = float(self.annotations.get(
-            "planck_momentum_sq", PLANCK_MOMENTUM_SQ_CODATA))
-        return round_significant(self.params.beta0(convention), 6)
-
-    def honors_beta0_bound(self, bound: float = BETA0_BOUND) -> bool:
-        """True if beta0 does not exceed the bound at the precision of the
-        stored beta.  The electron preset saturates the bound exactly."""
-        return self.beta0_at_source_precision() <= bound
-
-
-def round_significant(x: float, digits: int) -> float:
-    if x == 0.0:
-        return 0.0
-    exponent = math.floor(math.log10(abs(x)))
-    return round(x, digits - 1 - exponent)
-
 
 def electron_preset(omega_reading: str = "angular") -> Preset:
     """Electron in a strong magnetic field; cyclotron motion as the oscillator.
@@ -261,8 +242,10 @@ def preset_to_document(preset: Preset) -> str:
 
 
 def parse_flat_document(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored."""
+    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored.
+    A key given twice is a ConfigError, not a silent override."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -270,7 +253,11 @@ def parse_flat_document(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        out[key] = value.strip()
     return out
 
 

@@ -5,36 +5,53 @@ pair as whole polynomials from ``monomial_product``, the commutator as the
 difference of two such products, the nested-commutator chain as the
 commutator of H with each whole body, the six evolved monomials' series
 collected whole off one chain before any is summed, a Taylor series summed
-from its ``Fraction`` coefficients, the evolved operators as graded
+from its ``Fraction`` coefficients, a polynomial's adjoint and the graded
+pair it holds at one monomial, the evolved operators as graded
 polynomials of boson_algebra's ring (with complex coefficients), the ring's
 coherent-state expectations, figure 2's surface with its angle sums taken
 whole on the broadcast grid, the dense truncated-Fock operators of the
-Heisenberg picture, the coherent state's recursion on an array, and a
-table's CSV bytes formatted row by row with ``'%.16e' %``.  Each
-gives a second, independent way to the numbers the commands compute.
+Heisenberg picture, the coherent state's recursion on an array, a
+table's CSV bytes formatted row by row with ``'%.16e' %``, and the electron
+preset's beta0 at the precision of its source.  Each gives a second,
+independent way to the numbers the commands compute, or reads what the
+package only stores.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
 from gupsqueeze.analytic import _check_validity, _ladder_parts, _phase_table
 from gupsqueeze.boson_algebra import (
-    _ORDER1_AT, A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, Monomial, OperatorPolynomial,
-    TaylorSeries, _coordinates, commutator, monomial_product,
+    _ORDER1_AT, A, A3, A_DAG, A_DAG2_A, A_DAG3, A_DAG_A2, G_HAT_SCALE, Monomial,
+    OperatorPolynomial, _coordinates, commutator, monomial_product,
 )
 from gupsqueeze.fock_oracle import (
     CoherentVector, FockOperator, FockSpace, OracleError, _keeps_no_norm,
     _lengths, _matrix, _quadrature_bands, eigensystem, evolution_operator,
 )
-from gupsqueeze.physics_config import CoherentAmplitude, PhysicalParams
+from gupsqueeze.physics_config import (
+    BETA0_BOUND, PLANCK_MOMENTUM_SQ_CODATA, CoherentAmplitude, PhysicalParams, Preset,
+)
 from gupsqueeze.table import Labels
 
 # ---------------------------------------------------------------------------
 # the graded ring
+
+
+def adjoint(p: OperatorPolynomial) -> OperatorPolynomial:
+    """P^dag: each a^dag^m a^n becomes a^dag^n a^m, its entries conjugated."""
+    return OperatorPolynomial({
+        (n, m): (c0.conjugate(), c1.conjugate()) for (m, n), (c0, c1) in p.terms.items()})
+
+
+def coefficient(p: OperatorPolynomial, mono: Monomial) -> tuple:
+    """The graded pair of ``mono`` in P, (0, 0) if absent."""
+    return p.terms.get(mono, (0, 0))
 
 
 def reference_product(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
@@ -79,18 +96,19 @@ def reference_series_value(coefficients, tau: float) -> complex:
     return total
 
 
-def evolved_series(k_max: int) -> dict[Monomial, TaylorSeries]:
-    """Order-g coefficient series of the six evolved monomials, all read off
-    one nested-commutator chain of depth k_max."""
+def evolved_series(k_max: int) -> dict[Monomial, tuple[Fraction, ...]]:
+    """Exact order-g coefficient series of the six evolved monomials, all
+    read off one nested-commutator chain of depth k_max."""
     columns = tuple(zip(*_coordinates(k_max)))
-    return {mono: TaylorSeries(columns[at]) for mono, at in _ORDER1_AT.items()}
+    return {mono: tuple(Fraction(n, G_HAT_SCALE) for n in columns[at])
+            for mono, at in _ORDER1_AT.items()}
 
 
 def reference_ladder_taylor_check(tau: float, k_max: int) -> float:
     """analytic.ladder_taylor_check with each series summed from its
     Fraction coefficients."""
     series = evolved_series(k_max)
-    return max(abs(reference_series_value(series[mono].coefficients, tau) - c1)
+    return max(abs(reference_series_value(series[mono], tau) - c1)
                for mono, (_, c1) in _ladder_parts(tau, _phase_table(tau)).items())
 
 
@@ -115,8 +133,8 @@ def variance_graded(poly: OperatorPolynomial, alpha: complex) -> tuple[complex, 
 def max_abs_diff(p: OperatorPolynomial, q: OperatorPolynomial) -> float:
     worst = 0.0
     for mono in set(p.terms) | set(q.terms):
-        p0, p1 = p.coefficient(mono)
-        q0, q1 = q.coefficient(mono)
+        p0, p1 = coefficient(p, mono)
+        q0, q1 = coefficient(q, mono)
         worst = max(worst, abs(p0 - q0), abs(p1 - q1))
     return worst
 
@@ -143,7 +161,7 @@ def evolved_annihilation(tau: float, g: float,
 def quadrature_polynomials(tau: float) -> tuple[OperatorPolynomial, OperatorPolynomial]:
     """X1 = (a(t) + a(t)^dag)/2 and X2 = (a(t) - a(t)^dag)/2i."""
     a_t = OperatorPolynomial(_ladder_parts(tau, _phase_table(tau)))
-    ad_t = a_t.adjoint()
+    ad_t = adjoint(a_t)
     x1 = (a_t + ad_t).scale(0.5)
     x2 = (a_t - ad_t).scale(1.0 / 2.0j)
     return x1, x2
@@ -331,3 +349,29 @@ def reference_table(header, columns) -> bytes:
     for row in zip(*cells):
         lines.append(",".join(row))
     return "".join(line + "\n" for line in lines).encode()
+
+
+# ---------------------------------------------------------------------------
+# the preset's bound
+
+
+def round_significant(x: float, digits: int) -> float:
+    """x rounded to ``digits`` significant decimal digits; 0 stays 0."""
+    if x == 0.0:
+        return 0.0
+    exponent = math.floor(math.log10(abs(x)))
+    return round(x, digits - 1 - exponent)
+
+
+def beta0_at_source_precision(preset: Preset) -> float:
+    """beta0 under the preset's own momentum convention, rounded to the six
+    significant digits the stored beta carries."""
+    convention = float(preset.annotations.get(
+        "planck_momentum_sq", PLANCK_MOMENTUM_SQ_CODATA))
+    return round_significant(preset.params.beta0(convention), 6)
+
+
+def honors_beta0_bound(preset: Preset, bound: float = BETA0_BOUND) -> bool:
+    """True if beta0 does not exceed the bound at the precision of the
+    stored beta.  The electron preset saturates the bound exactly."""
+    return beta0_at_source_precision(preset) <= bound

@@ -31,6 +31,7 @@ from gupsqueeze.fock_oracle import (
 from gupsqueeze.physics_config import (
     CoherentAmplitude, PhysicalParams, electron_preset, to_natural,
 )
+from reference import beta0_at_source_precision, honors_beta0_bound
 
 F = Fraction
 
@@ -247,9 +248,9 @@ def test_criterion_8_electron_preset():
                                        strict=False)
         worst_ratio = max(worst_ratio, abs(d_x) / var_x0, abs(d_p) / var_p0)
     report(8, "electron preset: tiny squeezing degree, bound honored",
-           0.0 < g < 1e-3 and worst_ratio < 0.01 and preset.honors_beta0_bound(),
+           0.0 < g < 1e-3 and worst_ratio < 0.01 and honors_beta0_bound(preset),
            f"g = {g:.3e}, worst delta/canonical = {worst_ratio:.2e}, "
-           f"beta0(source precision) = {preset.beta0_at_source_precision():.6e}")
+           f"beta0(source precision) = {beta0_at_source_precision(preset):.6e}")
 
 
 # ---------------------------------------------------------------------------

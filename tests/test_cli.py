@@ -955,6 +955,11 @@ def test_grid_limit_admits_exactly_max_cells():
     (["figure", "--id", "1", "--out", "-"], None, "--out - needs --gamma"),
     (["figure", "--id", "2", "--tau-points", "4", "--theta-points", "4", "--out", "-"],
      None, "--out - needs --gamma"),
+    *((["figure", "--id", "1", "--out", out], None, f"--out {out} needs --gamma")
+      for out in ("", ".", "/", "sub/", "..")),
+    (["sweep"], "tau = 1\ng = 1e-3\ng = 1e-2\n", "line 3: key 'g' repeats line 2"),
+    (["figure", "--id", "3"], physics_config.preset_to_document(electron_preset())
+     + "beta = 1.0\n", "key 'beta' repeats line 5"),
     (["uncertainty-check", "--g-max=-1"], None, "--g-max must be > 0"),
     (["uncertainty-check", "--g-max", "0"], None, "--g-max must be > 0"),
     (["uncertainty-check", "--tol", "nan"], None, "--tol must be finite"),
@@ -992,6 +997,10 @@ def test_grid_limit_admits_exactly_max_cells():
         "figure-3-preset-si-factor-divides-by-zero", "figure-3-preset-not-utf8",
         "figure-3-gamma", "figure-1-preset", "figure-2-default-gammas-preset",
         "figure-1-default-gammas-to-stdout", "figure-2-default-gammas-to-stdout",
+        "figure-1-default-gammas-stem-empty", "figure-1-default-gammas-stem-dot",
+        "figure-1-default-gammas-stem-root", "figure-1-default-gammas-stem-directory",
+        "figure-1-default-gammas-stem-dotdot", "config-repeated-key",
+        "figure-3-preset-repeated-key",
         "uncertainty-check-g-max-negative", "uncertainty-check-g-max-zero",
         "uncertainty-check-tol-nan", "uncertainty-check-tol-negative",
         "uncertainty-check-tol-zero", "oracle-tol-negative", "oracle-tol-zero",
@@ -1011,6 +1020,26 @@ def test_bad_input_is_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys, a
     assert err.count("\n") == 1
     assert message in err
     assert sorted(os.listdir()) == (["input.cfg"] if config is not None else [])
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["figure", "--id", "1", "--gamma", "1", "--tau-points", "1", "--out", "f.csv"],
+     "--tau-points"),
+    (["uncertainty-check", "--g-points", "1"], "--g-points"),
+])
+def test_a_grid_of_one_point_is_refused_by_the_parser(tmp_path, monkeypatch, capsys,
+                                                       argv, option):
+    """A grid axis of fewer than 2 points is a usage error: argparse's usage
+    lines, then its one error line, exit 2 and no file."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: gupsqueeze ")
+    assert err.endswith(f"error: argument {option}: grid resolution must be >= 2, "
+                        f"got 1\n")
+    assert not os.listdir()
 
 
 def run_quietly(argv) -> tuple[int, str]:
@@ -1713,6 +1742,19 @@ def test_a_rename_refused_for_another_reason_is_one_error_line(tmp_path, monkeyp
     assert out.read_bytes() == b"an earlier table\n"
     assert out.stat().st_ino == inode
     assert not staged_files(tmp_path)
+
+
+def test_a_target_in_a_symlink_loop_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """A link that leads back to itself is followed no further than the
+    link limit, then opened as given: the kernel's ELOOP is the error, the
+    link is kept and no staged file is left."""
+    monkeypatch.chdir(tmp_path)
+    os.symlink("loop.csv", "loop.csv")
+    assert main(["sweep", "--tau", "0,1", "--out", "loop.csv"]) == 2
+    assert capsys.readouterr().err == ("error: cannot write 'loop.csv': [Errno 40] Too "
+                                       "many levels of symbolic links: 'loop.csv'\n")
+    assert os.readlink("loop.csv") == "loop.csv"
+    assert os.listdir() == ["loop.csv"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

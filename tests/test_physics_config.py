@@ -10,8 +10,9 @@ from gupsqueeze.physics_config import (
     BETA0_BOUND, HBAR_SI, PLANCK_MOMENTUM_SQ_CODATA, PLANCK_MOMENTUM_SQ_ROUNDED,
     CoherentAmplitude, ConfigError, PhysicalParams, electron_preset,
     from_natural, parse_flat_document, preset_from_document, preset_to_document,
-    round_significant, to_natural,
+    to_natural,
 )
+from reference import beta0_at_source_precision, honors_beta0_bound, round_significant
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +160,8 @@ def test_electron_preset_bound():
     implied_beta = BETA0_BOUND / PLANCK_MOMENTUM_SQ_ROUNDED
     assert round_significant(implied_beta, 6) == preset.params.beta
     # at the six-digit precision of the stored value, the bound is saturated
-    assert preset.honors_beta0_bound()
-    assert preset.beta0_at_source_precision() == pytest.approx(BETA0_BOUND)
+    assert honors_beta0_bound(preset)
+    assert beta0_at_source_precision(preset) == pytest.approx(BETA0_BOUND)
     # the CODATA conversion puts the same beta a few percent over: recorded,
     # not hidden
     codata = preset.params.beta0(PLANCK_MOMENTUM_SQ_CODATA)
@@ -211,6 +212,8 @@ def test_parse_flat_document():
     assert fields == {"a": "1", "b": "two words"}
     with pytest.raises(ConfigError, match="key = value"):
         parse_flat_document("not a pair\n")
+    with pytest.raises(ConfigError, match=r"^line 4: key 'g' repeats line 2$"):
+        parse_flat_document("tau = 1\ng = 1e-3\n# g = 5\ng = 1e-2\n")
 
 
 def test_preset_document_rejects_unknown_and_missing_keys():

@@ -22,10 +22,11 @@ row), ``verify-bch
 --max-order`` 1 (the least depth), 12, 35 (the benchmark's depth), 60, 1000
 and 10000 (the cap, where the chain's integers are largest: coefficients far
 past 64 bits, the chain streamed), bad inputs that exit 2: out-of-range
-options, SI units whose restoration factors are 0 or infinite, and a config
-or preset that is not UTF-8, and the parser's own output: no arguments, an
-unknown command, a missing required option, a stray argument and a
-command's ``-h``.
+options, a one-point grid axis, figure 1's default pair named by an empty
+stem, SI units whose restoration factors are 0 or infinite, a config that
+gives a key twice, and a config or preset that is not UTF-8, and the
+parser's own output: no arguments, an unknown command, a missing required
+option, a stray argument and a command's ``-h``.
 
     python tools/compare_outputs.py --parent ../parent-checkout
     python tools/compare_outputs.py --parent DIR --only preset_stdout verify_bch_12
@@ -154,6 +155,11 @@ def cases() -> list[Case]:
         Case("bad_oracle_dim_1", ("oracle-compare", "--dim", "1")),
         Case("bad_oracle_dim_2049", ("oracle-compare", "--dim", "2049")),
         Case("bad_verify_bch_order", ("verify-bch", "--max-order", "10001")),
+        Case("bad_figure_points_1", ("figure", "--id", "1", "--gamma", "1",
+                                     "--tau-points", "1", "--out", "bad.csv")),
+        Case("bad_figure_stem_empty", ("figure", "--id", "1", "--out", "")),
+        Case("bad_sweep_repeated_key", ("sweep", "--config", "twice.cfg", "--out", "bad.csv"),
+             (("twice.cfg", "tau = 1\ng = 1e-3\ng = 1e-2\n"),)),
         Case("bad_si_zero_m_omega", ("sweep", "--config", "si.cfg"),
              (("si.cfg", "tau = 1\nhbar = 1\nmass = 1e-200\nomega = 1e-200\n"),)),
         Case("bad_si_factors_out_of_range", ("sweep", "--config", "si.cfg"),
