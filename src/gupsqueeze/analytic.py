@@ -160,7 +160,7 @@ def _p_correction(tau: float, alpha: complex, e) -> complex:
     return e(-2) * bracket / 8.0
 
 
-def _product_correction(tau: float, alpha: complex, e) -> complex:
+def _product_correction(alpha: complex, e) -> complex:
     """Order-g coefficient of the uncertainty product, natural units."""
     a2 = alpha * alpha
     ac2 = alpha.conjugate() ** 2
@@ -168,10 +168,10 @@ def _product_correction(tau: float, alpha: complex, e) -> complex:
     return (1.0 - e(-2) * a2 + 2.0 * mod2 - e(2) * ac2) / 4.0
 
 
-def _product_and_bound(tau, g, alpha, e):
+def _product_and_bound(g, alpha, e):
     """Natural-unit product and bound (1/4)(1 + 2 g <p_hat^2>_0): the mean
     square is twice the product's correction, so the two agree exactly."""
-    c = _product_correction(tau, alpha, e).real
+    c = _product_correction(alpha, e).real
     return 0.25 + g * c, 0.25 * (1.0 + 4.0 * g * c)
 
 
@@ -224,19 +224,17 @@ class QuadratureMoments:
     residual_imag: float
 
 
-def quadrature_moments(tau: float, g: float, alpha,
-                       strict: bool = True) -> QuadratureMoments:
+def quadrature_moments(tau: float, alpha) -> QuadratureMoments:
     """The five coherent-state moments behind the variance formulas:
     <X1^2>, <X1>^2, <X2^2>, <X2>^2 and the deformed-momentum mean square,
-    each as an (order g^0, order g^1) pair in natural units.
+    each as an (order g^0, order g^1) pair in natural units, which no g or
+    secular policy enters: a caller weighs each pair at its own g.
 
     <X1^2> - <X1>^2 and <X2^2> - <X2>^2 reproduce the quadrature variances
     to float precision; callers relying on that identity get it audited in
     :func:`variance_grid`.
     """
-    amp = CoherentAmplitude.from_complex(alpha)
-    _check_validity(tau, g, amp.gamma, strict)
-    pairs = _moments(tau, amp.alpha)
+    pairs = _moments(tau, CoherentAmplitude.from_complex(alpha).alpha)
     residual = max(abs(c.imag) for pair in pairs.values() for c in pair)
     real_pairs = {k: (v[0].real, v[1].real) for k, v in pairs.items()}
     return QuadratureMoments(residual_imag=residual, **real_pairs)
@@ -371,7 +369,7 @@ def variance_grid(tau, gamma, theta, g,
     e = _phase_table(tau)
     var_x = 0.5 + 2.0 * g * _x1_correction(tau, alpha, e).real
     var_p = 0.5 + g * _p_correction(tau, alpha, e).real
-    product, bound = _product_and_bound(tau, g, alpha, e)
+    product, bound = _product_and_bound(g, alpha, e)
     d_x = 0.5 * g * scaled_delta_x(tau, theta, gamma)
     d_p = 0.25 * g * scaled_delta_p(tau, theta, gamma)
     d_prod = 0.25 * g * scaled_delta_product(tau, theta, gamma)
@@ -524,7 +522,7 @@ def analytic_slopes(tau: float, alpha) -> dict[str, float]:
         "var_x2": -f1,
         "var_x_hat": 2.0 * f1,
         "var_p_hat": _p_correction(tau, amp.alpha, e).real,
-        "product": _product_correction(tau, amp.alpha, e).real,
+        "product": _product_correction(amp.alpha, e).real,
     }
 
 

@@ -72,7 +72,6 @@ def _check_grid(*sizes: int) -> None:
                           f"{_MAX_GRID_CELLS}")
 
 
-
 # ---------------------------------------------------------------------------
 # verify-bch
 
@@ -106,9 +105,10 @@ def cmd_verify_bch(args) -> int:
 def _figure_surface(which: int, gamma: float, args) -> tuple[np.ndarray, ...]:
     """Figure 1 or 2's open (tau, theta) axes and the one surface it writes;
     ConfigError unless every cell is finite."""
-    _check_grid(args.tau_points, args.theta_points)
+    theta_points = 100 if args.theta_points is None else args.theta_points
+    _check_grid(args.tau_points, theta_points)
     tau, theta = np.meshgrid(np.linspace(0.0, args.tau_max, args.tau_points),
-                             np.linspace(0.0, 2.0 * math.pi, args.theta_points),
+                             np.linspace(0.0, 2.0 * math.pi, theta_points),
                              indexing="ij", sparse=True)
     delta = analytic.scaled_delta_x if which == 1 else analytic.scaled_delta_p
     surface = delta(tau, theta, gamma)
@@ -123,6 +123,9 @@ def cmd_figure(args) -> int:
     if args.id == 3 and args.gamma is not None:
         raise ConfigError("figure 3 takes its amplitude from the preset; --gamma is "
                           "for figures 1 and 2")
+    if args.id == 3 and args.theta_points is not None:
+        raise ConfigError("figure 3 has no theta axis; --theta-points is for "
+                          "figures 1 and 2")
     if args.id in (1, 2) and args.preset is not None:
         raise ConfigError(f"figure {args.id} takes no preset; --preset is for figure 3")
     if args.id in (1, 2):
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: both 1 and 10, suffixed files)")
     p.add_argument("--tau-max", type=float, default=4.0 * math.pi)
     p.add_argument("--tau-points", type=_grid_size, default=200)
-    p.add_argument("--theta-points", type=_grid_size, default=100)
+    p.add_argument("--theta-points", type=_grid_size, default=None)
     p.add_argument("--preset", default=None,
                    help="preset document for figure 3 (default: electron)")
     p.add_argument("--out", required=True)

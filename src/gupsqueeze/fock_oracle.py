@@ -112,10 +112,10 @@ def _quadrature_bands(space: FockSpace) -> tuple[np.ndarray, ...]:
     return _ladder(identity, 1.0), q, q2, _ladder(q2, -1.0)
 
 
-def _matrix(bands: np.ndarray, dtype=float) -> np.ndarray:
-    """The dense matrix with these bands."""
+def _matrix(bands: np.ndarray) -> np.ndarray:
+    """The dense matrix with these bands, of their dtype."""
     n = bands.shape[1]
-    out = np.zeros((n, n), dtype=dtype)
+    out = np.zeros((n, n), dtype=bands.dtype)
     flat = out.reshape(-1)
     for k in range(-min(BANDS, n - 1), min(BANDS, n - 1) + 1):
         start = k if k >= 0 else -k * n  # entry (0, k) or (-k, 0)
@@ -163,16 +163,14 @@ def hamiltonian(space: FockSpace, params: PhysicalParams) -> FockOperator:
 def eigensystem(op: FockOperator) -> ParityEigensystem:
     """Eigendecomposition of a real symmetric operator that keeps number
     parity, as H does: one float64 eigh per parity block, each audited for
-    orthonormal eigenvectors (the unitarity gate) and for reconstruction."""
+    orthonormal eigenvectors (the unitarity gate) and for reconstruction.
+    A complex matrix is refused, even one whose imaginary part is zero."""
     matrix = op.matrix
     scale = max(np.abs(matrix).max(), 1.0)
     if not np.abs(matrix - matrix.conj().T).max() <= 1e-10 * scale:
         raise OracleError("eigendecomposition requested for non-Hermitian matrix")
     if np.iscomplexobj(matrix):
-        if np.any(matrix.imag):
-            raise OracleError("eigendecomposition requested for a matrix with "
-                              "an imaginary part")
-        matrix = matrix.real
+        raise OracleError("eigendecomposition requested for a complex matrix")
     even, odd = PARITY
     if np.any(matrix[even, odd]) or np.any(matrix[odd, even]):
         raise OracleError("eigendecomposition requested for a matrix that "

@@ -240,8 +240,8 @@ def canonical_xp(space: FockSpace,
     """x = sqrt(hbar/2m w)(a + a^dag), p = i sqrt(hbar m w/2)(a^dag - a)."""
     s, q, *_ = _quadrature_bands(space)
     lx, lp = _lengths(params)
-    return (FockOperator(space, _matrix(lx * s, complex)),
-            FockOperator(space, _matrix(1j * lp * q, complex)))
+    return (FockOperator(space, _matrix(lx * s)),
+            FockOperator(space, _matrix(1j * lp * q)))
 
 
 def deformed_ops(space: FockSpace,
@@ -254,8 +254,8 @@ def deformed_ops(space: FockSpace,
     s, q, _, q3 = _quadrature_bands(space)
     lx, lp = _lengths(params)
     p_hat = 1j * (lp * q - (params.beta / 3.0) * lp ** 3 * q3)  # p^3 = -i lp^3 q^3
-    return (FockOperator(space, _matrix(lx * s, complex)),
-            FockOperator(space, _matrix(p_hat, complex)))
+    return (FockOperator(space, _matrix(lx * s)),
+            FockOperator(space, _matrix(p_hat)))
 
 
 def heisenberg_evolve(op: FockOperator, h: FockOperator, t: float,

@@ -268,7 +268,7 @@ def test_moments_reproduce_quadrature_variances():
     g = 2e-4
     for tau in (0.6, 3.3):
         for amp in (VACUUM, CoherentAmplitude(1.4, 2.2)):
-            m = quadrature_moments(tau, g, amp)
+            m = quadrature_moments(tau, amp)
             q = quadrature_variances(tau, g, amp)
             (s1, s1g), (m1, m1g) = m.x1_sq, m.x1_mean_sq
             (s2, s2g), (m2, m2g) = m.x2_sq, m.x2_mean_sq
@@ -284,7 +284,7 @@ def test_moments_match_polynomial_engine():
         x1, x2 = quadrature_polynomials(tau)
         for amp in (VACUUM, CoherentAmplitude(1.0, 0.9), CoherentAmplitude(2.5, 5.1)):
             a = amp.alpha
-            m = quadrature_moments(tau, 0.0, amp, strict=False)
+            m = quadrature_moments(tau, amp)
             x1sq = expectation(x1 @ x1, a)
             x1mean = expectation(x1, a)
             x2sq = expectation(x2 @ x2, a)
@@ -308,7 +308,7 @@ def test_deformed_momentum_mean_square_engine_check():
         x2_quart = x2_sq @ x2_sq
         for amp in (VACUUM, CoherentAmplitude(1.7, 1.3)):
             a = amp.alpha
-            m = quadrature_moments(tau, 0.0, amp, strict=False)
+            m = quadrature_moments(tau, amp)
             sq = expectation(x2_sq, a)
             quart = expectation(x2_quart, a)
             want0 = 2.0 * sq[0].real
@@ -318,7 +318,7 @@ def test_deformed_momentum_mean_square_engine_check():
 
 
 def test_vacuum_moments_at_rest():
-    m = quadrature_moments(0.0, 0.0, VACUUM)
+    m = quadrature_moments(0.0, VACUUM)
     assert m.x1_sq[0] == pytest.approx(0.25, abs=1e-15)
     assert m.x1_mean_sq[0] == pytest.approx(0.0, abs=1e-15)
     assert m.p_hat_sq[0] == pytest.approx(0.5, abs=1e-15)

@@ -187,6 +187,19 @@ def test_commutator_self_is_zero():
         assert commutator(p, p) == OperatorPolynomial()
 
 
+def test_a_polynomial_equals_no_other_type():
+    # __eq__ returns NotImplemented, so Python compares by identity: False
+    a = OperatorPolynomial.monomial(A)
+    assert a.__eq__(3) is NotImplemented
+    assert (a == 3) is False and a != 3
+    assert a == OperatorPolynomial.monomial(A)
+
+
+def test_repr_names_the_zero_polynomial_and_each_term():
+    assert repr(OperatorPolynomial()) == "OperatorPolynomial(0)"
+    assert repr(OperatorPolynomial.monomial(A)) == "OperatorPolynomial({a: 1 + g*0})"
+
+
 def test_commutator_antisymmetry_and_bilinearity():
     rng = random.Random(11)
     for _ in range(10):

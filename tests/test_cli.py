@@ -948,6 +948,10 @@ def test_grid_limit_admits_exactly_max_cells():
         "omega = 1000000000000.0", "omega = 1e-300"), "hbar/(m omega)"),
     (["figure", "--id", "3"], b"\xff\xfe", "cannot load preset"),
     (["figure", "--id", "3", "--gamma", "nan"], None, "--gamma is for figures 1 and 2"),
+    (["figure", "--id", "3", "--theta-points", "7", "--tau-points", "5"], None,
+     "figure 3 has no theta axis; --theta-points is for figures 1 and 2"),
+    (["figure", "--id", "3", "--theta-points", "100"], "name = electron\n",
+     "--theta-points is for figures 1 and 2"),
     (["figure", "--id", "1", "--gamma", "1"], "name = electron\n",
      "--preset is for figure 3"),
     (["figure", "--id", "2", "--tau-points", "4", "--theta-points", "4"],
@@ -995,7 +999,8 @@ def test_grid_limit_admits_exactly_max_cells():
         "sweep-unwritable-out", "oracle-unwritable-out", "preset-unwritable-out",
         "figure-3-preset-missing", "figure-3-preset-malformed",
         "figure-3-preset-si-factor-divides-by-zero", "figure-3-preset-not-utf8",
-        "figure-3-gamma", "figure-1-preset", "figure-2-default-gammas-preset",
+        "figure-3-gamma", "figure-3-theta-points", "figure-3-preset-theta-points",
+        "figure-1-preset", "figure-2-default-gammas-preset",
         "figure-1-default-gammas-to-stdout", "figure-2-default-gammas-to-stdout",
         "figure-1-default-gammas-stem-empty", "figure-1-default-gammas-stem-dot",
         "figure-1-default-gammas-stem-root", "figure-1-default-gammas-stem-directory",

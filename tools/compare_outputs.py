@@ -22,11 +22,12 @@ row), ``verify-bch
 --max-order`` 1 (the least depth), 12, 35 (the benchmark's depth), 60, 1000
 and 10000 (the cap, where the chain's integers are largest: coefficients far
 past 64 bits, the chain streamed), bad inputs that exit 2: out-of-range
-options, a one-point grid axis, figure 1's default pair named by an empty
-stem, SI units whose restoration factors are 0 or infinite, a config that
-gives a key twice, and a config or preset that is not UTF-8, and the
-parser's own output: no arguments, an unknown command, a missing required
-option, a stray argument and a command's ``-h``.
+options, a one-point grid axis, figure 3 given a theta axis, figure 1's
+default pair named by an empty stem, SI units whose restoration factors
+are 0 or infinite, a config that gives a key twice, and a config or preset
+that is not UTF-8, and the parser's own output: no arguments, an unknown
+command, a missing required option, a stray argument and a command's
+``-h``.
 
     python tools/compare_outputs.py --parent ../parent-checkout
     python tools/compare_outputs.py --parent DIR --only preset_stdout verify_bch_12
@@ -150,6 +151,8 @@ def cases() -> list[Case]:
         Case("bad_sweep_config", ("sweep", "--config", "missing.cfg")),
         Case("bad_figure_gamma", ("figure", "--id", "1", "--gamma=-1", "--out", "bad.csv")),
         Case("bad_figure3_gamma", ("figure", "--id", "3", "--gamma", "1", "--out", "bad.csv")),
+        Case("bad_figure3_theta_points", ("figure", "--id", "3", "--theta-points", "7",
+                                          "--out", "bad.csv")),
         Case("bad_oracle_tol", ("oracle-compare", "--tol", "0")),
         Case("bad_uncertainty_tol", ("uncertainty-check", "--tol=-1")),
         Case("bad_oracle_dim_1", ("oracle-compare", "--dim", "1")),
