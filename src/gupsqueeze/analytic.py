@@ -112,17 +112,22 @@ def ladder_taylor_check(tau: float, k_max: int = 12) -> float:
     division rounds n / G_HAT_SCALE correctly, as float(Fraction(n,
     G_HAT_SCALE)) does, so each term keeps the bits of its exact coefficient
     however far the chain's ints pass 2^53."""
-    totals = [0.0 + 0.0j] * len(MONOMIAL_FORMS)
+    t1 = t2 = t3 = t4 = t5 = t6 = 0.0 + 0.0j
     power = 1.0 + 0.0j
     fact = 1.0
-    for k, state in enumerate(_coordinates(k_max)):
+    itau = 1j * tau
+    for k, (_, n1, n2, n3, n4, n5, n6) in enumerate(_coordinates(k_max)):
         if k:
-            power *= 1j * tau
+            power *= itau
             fact *= k
-        totals = [total + n / G_HAT_SCALE * power / fact
-                  for total, n in zip(totals, state[1:])]
+        t1 += n1 / G_HAT_SCALE * power / fact
+        t2 += n2 / G_HAT_SCALE * power / fact
+        t3 += n3 / G_HAT_SCALE * power / fact
+        t4 += n4 / G_HAT_SCALE * power / fact
+        t5 += n5 / G_HAT_SCALE * power / fact
+        t6 += n6 / G_HAT_SCALE * power / fact
     return max(abs(total - c1) for total, (_, c1) in
-               zip(totals, _ladder_parts(tau, _phase_table(tau)).values()))
+               zip((t1, t2, t3, t4, t5, t6), _ladder_parts(tau, _phase_table(tau)).values()))
 
 
 # ---------------------------------------------------------------------------

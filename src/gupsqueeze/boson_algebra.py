@@ -20,9 +20,13 @@ the generic chain, each body the commutator of H with the one before.  The
 chain on a never leaves seven int coordinates (a at order 0, the six
 MONOMIAL_FORMS monomials at order g), so ``verify_bch_collection``,
 ``collect_monomial_series`` and ``analytic.ladder_taylor_check`` step those
-seven ints with a linear map read off body 1 of ``bch_bodies``
+seven ints with a linear map L read off body 1 of ``bch_bodies``
 (``_step_map``, streamed by ``_coordinates``): a process calls
 ``commutator`` six times for them, on the first chain, whatever its depth.
+L is a diagonal plus one feed column.  [a^dag a, a^dag^m a^n] =
+(m - n) a^dag^m a^n, so each coordinate keeps its own factor (-1 for a);
+g^2 = 0, so only a at order 0 feeds the others.  ``_stepper`` spells L so,
+as one straight-line step.
 """
 
 from __future__ import annotations
@@ -248,8 +252,8 @@ _ORDER1_AT: dict[Monomial, int] = {mono: j for j, mono in enumerate(MONOMIAL_FOR
 
 class ChainSpanError(ArithmeticError):
     """An image [H, m] of the exact chain has a term outside its seven
-    coordinates, so the chain on a is not the step map those coordinates
-    assume."""
+    coordinates, or a step map entry is neither diagonal nor fed by a, so
+    the chain on a is not the step map those coordinates assume."""
 
 
 @functools.cache
@@ -263,6 +267,12 @@ def _step_map() -> tuple[tuple[int, int, int], ...]:
     a itself, the one coordinate at order 0, to all of [H, a].  So a process
     takes six commutators, on the first call.  ChainSpanError if an image
     reaches a term that no coordinate holds.
+
+    The triples are a diagonal plus one feed column.  The order-0 part of H
+    is a^dag a, and [a^dag a, a^dag^m a^n] = (m - n) a^dag^m a^n, so g m
+    goes to (m - n) g m alone, and a to -a plus g terms.  H's order-g part
+    reaches g m only as g^2, which is 0, so a, the one order-0 coordinate,
+    is the only source that feeds another coordinate.
     """
     hamiltonian = hamiltonian_polynomial()
     triples = []
@@ -287,20 +297,51 @@ def _step_map() -> tuple[tuple[int, int, int], ...]:
     return tuple(triples)
 
 
-def _coordinates(k_max: int) -> Iterator[list[int]]:
+@functools.cache
+def _stepper(step: tuple[tuple[int, int, int], ...]) -> Callable[..., tuple[int, ...]]:
+    """The step map's triples (see _step_map) as one function of the seven
+    coordinates that returns the next seven, in straight-line code.
+
+    The triples split into a diagonal, each coordinate's own factor, and a
+    feed column, a's factor into each other coordinate; triples at one
+    place add up.  ChainSpanError, naming both coordinates, for a triple
+    that is neither: L is stepped in that shape or not at all.
+    """
+    diagonal = [0] * 7
+    feed = [0] * 7
+    for target, source, factor in step:
+        if target == source:
+            diagonal[target] += factor
+        elif source == 0:
+            feed[target] += factor
+        else:
+            names = ("a", *(f"g {label}" for label in _MONOMIAL_LABELS))
+            raise ChainSpanError(
+                f"the step map feeds coordinate {target} ({names[target]}) from "
+                f"coordinate {source} ({names[source]}); only coordinate 0 (a) "
+                f"feeds another")
+    d0, d1, d2, d3, d4, d5, d6 = diagonal
+    _, f1, f2, f3, f4, f5, f6 = feed
+
+    def stepped(s0, s1, s2, s3, s4, s5, s6):
+        return (d0 * s0, d1 * s1 + f1 * s0, d2 * s2 + f2 * s0, d3 * s3 + f3 * s0,
+                d4 * s4 + f4 * s0, d5 * s5 + f5 * s0, d6 * s6 + f6 * s0)
+    return stepped
+
+
+def _coordinates(k_max: int) -> Iterator[tuple[int, ...]]:
     """Bodies 0..k_max of the nested-commutator chain on a, int entries in
-    g_hat, one at a time as their seven coordinates (see _step_map);
-    ValueError before any is built."""
+    g_hat, one at a time as their seven coordinates, each body the step map
+    L of the one before (see _step_map and _stepper: each coordinate times
+    its own factor, plus a's feed into it); ValueError before any is
+    built."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    step = _step_map()
-    state = [1, 0, 0, 0, 0, 0, 0]
+    step = _stepper(_step_map())
+    state = (1, 0, 0, 0, 0, 0, 0)
     yield state
     for _ in range(k_max):
-        nxt = [0] * 7
-        for target, source, factor in step:
-            nxt[target] += factor * state[source]
-        state = nxt
+        state = step(*state)
         yield state
 
 

@@ -411,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: both 1 and 10, suffixed files)")
     p.add_argument("--tau-max", type=float, default=4.0 * math.pi)
     p.add_argument("--tau-points", type=_grid_size, default=200)
-    p.add_argument("--theta-points", type=_grid_size, default=None)
+    p.add_argument("--theta-points", type=_grid_size, default=None,
+                   help="theta grid points for figures 1 and 2 (default 100); "
+                        "figure 3 refuses it")
     p.add_argument("--preset", default=None,
                    help="preset document for figure 3 (default: electron)")
     p.add_argument("--out", required=True)

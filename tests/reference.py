@@ -3,8 +3,9 @@
 Nothing in the package calls these: the ring's product summed pair by
 pair as whole polynomials from ``monomial_product``, the commutator as the
 difference of two such products, the nested-commutator chain as the
-commutator of H with each whole body, the six evolved monomials' series
-collected whole off one chain before any is summed, a Taylor series summed
+commutator of H with each whole body, one step of the chain's seven
+coordinates as a loop over the step map's triples, the six evolved
+monomials' series collected whole off one chain before any is summed, a Taylor series summed
 from its ``Fraction`` coefficients, a polynomial's adjoint and the graded
 pair it holds at one monomial, the evolved operators as graded
 polynomials of boson_algebra's ring (with complex coefficients), the ring's
@@ -81,6 +82,16 @@ def reference_bch_bodies(k_max: int, hamiltonian: OperatorPolynomial,
     for _ in range(k_max):
         body = commutator(hamiltonian, body)
         yield body
+
+
+def reference_step(step, state) -> list[int]:
+    """One step of the chain's seven coordinates: at each target, the sum of
+    factor * (state at source) over the step map's (target, source, factor)
+    triples (see boson_algebra._step_map)."""
+    stepped = [0] * 7
+    for target, source, factor in step:
+        stepped[target] += factor * state[source]
+    return stepped
 
 
 def reference_series_value(coefficients, tau: float) -> complex:

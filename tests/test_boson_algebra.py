@@ -23,7 +23,7 @@ from gupsqueeze.fock_oracle import FockSpace
 from reference import (
     adjoint, coefficient, max_abs_diff, monomial_matrix, polynomial_matrix,
     reference_bch_bodies, reference_commutator, reference_ladder_taylor_check,
-    reference_product, reference_series_value,
+    reference_product, reference_series_value, reference_step,
 )
 
 F = Fraction
@@ -387,11 +387,32 @@ def test_coordinates_are_the_chain_at_every_depth(k_max):
 @given(st.lists(st.integers(-10**30, 10**30), min_size=7, max_size=7))
 def test_step_map_steps_any_body_in_the_coordinates(state):
     """L is linear on the whole span, not only on the states a reaches."""
-    stepped = [0] * 7
-    for target, source, factor in boson_algebra._step_map():
-        stepped[target] += factor * state[source]
+    stepped = reference_step(boson_algebra._step_map(), state)
     _, body = bch_bodies(1, hamiltonian_polynomial(), coordinate_body(state))
     assert coordinate_body(stepped) == body
+
+
+@pytest.mark.parametrize("entry, delta",
+                         [(None, 0), *((entry, delta) for entry in range(13) for delta in (-1, 1))])
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), min_size=7, max_size=7))
+def test_stepper_steps_as_the_triple_loop(entry, delta, state):
+    """The straight-line step is the triple loop, on the chain's own map and
+    on each map with one of its 13 factors off by one."""
+    step = boson_algebra._step_map()
+    if entry is not None:
+        target, source, factor = step[entry]
+        step = (*step[:entry], (target, source, factor + delta), *step[entry + 1:])
+    assert list(boson_algebra._stepper(step)(*state)) == reference_step(step, state)
+
+
+def test_stepper_refuses_an_entry_outside_the_diagonal_and_feed_column():
+    """g adag (coordinate 2) fed from g a (coordinate 1) is neither an own
+    factor nor a's feed, so no step is built for it."""
+    step = (*boson_algebra._step_map(), (2, 1, 1))
+    with pytest.raises(boson_algebra.ChainSpanError,
+                       match=r"coordinate 2 \(g adag\) from coordinate 1 \(g a\)"):
+        boson_algebra._stepper(step)
 
 
 def test_step_map_has_thirteen_int_entries():

@@ -177,6 +177,7 @@ def cases() -> list[Case]:
         Case("parse_missing_option", ("verify-bch",)),
         Case("parse_extra_argument", ("verify-bch", "--max-order", "2", "extra")),
         Case("parse_command_help", ("verify-bch", "-h")),
+        Case("parse_figure_help", ("figure", "-h")),
     ]
 
 
